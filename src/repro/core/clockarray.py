@@ -227,7 +227,7 @@ class ClockArray:
         """Adopt an externally computed cleaner position.
 
         The batch engine applies whole sweeps in closed form
-        (:mod:`repro.engine.fused`) and then declares the end state here
+        (the ``fuse_*`` kernels) and then declares the end state here
         instead of replaying the steps through :meth:`advance`.
         ``cleaned`` reports how many cells the closed-form application
         expired, keeping the sweep telemetry consistent with the

@@ -8,7 +8,9 @@
   algorithm should learn the proper thresholds".
 - :mod:`repro.ext.merge` — mergeable Clock-sketches for distributed
   measurement ("combining Flink framework can help save
-  synchronization cost in distributed measurement").
+  synchronization cost in distributed measurement"); the keyed
+  partition-and-merge pipeline itself is
+  :meth:`repro.monitor.ItemBatchMonitor.sharded`.
 """
 
 from .similar import KeyedMapper, SimilarItemSketch, TokenPrefixMapper
@@ -19,10 +21,8 @@ from .merge import (
     merge_count_mins,
     merge_timespan_sketches,
 )
-from .pipeline import DistributedMeasurement
 
 __all__ = [
-    "DistributedMeasurement",
     "KeyedMapper",
     "TokenPrefixMapper",
     "SimilarItemSketch",

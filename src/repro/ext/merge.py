@@ -18,7 +18,8 @@ workers synchronise at a common stream time, exactly the Flink-style
 barrier the paper envisions.
 
 These functions are thin wrappers over the sketches' own ``merge()``
-methods, which route every cell write through the validating
+methods: each folds ``b`` into ``a`` in place and returns ``a``
+(``snapshot()`` first to keep ``a``). The methods route every cell write through the validating
 :meth:`~repro.core.clockarray.ClockArray.merge_max` /
 :meth:`~repro.core.clockarray.ClockArray.load_values` entry points —
 the same ones the runtime sanitizer checks. ``repro.shard`` builds its
@@ -36,27 +37,8 @@ __all__ = ["merge_bloom_filters", "merge_bitmaps", "merge_count_mins",
            "merge_timespan_sketches"]
 
 
-def _resolve_target(a, b, into):
-    """Pick the merge target, rebasing ``into`` onto ``a`` when given.
-
-    With ``into`` absent (or ``a`` itself) the merge mutates ``a``.
-    Otherwise ``into`` adopts ``a``'s exact state first — cell image via
-    the validating ``load_values``, cleaner position as deserialisation
-    does — so the fold of ``b`` lands in a third sketch and ``a`` stays
-    untouched.
-    """
-    if into is None or into is a:
-        return a
-    into.clock.load_values(a.clock.values)
-    into.clock._steps_done = a.clock.steps_done
-    into.clock._now = a.clock.now
-    into._now = a._now
-    into._items_inserted = a._items_inserted
-    return into
-
-
-def merge_bloom_filters(a: ClockBloomFilter, b: ClockBloomFilter,
-                        into: "ClockBloomFilter | None" = None) -> ClockBloomFilter:
+def merge_bloom_filters(a: ClockBloomFilter,
+                        b: ClockBloomFilter) -> ClockBloomFilter:
     """Union of two BF+clock sketches (element-wise clock max).
 
     Examples
@@ -73,42 +55,32 @@ def merge_bloom_filters(a: ClockBloomFilter, b: ClockBloomFilter,
     >>> merged.contains("left"), merged.contains("right")
     (True, True)
     """
-    return _resolve_target(a, b, into).merge(b)
+    return a.merge(b)
 
 
-def merge_bitmaps(a: ClockBitmap, b: ClockBitmap,
-                  into: "ClockBitmap | None" = None) -> ClockBitmap:
+def merge_bitmaps(a: ClockBitmap, b: ClockBitmap) -> ClockBitmap:
     """Union of two BM+clock sketches (element-wise clock max).
 
     A later ``estimate()`` applies the §4.2 linear-counting estimator
     to the union's zero count, deduplicating batches both sides saw.
     """
-    return _resolve_target(a, b, into).merge(b)
+    return a.merge(b)
 
 
-def merge_count_mins(a: ClockCountMin, b: ClockCountMin,
-                     into: "ClockCountMin | None" = None) -> ClockCountMin:
+def merge_count_mins(a: ClockCountMin, b: ClockCountMin) -> ClockCountMin:
     """Merge two CM+clock sketches: counters sum, clocks max.
 
     Counter sums saturate at the counter maximum rather than wrapping.
     """
-    result = _resolve_target(a, b, into)
-    if result is not a:
-        result.counters[:] = a.counters
-    return result.merge(b)
+    return a.merge(b)
 
 
-def merge_timespan_sketches(
-    a: ClockTimeSpanSketch, b: ClockTimeSpanSketch,
-    into: "ClockTimeSpanSketch | None" = None,
-) -> ClockTimeSpanSketch:
+def merge_timespan_sketches(a: ClockTimeSpanSketch,
+                            b: ClockTimeSpanSketch) -> ClockTimeSpanSketch:
     """Merge two BF-ts+clock sketches: clocks max, stamps first-writer-wins.
 
     A cell live on both sides keeps the older timestamp, so per-key
     spans on the merged sketch remain overestimates of the truth (see
     :meth:`~repro.core.timespan.ClockTimeSpanSketch.merge`).
     """
-    result = _resolve_target(a, b, into)
-    if result is not a:
-        result.timestamps[:] = a.timestamps
-    return result.merge(b)
+    return a.merge(b)

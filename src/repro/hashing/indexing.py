@@ -55,6 +55,9 @@ def bulk_base_hashes(keys: np.ndarray, seed: int = 0) -> np.ndarray:
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
+#: Element-wise ``int()`` over an object array (numpy scalars included).
+_AS_INT = np.frompyfunc(int, 1, 1)
+
 
 def derive_index_matrix(base: np.ndarray, n: int, k: int) -> np.ndarray:
     """Kirsch–Mitzenmacher double hashing in array form.
@@ -161,7 +164,14 @@ class IndexDeriver:
         elif isinstance(items, (list, tuple)) and items \
                 and all(isinstance(x, (int, np.integer))  # sketchlint: scalar-ok
                         and not isinstance(x, bool) for x in items):
-            return bulk_base_hashes(np.asarray(items, dtype=np.int64), self.seed)
+            try:
+                keys = np.asarray(items, dtype=np.int64)
+            except OverflowError:
+                # Keys outside int64: wrap into its range, which is
+                # the mod 2^64 reduction base_hash applies.
+                ints = _AS_INT(np.asarray(items, dtype=object))
+                keys = ((ints + 2**63 & _M64) - 2**63).astype(np.int64)
+            return bulk_base_hashes(keys, self.seed)
         elif not isinstance(items, (list, tuple)):
             items = list(items)
         seed = self.seed

@@ -128,11 +128,10 @@ class ItemBatchMonitor:
         if "span" in enabled:
             self.span_sketch = ClockTimeSpanSketch.from_memory(
                 budget["span"] // 8, window, seed=seed + 3)
-        self._sketches = [s for s in (self.activeness, self.cardinality,
-                                      self.size_sketch, self.span_sketch)
-                          if s is not None]
         self.seed = seed
-        self.shards = 1
+        self._adopt([s for s in (self.activeness, self.cardinality,
+                                 self.size_sketch, self.span_sketch)
+                     if s is not None])
         self._auditor = None
 
     @classmethod
@@ -140,42 +139,52 @@ class ItemBatchMonitor:
                 split=None, seed: int = 0, *, shards: int = 2,
                 router: str = "serial", mp_context=None,
                 queue_capacity=None, timeout=None, time_source=None):
-        """A monitor whose every task is a key-partitioned sharded sketch.
+        """A monitor whose tasks share one key-partitioned shard set.
 
         Builds the ordinary per-task structures from ``memory`` (the
         *per-shard* budget — accuracy tracks a single shard's size, see
         :meth:`~repro.shard.ShardedSketch.shard_memory_bits`), then
-        wraps each in a :class:`~repro.shard.ShardedSketch` with
-        ``shards`` partitions. ``router="process"`` gives every shard
-        of every task its own worker process; call :meth:`close` (or
-        use the monitor as a context manager) to release them.
+        clones them into one :class:`~repro.shard.ShardSet` of
+        ``shards`` partitions routed by one shard hash at ``seed``:
+        each batch is hashed for routing and scattered once, and every
+        shard applies its sub-batch to all of its tasks. Each task
+        attribute becomes a :class:`~repro.shard.ShardedSketch` view of
+        its slot. ``router="process"`` runs one worker process per
+        shard, owning every task of that shard; call :meth:`close` (or
+        use the monitor as a context manager) to release them. One
+        shard on the serial router is the plain monitor itself.
         """
-        from .shard import ShardedSketch
-        from .shard.workers import DEFAULT_QUEUE_CAPACITY, DEFAULT_TIMEOUT
-
         monitor = cls(window, memory=memory, tasks=tasks, split=split,
                       seed=seed)
-        options = {
-            "router": router,
-            "mp_context": mp_context,
-            "queue_capacity": DEFAULT_QUEUE_CAPACITY
-            if queue_capacity is None else queue_capacity,
-            "timeout": DEFAULT_TIMEOUT if timeout is None else timeout,
-            "time_source": time_source,
-        }
-        for task in monitor.tasks:
-            attribute = cls._TASK_ATTRS[task]
-            prototype = getattr(monitor, attribute)
-            setattr(monitor, attribute,
-                    ShardedSketch(prototype, shards=shards, **options))
-        monitor._sketches = [
-            getattr(monitor, cls._TASK_ATTRS[task]) for task in monitor.tasks
-        ]
-        monitor.shards = int(shards)
+        if int(shards) == 1 and router == "serial":
+            return monitor
+        from .shard import ShardSet
+
+        shard_set = ShardSet.cloned(
+            monitor._sketches, shards, seed=seed, router=router,
+            mp_context=mp_context, queue_capacity=queue_capacity,
+            timeout=timeout, time_source=time_source,
+        )
+        monitor._adopt(shard_set.views(), shard_set)
         return monitor
 
+    def _adopt(self, sketches, shard_set=None) -> None:
+        """Install one built structure per enabled task, in task order.
+
+        With ``shard_set`` the structures are its views: they share one
+        ingest path, so the monitor feeds only the first.
+        """
+        for task, sketch in zip(self.tasks, sketches):
+            setattr(self, self._TASK_ATTRS[task], sketch)
+        self._sketches = list(sketches)
+        self._writers = self._sketches
+        self.shards = 1
+        if shard_set is not None:
+            self._writers = self._sketches[:1]
+            self.shards = shard_set.shards
+
     def close(self) -> None:
-        """Release per-task resources (sharded worker pools). Idempotent."""
+        """Release the shard set's worker pool, if any. Idempotent."""
         for sketch in self._sketches:
             close = getattr(sketch, "close", None)
             if close is not None:
@@ -227,7 +236,7 @@ class ItemBatchMonitor:
 
     def observe(self, key, t=None) -> None:
         """Record one occurrence of ``key`` in every enabled structure."""
-        for sketch in self._sketches:
+        for sketch in self._writers:
             sketch.insert(key, t)
         auditor = self._auditor
         if auditor is not None:
@@ -248,7 +257,7 @@ class ItemBatchMonitor:
             if sp.recording:
                 sp.set("items", len(keys) if hasattr(keys, "__len__") else -1)
                 sp.set("sketches", len(self._sketches))
-            for sketch in self._sketches:
+            for sketch in self._writers:
                 sketch.insert_many(keys, times)
             auditor = self._auditor
             if auditor is not None and auditor.due:

@@ -136,10 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic trace to replay (default caida)")
     trace.add_argument("--seed", type=int, default=1)
     trace.add_argument("--shards", type=int, default=1,
-                       help="shard the activeness sketch P ways (default 1)")
+                       help="shard the monitor P ways (default 1)")
     trace.add_argument("--router", default="serial",
                        choices=("serial", "process"),
-                       help="shard router for --shards > 1 (default serial)")
+                       help="shard router (default serial; one serial "
+                       "shard is the plain monitor)")
     trace.add_argument("--sample-every", type=int, default=1,
                        help="record 1 in N traces (default 1 = all)")
     trace.add_argument("--capacity", type=int, default=2048,
@@ -286,13 +287,9 @@ def run_trace(args) -> int:
     trace_mod.configure(capacity=args.capacity,
                         sample_every=args.sample_every)
     flight.install(args.flight_dir)
-    if args.shards > 1:
-        monitor = ItemBatchMonitor.sharded(
-            count_window(args.window), memory=args.memory, seed=args.seed,
-            shards=args.shards, router=args.router)
-    else:
-        monitor = ItemBatchMonitor(count_window(args.window),
-                                   memory=args.memory, seed=args.seed)
+    monitor = ItemBatchMonitor.sharded(
+        count_window(args.window), memory=args.memory, seed=args.seed,
+        shards=args.shards, router=args.router)
     stream = get_dataset(args.dataset, n_items=args.items,
                          window_hint=args.window, seed=args.seed)
     keys = stream.keys

@@ -28,7 +28,8 @@ from .core import ClockBitmap, ClockBloomFilter, ClockCountMin, ClockTimeSpanSke
 from .errors import ConfigurationError
 from .timebase import WindowKind, WindowSpec
 
-__all__ = ["dump_sketch", "dumps_sketch", "load_sketch", "loads_sketch"]
+__all__ = ["dump_sketch", "dumps_sketch", "load_sketch", "loads_replicas",
+           "loads_sketch"]
 
 #: The union of serialisable plain sketch types.
 Sketch = Union[ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch]
@@ -66,18 +67,20 @@ def _payload_any(sketch: AnySketch) -> "dict[str, Any]":
 
 def _payload_sharded(sketch: Any) -> "dict[str, Any]":
     """Flatten a sharded facade: header plus ``shard{i}__``-prefixed
-    replica payloads. Live worker pools are synchronised (barrier) so
-    the parent-side replicas hold each shard's final state."""
+    payloads of its slot's replicas. Live worker pools are synchronised
+    (barrier) so the parent-side replicas hold each shard's final
+    state."""
     if not getattr(sketch.router, "_closed", False):
-        sketch.router.barrier(sketch.now)
+        sketch.shard_set.barrier(sketch.now)
     payload: "dict[str, Any]" = {
         "kind": np.array("ShardedSketch"),
         "shards": np.array(sketch.shards),
         "router_kind": np.array(sketch.router.kind),
+        "selector_seed": np.array(sketch.selector.seed),
         "now": np.array(sketch.now),
         "items_inserted": np.array(sketch.items_inserted),
     }
-    for i, replica in enumerate(sketch.router.replicas):
+    for i, replica in enumerate(sketch.replicas):
         for key, value in _payload(replica).items():
             payload[f"shard{i}__{key}"] = value
     return payload
@@ -129,26 +132,31 @@ def _restore_sharded(payload: "Mapping[str, Any]") -> Any:
     """Rebuild a sharded facade from its flattened payload.
 
     Replicas restore individually (each through the validating
-    ``load_values`` path), then reassemble under the router kind the
-    facade was saved with — a ``"process"`` facade restarts its worker
-    pool, each worker rehydrating from its shard's saved state.
+    ``load_values`` path), then reassemble as a one-slot shard set
+    under the router kind the facade was saved with — a ``"process"``
+    facade restarts its worker pool, each worker rehydrating from its
+    shard's saved state. Payloads without a routing seed predate
+    shared shard sets and route at the replicas' own seed.
     """
-    from .shard import ShardedSketch  # local: shard imports this module
+    from .shard import ShardSet  # local: shard imports this module
 
-    facade: Any = ShardedSketch
-    shards = int(payload["shards"])
+    seed = int(payload["selector_seed"]) if "selector_seed" in payload \
+        else None
+    shard_set = ShardSet([_restore_replicas(payload)], seed=seed,
+                         router=str(payload["router_kind"]))
+    shard_set.now = float(payload["now"])
+    shard_set.items_inserted = int(payload["items_inserted"])
+    return shard_set.views()[0]
+
+
+def _restore_replicas(payload: "Mapping[str, Any]") -> "list[Sketch]":
     replicas = []
-    for i in range(shards):
+    for i in range(int(payload["shards"])):
         prefix = f"shard{i}__"
-        sub = {key[len(prefix):]: payload[key]
-               for key in payload.keys() if key.startswith(prefix)}
-        replicas.append(_restore(sub))
-    sketch = facade(None, shards=shards,
-                    router=str(payload["router_kind"]),
-                    _replicas=replicas)
-    sketch._now = float(payload["now"])
-    sketch._items_inserted = int(payload["items_inserted"])
-    return sketch
+        replicas.append(_restore({key[len(prefix):]: payload[key]
+                                  for key in payload.keys()
+                                  if key.startswith(prefix)}))
+    return replicas
 
 
 def _restore(payload: "Mapping[str, Any]") -> Sketch:
@@ -215,3 +223,18 @@ def loads_sketch(data: bytes) -> AnySketch:
     """Restore a sketch from bytes produced by :func:`dumps_sketch`."""
     with np.load(io.BytesIO(data), allow_pickle=False) as payload:
         return _restore_any(payload)
+
+
+def loads_replicas(data: bytes) -> "tuple[list[Sketch], float, int]":
+    """A payload's per-shard replicas, stream time and item count.
+
+    Starts no router: this is how several sharded payloads (one per
+    monitor task) are rebuilt as one shard set. A plain sketch payload
+    is its own single replica.
+    """
+    with np.load(io.BytesIO(data), allow_pickle=False) as payload:
+        if str(payload["kind"]) != "ShardedSketch":
+            sketch = _restore(payload)
+            return [sketch], sketch.now, sketch.items_inserted
+        return (_restore_replicas(payload), float(payload["now"]),
+                int(payload["items_inserted"]))

@@ -3,14 +3,14 @@
 One checkpoint is a single zip archive holding ``meta.json`` (format
 tag, tenant name, :class:`~repro.serve.tenants.TenantConfig` mapping,
 stream position) plus one :mod:`repro.serialize` ``.npz`` payload per
-enabled task — sharded facades flatten per shard, so a process-router
-tenant restores its whole worker pool. Writes go to a dot-prefixed
-temporary file in the tenant's directory and land via ``os.replace``,
-so a reader never observes a half-written *current* checkpoint; a file
-torn by a crash mid-write (or mid-rename on a non-atomic filesystem)
-fails zip validation and the loader falls back to the previous intact
-generation rather than half-loading. The newest ``keep`` generations
-are retained.
+enabled task — sharded tasks flatten per shard, so a sharded tenant
+restores as one shard set with its whole worker pool. Writes go to a
+dot-prefixed temporary file in the tenant's directory and land via
+``os.replace``, so a reader never observes a half-written *current*
+checkpoint; a file torn by a crash mid-write (or mid-rename on a
+non-atomic filesystem) fails zip validation and the loader falls back
+to the previous intact generation rather than half-loading. The newest
+``keep`` generations are retained.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ import os
 import zipfile
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import CheckpointError
 from ..monitor import ItemBatchMonitor
 from ..obs import runtime as _obs
-from ..serialize import dumps_sketch, loads_sketch
+from ..serialize import dumps_sketch, loads_replicas
+from ..shard import ShardSet
 from .tenants import Tenant, TenantConfig
 
 __all__ = ["CheckpointManager", "RestoredState", "CHECKPOINT_FORMAT"]
@@ -206,13 +207,11 @@ class CheckpointManager:
                 raise CheckpointError(
                     f"{path.name}: unknown format {meta.get('format')!r}")
             tasks = meta["tasks"]
-            sketches = {
-                task: loads_sketch(archive.read(f"task_{task}.npz"))
-                for task in tasks
-            }
+            parts = [loads_replicas(archive.read(f"task_{task}.npz"))
+                     for task in tasks]
         cfg = config if config is not None \
             else TenantConfig.from_meta(meta["config"])
-        monitor = _assemble_monitor(cfg, tasks, sketches)
+        monitor = _assemble_monitor(cfg, tasks, parts)
         return monitor, cfg, meta
 
     def purge(self, name: str) -> None:
@@ -221,26 +220,35 @@ class CheckpointManager:
             path.unlink(missing_ok=True)
 
 
-def _assemble_monitor(config: TenantConfig, tasks: "List[str]",
-                      sketches: "Dict[str, Any]") -> ItemBatchMonitor:
-    """Rebuild a monitor around already-restored task sketches.
+def _assemble_monitor(
+        config: TenantConfig, tasks: "List[str]",
+        parts: "List[Tuple[List[Any], float, int]]") -> ItemBatchMonitor:
+    """Rebuild a monitor around already-restored task replicas.
 
-    The constructor builds throwaway plain sketches (cheap: no worker
-    pools are started on this path) which are immediately replaced by
-    the restored ones — sharded tasks come back as
-    :class:`~repro.shard.ShardedSketch` facades with their saved router
-    kind, process pools restarted and rehydrated per shard.
+    ``parts`` holds, per task, its replicas plus the stream time and
+    item count (see :func:`~repro.serialize.loads_replicas`). The
+    constructor builds throwaway plain sketches (cheap: no worker pools
+    are started on this path) which are immediately replaced: a
+    one-shard serial tenant adopts each task's single replica as a
+    plain sketch; any other tenant comes back as one shard set over
+    every task's replicas, a process pool restarted with one worker per
+    shard.
     """
     monitor = ItemBatchMonitor(
         config.window(), memory=config.memory, tasks=tuple(tasks),
         split=dict(config.split) if config.split else None,
         seed=config.seed)
-    for task in monitor.tasks:
-        attribute = ItemBatchMonitor._TASK_ATTRS[task]
-        setattr(monitor, attribute, sketches[task])
-    monitor._sketches = [
-        getattr(monitor, ItemBatchMonitor._TASK_ATTRS[task])
-        for task in monitor.tasks
-    ]
-    monitor.shards = int(config.shards)
+    shards = int(config.shards)
+    if any(len(replicas) != shards for replicas, _, _ in parts):
+        raise CheckpointError(
+            f"checkpoint replica counts do not match {shards} shard(s)")
+    if shards == 1 and config.router == "serial":
+        monitor._adopt([replicas[0] for replicas, _, _ in parts])
+        return monitor
+    shard_set = ShardSet(
+        [replicas for replicas, _, _ in parts], seed=config.seed,
+        router=config.router, queue_capacity=config.queue_capacity,
+        timeout=config.timeout)
+    _, shard_set.now, shard_set.items_inserted = parts[0]
+    monitor._adopt(shard_set.views(), shard_set)
     return monitor

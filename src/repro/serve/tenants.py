@@ -65,7 +65,8 @@ class TenantConfig:
                           kind=WindowKind(self.window_kind))
 
     def build_monitor(self, time_source: Any = None) -> ItemBatchMonitor:
-        """A fresh sharded monitor at this configuration."""
+        """A fresh monitor at this configuration (one serial shard is
+        the plain monitor)."""
         return ItemBatchMonitor.sharded(
             self.window(), memory=self.memory, tasks=self.tasks,
             split=dict(self.split) if self.split else None, seed=self.seed,

@@ -209,24 +209,23 @@ class FaultInjector:
     def __init__(self, hosted: ServiceThread) -> None:
         self.hosted = hosted
 
-    def _router(self, tenant_name: str, task_index: int = 0) -> Any:
+    def _router(self, tenant_name: str) -> Any:
+        """The tenant's shard router (one per tenant: every task shares
+        it)."""
         tenant = self.hosted.service.tenants.peek(tenant_name)
         if tenant is None:
             raise ConfigurationError(f"tenant {tenant_name!r} not resident")
-        sketch = tenant.monitor._sketches[task_index]
-        router = getattr(sketch, "router", None)
+        router = getattr(tenant.monitor._sketches[0], "router", None)
         if router is None or not hasattr(router, "inject"):
             raise ConfigurationError(
                 "fault injection requires a process-router tenant")
         return router
 
-    def crash_shard(self, tenant_name: str, shard: int = 0,
-                    task_index: int = 0) -> None:
+    def crash_shard(self, tenant_name: str, shard: int = 0) -> None:
         """Kill one shard worker process mid-stream."""
-        self._router(tenant_name, task_index).inject(shard, "crash")
+        self._router(tenant_name).inject(shard, "crash")
 
     def wait_for_worker_exit(self, tenant_name: str, shard: int = 0,
-                             task_index: int = 0,
                              deadline: float = DEFAULT_DEADLINE) -> None:
         """Block until an injected crash has taken the worker down.
 
@@ -238,7 +237,7 @@ class FaultInjector:
         ack is guaranteed to be queued and the next commands fail
         deterministically.
         """
-        proc = self._router(tenant_name, task_index)._procs[shard]
+        proc = self._router(tenant_name)._procs[shard]
         proc.join(deadline)
         if proc.is_alive():
             raise TimeoutError(
@@ -246,9 +245,9 @@ class FaultInjector:
                 "the injected crash")
 
     def stall_shard(self, tenant_name: str, seconds: float,
-                    shard: int = 0, task_index: int = 0) -> None:
+                    shard: int = 0) -> None:
         """Make one shard worker a slow consumer for ``seconds``."""
-        self._router(tenant_name, task_index).inject(shard, "stall", seconds)
+        self._router(tenant_name).inject(shard, "stall", seconds)
 
     @staticmethod
     def tear_file(path: Any, keep_bytes: int = 100) -> None:

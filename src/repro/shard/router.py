@@ -1,11 +1,17 @@
-"""The sharded-sketch facade: key-partitioned parallel ingestion.
+"""Shard sets and the sharded-sketch facade: key-partitioned ingestion.
 
-:class:`ShardedSketch` splits one logical sketch into ``P`` independent
-replicas — same configuration, same hash seeds — and routes every item
-to exactly one replica by a *dedicated* shard hash (seeded independently
-of the index hashes, so routing never correlates with cell placement;
-see :mod:`repro.hashing.sharding`). Queries are answered from a merged
-global view built by element-wise clock union (paper §7's mergeability):
+A :class:`ShardSet` splits one logical stream into ``P`` key
+partitions. Each shard holds one replica per *slot* — one slot per
+sketch the set carries: a standalone :class:`ShardedSketch` has one, a
+sharded :class:`~repro.monitor.ItemBatchMonitor` one per enabled task.
+Replicas are exact clones of their slot's prototype (same
+configuration, same hash seeds). Every item routes to exactly one shard
+by a *dedicated* shard hash (seeded independently of the index hashes,
+so routing never correlates with cell placement; see
+:mod:`repro.hashing.sharding`), computed and scattered once per batch
+for all slots. Each slot is read through a :class:`ShardedSketch`
+view, whose queries are answered from a merged global view built by
+element-wise clock union (paper §7's mergeability):
 
 - **activeness / cardinality** (clock cells only): with every replica's
   cleaning pointer synchronised to the query time, the element-wise max
@@ -24,7 +30,8 @@ global view built by element-wise clock union (paper §7's mergeability):
 Two routers execute the fan-out: :class:`SerialShardRouter` applies
 sub-batches inline (zero concurrency, useful as the differential-test
 oracle), and :class:`~repro.shard.workers.ProcessShardRouter` drains
-them through one worker process per shard over shared memory.
+them through one worker process per shard over shared memory, each
+worker applying its sub-batches to every slot of its shard.
 """
 
 from __future__ import annotations
@@ -42,9 +49,14 @@ from ..obs import names as _names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
 from ..serialize import dumps_sketch, loads_sketch
-from .workers import DEFAULT_QUEUE_CAPACITY, DEFAULT_TIMEOUT, ProcessShardRouter
+from .workers import (
+    DEFAULT_QUEUE_CAPACITY,
+    DEFAULT_TIMEOUT,
+    ProcessShardRouter,
+    advance_replica,
+)
 
-__all__ = ["SerialShardRouter", "ShardedSketch"]
+__all__ = ["SerialShardRouter", "ShardSet", "ShardedSketch"]
 
 _SHARDABLE = (ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch)
 
@@ -64,42 +76,35 @@ class SerialShardRouter:
     The zero-concurrency reference implementation of the router
     protocol (``ingest`` / ``barrier`` / ``queue_depth`` / ``close``):
     sub-batches execute immediately on the caller's thread, so a
-    serial-routed :class:`ShardedSketch` is deterministic and serves as
-    the oracle the process-backed router is differentially tested
-    against.
+    serial-routed shard set is deterministic and serves as the oracle
+    the process-backed router is differentially tested against.
+    ``replicas`` is shard-major: shard ``p`` owns ``replicas[p * slots:
+    (p + 1) * slots]``.
     """
 
     kind = "serial"
 
-    def __init__(self, replicas: "list[Any]") -> None:
+    def __init__(self, replicas: "list[Any]", slots: int = 1) -> None:
         self.replicas = list(replicas)
+        self.slots = int(slots)
+        self.shards = len(self.replicas) // self.slots
         for replica in self.replicas:
             replica._accepts_global_times = True
 
     def ingest(self, shard: int, items: Any, times: np.ndarray,
                ctx: Any = None) -> None:
         # ``ctx`` (a propagated span context) is part of the router
-        # protocol but unused here: inline execution means the replica's
+        # protocol but unused here: inline execution means the replicas'
         # engine spans already parent naturally under the caller's span.
-        self.replicas[shard].insert_many(items, times)
+        slots = self.slots
+        for replica in self.replicas[shard * slots:(shard + 1) * slots]:
+            replica.insert_many(items, times)
 
     def barrier(self, now: float, ctx: Any = None) -> None:
-        """Synchronise every replica's cleaner to the query time.
-
-        With more than one shard the deferred sweep backlogs are also
-        flushed — merge validity requires all cleaning pointers at the
-        same position. A single shard skips the flush so that ``P=1``
-        stays bit-identical to a plain sketch even in deferred modes.
-        """
-        flush = len(self.replicas) > 1
+        """Synchronise every replica's cleaner to the query time."""
+        flush = self.shards > 1
         for replica in self.replicas:
-            clock = replica.clock
-            if now > clock.now:
-                clock.advance(now)
-            if flush and clock.is_deferred:
-                clock.flush()
-            if now > replica._now:
-                replica._now = float(now)
+            advance_replica(replica, now, flush)
 
     def queue_depth(self, shard: int) -> int:
         return 0
@@ -108,8 +113,118 @@ class SerialShardRouter:
         pass
 
 
+class ShardSet:
+    """``P`` key partitions of ``S`` sketches: one shard hash, one router.
+
+    Parameters
+    ----------
+    replicas:
+        One list per slot, holding that slot's replica on every shard
+        in shard order (``replicas[slot][shard]``).
+    seed:
+        The routing seed (salted by :class:`~repro.hashing.ShardSelector`);
+        defaults to the first replica's seed.
+    router:
+        ``"serial"`` (inline, deterministic) or ``"process"`` (one
+        worker process per shard, owning every slot of it).
+    mp_context, queue_capacity, timeout, time_source:
+        Forwarded to :class:`~repro.shard.workers.ProcessShardRouter`
+        (ignored by the serial router); ``None`` takes its default.
+
+    The set carries the one stream clock all its slots share; read and
+    feed it through :meth:`views`.
+    """
+
+    def __init__(self, replicas: "list[list[Any]]", *,
+                 seed: "int | None" = None, router: str = "serial",
+                 mp_context: Any = None,
+                 queue_capacity: "int | None" = None,
+                 timeout: "float | None" = None,
+                 time_source: Any = None) -> None:
+        self.slots = len(replicas)
+        self.shards = len(replicas[0]) if replicas else 0
+        if not self.shards or any(len(r) != self.shards for r in replicas):
+            raise ConfigurationError(
+                "every slot needs one replica per shard, got "
+                f"{[len(r) for r in replicas]}"
+            )
+        first = replicas[0][0]
+        # The routers take them shard-major: shard p owns
+        # flat[p * slots:(p + 1) * slots], one replica per slot.
+        flat = [by_shard[p] for p in range(self.shards)
+                for by_shard in replicas]
+        self.selector = ShardSelector(
+            self.shards, seed=first.seed if seed is None else seed)
+        #: The kernel backend driving the scatter fan-out — the first
+        #: replica's resolved backend, so one spec configures both the
+        #: replicas' sweeps and the batch splitting.
+        self.kernels = first.clock.kernels
+        self.router: Any
+        if router == "serial":
+            self.router = SerialShardRouter(flat, self.slots)
+        elif router == "process":
+            self.router = ProcessShardRouter(
+                flat, slots=self.slots, mp_context=mp_context,
+                queue_capacity=DEFAULT_QUEUE_CAPACITY
+                if queue_capacity is None else queue_capacity,
+                timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
+                time_source=time_source,
+            )
+        else:
+            raise ConfigurationError(
+                f"unknown router {router!r}; use 'serial' or 'process'"
+            )
+        self.now = 0.0
+        self.items_inserted = 0
+        #: Bumped by every ingest; merged views cache per version.
+        self.version = 0
+        self._synced: "tuple[int, float] | None" = None
+
+    @classmethod
+    def cloned(cls, prototypes: "list[Any]", shards: int,
+               **options: Any) -> "ShardSet":
+        """A fresh set: ``shards`` clones of each pristine prototype."""
+        for prototype in prototypes:
+            if not isinstance(prototype, _SHARDABLE):
+                raise ConfigurationError(
+                    "prototype must be one of the four clock sketches, "
+                    f"got {type(prototype).__name__}"
+                )
+        shards = int(shards)
+        if shards < 1:
+            raise ConfigurationError(f"shards must be >= 1, got {shards}")
+        if any(p.items_inserted or p.clock.steps_done or p.now
+               for p in prototypes):
+            raise ConfigurationError(
+                "prototype must be pristine (no inserts, cleaner at "
+                "step 0); pass a factory or a freshly built sketch"
+            )
+        payloads = [dumps_sketch(prototype) for prototype in prototypes]
+        return cls([[loads_sketch(payload) for _ in range(shards)]
+                    for payload in payloads], **options)
+
+    def views(self) -> "list[ShardedSketch]":
+        """One :class:`ShardedSketch` per slot, in slot order."""
+        views = []
+        for slot in range(self.slots):
+            view = ShardedSketch.__new__(ShardedSketch)
+            view._bind(self, slot)
+            views.append(view)
+        return views
+
+    def barrier(self, now: float, ctx: Any = None) -> None:
+        """Synchronise every shard to ``now`` — once per ingest version,
+        however many slots are queried."""
+        if self._synced != (self.version, now):
+            self.router.barrier(now, ctx=ctx)
+            self._synced = (self.version, now)
+
+    def close(self) -> None:
+        self.router.close()
+
+
 class ShardedSketch(ClockSketchBase):
-    """Key-partitioned facade over ``P`` replicas of one clock sketch.
+    """One slot of a :class:`ShardSet`, presented as a plain sketch.
 
     Parameters
     ----------
@@ -126,80 +241,65 @@ class ShardedSketch(ClockSketchBase):
         Forwarded to :class:`~repro.shard.workers.ProcessShardRouter`
         (ignored by the serial router).
 
-    The facade exposes the full sketch API — ``insert`` /
-    ``insert_many`` route by shard hash; ``query`` / ``query_many`` /
+    Constructed directly, the facade is the single slot of its own
+    set. The facade exposes the full sketch API — ``insert`` /
+    ``insert_many`` route by shard hash and feed *every* slot of the
+    set (the slots measure one stream); ``query`` / ``query_many`` /
     ``contains`` / ``contains_many`` / ``estimate`` are answered from a
-    cached merged view (rebuilt after the next insert or at a new query
-    time). Use as a context manager to release worker processes.
+    cached merged view of this slot (rebuilt after the next insert or
+    at a new query time). Use as a context manager to release worker
+    processes.
     """
 
     def __init__(self, prototype: Any, shards: int = 2, *,
                  router: str = "serial", mp_context: Any = None,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 timeout: float = DEFAULT_TIMEOUT, time_source: Any = None,
-                 _replicas: "list[Any] | None" = None) -> None:
-        if _replicas is not None:
-            replicas = list(_replicas)
-            if len(replicas) != shards:
-                raise ConfigurationError(
-                    f"expected {shards} replicas, got {len(replicas)}"
-                )
-            prototype = replicas[0]
-        else:
-            if callable(prototype) and not isinstance(prototype, _SHARDABLE):
-                prototype = prototype()
-        if not isinstance(prototype, _SHARDABLE):
-            raise ConfigurationError(
-                "prototype must be one of the four clock sketches, got "
-                f"{type(prototype).__name__}"
-            )
-        shards = int(shards)
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        if _replicas is None:
-            if prototype.items_inserted or prototype.clock.steps_done \
-                    or prototype.now:
-                raise ConfigurationError(
-                    "prototype must be pristine (no inserts, cleaner at "
-                    "step 0); pass a factory or a freshly built sketch"
-                )
-            payload = dumps_sketch(prototype)
-            replicas = [loads_sketch(payload) for _ in range(shards)]
-        super().__init__(prototype.window)
-        self.shards = shards
-        self.seed = prototype.seed
-        self.selector = ShardSelector(shards, seed=self.seed)
-        #: The facade-side kernel backend driving the scatter fan-out —
-        #: the prototype's resolved backend, so one spec configures both
-        #: the replicas' sweeps and the router's batch splitting.
-        self.kernels = prototype.clock.kernels
-        if router == "serial":
-            self.router = SerialShardRouter(replicas)
-        elif router == "process":
-            self.router = ProcessShardRouter(
-                replicas, mp_context=mp_context,
-                queue_capacity=queue_capacity, timeout=timeout,
-                time_source=time_source,
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown router {router!r}; use 'serial' or 'process'"
-            )
-        self._dirty = False
+                 timeout: float = DEFAULT_TIMEOUT,
+                 time_source: Any = None) -> None:
+        if callable(prototype) and not isinstance(prototype, _SHARDABLE):
+            prototype = prototype()
+        self._bind(ShardSet.cloned(
+            [prototype], shards, router=router, mp_context=mp_context,
+            queue_capacity=queue_capacity, timeout=timeout,
+            time_source=time_source,
+        ), 0)
+
+    def _bind(self, shard_set: ShardSet, slot: int) -> None:
+        self.shard_set = shard_set
+        self.slot = slot
+        # Shared by every slot of the set.
+        self.router = shard_set.router
+        self.selector = shard_set.selector
+        self.shards = shard_set.shards
+        self.window = self.replicas[0].window
         self._cache: Any = None
+        self._cache_version = -1
+
+    # The stream clock lives on the set: every slot shares it.
+
+    @property
+    def _now(self) -> float:
+        return self.shard_set.now
+
+    @_now.setter
+    def _now(self, value: float) -> None:
+        self.shard_set.now = value
+
+    @property
+    def _items_inserted(self) -> int:
+        return self.shard_set.items_inserted
+
+    @_items_inserted.setter
+    def _items_inserted(self, value: int) -> None:
+        self.shard_set.items_inserted = value
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
 
     def insert(self, item: Any, t: "float | None" = None) -> None:
-        """Insert one item, routed to its shard at the resolved time."""
-        now = self._insert_time(t)
-        shard = self.selector.shard_of(item)
-        self.router.ingest(shard, [item], np.asarray([now], dtype=np.float64))
-        if _obs.ENABLED:
-            _obs.record_shard_route(shard, 1, self.router.queue_depth(shard))
-        self._dirty = True
+        """Insert one item: a one-item :meth:`insert_many`."""
+        self.insert_many([item], None if t is None else [t])
 
     def insert_many(self, items: Any, times: Any = None) -> None:
         """Insert a batch: resolve times once, scatter by shard hash.
@@ -214,20 +314,23 @@ class ShardedSketch(ClockSketchBase):
         times_arr = self._insert_times_many(count, times)
         if not count:
             return
+        shard_set = self.shard_set
+        router = self.router
         with _trace.span(_names.SPAN_SHARD_SCATTER) as sp:
             if sp.recording:
                 sp.set("items", count)
-                sp.set("shards", self.shards)
-            shard_ids = self.selector.shards_of(items)
-            for shard, sub_items, sub_times in self.kernels.scatter_by_shard(
-                    items, times_arr, shard_ids):
-                self.router.ingest(shard, sub_items, sub_times, ctx=sp.ctx)
+                sp.set("shards", shard_set.shards)
+            shard_ids = shard_set.selector.shards_of(items)
+            for shard, sub_items, sub_times in \
+                    shard_set.kernels.scatter_by_shard(items, times_arr,
+                                                       shard_ids):
+                router.ingest(shard, sub_items, sub_times, ctx=sp.ctx)
                 if _obs.ENABLED:
                     _obs.record_shard_route(shard, int(sub_times.shape[0]),
-                                            self.router.queue_depth(shard))
-        self._items_inserted += count
-        self._now = float(times_arr[-1])
-        self._dirty = True
+                                            router.queue_depth(shard))
+        shard_set.items_inserted += count
+        shard_set.now = float(times_arr[-1])
+        shard_set.version += 1
         if _obs.ENABLED:
             _obs.record_insert(type(self).__name__, count)
 
@@ -239,21 +342,24 @@ class ShardedSketch(ClockSketchBase):
         """The global sketch at time ``t``: barrier, snapshot, union.
 
         Synchronises every shard to the query time (for the process
-        router this is the flush-and-ack barrier), snapshots shard 0
-        and merges the rest in. The view is cached until the next
-        insert or a later query time; it is a plain sketch — every
-        query method on it works as usual.
+        router this is the flush-and-ack barrier, run once for all
+        slots), snapshots this slot's shard-0 replica and merges the
+        rest in. The view is cached until the next insert or a later
+        query time; it is a plain sketch — every query method on it
+        works as usual.
         """
         now = self._query_time(t)
+        shard_set = self.shard_set
         cache = self._cache
-        if cache is not None and not self._dirty and cache.now == now:
+        if cache is not None and self._cache_version == shard_set.version \
+                and cache.now == now:
             return cache
         started = perf_counter()
         with _trace.span(_names.SPAN_SHARD_MERGE) as sp:
             if sp.recording:
-                sp.set("shards", self.shards)
-            self.router.barrier(now, ctx=sp.ctx)
-            replicas = self.router.replicas
+                sp.set("shards", shard_set.shards)
+            shard_set.barrier(now, ctx=sp.ctx)
+            replicas = self.replicas
             view = replicas[0].snapshot()
             for other in replicas[1:]:
                 view.merge(other)
@@ -262,10 +368,10 @@ class ShardedSketch(ClockSketchBase):
         view._now = float(now)
         view._items_inserted = self._items_inserted
         if _obs.ENABLED:
-            _obs.record_shard_merge(type(view).__name__, self.shards,
+            _obs.record_shard_merge(type(view).__name__, shard_set.shards,
                                     perf_counter() - started)
         self._cache = view
-        self._dirty = False
+        self._cache_version = shard_set.version
         return view
 
     def snapshot(self, t: "float | None" = None) -> Any:
@@ -304,8 +410,9 @@ class ShardedSketch(ClockSketchBase):
 
     @property
     def replicas(self) -> "list[Any]":
-        """The per-shard replica sketches (read-only use)."""
-        return self.router.replicas
+        """This slot's per-shard replica sketches (read-only use)."""
+        shard_set = self.shard_set
+        return shard_set.router.replicas[self.slot::shard_set.slots]
 
     @property
     def clock(self) -> Any:
@@ -314,7 +421,7 @@ class ShardedSketch(ClockSketchBase):
 
     def memory_bits(self) -> int:
         """Total accounted footprint across all shards, in bits."""
-        return sum(r.memory_bits() for r in self.router.replicas)
+        return sum(r.memory_bits() for r in self.replicas)
 
     def shard_memory_bits(self) -> int:
         """One shard's footprint — the *accuracy-relevant* size.
@@ -323,11 +430,11 @@ class ShardedSketch(ClockSketchBase):
         sketch (every shard holds the full cell space), so analytic
         predictions must use this, not :meth:`memory_bits`.
         """
-        return self.router.replicas[0].memory_bits()
+        return self.replicas[0].memory_bits()
 
     def metrics(self) -> "dict[str, Any]":
         """Structural metrics for the facade and each shard."""
-        replicas = self.router.replicas
+        replicas = self.replicas
         return {
             "sketch": type(self).__name__,
             "kind": type(replicas[0]).__name__,
@@ -350,19 +457,20 @@ class ShardedSketch(ClockSketchBase):
         # barrier-synchronised query path, never raw delegation.
         if name not in _FORWARDED_CONFIG:
             raise AttributeError(name)
-        router = self.__dict__.get("router")
-        if router is None or not router.replicas:
+        shard_set = self.__dict__.get("shard_set")
+        if shard_set is None:
             raise AttributeError(name)
-        return getattr(router.replicas[0], name)
+        return getattr(shard_set.router.replicas[self.slot], name)
 
     def close(self) -> None:
-        """Release router resources (worker processes, shared memory).
+        """Release the set's router resources (worker processes, shared
+        memory) — for every slot.
 
         Idempotent; the facade remains queryable afterwards — the
         process router hands each replica a private copy of its final
         state on shutdown.
         """
-        self.router.close()
+        self.shard_set.close()
 
     def __enter__(self) -> "ShardedSketch":
         return self
@@ -371,7 +479,7 @@ class ShardedSketch(ClockSketchBase):
         self.close()
 
     def __repr__(self) -> str:
-        kind = type(self.router.replicas[0]).__name__
+        kind = type(self.replicas[0]).__name__
         return (f"ShardedSketch(kind={kind}, shards={self.shards}, "
                 f"router={self.router.kind!r}, "
                 f"items={self._items_inserted})")

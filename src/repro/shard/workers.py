@@ -1,19 +1,21 @@
 """Multiprocessing worker pool for sharded ingestion.
 
-Each shard's replica lives in a dedicated worker process that owns the
-shard's cells: the replica's :class:`~repro.core.clockarray.ClockArray`
-buffer (and its side arrays — timestamps, counters) are numpy views
-over a ``multiprocessing.shared_memory`` block, so the parent process
-can *read* the shard's state for merged queries without copying, while
-the worker is the sole *writer*. Workers drain ``insert_many`` chunks
-from a bounded command queue (back-pressure raises
+Each shard lives in a dedicated worker process that owns the shard's
+cells for every slot of the shard set (one slot per sketch: a sharded
+monitor has one slot per enabled task). Each replica's
+:class:`~repro.core.clockarray.ClockArray` buffer (and its side arrays
+— timestamps, counters) is a numpy view over the shard's one
+``multiprocessing.shared_memory`` block, so the parent process can
+*read* the shard's state for merged queries without copying, while the
+worker is the sole *writer*. Workers drain ``insert_many`` chunks from a
+bounded command queue (back-pressure raises
 :class:`~repro.errors.ShardBackpressureError` instead of buffering
-unboundedly) and acknowledge every command on a shared ack queue; a
-barrier simply waits until every dispatched command is acknowledged,
-then adopts each worker's cleaner position from a small shared control
-record. A worker that raises (or dies) surfaces as a
-:class:`~repro.errors.ShardWorkerError` carrying the partial-result
-picture — never a hang.
+unboundedly) and apply each chunk to every slot; they acknowledge every
+command on a shared ack queue. A barrier simply waits until every
+dispatched command is acknowledged, then adopts each replica's cleaner
+position from its small shared control record. A worker that raises (or
+dies) surfaces as a :class:`~repro.errors.ShardWorkerError` carrying the
+partial-result picture — never a hang.
 
 Time is injectable (``time_source``) exactly as in
 :class:`repro.concurrent.BackgroundCleaner`, so the deadline logic is
@@ -37,10 +39,10 @@ from ..obs import runtime as _obs
 from ..obs import trace as _trace
 from ..serialize import dumps_sketch, loads_sketch
 
-__all__ = ["ProcessShardRouter", "shared_layout"]
+__all__ = ["ProcessShardRouter", "advance_replica", "shared_layout"]
 
-#: Bytes reserved at the front of each shard's block for the control
-#: record: int64 steps_done, int64 items_inserted, float64 now.
+#: Bytes of one replica's control record at the front of its shard's
+#: block: int64 steps_done, int64 items_inserted, float64 now.
 _CONTROL_BYTES = 24
 
 #: Default bound on each worker's command queue (commands, not items).
@@ -55,44 +57,65 @@ DEFAULT_TIMEOUT = 30.0
 _POLL_INTERVAL = 0.05
 
 
+def advance_replica(replica: Any, now: float, flush: bool) -> None:
+    """The barrier step for one replica: clean up to ``now``.
+
+    Advances the clock, flushes a deferred sweep backlog when ``flush``
+    (merge validity requires every cleaning pointer at the same
+    position; a single shard skips it so that ``P=1`` stays
+    bit-identical to a plain sketch even in deferred modes), and raises
+    the replica's stream time. Both routers run exactly this step.
+    """
+    clock = replica.clock
+    if now > clock.now:
+        clock.advance(now)
+    if flush and clock.is_deferred:
+        clock.flush()
+    if now > replica._now:
+        replica._now = float(now)
+
+
 class SharedLayout(NamedTuple):
     """Byte layout of one shard's shared-memory block (picklable)."""
 
     total: int
-    #: ``(attribute, dtype string, length, byte offset)`` per array;
-    #: the clock buffer uses the pseudo-attribute ``"clock_values"``.
-    arrays: "tuple[tuple[str, str, int, int], ...]"
+    #: ``(slot, attribute, dtype string, length, byte offset)`` per
+    #: array; the clock buffer uses the pseudo-attribute
+    #: ``"clock_values"``.
+    arrays: "tuple[tuple[int, str, str, int, int], ...]"
 
 
-def shared_layout(sketch: Any) -> SharedLayout:
-    """Compute the shared block layout for one replica's mutable arrays."""
-    arrays: "list[tuple[str, str, int, int]]" = []
-    offset = _CONTROL_BYTES
+def shared_layout(sketches: "list[Any]") -> SharedLayout:
+    """One shard's block layout: a control record per slot, then every
+    slot's mutable arrays."""
+    arrays: "list[tuple[int, str, str, int, int]]" = []
+    offset = _CONTROL_BYTES * len(sketches)
 
-    def add(name: str, arr: np.ndarray) -> None:
+    def add(slot: int, name: str, arr: np.ndarray) -> None:
         nonlocal offset
         offset = -(-offset // 8) * 8  # 8-byte-align every array
-        arrays.append((name, arr.dtype.str, int(arr.shape[0]), offset))
+        arrays.append((slot, name, arr.dtype.str, int(arr.shape[0]), offset))
         offset += arr.nbytes
 
-    add("clock_values", sketch.clock.values)
-    timestamps = getattr(sketch, "timestamps", None)
-    if timestamps is not None:
-        add("timestamps", timestamps)
-    counters = getattr(sketch, "counters", None)
-    if counters is not None:
-        add("counters", counters)
+    for slot, sketch in enumerate(sketches):
+        add(slot, "clock_values", sketch.clock.values)
+        for attr in ("timestamps", "counters"):
+            side = getattr(sketch, attr, None)
+            if side is not None:
+                add(slot, attr, side)
     return SharedLayout(total=offset, arrays=tuple(arrays))
 
 
-def _bind_shared(sketch: Any, buf: Any, layout: SharedLayout) -> None:
-    """Point a replica's mutable arrays into a shared-memory block.
+def _bind_shared(sketches: "list[Any]", buf: Any,
+                 layout: SharedLayout) -> None:
+    """Point one shard's replicas' mutable arrays into its block.
 
     The current contents are copied into the block first (binding is
     state-preserving), the clock buffer through the validating
     :meth:`~repro.core.clockarray.ClockArray.bind_buffer`.
     """
-    for attr, dtype, length, offset in layout.arrays:
+    for slot, attr, dtype, length, offset in layout.arrays:
+        sketch = sketches[slot]
         view = np.ndarray((length,), dtype=np.dtype(dtype), buffer=buf,
                           offset=offset)
         if attr == "clock_values":
@@ -102,9 +125,11 @@ def _bind_shared(sketch: Any, buf: Any, layout: SharedLayout) -> None:
             setattr(sketch, attr, view)
 
 
-def _unbind_shared(sketch: Any, layout: SharedLayout) -> None:
-    """Detach a replica from shared memory, keeping a private copy."""
-    for attr, dtype, length, _offset in layout.arrays:
+def _unbind_shared(sketches: "list[Any]", layout: SharedLayout) -> None:
+    """Detach one shard's replicas from shared memory, keeping private
+    copies."""
+    for slot, attr, dtype, length, _offset in layout.arrays:
+        sketch = sketches[slot]
         if attr == "clock_values":
             private = np.zeros(length, dtype=np.dtype(dtype))
             sketch.clock.bind_buffer(private)
@@ -125,21 +150,23 @@ def _close_shm(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def _control_views(buf: Any) -> "tuple[np.ndarray, np.ndarray]":
-    ints = np.ndarray((2,), dtype=np.int64, buffer=buf, offset=0)
-    now = np.ndarray((1,), dtype=np.float64, buffer=buf, offset=16)
+def _control_views(buf: Any, slot: int) -> "tuple[np.ndarray, np.ndarray]":
+    base = slot * _CONTROL_BYTES
+    ints = np.ndarray((2,), dtype=np.int64, buffer=buf, offset=base)
+    now = np.ndarray((1,), dtype=np.float64, buffer=buf, offset=base + 16)
     return ints, now
 
 
-def _write_control(buf: Any, sketch: Any) -> None:
-    ints, now = _control_views(buf)
-    ints[0] = sketch.clock.steps_done
-    ints[1] = sketch.items_inserted
-    now[0] = sketch.clock.now
+def _write_control(buf: Any, sketches: "list[Any]") -> None:
+    for slot, sketch in enumerate(sketches):
+        ints, now = _control_views(buf, slot)
+        ints[0] = sketch.clock.steps_done
+        ints[1] = sketch.items_inserted
+        now[0] = sketch.clock.now
 
 
-def _read_control(buf: Any) -> "tuple[int, int, float]":
-    ints, now = _control_views(buf)
+def _read_control(buf: Any, slot: int) -> "tuple[int, int, float]":
+    ints, now = _control_views(buf, slot)
     return int(ints[0]), int(ints[1]), float(now[0])
 
 
@@ -149,19 +176,19 @@ def _command_ctx(op: str, command: "tuple[Any, ...]") -> Any:
     Only ingest/advance carry one (as their last element); older-style
     short tuples and the test-only fault hooks yield None.
     """
-    if op == "ingest" and len(command) > 4:
-        return command[4]
-    if op == "advance" and len(command) > 4:
+    if op in ("ingest", "advance") and len(command) > 4:
         return command[4]
     return None
 
 
-def _shard_worker(shard: int, payload: bytes, shm_name: str,
+def _shard_worker(shard: int, payloads: "list[bytes]", shm_name: str,
                   layout: SharedLayout, commands: Any, acks: Any) -> None:
-    """One shard's worker loop: rebuild the replica, drain commands.
+    """One shard's worker loop: rebuild its replicas, drain commands.
 
-    Command protocol (tuples): ``("ingest", seq, items, times, ctx)``,
-    ``("advance", seq, now, flush, ctx)``, ``("stop", seq)``, plus the
+    ``payloads`` holds one serialised replica per slot. Command
+    protocol (tuples): ``("ingest", seq, items, times, ctx)`` applies
+    the chunk to every slot, ``("advance", seq, now, flush, ctx)`` runs
+    the barrier step on every slot, ``("stop", seq)``, plus the
     test-only fault hooks ``("stall", seq, seconds)`` and
     ``("crash", seq)``. Every command is acknowledged as
     ``(shard, seq, status, detail, spans)``; an exception acknowledges
@@ -179,8 +206,6 @@ def _shard_worker(shard: int, payload: bytes, shm_name: str,
     # sole owner — unregisters it once at unlink(). No child-side
     # unregister, or the tracker sees a double-remove.
     shm = shared_memory.SharedMemory(name=shm_name)
-    sketch = loads_sketch(payload)
-    sketch._accepts_global_times = True
     # Resolve the kernel backend *in this process*: under spawn the
     # worker re-reads REPRO_KERNEL (and re-checks numba availability)
     # rather than inheriting whatever the parent pickled; every backend
@@ -188,9 +213,13 @@ def _shard_worker(shard: int, payload: bytes, shm_name: str,
     # numpy and numba alike.
     from ..kernels import resolve_backend
 
-    sketch.clock.kernels = resolve_backend()
-    _bind_shared(sketch, shm.buf, layout)
-    _write_control(shm.buf, sketch)
+    kernels = resolve_backend()
+    sketches = [loads_sketch(payload) for payload in payloads]
+    for sketch in sketches:
+        sketch._accepts_global_times = True
+        sketch.clock.kernels = kernels
+    _bind_shared(sketches, shm.buf, layout)
+    _write_control(shm.buf, sketches)
     running = True
     while running:
         command = commands.get()
@@ -205,20 +234,16 @@ def _shard_worker(shard: int, payload: bytes, shm_name: str,
                 if op == "ingest":
                     with _trace.span(names.SPAN_SHARD_INGEST,
                                      shard=str(shard)) as sp:
-                        sketch.insert_many(command[2], command[3])
+                        for sketch in sketches:
+                            sketch.insert_many(command[2], command[3])
                         if sp.recording:
                             sp.set("items", len(command[2]))
                 elif op == "advance":
                     with _trace.span(names.SPAN_SHARD_ADVANCE,
                                      shard=str(shard)):
-                        now, flush = float(command[2]), bool(command[3])
-                        clock = sketch.clock
-                        if now > clock.now:
-                            clock.advance(now)
-                        if flush and clock.is_deferred:
-                            clock.flush()
-                        if now > sketch._now:
-                            sketch._now = now
+                        for sketch in sketches:
+                            advance_replica(sketch, float(command[2]),
+                                            bool(command[3]))
                 elif op == "stall":
                     time.sleep(float(command[2]))
                 elif op == "crash":
@@ -231,9 +256,9 @@ def _shard_worker(shard: int, payload: bytes, shm_name: str,
             status = "error"
             detail = f"{type(exc).__name__}: {exc}"
             running = False
-        _write_control(shm.buf, sketch)
+        _write_control(shm.buf, sketches)
         acks.put((shard, seq, status, detail, spans))
-    del sketch  # drop the replica's views over the shared block first
+    del sketches, sketch  # drop the replicas' views over the block first
     _close_shm(shm)
 
 
@@ -243,7 +268,11 @@ class ProcessShardRouter:
     Parameters
     ----------
     replicas:
-        The parent-side replica sketches (read-only views once bound).
+        The parent-side replica sketches (read-only views once bound),
+        shard-major: shard ``p`` owns ``replicas[p * slots:(p + 1) *
+        slots]``, one replica per slot.
+    slots:
+        Replicas per shard; one worker process serves them all.
     mp_context:
         A :func:`multiprocessing.get_context` context or name
         (``"fork"``/``"spawn"``); defaults to the platform default.
@@ -259,7 +288,8 @@ class ProcessShardRouter:
 
     kind = "process"
 
-    def __init__(self, replicas: "list[Any]", *, mp_context: Any = None,
+    def __init__(self, replicas: "list[Any]", *, slots: int = 1,
+                 mp_context: Any = None,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT,
                  time_source: Any = None) -> None:
@@ -268,6 +298,8 @@ class ProcessShardRouter:
         else:
             ctx = mp_context
         self.replicas = list(replicas)
+        self.slots = int(slots)
+        self.shards = len(self.replicas) // self.slots
         self.timeout = float(timeout)
         self._time = time_source if time_source is not None else time.monotonic
         self._acks = ctx.Queue()
@@ -275,25 +307,27 @@ class ProcessShardRouter:
         self._shms: "list[shared_memory.SharedMemory]" = []
         self._layouts: "list[SharedLayout]" = []
         self._procs: "list[Any]" = []
-        self._pending: "list[list[int]]" = [[] for _ in self.replicas]
+        self._pending: "list[list[int]]" = [[] for _ in range(self.shards)]
         self._failed: "dict[int, str]" = {}
         self._seq = 0
         self._closed = False
         try:
-            for shard, replica in enumerate(self.replicas):
-                replica._accepts_global_times = True
-                payload = dumps_sketch(replica)
-                layout = shared_layout(replica)
+            for shard in range(self.shards):
+                group = self._group(shard)
+                for replica in group:
+                    replica._accepts_global_times = True
+                payloads = [dumps_sketch(replica) for replica in group]
+                layout = shared_layout(group)
                 shm = shared_memory.SharedMemory(create=True,
                                                  size=layout.total)
                 self._shms.append(shm)
                 self._layouts.append(layout)
-                _bind_shared(replica, shm.buf, layout)
+                _bind_shared(group, shm.buf, layout)
                 commands = ctx.Queue(maxsize=int(queue_capacity))
                 self._commands.append(commands)
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(shard, payload, shm.name, layout, commands,
+                    args=(shard, payloads, shm.name, layout, commands,
                           self._acks),
                     daemon=True,
                 )
@@ -302,6 +336,10 @@ class ProcessShardRouter:
         except BaseException:
             self.close()
             raise
+
+    def _group(self, shard: int) -> "list[Any]":
+        """Shard ``shard``'s replicas, one per slot."""
+        return self.replicas[shard * self.slots:(shard + 1) * self.slots]
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -420,16 +458,19 @@ class ProcessShardRouter:
 
     def barrier(self, now: float, ctx: Any = None) -> None:
         """Advance every shard to ``now``, wait, adopt worker positions."""
-        flush = len(self.replicas) > 1
-        for shard in range(len(self.replicas)):
+        flush = self.shards > 1
+        for shard in range(self.shards):
             self._dispatch(shard, ("advance", float(now), flush, ctx))
         with _trace.span(names.SPAN_SHARD_ACK):
             self.drain()
         self._sync_replicas()
 
     def _sync_replicas(self) -> None:
-        for replica, shm in zip(self.replicas, self._shms):
-            steps, items, now = _read_control(shm.buf)
+        # Only shards whose block exists (a failed start stops early).
+        for index, replica in enumerate(
+                self.replicas[:len(self._shms) * self.slots]):
+            shard, slot = divmod(index, self.slots)
+            steps, items, now = _read_control(self._shms[shard].buf, slot)
             clock = replica.clock
             if now > clock.now or steps > clock.steps_done:
                 clock.sync_state(max(now, clock.now), steps)
@@ -471,8 +512,8 @@ class ProcessShardRouter:
                 proc.terminate()
                 proc.join(timeout=timeout)
         self._sync_replicas()
-        for replica, layout in zip(self.replicas, self._layouts):
-            _unbind_shared(replica, layout)
+        for shard, layout in enumerate(self._layouts):
+            _unbind_shared(self._group(shard), layout)
         for commands in self._commands:
             commands.cancel_join_thread()
             commands.close()

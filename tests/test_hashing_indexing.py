@@ -107,3 +107,32 @@ class TestIndexDeriver:
     def test_numpy_integer_items_match_python_ints(self):
         deriver = IndexDeriver(n=1024, k=3, seed=4)
         assert deriver.indexes(np.int64(77)) == deriver.indexes(77)
+
+
+class TestFullIntegerDomain:
+    """Batches accept every Python int, reduced mod 2^64 like scalars."""
+
+    EDGE_KEYS = [2**63, 2**64 - 1, -2**63 - 1, 2**70]
+
+    def test_all_int_batch_beyond_int64_matches_scalar(self):
+        deriver = IndexDeriver(n=64, k=3, seed=1)
+        batch = self.EDGE_KEYS + [5, -7]
+        matrix = deriver.bulk_items(batch)
+        for row, key in zip(matrix, batch):
+            assert list(row) == deriver.indexes(key)
+
+    def test_each_edge_key_alone_and_mixed_with_strings(self):
+        deriver = IndexDeriver(n=4096, k=2, seed=8)
+        for key in self.EDGE_KEYS:
+            assert list(deriver.bulk_items([key])[0]) == deriver.indexes(key)
+            mixed = deriver.bulk_items([key, "x"])
+            assert list(mixed[0]) == deriver.indexes(key)
+
+    @given(st.lists(st.integers(), min_size=1, max_size=20),
+           st.integers(0, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_any_int_batch_matches_scalar(self, keys, seed):
+        deriver = IndexDeriver(n=1 << 16, k=3, seed=seed)
+        matrix = deriver.bulk_items(keys)
+        assert [list(row) for row in matrix] == \
+            [deriver.indexes(key) for key in keys]

@@ -1,84 +1,23 @@
-"""Tests for the distributed measurement pipeline."""
+"""Construction of the distributed measurement pipeline (§7).
 
-import numpy as np
+The pipeline is ``ItemBatchMonitor.sharded``: one keyed partition of
+the stream over every task. Its global answers on a time-based window
+are checked in ``tests/test_shard_monitor.py``.
+"""
+
 import pytest
 
-from repro.datasets import caida_like
+from repro import ItemBatchMonitor, time_window
 from repro.errors import ConfigurationError
-from repro.ext import DistributedMeasurement
-from repro.streams import split_active_inactive
-from repro.timebase import count_window, time_window
-
-
-@pytest.fixture(scope="module")
-def world():
-    window = time_window(2048.0)
-    stream = caida_like(n_items=30_000, window_hint=2048, seed=17)
-    pipeline = DistributedMeasurement(3, window, memory="16KB", seed=5)
-    pipeline.ingest(stream.keys, stream.times)
-    barrier = float(stream.times[-1])
-    pipeline.barrier(barrier)
-    active, _ = split_active_inactive(stream.keys, stream.times, barrier,
-                                      window)
-    return pipeline, stream, active
 
 
 class TestConstruction:
-    def test_needs_time_based_window(self):
-        with pytest.raises(ConfigurationError, match="time-based"):
-            DistributedMeasurement(2, count_window(64))
-
     def test_needs_workers(self):
         with pytest.raises(ConfigurationError):
-            DistributedMeasurement(0, time_window(64.0))
+            ItemBatchMonitor.sharded(time_window(64.0), shards=0)
 
     def test_partitioning_is_stable(self):
-        pipeline = DistributedMeasurement(4, time_window(64.0))
-        assert pipeline.partition(7) == pipeline.partition(7)
-        assert {pipeline.partition(k) for k in range(100)} == {0, 1, 2, 3}
-
-
-class TestGlobalAnswers:
-    def test_no_false_negatives_across_workers(self, world):
-        pipeline, _stream, active = world
-        rng = np.random.default_rng(0)
-        sample = rng.choice(active, size=min(300, active.size), replace=False)
-        assert all(pipeline.is_active(int(key)) for key in sample)
-
-    def test_cardinality_near_truth(self, world):
-        pipeline, _stream, active = world
-        assert pipeline.active_batches() == pytest.approx(active.size,
-                                                          rel=0.25)
-
-    def test_total_items(self, world):
-        pipeline, stream, _active = world
-        assert pipeline.total_items() == len(stream)
-
-    def test_query_before_barrier_rejected(self):
-        pipeline = DistributedMeasurement(2, time_window(64.0))
-        pipeline.ingest(np.array([1, 2]), np.array([1.0, 2.0]))
-        with pytest.raises(ConfigurationError, match="barrier"):
-            pipeline.is_active(1)
-
-    def test_barrier_does_not_corrupt_workers(self):
-        """Workers keep ingesting correctly after a merge."""
-        window = time_window(100.0)
-        pipeline = DistributedMeasurement(2, window, memory="8KB", seed=3)
-        pipeline.ingest(np.array([2]), np.array([1.0]))  # -> worker 0
-        pipeline.barrier(2.0)
-        # Worker 1 never saw key 2; its private sketch must stay empty.
-        assert not pipeline.workers[1].activeness.contains(2, t=2.0)
-        pipeline.ingest(np.array([3]), np.array([3.0]))  # -> worker 1
-        pipeline.barrier(4.0)
-        assert pipeline.is_active(2)
-        assert pipeline.is_active(3)
-
-    def test_batch_size_at_least_truth(self, world):
-        pipeline, stream, active = world
-        # The owning worker's CM never underestimates; merging adds.
-        from repro.bench.harness import last_batches
-        keys, _starts, ends, sizes = last_batches(stream.keys, stream.times,
-                                                  pipeline.window)
-        live = (float(stream.times[-1]) - ends) < pipeline.window.length
-        for key, size in list(zip(keys[live], sizes[live]))[:100]:
-            assert pipeline.batch_size(int(key)) >= size
+        monitor = ItemBatchMonitor.sharded(time_window(64.0), shards=4)
+        selector = monitor.activeness.selector
+        assert selector.shard_of(7) == selector.shard_of(7)
+        assert {selector.shard_of(k) for k in range(100)} == {0, 1, 2, 3}

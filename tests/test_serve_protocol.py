@@ -21,6 +21,7 @@ All generation is derandomized so the suite is deterministic in CI.
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +53,7 @@ def fresh_tenant() -> str:
 # Arbitrary JSON values (for frames that parse but may violate the
 # field contract).
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-2**40, 2**40)
+    st.none() | st.booleans() | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=8),
     lambda children: st.lists(children, max_size=4)
@@ -70,7 +71,7 @@ garbage = st.binary(min_size=1, max_size=200).map(
 
 keys = st.text(
     alphabet=st.characters(codec="utf-8", exclude_characters="\x00"),
-    min_size=1, max_size=12)
+    min_size=1, max_size=12) | st.integers()
 
 # A valid command script against one tenant (count window: no times).
 commands = st.lists(
@@ -205,6 +206,41 @@ class TestDifferentialReplay:
                     report = reference.report(payload)
                     assert response["size"] == report.size
                     assert response["active"] == report.active
+
+
+class TestFullKeyDomain:
+    """Int keys anywhere in the JSON integer domain, not just int64."""
+
+    EDGE_KEYS = [2**63, 2**64 - 1, -2**63 - 1, 2**70]
+
+    def test_out_of_int64_batch_is_accepted_and_hashed_like_scalars(
+            self, hosted):
+        tenant = fresh_tenant()
+        with LineClient.for_service(hosted) as client:
+            response = client.request({"op": "INSERT_BATCH",
+                                       "tenant": tenant,
+                                       "keys": self.EDGE_KEYS})
+            assert response["ok"] is True, response
+            assert response["count"] == len(self.EDGE_KEYS)
+            for key in self.EDGE_KEYS:
+                answer = client.request(
+                    {"op": "QUERY", "tenant": tenant, "key": key})
+                assert answer["ok"] is True, answer
+                assert answer["active"] is True
+                assert answer["size"] == 1
+        served = hosted.service.tenants.peek(tenant).monitor
+        # Each key's scalar cells are the ones the batch made live.
+        bloom = served.activeness
+        for key in self.EDGE_KEYS:
+            assert np.all(bloom.clock.values[bloom.deriver.indexes(key)] > 0)
+        # And the whole served state equals a scalar-fed monitor's.
+        reference = ItemBatchMonitor(
+            count_window(CONFIG.window_length), memory=CONFIG.memory,
+            seed=CONFIG.seed)
+        for key in self.EDGE_KEYS:
+            reference.observe(key)
+        for mine, theirs in zip(served._sketches, reference._sketches):
+            assert np.array_equal(mine.clock.values, theirs.clock.values)
 
 
 class TestFraming:

@@ -112,7 +112,7 @@ class NaiveTimeSpanSketch(ClockSketchBase):
         NaN in both float arrays.
         """
         now = self._query_time(t)
-        matrix = self.deriver.bulk_items(items)
+        matrix = self.deriver.bulk(items)
         visits = self.last_visit[matrix]
         t_f = np.min(visits, axis=1)
         active = now - t_f < self.window.length

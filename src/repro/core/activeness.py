@@ -118,7 +118,7 @@ class ClockBloomFilter(ClockSketchBase):
         cleaner, inserts are chunk-vectorised under that mode's relaxed
         window guarantee.
         """
-        self.engine.ingest_touch(self.deriver.bulk_items(items), times,
+        self.engine.ingest_touch(self.deriver.bulk(items), times,
                                  items=items)
 
     def contains(self, item, t=None) -> bool:
@@ -132,7 +132,7 @@ class ClockBloomFilter(ClockSketchBase):
         """Vectorised :meth:`contains` over a batch of items."""
         now = self._query_time(t)
         self.clock.advance(now)
-        index_matrix = self.deriver.bulk_items(items)
+        index_matrix = self.deriver.bulk(items)
         return np.all(self.clock.values[index_matrix] > 0, axis=1)
 
     def query(self, item, t=None) -> bool:

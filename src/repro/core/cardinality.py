@@ -123,7 +123,7 @@ class ClockBitmap(ClockSketchBase):
         sweep modes, chunk-vectorised under a deferred cleaner (see
         :meth:`ClockBloomFilter.insert_many`).
         """
-        cells = self.deriver.bulk_single_items(items)
+        cells = self.deriver.bulk_single(items)
         self.engine.ingest_touch(cells.reshape(-1, 1), times, items=items)
 
     def query(self, item, t=None) -> bool:
@@ -147,7 +147,7 @@ class ClockBitmap(ClockSketchBase):
         """
         now = self._query_time(t)
         self.clock.advance(now)
-        cells = self.deriver.bulk_single_items(items)
+        cells = self.deriver.bulk_single(items)
         return self.clock.values[cells] > 0
 
     def estimate(self, t=None, strict: bool = False) -> CardinalityEstimate:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..engine import BatchEngine
 from ..errors import ConfigurationError
-from ..hashing import IndexDeriver
+from ..hashing import IndexDeriver, key_id, key_ids
 from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 from ..units import parse_memory
@@ -124,8 +124,9 @@ class ClockCountMin(ClockSketchBase):
                    sweep_mode=sweep_mode, conservative=conservative)
 
     def _flat_indexes(self, item) -> "list[int]":
+        kid = key_id(item)
         return [
-            row * self.width + deriver.indexes(item)[0]
+            row * self.width + deriver.indexes(kid)[0]
             for row, deriver in enumerate(self._derivers)
         ]
 
@@ -147,9 +148,8 @@ class ClockCountMin(ClockSketchBase):
     def _flat_matrix(self, items) -> np.ndarray:
         """``(N, depth)`` flat cell indexes for a batch of items."""
         offsets = np.arange(self.depth, dtype=np.int64) * self.width
-        columns = np.stack(
-            [d.bulk_single_items(items) for d in self._derivers], axis=1
-        )
+        ids = key_ids(items)
+        columns = np.stack([d.bulk_single(ids) for d in self._derivers], axis=1)
         return columns + offsets[None, :]
 
     def insert(self, item, t=None) -> None:

@@ -153,7 +153,7 @@ class ClockTimeSpanSketch(ClockSketchBase):
         timestamp if the cell is empty" reduces to a per-cell minimum
         over the chunk's arrival times.
         """
-        self.engine.ingest_timespan(self.deriver.bulk_items(items), times,
+        self.engine.ingest_timespan(self.deriver.bulk(items), times,
                                     items=items)
 
     def query(self, item, t=None) -> TimeSpanResult:
@@ -176,7 +176,7 @@ class ClockTimeSpanSketch(ClockSketchBase):
         """
         now = self._query_time(t)
         self.clock.advance(now)
-        index_matrix = self.deriver.bulk_items(items)
+        index_matrix = self.deriver.bulk(items)
         active = np.all(self.clock.values[index_matrix] > 0, axis=1)
         begin = np.max(self.timestamps[index_matrix], axis=1)
         span = now - begin

@@ -7,18 +7,23 @@ subpackage provides:
 - :mod:`repro.hashing.bobhash` — a faithful pure-Python port of
   lookup3's ``hashlittle`` / ``hashlittle2``.
 - :mod:`repro.hashing.family` — item canonicalisation and seeded hash
-  families producing 64-bit base hashes (Bob Hash or BLAKE2-backed).
-- :mod:`repro.hashing.indexing` — Kirsch–Mitzenmacher double hashing
-  that derives the ``k`` cell indexes every sketch needs, including a
-  numpy-vectorised bulk path for integer key arrays.
+  families producing 64-bit hashes (Bob Hash or BLAKE2-backed).
+- :mod:`repro.hashing.indexing` — one 64-bit *key id* per key (an
+  integer is its own id; any other key is hashed once, through one
+  process-wide memoised Bob Hash family), then per sketch a seeded
+  splitmix64 mix of the id into a base hash and Kirsch–Mitzenmacher
+  double hashing of that into the ``k`` cell indexes, all vectorised
+  over uint64 id arrays.
 - :mod:`repro.hashing.fingerprint` — fixed-width fingerprints used by
   the SWAMP baseline.
 """
 
 from .bobhash import hashlittle, hashlittle2, bob_hash64
-from .family import BobHashFamily, Blake2HashFamily, canonical_bytes, default_family
+from .family import BobHashFamily, Blake2HashFamily, canonical_bytes
 from .indexing import (
     IndexDeriver,
+    key_id,
+    key_ids,
     splitmix64,
     bulk_base_hashes,
     scalar_base_hash,
@@ -35,8 +40,9 @@ __all__ = [
     "BobHashFamily",
     "Blake2HashFamily",
     "canonical_bytes",
-    "default_family",
     "IndexDeriver",
+    "key_id",
+    "key_ids",
     "splitmix64",
     "bulk_base_hashes",
     "scalar_base_hash",

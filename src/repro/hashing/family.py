@@ -1,15 +1,15 @@
 """Seeded hash families over arbitrary stream items.
 
 A *hash family* turns a stream item (int, str, bytes, or tuple of
-those) into a 64-bit base hash, deterministically per seed. Sketches
-never hash items ``k`` times; they derive ``k`` cell indexes from one
-base hash via double hashing (:mod:`repro.hashing.indexing`), which is
-both standard practice and what keeps the pure-Python port usable.
+those) into a 64-bit hash, deterministically per seed. Sketches do not
+call a family per item: :mod:`repro.hashing.indexing` hashes each
+non-integer key once, through one ``BobHashFamily(0)``, into a key id,
+and every sketch derives its cells from that id.
 
 Two families are provided:
 
 - :class:`BobHashFamily` — the paper-faithful choice, built on the
-  lookup3 port in :mod:`repro.hashing.bobhash`.
+  lookup3 port in :mod:`repro.hashing.bobhash`; it makes the key ids.
 - :class:`Blake2HashFamily` — a faster alternative backed by CPython's
   C implementation of BLAKE2b, useful for large experiment sweeps.
 """
@@ -59,9 +59,10 @@ class _CachedBulkHashing:
         # Object hashing has no vector form; this scalar fallback only
         # sees items the memo cache hasn't already resolved.
         for i, item in enumerate(items):  # sketchlint: scalar-ok
-            # Key by type as well as value: bool hashes differently from
-            # int under canonical_bytes, but True == 1 as a dict key.
-            key = (item.__class__, item)
+            # Strings key the memo as themselves; any other item by its
+            # canonical bytes, since equal values can hash differently
+            # (True == 1 and (True,) == (1,) as dict keys).
+            key = item if isinstance(item, str) else canonical_bytes(item)
             h = cache.get(key)
             if h is None:
                 h = base64(item)
@@ -73,8 +74,9 @@ class _CachedBulkHashing:
 def canonical_bytes(item) -> bytes:
     """Canonicalise a stream item into bytes for hashing.
 
-    Integers map to their 8-byte little-endian two's-complement-style
-    encoding (negatives are reduced mod 2^64); strings to UTF-8; bytes
+    Integers (numpy integers included) map to their 8-byte little-endian
+    two's-complement-style encoding (negatives are reduced mod 2^64);
+    strings to UTF-8, lone surrogates passed through; bytes
     pass through; tuples to a length-prefixed concatenation so that
     ``("ab", "c")`` and ``("a", "bc")`` hash differently.
     """
@@ -84,10 +86,10 @@ def canonical_bytes(item) -> bytes:
         # bool is an int subclass; give it a distinct tag to avoid
         # colliding with 0/1 keys in mixed-type streams.
         return b"\x01bool" + bytes([item])
-    if isinstance(item, int):
-        return struct.pack("<Q", item & _MASK64)
+    if isinstance(item, (int, np.integer)):
+        return struct.pack("<Q", int(item) & _MASK64)
     if isinstance(item, str):
-        return item.encode("utf-8")
+        return item.encode("utf-8", "surrogatepass")
     if isinstance(item, tuple):
         parts = []
         for part in item:
@@ -133,8 +135,3 @@ class Blake2HashFamily(_CachedBulkHashing):
 
     def __repr__(self) -> str:
         return f"Blake2HashFamily(seed={self.seed})"
-
-
-def default_family(seed: int = 0) -> BobHashFamily:
-    """The library default: the paper-faithful Bob Hash family."""
-    return BobHashFamily(seed)

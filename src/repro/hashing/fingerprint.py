@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .indexing import IndexDeriver, bulk_base_hashes
+from .indexing import IndexDeriver
 
 
 class Fingerprinter:
@@ -32,8 +32,8 @@ class Fingerprinter:
         self.bits = int(bits)
         self.seed = int(seed)
         self._mask = (1 << self.bits) - 1
-        # Reuse IndexDeriver's base hash so int/str/bytes items all work
-        # and integer keys match the bulk path.
+        # Reuse IndexDeriver's base hash so every key type works and the
+        # scalar and bulk paths agree.
         self._deriver = IndexDeriver(n=2, k=1, seed=seed)
 
     @property
@@ -45,10 +45,9 @@ class Fingerprinter:
         """Return the fingerprint of one item."""
         return self._deriver.base_hash(item) & self._mask
 
-    def bulk(self, keys: np.ndarray) -> np.ndarray:
-        """Return fingerprints for an integer key array (vectorised)."""
-        base = bulk_base_hashes(np.asarray(keys), self.seed)
-        return (base & np.uint64(self._mask)).astype(np.uint64)
+    def bulk(self, keys) -> np.ndarray:
+        """Return fingerprints for a batch of keys (vectorised)."""
+        return self._deriver.base_hashes_many(keys) & np.uint64(self._mask)
 
     def __repr__(self) -> str:
         return f"Fingerprinter(bits={self.bits}, seed={self.seed})"

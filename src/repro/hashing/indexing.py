@@ -1,26 +1,30 @@
-"""Deriving the ``k`` cell indexes of a sketch from one base hash.
+"""Key ids, and deriving the ``k`` cell indexes of a sketch from them.
 
-All sketches in the library (Clock-sketch variants and baselines) hash
-an item into ``k`` cells. Instead of evaluating ``k`` independent Bob
-Hashes — prohibitively slow in pure Python and unnecessary in theory —
-we use Kirsch–Mitzenmacher double hashing: split one 64-bit base hash
-into ``h1`` and ``h2`` and take ``(h1 + i * h2) mod n`` for
-``i = 0..k-1``, forcing ``h2`` odd so the probe sequence covers the
-whole table for power-of-two ``n`` and never degenerates.
+Every stream key first becomes one 64-bit *key id* (:func:`key_id`,
+:func:`key_ids`): an integer key is its own id (mod 2^64); any other
+key (string, bytes, tuple, bool) is its unseeded Bob Hash, computed by
+one process-wide memoised :class:`~repro.hashing.family.BobHashFamily`.
+A key is thus run through lookup3 at most once, however many sketches
+and rows consume it.
 
-A vectorised path (:func:`bulk_base_hashes` + ``IndexDeriver.bulk``)
-computes indexes for whole integer key arrays with numpy, which is what
-makes the paper-scale accuracy sweeps feasible.
+Each sketch then mixes the id with its own seed (splitmix64, see
+:func:`bulk_base_hashes`) into a 64-bit base hash. Instead of
+evaluating ``k`` independent hashes we use Kirsch–Mitzenmacher double
+hashing: split the base hash into ``h1`` and ``h2`` and take
+``(h1 + i * h2) mod n`` for ``i = 0..k-1``, forcing ``h2`` odd so the
+probe sequence covers the whole table for power-of-two ``n`` and never
+degenerates. Ids are uint64 arrays, so everything after the key-id step
+is vectorised numpy.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from ..errors import ConfigurationError
-from .family import default_family
-
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+from .family import BobHashFamily
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -47,7 +51,7 @@ def bulk_base_hashes(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     result matches :func:`splitmix64` of ``key + golden * (seed + 1)``,
     giving independent families per seed.
     """
-    keys64 = np.asarray(keys).astype(np.uint64)
+    keys64 = np.asarray(keys).astype(np.uint64, copy=False)
     with np.errstate(over="ignore"):
         seeded = keys64 + np.uint64((seed + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF)
     return splitmix64(seeded)
@@ -103,6 +107,58 @@ def scalar_base_hash(key: int, seed: int = 0) -> int:
     return z ^ (z >> 31)
 
 
+#: The one hash family (and memo) behind every non-integer key id.
+_KEY_HASH = BobHashFamily(0)
+
+_INTS = (int, np.integer)
+
+
+def key_id(item) -> int:
+    """The 64-bit id of one stream key.
+
+    An integer (numpy integers included, bools not) is its own id,
+    reduced mod 2^64; any other key is its unseeded Bob Hash. Equals
+    ``int(key_ids([item])[0])``.
+    """
+    if isinstance(item, _INTS) and not isinstance(item, bool):
+        return int(item) & _M64
+    return _KEY_HASH.base64(item)
+
+
+def _int_ids(ints) -> np.ndarray:
+    try:
+        keys = np.asarray(ints, dtype=np.int64)
+    except OverflowError:
+        # Keys outside int64: reduce each mod 2^64, as key_id does.
+        return (_AS_INT(np.asarray(ints, dtype=object)) & _M64).astype(np.uint64)
+    return keys.astype(np.uint64)
+
+
+def key_ids(items) -> np.ndarray:
+    """uint64 key ids for a batch: the array twin of :func:`key_id`.
+
+    Integer arrays convert without a Python loop. A sequence is split
+    into its ints and its other keys in one pass; the other keys are
+    hashed once per distinct key through the process-wide memo
+    (``BobHashFamily.hash_many``).
+    """
+    if isinstance(items, np.ndarray) and items.dtype.kind in "iu":
+        return items.astype(np.uint64, copy=False)
+    if not isinstance(items, (list, tuple)):
+        items = list(items)
+    is_int = [isinstance(x, _INTS) and not isinstance(x, bool)  # sketchlint: scalar-ok
+              for x in items]
+    if all(is_int):
+        return _int_ids(items)
+    if not any(is_int):
+        return _KEY_HASH.hash_many(items)
+    mask = np.asarray(is_int, dtype=bool)
+    ids = np.empty(len(items), dtype=np.uint64)
+    ids[mask] = _int_ids(list(compress(items, mask)))
+    ids[~mask] = _KEY_HASH.hash_many(list(compress(items, ~mask)))
+    return ids
+
+
 class IndexDeriver:
     """Turns items into ``k`` cell indexes in ``[0, n)``.
 
@@ -113,14 +169,10 @@ class IndexDeriver:
     k:
         Number of hash functions (indexes per item).
     seed:
-        Seed for the underlying hash family.
-    family:
-        Optional hash family instance (defaults to the Bob Hash
-        family). The family only affects the scalar path; the bulk path
-        always uses the vectorised splitmix64 mix, seeded identically.
+        Seed mixed into each key id to make this deriver's base hash.
     """
 
-    def __init__(self, n: int, k: int, seed: int = 0, family=None):
+    def __init__(self, n: int, k: int, seed: int = 0):
         if n <= 0:
             raise ConfigurationError(f"cell count must be positive, got {n}")
         if k <= 0:
@@ -128,17 +180,10 @@ class IndexDeriver:
         self.n = int(n)
         self.k = int(k)
         self.seed = int(seed)
-        self.family = family if family is not None else default_family(seed)
 
     def base_hash(self, item) -> int:
-        """Return the 64-bit base hash of ``item``.
-
-        Integer items use the splitmix64 mix so they agree with the
-        vectorised bulk path; other item types use the hash family.
-        """
-        if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
-            return scalar_base_hash(int(item), self.seed)
-        return self.family.base64(item)
+        """Return the 64-bit base hash of ``item``: its seeded key id."""
+        return scalar_base_hash(key_id(item), self.seed)
 
     def indexes(self, item) -> "list[int]":
         """Return the ``k`` cell indexes of ``item`` (scalar path)."""
@@ -149,78 +194,22 @@ class IndexDeriver:
         return [(h1 + i * h2) % n for i in range(self.k)]
 
     def base_hashes_many(self, items) -> np.ndarray:
-        """64-bit base hashes for a whole batch of arbitrary items.
+        """64-bit base hashes for a batch: the array twin of :meth:`base_hash`."""
+        return bulk_base_hashes(key_ids(items), self.seed)
 
-        The array twin of :meth:`base_hash`: integer arrays go through
-        the vectorised splitmix64 mix; anything else (strings, bytes,
-        tuples, mixed sequences) is hashed once per unique item via the
-        family's cached ``hash_many`` path, with integers inside object
-        sequences still using the splitmix mix so every key lands in
-        the same cells regardless of how it arrived.
-        """
-        if isinstance(items, np.ndarray):
-            if items.dtype.kind in "iu":
-                return bulk_base_hashes(items, self.seed)
-        elif isinstance(items, (list, tuple)) and items \
-                and all(isinstance(x, (int, np.integer))  # sketchlint: scalar-ok
-                        and not isinstance(x, bool) for x in items):
-            try:
-                keys = np.asarray(items, dtype=np.int64)
-            except OverflowError:
-                # Keys outside int64: wrap into its range, which is
-                # the mod 2^64 reduction base_hash applies.
-                ints = _AS_INT(np.asarray(items, dtype=object))
-                keys = ((ints + 2**63 & _M64) - 2**63).astype(np.int64)
-            return bulk_base_hashes(keys, self.seed)
-        elif not isinstance(items, (list, tuple)):
-            items = list(items)
-        seed = self.seed
-        hash_many = getattr(self.family, "hash_many", None)
-        out = np.empty(len(items), dtype=np.uint64)
-        pending: "list[int]" = []
-        # Scalar triage of mixed-type sequences; homogeneous integer
-        # batches never reach this loop.
-        for i, item in enumerate(items):  # sketchlint: scalar-ok
-            if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
-                out[i] = scalar_base_hash(int(item), seed)
-            elif hash_many is None:
-                out[i] = self.family.base64(item)
-            else:
-                pending.append(i)
-        if pending:
-            out[pending] = hash_many([items[i] for i in pending])
-        return out
+    def bulk(self, items) -> np.ndarray:
+        """``(len(items), k)`` index matrix for a batch of stream items.
 
-    def bulk(self, keys: np.ndarray) -> np.ndarray:
-        """Return an ``(len(keys), k)`` index matrix for integer keys.
-
-        Used by the snapshot fast paths and the batch engine; rows are
-        the ``k`` positions of each key, derived with the same
-        double-hashing scheme as the scalar path (over the splitmix64
-        base hash).
-        """
-        base = bulk_base_hashes(np.asarray(keys), self.seed)
-        return derive_index_matrix(base, self.n, self.k)
-
-    def bulk_items(self, items) -> np.ndarray:
-        """``(len(items), k)`` index matrix for arbitrary stream items.
-
-        Row-identical to calling :meth:`indexes` per item; integer
-        arrays take the fully vectorised path of :meth:`bulk`.
+        Row-identical to calling :meth:`indexes` per item.
         """
         return derive_index_matrix(self.base_hashes_many(items), self.n, self.k)
 
-    def bulk_single(self, keys: np.ndarray) -> np.ndarray:
-        """Return one index per key (``k`` ignored); used by bitmaps.
+    def bulk_single(self, items) -> np.ndarray:
+        """One index per item (``k`` ignored); used by bitmaps.
 
-        Matches ``indexes(key)[0]`` exactly: the first double-hashing
+        Matches ``indexes(item)[0]`` exactly: the first double-hashing
         probe is ``h1 mod n`` with ``h1`` the low 32 bits of the base.
         """
-        base = bulk_base_hashes(np.asarray(keys), self.seed)
-        return derive_index_single(base, self.n)
-
-    def bulk_single_items(self, items) -> np.ndarray:
-        """One index per arbitrary item — array form of ``indexes(x)[0]``."""
         return derive_index_single(self.base_hashes_many(items), self.n)
 
     def __repr__(self) -> str:

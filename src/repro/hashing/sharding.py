@@ -5,10 +5,9 @@ sketches by key, so every occurrence of a key lands in the same
 replica. The routing hash must be **independent** of the sketches'
 cell-index hashes — reusing those would correlate a key's shard with
 its cell positions and bias per-shard fill — so the selector derives
-its own salted seed and runs it through the same splitmix64 / hash
-family machinery as :class:`~repro.hashing.indexing.IndexDeriver`
-(scalar and bulk paths agree bit-for-bit, integer keys fully
-vectorised).
+its own salted seed and mixes it into each key id exactly as
+:class:`~repro.hashing.indexing.IndexDeriver` does (scalar and bulk
+paths agree bit-for-bit).
 """
 
 from __future__ import annotations
@@ -68,11 +67,11 @@ class ShardSelector:
         return int(self._deriver.indexes(item)[0])
 
     def shards_of(self, items) -> np.ndarray:
-        """Shard id per item for a whole batch (vectorised for int keys).
+        """Shard id per item for a whole batch.
 
         Element-identical to calling :meth:`shard_of` per item.
         """
-        return self._deriver.bulk_single_items(items)
+        return self._deriver.bulk_single(items)
 
     def __repr__(self) -> str:
         return f"ShardSelector(shards={self.shards}, seed={self.seed})"

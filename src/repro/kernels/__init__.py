@@ -139,13 +139,9 @@ class KernelBackend(Protocol):
         """Fused batch of saturating counter bumps plus touches."""
         ...
 
-    def take_subset(self, items: Any, mask: np.ndarray) -> Any:
-        """Masked, order-preserving subset of a stream batch."""
-        ...
-
-    def scatter_by_shard(self, items: Any, times_arr: np.ndarray,
+    def scatter_by_shard(self, items: np.ndarray, times_arr: np.ndarray,
                          shard_ids: np.ndarray,
-                         ) -> list[tuple[int, Any, np.ndarray]]:
+                         ) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Split one batch into per-shard ``(shard, items, times)``."""
         ...
 

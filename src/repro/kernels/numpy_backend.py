@@ -47,7 +47,6 @@ __all__ = [
     "scatter_by_shard",
     "snapshot_values",
     "sweep_hits",
-    "take_subset",
 ]
 
 
@@ -294,27 +293,13 @@ def fuse_countmin(clock: Any, counters: np.ndarray, counter_max: int,
 # Shard scatter fan-out
 # ----------------------------------------------------------------------
 
-def take_subset(items: Any, mask: np.ndarray) -> Any:
-    """Select the masked subset of a stream batch, preserving order.
-
-    ``items`` may be a numpy key array (fancy-indexed, stays an array
-    so the fully vectorised hashing paths keep applying) or any
-    sequence of hashable stream items (returned as a list).
-    """
-    if isinstance(items, np.ndarray):
-        return items[mask]
-    if not isinstance(items, (list, tuple)):
-        items = list(items)
-    picked = np.flatnonzero(mask)
-    return [items[i] for i in picked]
-
-
-def scatter_by_shard(items: Any, times_arr: np.ndarray,
+def scatter_by_shard(items: np.ndarray, times_arr: np.ndarray,
                      shard_ids: np.ndarray,
-                     ) -> "list[tuple[int, Any, np.ndarray]]":
+                     ) -> "list[tuple[int, np.ndarray, np.ndarray]]":
     """Split one batch into per-shard ``(shard, items, times)`` tuples.
 
-    ``shard_ids`` aligns with ``items`` (one routing id per item, from
+    ``items`` is the batch's key-id array; ``shard_ids`` aligns with it
+    (one routing id per item, from
     :class:`~repro.hashing.ShardSelector`); ``times_arr`` holds the
     already-resolved global arrival times. Only shards that actually
     receive items appear in the result, in ascending shard order; the
@@ -325,7 +310,7 @@ def scatter_by_shard(items: Any, times_arr: np.ndarray,
     out: "list[tuple[int, Any, np.ndarray]]" = []
     for shard in np.unique(shard_ids):
         mask = shard_ids == shard
-        out.append((int(shard), take_subset(items, mask), times_arr[mask]))
+        out.append((int(shard), items[mask], times_arr[mask]))
     return out
 
 
@@ -411,13 +396,9 @@ class NumpyKernelBackend:
 
     # -- shard scatter fan-out ----------------------------------------
 
-    def take_subset(self, items: Any, mask: np.ndarray) -> Any:
-        """See :func:`take_subset`."""
-        return take_subset(items, mask)
-
-    def scatter_by_shard(self, items: Any, times_arr: np.ndarray,
+    def scatter_by_shard(self, items: np.ndarray, times_arr: np.ndarray,
                          shard_ids: np.ndarray,
-                         ) -> "list[tuple[int, Any, np.ndarray]]":
+                         ) -> "list[tuple[int, np.ndarray, np.ndarray]]":
         """See :func:`scatter_by_shard`."""
         return scatter_by_shard(items, times_arr, shard_ids)
 

@@ -32,6 +32,7 @@ from .core import (
     ClockTimeSpanSketch,
 )
 from .errors import ConfigurationError
+from .hashing import key_id, key_ids
 from .obs import names as _names
 from .obs import runtime as _obs
 from .obs import trace as _trace
@@ -236,13 +237,14 @@ class ItemBatchMonitor:
 
     def observe(self, key, t=None) -> None:
         """Record one occurrence of ``key`` in every enabled structure."""
+        kid = key_id(key)
         for sketch in self._writers:
-            sketch.insert(key, t)
+            sketch.insert(kid, t)
         auditor = self._auditor
         if auditor is not None:
             # The scalar path bypasses the batch engine (and its tap),
             # so feed the sampler directly with the resolved time.
-            auditor.ingest_one(key, self._sketches[0].now)
+            auditor.ingest_one(kid, self._sketches[0].now)
             if auditor.due:
                 auditor.audit()
 
@@ -251,14 +253,15 @@ class ItemBatchMonitor:
 
         Semantically identical to calling :meth:`observe` per item
         (the batch engine is bit-identical to the scalar path), but
-        hashes each key once and applies the updates vectorized.
+        maps each key to its id once and applies the updates vectorized.
         """
         with _trace.span(_names.SPAN_MONITOR_OBSERVE) as sp:
+            ids = key_ids(keys)
             if sp.recording:
-                sp.set("items", len(keys) if hasattr(keys, "__len__") else -1)
+                sp.set("items", len(ids))
                 sp.set("sketches", len(self._sketches))
             for sketch in self._writers:
-                sketch.insert_many(keys, times)
+                sketch.insert_many(ids, times)
             auditor = self._auditor
             if auditor is not None and auditor.due:
                 auditor.audit()
@@ -276,7 +279,7 @@ class ItemBatchMonitor:
 
     def is_active(self, key, t=None) -> bool:
         """Is the key's batch active? (Needs the activeness task.)"""
-        return self._require("activeness", "activeness").contains(key, t)
+        return self._require("activeness", "activeness").contains(key_id(key), t)
 
     def active_batches(self, t=None) -> float:
         """Estimated number of active batches. (Cardinality task.)"""
@@ -284,21 +287,22 @@ class ItemBatchMonitor:
 
     def batch_size(self, key, t=None) -> int:
         """Estimated size of the key's active batch. (Size task.)"""
-        return self._require("size_sketch", "size").query(key, t)
+        return self._require("size_sketch", "size").query(key_id(key), t)
 
     def batch_span(self, key, t=None):
         """Span result for the key's batch. (Span task.)"""
-        return self._require("span_sketch", "span").query(key, t)
+        return self._require("span_sketch", "span").query(key_id(key), t)
 
     def report(self, key, t=None) -> BatchReport:
         """Combined answer from every enabled per-key task."""
-        active = (self.activeness.contains(key, t)
+        kid = key_id(key)
+        active = (self.activeness.contains(kid, t)
                   if self.activeness is not None else None)
-        size = (self.size_sketch.query(key)
+        size = (self.size_sketch.query(kid)
                 if self.size_sketch is not None else None)
         span = begin = None
         if self.span_sketch is not None:
-            result = self.span_sketch.query(key)
+            result = self.span_sketch.query(kid)
             if result.active:
                 span, begin = result.span, result.begin
             elif active is None:

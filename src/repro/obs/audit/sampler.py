@@ -12,9 +12,8 @@ properties make this the right sampling scheme for accuracy auditing:
   scalar and vectorized ingest paths, across processes, and across
   replays, so audits are reproducible.
 
-Hashing rides the existing :mod:`repro.hashing` family machinery
-(splitmix64 for integer key arrays, the family's ``hash_many`` for
-arbitrary items), via a private single-cell :class:`IndexDeriver`.
+Hashing rides the key ids of :mod:`repro.hashing` (each key's id mixed
+with the sampler's seed), via a private single-cell :class:`IndexDeriver`.
 """
 
 from __future__ import annotations
@@ -39,14 +38,11 @@ class ShadowSampler:
     seed:
         Hash seed. Use a seed independent of the sketches' so the
         sampled subset is uncorrelated with cell placement.
-    family:
-        Optional hash family for non-integer items (defaults to the
-        library's default family at ``seed``).
     """
 
     __slots__ = ("rate", "seed", "_threshold", "_deriver")
 
-    def __init__(self, rate: float, seed: int = 0, family=None):
+    def __init__(self, rate: float, seed: int = 0):
         if not 0.0 < rate <= 1.0:
             raise ConfigurationError(
                 f"sample rate must be in (0, 1], got {rate}"
@@ -56,7 +52,7 @@ class ShadowSampler:
         threshold = int(round(self.rate * _TWO64))
         #: None means "sample everything" (rate rounds up to 2^64).
         self._threshold = None if threshold >= _TWO64 else threshold
-        self._deriver = IndexDeriver(n=1, k=1, seed=self.seed, family=family)
+        self._deriver = IndexDeriver(n=1, k=1, seed=self.seed)
 
     def mask(self, items) -> np.ndarray:
         """Boolean sample mask aligned with ``items`` (vectorized)."""

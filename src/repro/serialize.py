@@ -5,6 +5,10 @@ merge extension ships sketches between workers. This module serialises
 any of the four Clock-sketch structures to (and from) an ``.npz``
 payload: configuration plus the raw cell arrays and the cleaner's exact
 position, so a restored sketch continues bit-for-bit where it stopped.
+Every payload names the hash scheme that placed keys in its cells
+(:data:`HASH_SCHEME`); a payload from another scheme — or from before
+schemes were recorded — is refused, since its cells would answer for
+the wrong keys.
 
 Payloads are backend-agnostic: kernel backends (:mod:`repro.kernels`)
 are process configuration, not state, so they are never written to a
@@ -28,8 +32,12 @@ from .core import ClockBitmap, ClockBloomFilter, ClockCountMin, ClockTimeSpanSke
 from .errors import ConfigurationError
 from .timebase import WindowKind, WindowSpec
 
-__all__ = ["dump_sketch", "dumps_sketch", "load_sketch", "loads_replicas",
-           "loads_sketch"]
+__all__ = ["HASH_SCHEME", "dump_sketch", "dumps_sketch", "load_sketch",
+           "loads_replicas", "loads_sketch"]
+
+#: How keys reach cells: one key id per key (see
+#: :func:`repro.hashing.key_id`), mixed with each sketch's seed.
+HASH_SCHEME = "key-id-1"
 
 #: The union of serialisable plain sketch types.
 Sketch = Union[ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch]
@@ -93,6 +101,7 @@ def _payload(sketch: Sketch) -> "dict[str, Any]":
     length, wkind = _window_fields(sketch.window)
     payload: "dict[str, Any]" = {
         "kind": np.array(kind),
+        "hash_scheme": np.array(HASH_SCHEME),
         "window_length": np.array(length),
         "window_kind": np.array(wkind),
         "seed": np.array(sketch.seed),
@@ -135,14 +144,12 @@ def _restore_sharded(payload: "Mapping[str, Any]") -> Any:
     ``load_values`` path), then reassemble as a one-slot shard set
     under the router kind the facade was saved with — a ``"process"``
     facade restarts its worker pool, each worker rehydrating from its
-    shard's saved state. Payloads without a routing seed predate
-    shared shard sets and route at the replicas' own seed.
+    shard's saved state.
     """
     from .shard import ShardSet  # local: shard imports this module
 
-    seed = int(payload["selector_seed"]) if "selector_seed" in payload \
-        else None
-    shard_set = ShardSet([_restore_replicas(payload)], seed=seed,
+    shard_set = ShardSet([_restore_replicas(payload)],
+                         seed=int(payload["selector_seed"]),
                          router=str(payload["router_kind"]))
     shard_set.now = float(payload["now"])
     shard_set.items_inserted = int(payload["items_inserted"])
@@ -161,6 +168,13 @@ def _restore_replicas(payload: "Mapping[str, Any]") -> "list[Sketch]":
 
 def _restore(payload: "Mapping[str, Any]") -> Sketch:
     kind = str(payload["kind"])
+    scheme = str(payload["hash_scheme"]) if "hash_scheme" in payload else None
+    if scheme != HASH_SCHEME:
+        raise ConfigurationError(
+            f"{kind} payload uses hash scheme {scheme!r}, not "
+            f"{HASH_SCHEME!r}: its cells place keys differently; "
+            "rebuild the sketch from the stream instead"
+        )
     window = _build_window(float(payload["window_length"]),
                            str(payload["window_kind"]))
     seed = int(payload["seed"])
@@ -175,14 +189,12 @@ def _restore(payload: "Mapping[str, Any]") -> Sketch:
         sketch = ClockBitmap(n=int(payload["n"]), s=s, window=window,
                              seed=seed, sweep_mode=sweep_mode)
     elif kind == "ClockCountMin":
-        conservative = bool(payload["conservative"]) \
-            if "conservative" in payload else False
         sketch = ClockCountMin(width=int(payload["width"]),
                                depth=int(payload["depth"]), s=s,
                                window=window,
                                counter_bits=int(payload["counter_bits"]),
                                seed=seed, sweep_mode=sweep_mode,
-                               conservative=conservative)
+                               conservative=bool(payload["conservative"]))
         sketch.counters[:] = payload["counters"]
     elif kind == "ClockTimeSpanSketch":
         sketch = ClockTimeSpanSketch(n=int(payload["n"]), k=int(payload["k"]),
@@ -196,8 +208,7 @@ def _restore(payload: "Mapping[str, Any]") -> Sketch:
     sketch.clock._now = float(payload["now"])
     sketch._now = float(payload["now"])
     sketch._items_inserted = int(payload["items_inserted"])
-    if "engine_min_fused" in payload:  # absent in pre-engine payloads
-        sketch.engine.min_fused = int(payload["engine_min_fused"])
+    sketch.engine.min_fused = int(payload["engine_min_fused"])
     return sketch
 
 

@@ -31,8 +31,9 @@ from .tenants import Tenant, TenantConfig
 
 __all__ = ["CheckpointManager", "RestoredState", "CHECKPOINT_FORMAT"]
 
-#: Format tag embedded in every archive; bumped on layout changes.
-CHECKPOINT_FORMAT = "repro-ckpt-1"
+#: Format tag embedded in every archive; bumped on layout changes and
+#: whenever keys move to other cells (``-2``: one key id per key).
+CHECKPOINT_FORMAT = "repro-ckpt-2"
 
 _PREFIX = "ckpt-"
 _SUFFIX = ".zip"

@@ -44,7 +44,7 @@ import numpy as np
 from ..core.base import ClockSketchBase
 from ..core import ClockBitmap, ClockBloomFilter, ClockCountMin, ClockTimeSpanSketch
 from ..errors import ConfigurationError
-from ..hashing import ShardSelector
+from ..hashing import ShardSelector, key_ids
 from ..obs import names as _names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
@@ -304,12 +304,12 @@ class ShardedSketch(ClockSketchBase):
     def insert_many(self, items: Any, times: Any = None) -> None:
         """Insert a batch: resolve times once, scatter by shard hash.
 
-        Each shard's sub-batch preserves stream order and carries the
-        items' *global* arrival times, so every replica cleans on the
-        plain sketch's exact schedule.
+        Keys become their uint64 ids first, so routing, scatter and the
+        worker hand-off move one array. Each shard's sub-batch preserves
+        stream order and carries the items' *global* arrival times, so
+        every replica cleans on the plain sketch's exact schedule.
         """
-        if not hasattr(items, "__len__"):
-            items = list(items)
+        items = key_ids(items)
         count = len(items)
         times_arr = self._insert_times_many(count, times)
         if not count:

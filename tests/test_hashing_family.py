@@ -8,7 +8,6 @@ from repro.hashing.family import (
     Blake2HashFamily,
     BobHashFamily,
     canonical_bytes,
-    default_family,
 )
 
 
@@ -24,6 +23,12 @@ class TestCanonicalBytes:
 
     def test_str_utf8(self):
         assert canonical_bytes("héllo") == "héllo".encode("utf-8")
+
+    def test_lone_surrogate_str_is_hashable(self):
+        # JSON may carry "\ud800x"; it must hash, not raise.
+        assert canonical_bytes("\ud800x") == b"\xed\xa0\x80x"
+        assert canonical_bytes("\ud800x") != canonical_bytes("\udc00x")
+        assert isinstance(BobHashFamily(0).base64("\ud800x"), int)
 
     def test_bool_distinct_from_int(self):
         assert canonical_bytes(True) != canonical_bytes(1)
@@ -68,11 +73,17 @@ class TestFamilies:
     def test_repr_mentions_seed(self, family_cls):
         assert "seed=5" in repr(family_cls(seed=5))
 
+    def test_memo_keeps_equal_but_distinct_items_apart(self, family_cls):
+        # (False,) == (0,) and True == 1 as dict keys, but they hash
+        # differently; a memo hit must not hand one the other's hash.
+        fam = family_cls(seed=0)
+        first = [(0,), 1, ("a", 1)]
+        second = [(False,), True, ("a", True)]
+        fam.hash_many(first)
+        assert fam.hash_many(second).tolist() == \
+            [fam.base64(item) for item in second]
+
     def test_mixed_item_types_supported(self, family_cls):
         fam = family_cls(seed=0)
         for item in [0, "zero", b"zero", ("zero", 0)]:
             assert isinstance(fam.base64(item), int)
-
-
-def test_default_family_is_bobhash():
-    assert isinstance(default_family(0), BobHashFamily)

@@ -117,15 +117,15 @@ class TestFullIntegerDomain:
     def test_all_int_batch_beyond_int64_matches_scalar(self):
         deriver = IndexDeriver(n=64, k=3, seed=1)
         batch = self.EDGE_KEYS + [5, -7]
-        matrix = deriver.bulk_items(batch)
+        matrix = deriver.bulk(batch)
         for row, key in zip(matrix, batch):
             assert list(row) == deriver.indexes(key)
 
     def test_each_edge_key_alone_and_mixed_with_strings(self):
         deriver = IndexDeriver(n=4096, k=2, seed=8)
         for key in self.EDGE_KEYS:
-            assert list(deriver.bulk_items([key])[0]) == deriver.indexes(key)
-            mixed = deriver.bulk_items([key, "x"])
+            assert list(deriver.bulk([key])[0]) == deriver.indexes(key)
+            mixed = deriver.bulk([key, "x"])
             assert list(mixed[0]) == deriver.indexes(key)
 
     @given(st.lists(st.integers(), min_size=1, max_size=20),
@@ -133,6 +133,6 @@ class TestFullIntegerDomain:
     @settings(max_examples=100, deadline=None)
     def test_any_int_batch_matches_scalar(self, keys, seed):
         deriver = IndexDeriver(n=1 << 16, k=3, seed=seed)
-        matrix = deriver.bulk_items(keys)
+        matrix = deriver.bulk(keys)
         assert [list(row) for row in matrix] == \
             [deriver.indexes(key) for key in keys]

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CheckpointError
 from repro.kernels import use_backend
-from repro.serve import CheckpointManager, TenantConfig
+from repro.serve import CHECKPOINT_FORMAT, CheckpointManager, TenantConfig
 from repro.serve.tenants import Tenant
 from repro.serve.testing import FaultInjector, LineClient, ServiceThread
 
@@ -209,7 +209,8 @@ class TestTornFiles:
         with zipfile.ZipFile(newest) as archive:
             members = {name: archive.read(name)
                        for name in archive.namelist()}
-        meta = members["meta.json"].replace(b"repro-ckpt-1", b"who-knows-9")
+        meta = members["meta.json"].replace(CHECKPOINT_FORMAT.encode(),
+                                            b"who-knows-9")
         with zipfile.ZipFile(newest, "w") as archive:
             archive.writestr("meta.json", meta)
             for name, blob in members.items():

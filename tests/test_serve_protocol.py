@@ -69,8 +69,11 @@ json_objects = st.dictionaries(
 garbage = st.binary(min_size=1, max_size=200).map(
     lambda b: b.replace(b"\n", b" ").replace(b"\r", b" "))
 
+# Lone surrogates (category Cs) are valid JSON string content, so they
+# are valid keys too.
 keys = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="\x00"),
+    alphabet=st.characters(codec="utf-8", exclude_characters="\x00")
+    | st.characters(categories=["Cs"]),
     min_size=1, max_size=12) | st.integers()
 
 # A valid command script against one tenant (count window: no times).
@@ -241,6 +244,23 @@ class TestFullKeyDomain:
             reference.observe(key)
         for mine, theirs in zip(served._sketches, reference._sketches):
             assert np.array_equal(mine.clock.values, theirs.clock.values)
+
+
+    def test_lone_surrogate_key_is_hashed_not_an_internal_error(
+            self, hosted):
+        tenant = fresh_tenant()
+        key = "\ud800x"
+        with LineClient.for_service(hosted) as client:
+            response = client.request({"op": "INSERT_BATCH",
+                                       "tenant": tenant,
+                                       "keys": [key, key, "y"]})
+            assert response["ok"] is True, response
+            answer = client.request(
+                {"op": "QUERY", "tenant": tenant, "key": key})
+        assert answer["ok"] is True, answer
+        assert answer["key"] == key
+        assert answer["active"] is True
+        assert answer["size"] == 2
 
 
 class TestFraming:

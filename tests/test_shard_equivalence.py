@@ -167,11 +167,37 @@ class TestMultiShardAnalyticBands:
     SHARDS = (2, 4, 8)
     MEMORY = "8KB"
     SEED = 5
+    KEYS = 600
 
     def _workload(self):
         # Uniform churn: enough keys that a meaningful fraction expires,
         # enough repetition that batches build real sizes/spans.
-        return _stream(self.SEED, size=4000, keys=600)
+        return _stream(self.SEED, size=4000, keys=self.KEYS)
+
+    def _stream_rates(self):
+        """§5.4's ``(n0, λ1)`` for the uniform workload, per item.
+
+        An item opens a batch when its key missed the last window:
+        ``n0 = e^(-T/keys)``; ``x = keys * (1 - n0)`` batches are active
+        at once, so ``λ1 = n0 / x``.
+        """
+        births = float(np.exp(-WINDOW / self.KEYS))
+        return births, births / (self.KEYS * (1.0 - births))
+
+    @staticmethod
+    def _span_err_rate(monitor, truth, active, now, residual):
+        """Share of active keys whose span overshoots the truth by more
+        than the residual error window; asserts the no-underestimate
+        contract on the way."""
+        overshoots = 0
+        for key in active:
+            span_true = truth.span(key, now)
+            result = monitor.batch_span(key)
+            assert result.active
+            assert result.span >= span_true - 1e-9
+            if result.span > span_true + residual + 1e-9:
+                overshoots += 1
+        return overshoots / len(active)
 
     def _monitors(self, shards):
         window = count_window(WINDOW)
@@ -232,17 +258,18 @@ class TestMultiShardAnalyticBands:
         # Span: never underestimates beyond float noise (hard
         # contract), and the fraction of keys overestimated beyond the
         # residual error window — collision-induced errors, what §5.4's
-        # model predicts as a rate — stays within the predicted band.
-        overshoots = 0
-        for key in active:
-            span_true = truth.span(key, now)
-            result = sharded.batch_span(key)
-            assert result.active
-            assert result.span >= span_true - 1e-9
-            if result.span > span_true + residual + 1e-9:
-                overshoots += 1
-        err_rate = overshoots / len(active)
-        assert err_rate <= predictions["span"].expected + 0.1
+        # model predicts as a rate. The model is fed this stream's own
+        # birth and death rates (its defaults assume far fewer active
+        # batches) and bands the plain monitor; each sharded replica
+        # holds only its shard's keys, so it collides less than plain.
+        births, deaths = self._stream_rates()
+        expected = AnalyticPredictor(
+            plain, birth_rate=births, death_rate=deaths).predict()["span"]
+        plain_rate = self._span_err_rate(plain, truth, active, now, residual)
+        assert plain_rate <= expected.expected + 0.1
+        sharded_rate = self._span_err_rate(sharded, truth, active, now,
+                                           residual)
+        assert sharded_rate <= plain_rate
 
 
 class TestFacadeValidation:

@@ -18,6 +18,8 @@ cleaning thread deterministically.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError, TimeError
@@ -57,8 +59,8 @@ class ClockSketchBase:
 
         Stream times are non-decreasing: ``t`` equal to the current time
         is explicitly allowed (ties are routine — batches of items often
-        share one timestamp); only a strictly smaller ``t`` raises
-        :class:`~repro.errors.TimeError`.
+        share one timestamp); a strictly smaller ``t``, NaN or an
+        infinity raises :class:`~repro.errors.TimeError`.
         """
         if self.window.is_count_based:
             if t is not None:
@@ -73,6 +75,8 @@ class ClockSketchBase:
             return self._now
         if t is None:
             raise TimeError("time-based sketches require an insert timestamp")
+        if not math.isfinite(t):
+            raise TimeError(f"insert time must be finite, got {t}")
         if t < self._now:
             raise TimeError(
                 f"time moved backwards: {t} < {self._now} "
@@ -94,9 +98,9 @@ class ClockSketchBase:
         rejected batch leaves the sketch untouched.
 
         Count-based windows take ``times=None`` (items arrive at
-        consecutive counts); time-based windows require a non-decreasing
-        ``times`` array whose first entry is not before the current
-        time. Ties — runs of equal timestamps — are allowed, exactly as
+        consecutive counts); time-based windows require a finite,
+        non-decreasing ``times`` array whose first entry is not before
+        the current time. Ties — runs of equal timestamps — are allowed, exactly as
         in the scalar path.
         """
         if self.window.is_count_based:
@@ -138,6 +142,8 @@ class ClockSketchBase:
                 f"got shape {resolved.shape}"
             )
         if count:
+            if not np.isfinite(resolved).all():
+                raise TimeError("insert times must be finite")
             if resolved[0] < self._now:
                 raise TimeError(
                     f"time moved backwards: {resolved[0]} < {self._now} "
@@ -220,6 +226,8 @@ class ClockSketchBase:
             if _obs.ENABLED:
                 _obs.record_query(type(self).__name__)
             return self._now
+        if not math.isfinite(t):
+            raise TimeError(f"query time must be finite, got {t}")
         if self.window.is_count_based and t != int(t):
             raise TimeError(f"count-based query time must be an integer, got {t}")
         if t < self._now:

@@ -371,9 +371,9 @@ class ClockArray:
         """Adopt an external array as the cell buffer (shared memory).
 
         ``view`` must be a 1-D array of exactly ``n`` cells in this
-        array's dtype — typically a numpy view over a
-        ``multiprocessing.shared_memory`` block, so a shard worker can
-        mutate cells the parent process reads. The current cell image
+        array's dtype — typically a numpy view over a shard's anonymous
+        shared mapping, so a shard worker can mutate cells the parent
+        process reads. The current cell image
         is copied into the view before it is adopted, so binding is
         state-preserving.
         """

@@ -138,8 +138,8 @@ class ItemBatchMonitor:
     @classmethod
     def sharded(cls, window: WindowSpec, memory="64KB", tasks=None,
                 split=None, seed: int = 0, *, shards: int = 2,
-                router: str = "serial", mp_context=None,
-                queue_capacity=None, timeout=None, time_source=None):
+                router: str = "serial", queue_capacity=None,
+                timeout=None, time_source=None):
         """A monitor whose tasks share one key-partitioned shard set.
 
         Builds the ordinary per-task structures from ``memory`` (the
@@ -163,8 +163,8 @@ class ItemBatchMonitor:
 
         shard_set = ShardSet.cloned(
             monitor._sketches, shards, seed=seed, router=router,
-            mp_context=mp_context, queue_capacity=queue_capacity,
-            timeout=timeout, time_source=time_source,
+            queue_capacity=queue_capacity, timeout=timeout,
+            time_source=time_source,
         )
         monitor._adopt(shard_set.views(), shard_set)
         return monitor

@@ -143,8 +143,8 @@ def _restore_sharded(payload: "Mapping[str, Any]") -> Any:
     Replicas restore individually (each through the validating
     ``load_values`` path), then reassemble as a one-slot shard set
     under the router kind the facade was saved with — a ``"process"``
-    facade restarts its worker pool, each worker rehydrating from its
-    shard's saved state.
+    facade restarts its worker pool, each worker inheriting its shard's
+    restored replicas.
     """
     from .shard import ShardSet  # local: shard imports this module
 

@@ -127,7 +127,7 @@ class ShardSet:
     router:
         ``"serial"`` (inline, deterministic) or ``"process"`` (one
         worker process per shard, owning every slot of it).
-    mp_context, queue_capacity, timeout, time_source:
+    queue_capacity, timeout, time_source:
         Forwarded to :class:`~repro.shard.workers.ProcessShardRouter`
         (ignored by the serial router); ``None`` takes its default.
 
@@ -137,7 +137,6 @@ class ShardSet:
 
     def __init__(self, replicas: "list[list[Any]]", *,
                  seed: "int | None" = None, router: str = "serial",
-                 mp_context: Any = None,
                  queue_capacity: "int | None" = None,
                  timeout: "float | None" = None,
                  time_source: Any = None) -> None:
@@ -164,8 +163,7 @@ class ShardSet:
             self.router = SerialShardRouter(flat, self.slots)
         elif router == "process":
             self.router = ProcessShardRouter(
-                flat, slots=self.slots, mp_context=mp_context,
-                queue_capacity=DEFAULT_QUEUE_CAPACITY
+                flat, slots=self.slots, queue_capacity=DEFAULT_QUEUE_CAPACITY
                 if queue_capacity is None else queue_capacity,
                 timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
                 time_source=time_source,
@@ -237,7 +235,7 @@ class ShardedSketch(ClockSketchBase):
     router:
         ``"serial"`` (inline, deterministic) or ``"process"`` (one
         worker process per shard over shared memory).
-    mp_context, queue_capacity, timeout, time_source:
+    queue_capacity, timeout, time_source:
         Forwarded to :class:`~repro.shard.workers.ProcessShardRouter`
         (ignored by the serial router).
 
@@ -252,14 +250,14 @@ class ShardedSketch(ClockSketchBase):
     """
 
     def __init__(self, prototype: Any, shards: int = 2, *,
-                 router: str = "serial", mp_context: Any = None,
+                 router: str = "serial",
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT,
                  time_source: Any = None) -> None:
         if callable(prototype) and not isinstance(prototype, _SHARDABLE):
             prototype = prototype()
         self._bind(ShardSet.cloned(
-            [prototype], shards, router=router, mp_context=mp_context,
+            [prototype], shards, router=router,
             queue_capacity=queue_capacity, timeout=timeout,
             time_source=time_source,
         ), 0)
@@ -463,12 +461,11 @@ class ShardedSketch(ClockSketchBase):
         return getattr(shard_set.router.replicas[self.slot], name)
 
     def close(self) -> None:
-        """Release the set's router resources (worker processes, shared
-        memory) — for every slot.
+        """Release the set's router resources (worker processes and
+        their queues) — for every slot.
 
         Idempotent; the facade remains queryable afterwards — the
-        process router hands each replica a private copy of its final
-        state on shutdown.
+        replicas keep reading their final state from the shard blocks.
         """
         self.shard_set.close()
 

@@ -2,20 +2,27 @@
 
 Each shard lives in a dedicated worker process that owns the shard's
 cells for every slot of the shard set (one slot per sketch: a sharded
-monitor has one slot per enabled task). Each replica's
+monitor has one slot per enabled task). Before forking a shard's
+worker, the parent binds each replica's
 :class:`~repro.core.clockarray.ClockArray` buffer (and its side arrays
-— timestamps, counters) is a numpy view over the shard's one
-``multiprocessing.shared_memory`` block, so the parent process can
-*read* the shard's state for merged queries without copying, while the
-worker is the sole *writer*. Workers drain ``insert_many`` chunks from a
-bounded command queue (back-pressure raises
-:class:`~repro.errors.ShardBackpressureError` instead of buffering
-unboundedly) and apply each chunk to every slot; they acknowledge every
-command on a shared ack queue. A barrier simply waits until every
-dispatched command is acknowledged, then adopts each replica's cleaner
-position from its small shared control record. A worker that raises (or
-dies) surfaces as a :class:`~repro.errors.ShardWorkerError` carrying the
-partial-result picture — never a hang.
+— timestamps, counters) to numpy views over one anonymous shared
+mapping (``mmap.mmap(-1, size)``, ``MAP_SHARED``). The forked worker
+inherits the mapping and the bound replicas, so it is the sole *writer*
+of cells the parent *reads* for merged queries without copying. The
+block has no name, no ``/dev/shm`` file and no resource tracker: the
+kernel frees it when the last process mapping it exits. Inheritance
+needs the ``fork`` start method, which the router always names
+explicitly.
+
+Workers drain ``insert_many`` chunks from a bounded command queue
+(back-pressure raises :class:`~repro.errors.ShardBackpressureError`
+instead of buffering unboundedly) and apply each chunk to every slot;
+they acknowledge every command on a shared ack queue. A barrier simply
+waits until every dispatched command is acknowledged, then adopts each
+replica's cleaner position from its small shared control record. A
+worker that raises (or dies) surfaces as a
+:class:`~repro.errors.ShardWorkerError` carrying the partial-result
+picture — never a hang.
 
 Time is injectable (``time_source``) exactly as in
 :class:`repro.concurrent.BackgroundCleaner`, so the deadline logic is
@@ -24,22 +31,25 @@ deterministically testable.
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
 import queue as queue_mod
 import time
 from contextlib import nullcontext
-from multiprocessing import get_context
-from multiprocessing import shared_memory
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
-from ..errors import ShardBackpressureError, ShardWorkerError
+from ..errors import (
+    ConfigurationError,
+    ShardBackpressureError,
+    ShardWorkerError,
+)
 from ..obs import names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
-from ..serialize import dumps_sketch, loads_sketch
 
-__all__ = ["ProcessShardRouter", "advance_replica", "shared_layout"]
+__all__ = ["ProcessShardRouter", "advance_replica"]
 
 #: Bytes of one replica's control record at the front of its shard's
 #: block: int64 steps_done, int64 items_inserted, float64 now.
@@ -75,79 +85,54 @@ def advance_replica(replica: Any, now: float, flush: bool) -> None:
         replica._now = float(now)
 
 
-class SharedLayout(NamedTuple):
-    """Byte layout of one shard's shared-memory block (picklable)."""
+def _fork_context() -> Any:
+    """The ``fork`` multiprocessing context, named explicitly.
 
-    total: int
-    #: ``(slot, attribute, dtype string, length, byte offset)`` per
-    #: array; the clock buffer uses the pseudo-attribute
-    #: ``"clock_values"``.
-    arrays: "tuple[tuple[int, str, str, int, int], ...]"
+    Workers inherit their block and replicas across the fork, so a
+    platform default of ``spawn`` or ``forkserver`` (the Linux default
+    from Python 3.14) would silently break them; where ``fork`` does
+    not exist the router is refused. A router forks all its workers in
+    its constructor, before any of its own queue feeder threads start.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigurationError(
+            "router='process' needs the 'fork' start method, which this "
+            "platform lacks; use router='serial'"
+        )
+    return multiprocessing.get_context("fork")
 
 
-def shared_layout(sketches: "list[Any]") -> SharedLayout:
-    """One shard's block layout: a control record per slot, then every
-    slot's mutable arrays."""
-    arrays: "list[tuple[int, str, str, int, int]]" = []
+def _shared_block(sketches: "list[Any]") -> mmap.mmap:
+    """Bind one shard's replicas into a fresh anonymous shared block.
+
+    Layout: a control record per slot, then every slot's mutable arrays
+    (clock values, plus timestamps or counters where the kind carries
+    them), each 8-byte aligned. Binding is state-preserving: current
+    contents are copied into the block, the clock buffer through the
+    validating :meth:`~repro.core.clockarray.ClockArray.bind_buffer`.
+    """
+    fields: "list[tuple[Any, str, np.ndarray, int]]" = []
     offset = _CONTROL_BYTES * len(sketches)
-
-    def add(slot: int, name: str, arr: np.ndarray) -> None:
-        nonlocal offset
-        offset = -(-offset // 8) * 8  # 8-byte-align every array
-        arrays.append((slot, name, arr.dtype.str, int(arr.shape[0]), offset))
-        offset += arr.nbytes
-
-    for slot, sketch in enumerate(sketches):
-        add(slot, "clock_values", sketch.clock.values)
-        for attr in ("timestamps", "counters"):
-            side = getattr(sketch, attr, None)
-            if side is not None:
-                add(slot, attr, side)
-    return SharedLayout(total=offset, arrays=tuple(arrays))
-
-
-def _bind_shared(sketches: "list[Any]", buf: Any,
-                 layout: SharedLayout) -> None:
-    """Point one shard's replicas' mutable arrays into its block.
-
-    The current contents are copied into the block first (binding is
-    state-preserving), the clock buffer through the validating
-    :meth:`~repro.core.clockarray.ClockArray.bind_buffer`.
-    """
-    for slot, attr, dtype, length, offset in layout.arrays:
-        sketch = sketches[slot]
-        view = np.ndarray((length,), dtype=np.dtype(dtype), buffer=buf,
-                          offset=offset)
-        if attr == "clock_values":
-            sketch.clock.bind_buffer(view)
+    for sketch in sketches:
+        for owner, attr in ((sketch.clock, "values"), (sketch, "timestamps"),
+                            (sketch, "counters")):
+            arr = getattr(owner, attr, None)
+            if arr is None:
+                continue
+            offset = -(-offset // 8) * 8  # 8-byte-align every array
+            fields.append((owner, attr, arr, offset))
+            offset += arr.nbytes
+    block = mmap.mmap(-1, offset)
+    for owner, attr, arr, start in fields:
+        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=block,
+                          offset=start)
+        if attr == "values":
+            owner.bind_buffer(view)
         else:
-            view[:] = getattr(sketch, attr)
-            setattr(sketch, attr, view)
-
-
-def _unbind_shared(sketches: "list[Any]", layout: SharedLayout) -> None:
-    """Detach one shard's replicas from shared memory, keeping private
-    copies."""
-    for slot, attr, dtype, length, _offset in layout.arrays:
-        sketch = sketches[slot]
-        if attr == "clock_values":
-            private = np.zeros(length, dtype=np.dtype(dtype))
-            sketch.clock.bind_buffer(private)
-        else:
-            setattr(sketch, attr, np.array(getattr(sketch, attr)))
-
-
-def _close_shm(shm: shared_memory.SharedMemory) -> None:
-    """Close a shared block, tolerating exported buffer views.
-
-    A ``BufferError`` here means a numpy view over the block is still
-    alive; the mapping is reclaimed when the process exits, so on this
-    shutdown path tolerating it is safe (and the only option).
-    """
-    try:
-        shm.close()
-    except BufferError:
-        pass
+            view[:] = arr
+            setattr(owner, attr, view)
+    _write_control(block, sketches)
+    return block
 
 
 def _control_views(buf: Any, slot: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -181,18 +166,19 @@ def _command_ctx(op: str, command: "tuple[Any, ...]") -> Any:
     return None
 
 
-def _shard_worker(shard: int, payloads: "list[bytes]", shm_name: str,
-                  layout: SharedLayout, commands: Any, acks: Any) -> None:
-    """One shard's worker loop: rebuild its replicas, drain commands.
+def _shard_worker(shard: int, sketches: "list[Any]", block: mmap.mmap,
+                  commands: Any, acks: Any) -> None:
+    """One shard's worker loop: drain commands into its replicas.
 
-    ``payloads`` holds one serialised replica per slot. Command
-    protocol (tuples): ``("ingest", seq, items, times, ctx)`` applies
-    the chunk to every slot, ``("advance", seq, now, flush, ctx)`` runs
-    the barrier step on every slot, ``("stop", seq)``, plus the
-    test-only fault hooks ``("stall", seq, seconds)`` and
-    ``("crash", seq)``. Every command is acknowledged as
-    ``(shard, seq, status, detail, spans)``; an exception acknowledges
-    with ``status="error"`` and ends the worker.
+    ``sketches`` are the shard's replicas, one per slot, inherited
+    across the fork already bound to ``block``. Command protocol
+    (tuples): ``("ingest", seq, items, times, ctx)`` applies the chunk
+    to every slot, ``("advance", seq, now, flush, ctx)`` runs the
+    barrier step on every slot, ``("stop", seq)``, plus the test-only
+    fault hooks ``("stall", seq, seconds)`` and ``("crash", seq)``.
+    Every command is acknowledged as ``(shard, seq, status, detail,
+    spans)``; an exception acknowledges with ``status="error"`` and
+    ends the worker.
 
     ``ctx`` is an optional propagated span context ``(trace_id,
     span_id)`` from the parent's scatter/merge span. When present, the
@@ -201,25 +187,6 @@ def _shard_worker(shard: int, payloads: "list[bytes]", shm_name: str,
     process's switchboard — ride back in the ack's ``spans`` payload
     and get stitched into the parent's trace.
     """
-    # Attaching re-registers the segment with the (shared, inherited)
-    # resource tracker; that is a set-add no-op, and the parent — the
-    # sole owner — unregisters it once at unlink(). No child-side
-    # unregister, or the tracker sees a double-remove.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    # Resolve the kernel backend *in this process*: under spawn the
-    # worker re-reads REPRO_KERNEL (and re-checks numba availability)
-    # rather than inheriting whatever the parent pickled; every backend
-    # writes cells through views, so shared-memory binding works under
-    # numpy and numba alike.
-    from ..kernels import resolve_backend
-
-    kernels = resolve_backend()
-    sketches = [loads_sketch(payload) for payload in payloads]
-    for sketch in sketches:
-        sketch._accepts_global_times = True
-        sketch.clock.kernels = kernels
-    _bind_shared(sketches, shm.buf, layout)
-    _write_control(shm.buf, sketches)
     running = True
     while running:
         command = commands.get()
@@ -256,10 +223,8 @@ def _shard_worker(shard: int, payloads: "list[bytes]", shm_name: str,
             status = "error"
             detail = f"{type(exc).__name__}: {exc}"
             running = False
-        _write_control(shm.buf, sketches)
+        _write_control(block, sketches)
         acks.put((shard, seq, status, detail, spans))
-    del sketches, sketch  # drop the replicas' views over the block first
-    _close_shm(shm)
 
 
 class ProcessShardRouter:
@@ -273,9 +238,6 @@ class ProcessShardRouter:
         slots]``, one replica per slot.
     slots:
         Replicas per shard; one worker process serves them all.
-    mp_context:
-        A :func:`multiprocessing.get_context` context or name
-        (``"fork"``/``"spawn"``); defaults to the platform default.
     queue_capacity:
         Bound on each worker's command queue; a full queue past
         ``timeout`` raises :class:`~repro.errors.ShardBackpressureError`.
@@ -289,14 +251,10 @@ class ProcessShardRouter:
     kind = "process"
 
     def __init__(self, replicas: "list[Any]", *, slots: int = 1,
-                 mp_context: Any = None,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT,
                  time_source: Any = None) -> None:
-        if isinstance(mp_context, str) or mp_context is None:
-            ctx = get_context(mp_context)
-        else:
-            ctx = mp_context
+        ctx = _fork_context()
         self.replicas = list(replicas)
         self.slots = int(slots)
         self.shards = len(self.replicas) // self.slots
@@ -304,8 +262,7 @@ class ProcessShardRouter:
         self._time = time_source if time_source is not None else time.monotonic
         self._acks = ctx.Queue()
         self._commands: "list[Any]" = []
-        self._shms: "list[shared_memory.SharedMemory]" = []
-        self._layouts: "list[SharedLayout]" = []
+        self._blocks: "list[mmap.mmap]" = []
         self._procs: "list[Any]" = []
         self._pending: "list[list[int]]" = [[] for _ in range(self.shards)]
         self._failed: "dict[int, str]" = {}
@@ -316,19 +273,13 @@ class ProcessShardRouter:
                 group = self._group(shard)
                 for replica in group:
                     replica._accepts_global_times = True
-                payloads = [dumps_sketch(replica) for replica in group]
-                layout = shared_layout(group)
-                shm = shared_memory.SharedMemory(create=True,
-                                                 size=layout.total)
-                self._shms.append(shm)
-                self._layouts.append(layout)
-                _bind_shared(group, shm.buf, layout)
+                block = _shared_block(group)
+                self._blocks.append(block)
                 commands = ctx.Queue(maxsize=int(queue_capacity))
                 self._commands.append(commands)
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(shard, payloads, shm.name, layout, commands,
-                          self._acks),
+                    args=(shard, group, block, commands, self._acks),
                     daemon=True,
                 )
                 proc.start()
@@ -468,9 +419,9 @@ class ProcessShardRouter:
     def _sync_replicas(self) -> None:
         # Only shards whose block exists (a failed start stops early).
         for index, replica in enumerate(
-                self.replicas[:len(self._shms) * self.slots]):
+                self.replicas[:len(self._blocks) * self.slots]):
             shard, slot = divmod(index, self.slots)
-            steps, items, now = _read_control(self._shms[shard].buf, slot)
+            steps, items, now = _read_control(self._blocks[shard], slot)
             clock = replica.clock
             if now > clock.now or steps > clock.steps_done:
                 clock.sync_state(max(now, clock.now), steps)
@@ -490,10 +441,12 @@ class ProcessShardRouter:
     # ------------------------------------------------------------------
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop workers, detach replicas, release shared memory.
+        """Stop workers and release their queues.
 
-        Idempotent; replicas keep a private copy of their final state,
-        so a closed sharded sketch remains queryable.
+        Idempotent. Nothing needs unlinking: the replicas keep their
+        views over the shard blocks, which no process writes any more,
+        so a closed sharded sketch remains queryable, and each block is
+        unmapped once its last view is gone.
         """
         if self._closed:
             return
@@ -512,20 +465,11 @@ class ProcessShardRouter:
                 proc.terminate()
                 proc.join(timeout=timeout)
         self._sync_replicas()
-        for shard, layout in enumerate(self._layouts):
-            _unbind_shared(self._group(shard), layout)
         for commands in self._commands:
             commands.cancel_join_thread()
             commands.close()
         self._acks.cancel_join_thread()
         self._acks.close()
-        for shm in self._shms:
-            _close_shm(shm)
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._shms = []
 
     def __del__(self) -> None:
         try:

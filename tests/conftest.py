@@ -29,6 +29,37 @@ def _repro_sanitizer():
         sanitizer.uninstall()
 
 
+class FakeClock:
+    """A monotonic time source the test drives by hand.
+
+    Each read first adds ``tick`` (so deadline polls always make
+    progress) and returns the current time; :meth:`advance` steps it
+    forward. Negative ticks and steps are refused: a mock clock that
+    can move backwards produces states no real monotonic clock can.
+    """
+
+    def __init__(self, start=0.0, tick=0.0):
+        if tick < 0:
+            raise ValueError(f"tick must be non-negative, got {tick}")
+        self.t = float(start)
+        self.tick = float(tick)
+
+    def __call__(self):
+        self.t += self.tick
+        return self.t
+
+    def advance(self, seconds):
+        if seconds < 0:
+            raise ValueError(f"clock step must be non-negative, got {seconds}")
+        self.t += seconds
+
+
+@pytest.fixture
+def fake_clock():
+    """The :class:`FakeClock` factory: ``fake_clock(start=, tick=)``."""
+    return FakeClock
+
+
 @pytest.fixture
 def small_count_window():
     """A small count-based window for unit tests."""

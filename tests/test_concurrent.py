@@ -11,19 +11,6 @@ from repro.errors import ConfigurationError
 from repro.timebase import count_window
 
 
-class FakeClock:
-    """A manually-advanced time source for deterministic tests."""
-
-    def __init__(self, start=1.0):
-        self.value = start
-
-    def __call__(self):
-        return self.value
-
-    def advance(self, dt):
-        self.value += dt
-
-
 def _wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -54,10 +41,10 @@ class TestThreadSafeSketch:
         shared.advance_clock(3.0)  # stale: must not raise
         assert sketch.clock.now == 5.0
 
-    def test_concurrent_inserts_with_lock(self):
+    def test_concurrent_inserts_with_lock(self, fake_clock):
         sketch = ClockBitmap(n=4096, s=8, window=time_window(1e6))
         shared = ThreadSafeSketch(sketch)
-        clock = FakeClock()
+        clock = fake_clock(start=1.0)
         lock = threading.Lock()
 
         def writer(offset):
@@ -96,12 +83,12 @@ class TestBackgroundCleaner:
         with pytest.raises(ConfigurationError):
             BackgroundCleaner(sketch, interval=0)
 
-    def test_expiry_without_any_operations(self):
+    def test_expiry_without_any_operations(self, fake_clock):
         """The whole point of the thread: expiry with no queries."""
         window = time_window(10.0)
         sketch = ClockBloomFilter(n=128, k=2, s=2, window=window)
         shared = ThreadSafeSketch(sketch)
-        clock = FakeClock()
+        clock = fake_clock(start=1.0)
         cleaner = BackgroundCleaner(shared, interval=0.001,
                                     time_source=clock)
         with cleaner:
@@ -115,11 +102,11 @@ class TestBackgroundCleaner:
             assert cleared
         assert not cleaner.running
 
-    def test_in_window_items_survive_cleaning(self):
+    def test_in_window_items_survive_cleaning(self, fake_clock):
         window = time_window(10.0)
         sketch = ClockBloomFilter(n=128, k=2, s=2, window=window)
         shared = ThreadSafeSketch(sketch)
-        clock = FakeClock()
+        clock = fake_clock(start=1.0)
         with BackgroundCleaner(shared, interval=0.001,
                                time_source=clock) as cleaner:
             shared.insert("x", t=clock())
@@ -138,3 +125,16 @@ class TestBackgroundCleaner:
         cleaner.stop()
         assert not cleaner.running
         cleaner.stop()  # idempotent
+
+
+class TestFakeClock:
+    def test_never_moves_backwards(self, fake_clock):
+        clock = fake_clock(start=1.0)
+        clock.advance(0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            clock.advance(-0.5)
+        assert clock() == 1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            fake_clock(tick=-1.0)
+        ticking = fake_clock(tick=2.0)
+        assert ticking() < ticking()

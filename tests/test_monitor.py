@@ -4,7 +4,7 @@ import pytest
 
 from repro import BatchReport, ItemBatchMonitor, count_window, time_window
 from repro.datasets import caida_like
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TimeError
 from repro.streams import BatchTracker
 
 
@@ -162,3 +162,49 @@ class TestAgainstGroundTruth:
             assert report.active
             assert report.size >= truth.size(key)
             assert report.span >= truth.span(key)
+
+
+def _state(monitor):
+    """Every task's (items_inserted, now), plus each shard replica's."""
+    state = [(s.items_inserted, s.now) for s in monitor._sketches]
+    for sketch in monitor._sketches:
+        state += [(r.items_inserted, r.now)
+                  for r in getattr(sketch, "replicas", ())]
+    return state
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+class TestNonFiniteTimes:
+    """NaN and infinite times raise TimeError before any task moves."""
+
+    def _monitor(self, shards):
+        monitor = ItemBatchMonitor.sharded(time_window(100.0), memory="8KB",
+                                           shards=shards)
+        monitor.observe_many(["a", "b"], [1.0, 2.0])
+        return monitor
+
+    def test_scalar_observe(self, shards, bad):
+        monitor = self._monitor(shards)
+        before = _state(monitor)
+        with pytest.raises(TimeError, match="finite"):
+            monitor.observe("x", bad)
+        assert _state(monitor) == before
+
+    @pytest.mark.parametrize("times", ["last", "all"])
+    def test_batch_observe(self, shards, bad, times):
+        monitor = self._monitor(shards)
+        before = _state(monitor)
+        batch = [3.0, bad] if times == "last" else [bad, bad]
+        with pytest.raises(TimeError, match="finite"):
+            monitor.observe_many(["x", "y"], batch)
+        assert _state(monitor) == before
+
+    def test_query_time(self, shards, bad):
+        monitor = self._monitor(shards)
+        before = _state(monitor)
+        with pytest.raises(TimeError, match="finite"):
+            monitor.report("a", t=bad)
+        assert _state(monitor) == before
+        assert monitor.report("a").active

@@ -2,8 +2,8 @@
 
 Failures are provoked, never awaited: shard-worker crash and stall go
 through the process router's fault hooks, back-pressure deadlines run
-on an injectable clock (the :class:`FakeClock` idiom from
-``tests/test_shard_workers.py``), and a hard crash is a
+on an injectable clock (the ``fake_clock`` fixture from
+``tests/conftest.py``), and a hard crash is a
 :meth:`~repro.serve.testing.ServiceThread.kill` — no graceful stop, no
 final checkpoint. The contracts:
 
@@ -25,18 +25,6 @@ from repro import ItemBatchMonitor
 from repro.core.params import error_window_length
 from repro.serve import TenantConfig
 from repro.serve.testing import FaultInjector, LineClient, ServiceThread
-
-
-class FakeClock:
-    """Monotonic clock advanced per read, so deadline polls progress."""
-
-    def __init__(self, tick=0.0):
-        self.t = 0.0
-        self.tick = tick
-
-    def __call__(self):
-        self.t += self.tick
-        return self.t
 
 
 def _keys(seed, size, universe=64):
@@ -109,8 +97,9 @@ class TestWorkerCrash:
 
 
 class TestSlowConsumer:
-    def test_backpressure_is_typed_retryable_and_recoverable(self):
-        clock = FakeClock(tick=1.0)
+    def test_backpressure_is_typed_retryable_and_recoverable(self,
+                                                             fake_clock):
+        clock = fake_clock(tick=1.0)
         config = TenantConfig(window_length=256, memory="8KB",
                               tasks=("activeness",), shards=1,
                               router="process", queue_capacity=1,

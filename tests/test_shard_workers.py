@@ -10,18 +10,25 @@ picture — never as a hang — and shutdown must always be clean and
 idempotent.
 """
 
+import multiprocessing
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import (
     ClockBloomFilter,
     ClockCountMin,
+    ItemBatchMonitor,
     ShardedSketch,
     count_window,
     dumps_sketch,
     loads_sketch,
 )
 from repro.errors import (
+    ConfigurationError,
     ShardBackpressureError,
     ShardError,
     ShardWorkerError,
@@ -37,22 +44,6 @@ def _make_bloom():
 def _items(seed, size=1200, keys=150):
     rng = np.random.default_rng(seed)
     return [f"key-{v}" for v in rng.integers(0, keys, size=size)]
-
-
-class FakeClock:
-    """A monotonic clock the test advances by hand (plus per-read tick,
-    so deadline polls always make progress)."""
-
-    def __init__(self, tick=0.0):
-        self.t = 0.0
-        self.tick = tick
-
-    def __call__(self):
-        self.t += self.tick
-        return self.t
-
-    def jump(self, seconds):
-        self.t += seconds
 
 
 class TestProcessRouterCorrectness:
@@ -96,8 +87,8 @@ class TestProcessRouterCorrectness:
 
 
 class TestBackpressure:
-    def test_full_queue_raises_instead_of_buffering(self):
-        clock = FakeClock(tick=1.0)
+    def test_full_queue_raises_instead_of_buffering(self, fake_clock):
+        clock = fake_clock(tick=1.0)
         sharded = ShardedSketch(_make_bloom, shards=1, router="process",
                                 queue_capacity=1, timeout=5.0,
                                 time_source=clock)
@@ -112,11 +103,11 @@ class TestBackpressure:
         finally:
             sharded.close()
 
-    def test_deadline_runs_on_injected_time_source(self):
+    def test_deadline_runs_on_injected_time_source(self, fake_clock):
         # Fake seconds pass 600x faster than real ones: a 60-second
         # deadline must trip after a couple of 0.05s real-time polls,
         # proving the deadline arithmetic reads the injected clock.
-        clock = FakeClock(tick=30.0)
+        clock = fake_clock(tick=30.0)
         sharded = ShardedSketch(_make_bloom, shards=1, router="process",
                                 queue_capacity=1, timeout=60.0,
                                 time_source=clock)
@@ -197,3 +188,74 @@ class TestSharedMemoryHygiene:
             depths = [sh.router.queue_depth(p) for p in range(2)]
             assert all(d >= 0 for d in depths)
         assert sh.metrics()["router"] == "process"
+
+
+def _os_children():
+    """Pids of every live process whose parent is this one."""
+    me = os.getpid()
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == me and fields[0] != "Z":
+            children.add(int(stat.parent.name))
+    return children
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(not Path("/dev/shm").is_dir()
+                    or not Path("/proc/self/stat").exists(),
+                    reason="needs Linux /proc and /dev/shm")
+class TestProcessHygiene:
+    """A process router starts P workers and nothing else, and leaves no
+    named segment behind: its blocks are anonymous fork-inherited
+    mappings, so there is nothing to unlink and no resource tracker."""
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_exactly_p_children_and_no_segments(self, shards):
+        shm_before = set(os.listdir("/dev/shm"))
+        mp_before = set(multiprocessing.active_children())
+        os_before = _os_children()
+        monitor = ItemBatchMonitor.sharded(
+            WINDOW, memory="8KB", shards=shards, router="process",
+            timeout=20.0)
+        try:
+            monitor.observe_many(_items(9, size=600))
+            monitor.report("key-1")  # barrier: every ingest applied
+            workers = set(multiprocessing.active_children()) - mp_before
+            assert len(workers) == shards
+            assert _os_children() - os_before == {p.pid for p in workers}
+            assert set(os.listdir("/dev/shm")) == shm_before
+
+            monitor.activeness.router.inject(0, "crash")
+            with pytest.raises(ShardWorkerError):
+                monitor.report("key-1", t=monitor.activeness.now + 1)
+            assert _wait_for(lambda: len(
+                set(multiprocessing.active_children()) - mp_before)
+                == shards - 1)
+            assert _os_children() - os_before <= {p.pid for p in workers}
+            assert set(os.listdir("/dev/shm")) == shm_before
+        finally:
+            monitor.close()
+        assert not set(multiprocessing.active_children()) - mp_before
+        assert _wait_for(lambda: not _os_children() - os_before)
+        assert set(os.listdir("/dev/shm")) == shm_before
+
+    def test_process_router_needs_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError, match="fork"):
+            ItemBatchMonitor.sharded(WINDOW, memory="8KB", shards=2,
+                                     router="process")
+        assert set(multiprocessing.active_children()) == before

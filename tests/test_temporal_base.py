@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro import ClockBloomFilter, ClockCountMin, count_window, time_window
+from repro import (
+    ClockBitmap,
+    ClockBloomFilter,
+    ClockCountMin,
+    ClockTimeSpanSketch,
+    count_window,
+    time_window,
+)
 from repro.errors import TimeError
 
 
@@ -91,3 +98,23 @@ class TestTimeBasedTime:
             bf.insert_many(["b"], [4.0])
         with pytest.raises(TimeError, match="non-decreasing"):
             bf.insert_many(["b", "c"], [6.0, 5.5])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("make", [
+        lambda w: ClockBloomFilter(n=64, k=2, s=2, window=w),
+        lambda w: ClockBitmap(n=64, s=2, window=w),
+        lambda w: ClockCountMin(width=32, depth=2, s=4, window=w),
+        lambda w: ClockTimeSpanSketch(n=64, k=2, s=4, window=w),
+    ], ids=["bf", "bm", "cm", "ts"])
+    def test_non_finite_times_rejected_untouched(self, make, bad):
+        sketch = make(time_window(8.0))
+        sketch.insert("a", t=5.0)
+        cells = sketch.clock.values.copy()
+        for insert in (lambda: sketch.insert("b", bad),
+                       lambda: sketch.insert_many(["b", "c"], [6.0, bad]),
+                       lambda: sketch.insert_many(["b"], [bad])):
+            with pytest.raises(TimeError, match="finite"):
+                insert()
+            assert (sketch.items_inserted, sketch.now) == (1, 5.0)
+            assert (sketch.clock.values == cells).all()

@@ -38,9 +38,7 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 #: The suite's quick-mode toggles; any of them marks the run as quick.
 QUICK_ENV_VARS = (
-    "OBS_BENCH_QUICK",
-    "AUDIT_BENCH_QUICK",
-    "TRACE_BENCH_QUICK",
+    "OVERHEAD_BENCH_QUICK",
     "SHARD_BENCH_QUICK",
     "BATCH_BENCH_QUICK",
     "SERVE_BENCH_QUICK",

@@ -2,8 +2,13 @@
 
 Each module exposes ``run(quick=False, seed=1, ...) -> ExperimentResult``
 with defaults matching the paper's configuration (scaled stream lengths
-— see EXPERIMENTS.md). ``EXPERIMENTS`` maps CLI names to runners.
+— see EXPERIMENTS.md). ``EXPERIMENTS`` maps CLI names to runners; the
+``obs``, ``audit`` and ``trace`` overhead budgets are one module,
+``overhead``, bound to each plane.
 """
+
+from functools import partial
+from typing import Any, Callable, Dict
 
 from . import (
     ablation_conservative,
@@ -11,7 +16,6 @@ from . import (
     ablation_model_fit,
     ablation_error_window,
     ablation_hashing,
-    audit_overhead,
     fig05_optimal_clock_activeness,
     fig06_accuracy_activeness,
     fig07_stability_activeness,
@@ -23,13 +27,13 @@ from . import (
     batch_throughput,
     fig13_cache_hitrate,
     fig13x_cache_policies,
-    obs_overhead,
+    overhead,
     serve_throughput,
     shard_scaling,
     table3_throughput,
 )
 
-EXPERIMENTS = {
+EXPERIMENTS: "Dict[str, Callable[..., Any]]" = {
     "fig5": fig05_optimal_clock_activeness.run,
     "fig6": fig06_accuracy_activeness.run,
     "fig7": fig07_stability_activeness.run,
@@ -42,10 +46,11 @@ EXPERIMENTS = {
     "fig13x": fig13x_cache_policies.run,
     "table3": table3_throughput.run,
     "batch": batch_throughput.run,
-    "obs": obs_overhead.run,
+    "obs": partial(overhead.run, "obs"),
     "serve": serve_throughput.run,
     "shard": shard_scaling.run,
-    "audit": audit_overhead.run,
+    "audit": partial(overhead.run, "audit"),
+    "trace": partial(overhead.run, "trace"),
     "ablation1": ablation_error_window.run,
     "ablation2": ablation_hashing.run,
     "ablation3": ablation_deferred.run,

@@ -3,9 +3,10 @@
 Two concerns live here, both previously scattered across the benchmark
 suite:
 
-**The interleaved median-of-per-chunk-ratios estimator.** The three
-overhead experiments (``obs_overhead``, ``audit_overhead``,
-``trace_overhead``) measure a treated pipeline against a baseline one.
+**The interleaved median-of-per-chunk-ratios estimator.** The overhead
+harness (:mod:`repro.bench.experiments.overhead`, one run per plane:
+metrics, audit, tracing) measures a treated pipeline against a
+baseline one.
 A whole quick-mode run lasts only milliseconds, so run-level timings
 are at the mercy of scheduler preemptions, GC pauses, machine-wide
 load spikes and frequency ramps. The shared estimator therefore:

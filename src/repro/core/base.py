@@ -59,8 +59,9 @@ class ClockSketchBase:
 
         Stream times are non-decreasing: ``t`` equal to the current time
         is explicitly allowed (ties are routine — batches of items often
-        share one timestamp); a strictly smaller ``t``, NaN or an
-        infinity raises :class:`~repro.errors.TimeError`.
+        share one timestamp); a strictly smaller ``t``, NaN, an infinity
+        or a time past the sweep schedule's range (:meth:`_check_time`)
+        raises :class:`~repro.errors.TimeError`.
         """
         if self.window.is_count_based:
             if t is not None:
@@ -75,8 +76,7 @@ class ClockSketchBase:
             return self._now
         if t is None:
             raise TimeError("time-based sketches require an insert timestamp")
-        if not math.isfinite(t):
-            raise TimeError(f"insert time must be finite, got {t}")
+        self._check_time(t, "insert")
         if t < self._now:
             raise TimeError(
                 f"time moved backwards: {t} < {self._now} "
@@ -153,7 +153,26 @@ class ClockSketchBase:
                 raise TimeError(
                     "insert times must be non-decreasing within a batch"
                 )
+            self._check_time(float(resolved[-1]), "insert")
         return resolved
+
+    def _schedule_clock(self):
+        """The clock array whose sweep schedule this sketch's times drive."""
+        return getattr(self, "clock", None)
+
+    def _check_time(self, t, what: str) -> None:
+        """Raise :class:`~repro.errors.TimeError` unless ``t`` is finite
+        and the sweep schedule has a step target for it (see
+        :meth:`~repro.core.clockarray.ClockArray.reaches`). Runs before
+        any state moves."""
+        if not math.isfinite(t):
+            raise TimeError(f"{what} time must be finite, got {t}")
+        clock = self._schedule_clock()
+        if clock is not None and not clock.reaches(t):
+            raise TimeError(
+                f"{what} time {t} is out of range: its sweep step count "
+                "overflows"
+            )
 
     # ------------------------------------------------------------------
     # Merge / snapshot plumbing (shared by all four sketches)
@@ -226,8 +245,7 @@ class ClockSketchBase:
             if _obs.ENABLED:
                 _obs.record_query(type(self).__name__)
             return self._now
-        if not math.isfinite(t):
-            raise TimeError(f"query time must be finite, got {t}")
+        self._check_time(t, "query")
         if self.window.is_count_based and t != int(t):
             raise TimeError(f"count-based query time must be an integer, got {t}")
         if t < self._now:

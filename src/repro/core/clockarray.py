@@ -47,6 +47,9 @@ from ..timebase import WindowSpec
 __all__ = ["ClockArray", "circles_per_window_for", "dtype_for_bits",
            "max_value_for", "snapshot_values", "sweep_hits"]
 
+#: Step counts (and count-based step products) must stay below this.
+_STEP_LIMIT = 2**63
+
 
 def max_value_for(s: int) -> int:
     """Maximum value of an ``s``-bit clock cell, ``2^s - 1``.
@@ -156,6 +159,19 @@ class ClockArray:
             return (int(now) * self.n * self.circles_per_window) // int(self._window_length)
         return math.floor(now * self.n * self.circles_per_window / self._window_length)
 
+    def reaches(self, now) -> bool:
+        """Does the sweep schedule have a step target at finite ``now``?
+
+        The batch kernels keep step counts in int64, so a time whose
+        step count (for count-based windows, the product
+        ``count * n * circles`` the count is scaled by) reaches 2^63, or
+        overflows float to infinity, has none.
+        """
+        if self._count_based:
+            return int(now) * self.n * self.circles_per_window < _STEP_LIMIT
+        return now * self.n * self.circles_per_window / self._window_length \
+            < _STEP_LIMIT
+
     def step_targets(self, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`total_steps_at` over an array of times.
 
@@ -194,8 +210,8 @@ class ClockArray:
         """
         if now < self._now:
             raise TimeError(f"time moved backwards: {now} < {self._now}")
-        self._now = now
         target = self.total_steps_at(now)
+        self._now = now
         delta = target - self._steps_done
         if delta <= 0:
             return

@@ -238,6 +238,8 @@ class ItemBatchMonitor:
     def observe(self, key, t=None) -> None:
         """Record one occurrence of ``key`` in every enabled structure."""
         kid = key_id(key)
+        if t is not None and not self.window.is_count_based:
+            self._check_reach(t)
         for sketch in self._writers:
             sketch.insert(kid, t)
         auditor = self._auditor
@@ -260,11 +262,26 @@ class ItemBatchMonitor:
             if sp.recording:
                 sp.set("items", len(ids))
                 sp.set("sketches", len(self._sketches))
+            if times is not None and not self.window.is_count_based:
+                # Validate once, as floats, before any task moves.
+                times = self._sketches[0]._insert_times_many(len(ids), times)
+                if len(times):
+                    self._check_reach(float(times[-1]))
             for sketch in self._writers:
                 sketch.insert_many(ids, times)
             auditor = self._auditor
             if auditor is not None and auditor.due:
                 auditor.audit()
+
+    def _check_reach(self, t) -> None:
+        """Reject ``t`` if any task's sweep schedule cannot reach it.
+
+        Tasks differ in cells and circles, so one time can overflow one
+        task's step count and not another's; checking every task first
+        keeps an insert all-or-nothing.
+        """
+        for sketch in self._sketches:
+            sketch._check_time(t, "insert")
 
     def observe_stream(self, stream) -> None:
         """Feed a whole :class:`~repro.streams.Stream` (bulk paths)."""

@@ -42,15 +42,10 @@ __all__ = ["add_perf_subparser", "run_perf"]
 
 
 def _runners() -> "Dict[str, Callable[..., Any]]":
-    """Experiment runners by bench id (the repro.bench registry plus
-    the trace-overhead guard, which is bench-suite-only)."""
+    """Experiment runners by bench id: the repro.bench registry."""
     from ...bench.experiments import EXPERIMENTS
 
-    runners: "Dict[str, Callable[..., Any]]" = dict(EXPERIMENTS)
-    if "trace" not in runners:
-        from ...bench.experiments import trace_overhead
-        runners["trace"] = trace_overhead.run
-    return runners
+    return EXPERIMENTS
 
 
 def add_perf_subparser(sub: "argparse._SubParsersAction[Any]") -> None:

@@ -93,9 +93,7 @@ _HEADLINE_RULES: "Tuple[Tuple[str, str, bool, str, bool], ...]" = (
     ("speedup", "ratio", True, _MIN, True),
     ("batch_ips", "items_per_sec", True, _MEDIAN, False),
     ("scalar_ips", "items_per_sec", True, _MEDIAN, False),
-    ("obs_ips", "items_per_sec", True, _MEDIAN, False),
-    ("audit_ips", "items_per_sec", True, _MEDIAN, False),
-    ("traced_ips", "items_per_sec", True, _MEDIAN, False),
+    ("treated_ips", "items_per_sec", True, _MEDIAN, False),
     ("base_ips", "items_per_sec", True, _MEDIAN, False),
     ("items_per_sec", "items_per_sec", True, _MEDIAN, False),
     ("ips", "items_per_sec", True, _MEDIAN, False),

@@ -14,8 +14,9 @@ allocated, and :func:`registry` hands back the shared
 :data:`~repro.obs.registry.NULL_REGISTRY`. :func:`enable` swaps in a
 real :class:`~repro.obs.registry.MetricsRegistry` plus a
 :class:`~repro.obs.ring.SweepTraceRing`; :func:`observed` scopes that
-to a ``with`` block. The enabled-mode overhead is measured by
-``benchmarks/bench_obs_overhead.py`` against a documented <10% budget.
+to a ``with`` block. The enabled-mode overhead is the ``obs`` plane of
+:mod:`repro.bench.experiments.overhead`, held to a documented <10%
+budget by ``benchmarks/bench_overhead.py``.
 
 Sites must always re-read ``_obs.ENABLED`` (attribute access on the
 module) rather than ``from`` -importing the flag, which would freeze

@@ -31,7 +31,8 @@ back to the parent on the ack queue, where the guarded
 per batch, spanning every worker process.
 
 The enabled-mode cost is held to the same <10% budget as the metrics
-layer, measured by ``benchmarks/bench_trace_overhead.py``.
+layer: the ``trace`` plane of :mod:`repro.bench.experiments.overhead`,
+enforced by ``benchmarks/bench_overhead.py``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ This module is pure: it parses and validates frames into
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -103,8 +104,11 @@ def _valid_key(key: Any) -> Any:
 def _valid_time(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"{name!r} must be a number")
-    stamp = float(value)
-    if stamp != stamp or stamp in (float("inf"), float("-inf")):
+    try:
+        stamp = float(value)
+    except OverflowError:  # a JSON int past float range
+        raise ProtocolError(f"{name!r} must be finite") from None
+    if not math.isfinite(stamp):
         raise ProtocolError(f"{name!r} must be finite")
     return stamp
 

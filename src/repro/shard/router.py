@@ -158,6 +158,10 @@ class ShardSet:
         #: replica's resolved backend, so one spec configures both the
         #: replicas' sweeps and the batch splitting.
         self.kernels = first.clock.kernels
+        #: Each slot's clock array, read only for its immutable sweep
+        #: schedule (cells, circles, window) through ``reaches``; the
+        #: cell values are the router's to write.
+        self.schedules = [by_shard[0].clock for by_shard in replicas]
         self.router: Any
         if router == "serial":
             self.router = SerialShardRouter(flat, self.slots)
@@ -416,6 +420,10 @@ class ShardedSketch(ClockSketchBase):
     def clock(self) -> Any:
         """The merged view's clock (plain sketches expose ``.clock``)."""
         return self.merged().clock
+
+    def _schedule_clock(self) -> Any:
+        # Every replica sweeps on the plain sketch's schedule; no merge.
+        return self.shard_set.schedules[self.slot]
 
     def memory_bits(self) -> int:
         """Total accounted footprint across all shards, in bits."""

@@ -20,7 +20,7 @@ class TestAllExperimentsRun:
         assert set(EXPERIMENTS) == {
             "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
             "fig12", "fig13", "fig13x", "table3", "batch", "obs", "audit",
-            "shard", "serve",
+            "trace", "shard", "serve",
             "ablation1", "ablation2", "ablation3", "ablation4", "ablation5",
         }
 

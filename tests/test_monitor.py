@@ -165,46 +165,120 @@ class TestAgainstGroundTruth:
 
 
 def _state(monitor):
-    """Every task's (items_inserted, now), plus each shard replica's."""
-    state = [(s.items_inserted, s.now) for s in monitor._sketches]
+    """Every task's (items_inserted, now, clock-array time); a sharded
+    task adds each shard replica's."""
+    state = []
     for sketch in monitor._sketches:
-        state += [(r.items_inserted, r.now)
-                  for r in getattr(sketch, "replicas", ())]
+        replicas = getattr(sketch, "replicas", None)
+        if replicas is None:
+            state.append((sketch.items_inserted, sketch.now,
+                          sketch.clock.now))
+            continue
+        state.append((sketch.items_inserted, sketch.now))
+        state += [(r.items_inserted, r.now, r.clock.now) for r in replicas]
     return state
 
 
-@pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
-                         ids=["nan", "inf", "-inf"])
-class TestNonFiniteTimes:
-    """NaN and infinite times raise TimeError before any task moves."""
+def _still_ingests(monitor):
+    """A batch and a query at valid later times both go through."""
+    if monitor.window.is_count_based:
+        monitor.observe_many(["c", "d"])
+        assert monitor.report("c").active
+    else:
+        monitor.observe_many(["c", "d"], [5.0, 6.0])
+        assert monitor.report("c", t=7.0).active
 
-    def _monitor(self, shards):
-        monitor = ItemBatchMonitor.sharded(time_window(100.0), memory="8KB",
-                                           shards=shards)
-        monitor.observe_many(["a", "b"], [1.0, 2.0])
-        return monitor
+
+def _time_monitor(shards):
+    monitor = ItemBatchMonitor.sharded(time_window(100.0), memory="8KB",
+                                       shards=shards)
+    monitor.observe_many(["a", "b"], [1.0, 2.0])
+    return monitor
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 1e308],
+                         ids=["nan", "inf", "-inf", "1e308"])
+class TestNonFiniteTimes:
+    """NaN, infinite and overflowing times raise TimeError before any
+    task moves, and the monitor keeps serving afterwards. (1e308 is
+    finite, but its sweep step count overflows.)"""
 
     def test_scalar_observe(self, shards, bad):
-        monitor = self._monitor(shards)
+        monitor = _time_monitor(shards)
         before = _state(monitor)
-        with pytest.raises(TimeError, match="finite"):
+        with pytest.raises(TimeError, match="finite|out of range"):
             monitor.observe("x", bad)
         assert _state(monitor) == before
+        _still_ingests(monitor)
 
     @pytest.mark.parametrize("times", ["last", "all"])
     def test_batch_observe(self, shards, bad, times):
-        monitor = self._monitor(shards)
+        monitor = _time_monitor(shards)
         before = _state(monitor)
         batch = [3.0, bad] if times == "last" else [bad, bad]
-        with pytest.raises(TimeError, match="finite"):
+        with pytest.raises(TimeError, match="finite|out of range"):
             monitor.observe_many(["x", "y"], batch)
         assert _state(monitor) == before
+        _still_ingests(monitor)
 
     def test_query_time(self, shards, bad):
-        monitor = self._monitor(shards)
+        monitor = _time_monitor(shards)
         before = _state(monitor)
-        with pytest.raises(TimeError, match="finite"):
+        with pytest.raises(TimeError, match="finite|out of range"):
             monitor.report("a", t=bad)
         assert _state(monitor) == before
         assert monitor.report("a").active
+        _still_ingests(monitor)
+
+
+def test_time_overflowing_one_task_moves_no_task():
+    """Tasks differ in cells and circles, so at 1e15 the cardinality
+    task's step count passes 2^63 but the activeness task's, which is
+    written first, does not."""
+    monitor = ItemBatchMonitor(time_window(10.0), memory="16KB")
+    monitor.observe_many(["a", "b"], [1.0, 2.0])
+    assert monitor.activeness.clock.total_steps_at(1e15) < 2**63 \
+        <= monitor.cardinality.clock.total_steps_at(1e15)
+    before = _state(monitor)
+    with pytest.raises(TimeError, match="out of range"):
+        monitor.observe("x", 1e15)
+    with pytest.raises(TimeError, match="out of range"):
+        monitor.observe_many(["x", "y"], [3.0, 1e15])
+    assert _state(monitor) == before
+    _still_ingests(monitor)
+
+
+#: (window, keys, times, error) of one rejected batch; the monitor saw
+#: "a" and "b" at times 1 and 2 (or as items 1 and 2).
+_REJECTED_BATCHES = {
+    "decreasing-times": ("time", ["x", "y"], [5.0, 4.0], TimeError),
+    "before-now": ("time", ["x", "y"], [1.5, 3.0], TimeError),
+    "length-mismatch": ("time", ["x", "y"], [3.0], ConfigurationError),
+    "time-window-no-times": ("time", ["x", "y"], None, ConfigurationError),
+    "count-window-times": ("count", ["x", "y"], [3.0, 4.0], TimeError),
+    "unhashable-key": ("time", ["x", ["y"]], [3.0, 4.0], TypeError),
+    "nan": ("time", ["x", "y"], [3.0, float("nan")], TimeError),
+    "inf": ("time", ["x", "y"], [3.0, float("inf")], TimeError),
+    "-inf": ("time", ["x", "y"], [float("-inf"), 3.0], TimeError),
+    "overflow": ("time", ["x", "y"], [3.0, 1e308], TimeError),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+@pytest.mark.parametrize("case", sorted(_REJECTED_BATCHES))
+def test_rejected_batch_moves_no_task(shards, case):
+    """A batch is applied to every task or to none."""
+    window, keys, times, error = _REJECTED_BATCHES[case]
+    if window == "time":
+        monitor = _time_monitor(shards)
+    else:
+        monitor = ItemBatchMonitor.sharded(count_window(100), memory="8KB",
+                                           shards=shards)
+        monitor.observe_many(["a", "b"])
+    before = _state(monitor)
+    with pytest.raises(error):
+        monitor.observe_many(keys, times)
+    assert _state(monitor) == before
+    _still_ingests(monitor)

@@ -76,6 +76,13 @@ keys = st.text(
     | st.characters(categories=["Cs"]),
     min_size=1, max_size=12) | st.integers()
 
+# Any JSON number a client may send as a time: unbounded ints, including
+# ones past float range, and every finite float.
+stamps = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**1024) | st.integers(max_value=-2**1024),
+    st.floats(allow_nan=False, allow_infinity=False))
+
 # A valid command script against one tenant (count window: no times).
 commands = st.lists(
     st.one_of(
@@ -261,6 +268,57 @@ class TestFullKeyDomain:
         assert answer["key"] == key
         assert answer["active"] is True
         assert answer["size"] == 2
+
+
+class TestTimeDomain:
+    """Times anywhere in the JSON number domain answer typed errors."""
+
+    @pytest.fixture(scope="class")
+    def timed(self):
+        config = TenantConfig(window_length=10.0, window_kind="time",
+                              memory="16KB", seed=3)
+        with ServiceThread(default_config=config,
+                           max_tenants=100_000) as h:
+            yield h
+
+    @pytest.mark.parametrize("field", ["t", "times"])
+    def test_json_int_past_float_range_is_a_bad_request(self, timed, field):
+        huge = 10**400
+        frame = ({"op": "INSERT", "tenant": fresh_tenant(), "key": "k",
+                  "t": huge} if field == "t" else
+                 {"op": "INSERT_BATCH", "tenant": fresh_tenant(),
+                  "keys": ["j", "k"], "times": [1.0, huge]})
+        with LineClient.for_service(timed) as client:
+            response = client.request(frame)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad-request", response
+            assert "finite" in response["error"]["message"]
+            assert client.request({"op": "PING"})["ok"] is True
+
+    @given(stamp=stamps)
+    @FUZZ
+    def test_any_time_is_accepted_or_typed_and_tenant_keeps_serving(
+            self, timed, stamp):
+        tenant = fresh_tenant()
+        with LineClient.for_service(timed) as client:
+            for frame in ({"op": "INSERT_BATCH", "tenant": tenant,
+                           "keys": ["j", "k"], "times": [stamp, stamp]},
+                          {"op": "INSERT", "tenant": tenant, "key": "k",
+                           "t": stamp}):
+                response = client.request(frame)
+                assert_well_formed(response)
+                if not response["ok"]:
+                    assert response["error"]["code"] in (
+                        "bad-request", "time-error"), response
+            # An out-of-range time moved nothing: a later valid time
+            # still ingests and answers.
+            later = {"op": "INSERT", "tenant": tenant, "key": "z", "t": 1.0}
+            if response["ok"]:
+                later["t"] = float(stamp)
+            assert client.request(later)["ok"] is True
+            answer = client.request({"op": "QUERY", "tenant": tenant,
+                                     "key": "z"})
+            assert answer["ok"] is True and answer["active"] is True
 
 
 class TestFraming:

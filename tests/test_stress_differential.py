@@ -33,13 +33,27 @@ from repro.baselines import (
     TimeOutBloomFilter,
     TimingBloomFilter,
 )
+from repro.hashing import key_id
 
-# Workload: runs of repeated keys with variable run lengths — the batch
-# structure every contract is about.
-workloads = st.lists(
-    st.tuples(st.integers(0, 25), st.integers(1, 6)),
+# Keys from the whole domain the service accepts: ints of any size
+# (past int64 and negative too) and arbitrary Unicode strings, lone
+# surrogates included. A pool holds up to 26 keys with distinct key
+# ids, so two keys never share cells by construction.
+domain_keys = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63) | st.integers(max_value=-1),
+    st.text(st.characters() | st.characters(categories=["Cs"]),
+            max_size=12),
+)
+key_pools = st.lists(domain_keys, min_size=1, max_size=26,
+                     unique_by=key_id)
+
+# Workload: runs of repeated pool keys with variable run lengths — the
+# batch structure every contract is about.
+workloads = key_pools.flatmap(lambda pool: st.lists(
+    st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 6)),
     min_size=1, max_size=60,
-).map(lambda runs: [key for key, length in runs for _ in range(length)])
+).map(lambda runs: [pool[i] for i, length in runs for _ in range(length)]))
 
 
 def _truth(keys, window):
@@ -192,7 +206,7 @@ class TestShardedPathAgreement:
         batch.insert_many(keys)
         sharded = ShardedSketch(make, shards=shards, router="serial")
         sharded.insert_many(keys)
-        probe = sorted(set(keys))
+        probe = list(dict.fromkeys(keys))
         a = np.asarray(scalar.contains_many(probe))
         b = np.asarray(batch.contains_many(probe))
         c = np.asarray(sharded.contains_many(probe))

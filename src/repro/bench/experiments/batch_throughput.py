@@ -11,9 +11,18 @@ speedup. Both paths leave the sketch in bit-identical state (see
 The scalar loop is measured on a bounded prefix of the stream (pure
 Python at ~10^5 items/sec would otherwise dominate the run) — items/sec
 is rate-based, so the ratio is unaffected.
+
+Two more rows drive a serving tenant's four-task monitor with string
+keys in 2,000-key frames (``observe_many`` vs per-key ``observe``):
+``monitor_str_hot`` replays the caida stream as decimal strings, where
+keys repeat; ``monitor_str_fresh`` sends keys never used before in the
+process, so no per-key work can be reused. Their ``batch_ips`` ratio
+shows whether key hashing has a cliff on all-distinct floods.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from ...core import (
     ClockBitmap,
@@ -22,6 +31,7 @@ from ...core import (
     ClockTimeSpanSketch,
 )
 from ...kernels import use_backend
+from ...serve import TenantConfig
 from ...timebase import count_window
 from ..harness import ExperimentResult, cached_trace, drive_inserts
 from ..metrics import measure_throughput
@@ -33,6 +43,9 @@ CONFIGS = {
     "cm_clock": dict(memory="512KB", window=16384, s=8),
     "bf_ts_clock": dict(memory="128KB", window=4096, s=8),
 }
+
+#: Keys per ``observe_many`` call in the monitor rows (one wire frame).
+MONITOR_FRAME = 2000
 
 DEFAULT_ITEMS = 1_000_000
 
@@ -56,6 +69,36 @@ def _build(name: str, seed: int):
         return ClockTimeSpanSketch.from_memory(cfg["memory"], window,
                                                s=cfg["s"], seed=seed)
     raise ValueError(name)
+
+
+#: Source of the ``monitor_str_fresh`` keys: never repeats in a process.
+_FRESH = itertools.count()
+
+
+def _fresh_keys(count: int) -> "list[str]":
+    """``count`` 16-hex-digit keys not handed out before in this process."""
+    return [f"{next(_FRESH):016x}" for _ in range(count)]
+
+
+def _monitor_row(result: ExperimentResult, variant: str, keys: list,
+                 prefix: list, seed: int) -> None:
+    config = TenantConfig(window_length=4096, memory="64KB", seed=seed)
+    scalar = config.build_monitor()
+
+    def per_key() -> None:
+        for key in prefix:
+            scalar.observe(key)
+
+    batch = config.build_monitor()
+
+    def framed() -> None:
+        for start in range(0, len(keys), MONITOR_FRAME):
+            batch.observe_many(keys[start:start + MONITOR_FRAME])
+
+    scalar_ips = measure_throughput(per_key, len(prefix)).mops * 1e6
+    batch_ips = measure_throughput(framed, len(keys)).mops * 1e6
+    result.add(variant=variant, n_items=len(keys), scalar_ips=scalar_ips,
+               batch_ips=batch_ips, speedup=batch_ips / scalar_ips)
 
 
 def run(quick: bool = False, seed: int = 1, n_items: int = DEFAULT_ITEMS,
@@ -105,4 +148,9 @@ def _run(quick: bool, seed: int, n_items: int,
         result.add(variant=name, n_items=len(stream.keys),
                    scalar_ips=scalar_ips, batch_ips=batch_ips,
                    speedup=batch_ips / scalar_ips)
+    hot = [str(key) for key in cached_trace(
+        "caida", n_items=n_items, window_hint=4096, seed=seed).keys.tolist()]
+    _monitor_row(result, "monitor_str_hot", hot, hot[:scalar_cap], seed)
+    _monitor_row(result, "monitor_str_fresh", _fresh_keys(len(hot)),
+                 _fresh_keys(min(scalar_cap, len(hot))), seed)
     return result

@@ -5,12 +5,14 @@ The paper implements all sketches over the 32-bit Bob Jenkins hash
 subpackage provides:
 
 - :mod:`repro.hashing.bobhash` — a faithful pure-Python port of
-  lookup3's ``hashlittle`` / ``hashlittle2``.
+  lookup3's ``hashlittle`` / ``hashlittle2``, and ``bob_hash64_many``,
+  the same hash over a batch of keys as uint32 array operations.
 - :mod:`repro.hashing.family` — item canonicalisation and seeded hash
-  families producing 64-bit hashes (Bob Hash or BLAKE2-backed).
+  families producing 64-bit hashes (Bob Hash or BLAKE2-backed); they
+  keep no memo, so hashing holds no memory between batches.
 - :mod:`repro.hashing.indexing` — one 64-bit *key id* per key (an
   integer is its own id; any other key is hashed once, through one
-  process-wide memoised Bob Hash family), then per sketch a seeded
+  Bob Hash family, vectorised over the batch), then per sketch a seeded
   splitmix64 mix of the id into a base hash and Kirsch–Mitzenmacher
   double hashing of that into the ``k`` cell indexes, all vectorised
   over uint64 id arrays.
@@ -18,7 +20,7 @@ subpackage provides:
   the SWAMP baseline.
 """
 
-from .bobhash import hashlittle, hashlittle2, bob_hash64
+from .bobhash import hashlittle, hashlittle2, bob_hash64, bob_hash64_many
 from .family import BobHashFamily, Blake2HashFamily, canonical_bytes
 from .indexing import (
     IndexDeriver,
@@ -37,6 +39,7 @@ __all__ = [
     "hashlittle",
     "hashlittle2",
     "bob_hash64",
+    "bob_hash64_many",
     "BobHashFamily",
     "Blake2HashFamily",
     "canonical_bytes",

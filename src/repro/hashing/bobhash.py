@@ -8,9 +8,16 @@ results) from lookup3.c, operating on ``bytes``.
 
 The port follows the byte-at-a-time branch of lookup3.c, so it produces
 the canonical little-endian values for any input length.
+
+:func:`bob_hash64_many` is ``hashlittle2`` over a whole batch of byte
+strings: ``mix`` and ``final`` run as uint32 array operations across
+every key with the same number of 12-byte blocks. The scalar functions
+stay the reference it is tested against.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 
@@ -137,3 +144,100 @@ def bob_hash64(data: bytes, seed: int = 0) -> int:
     """
     c, b = hashlittle2(data, seed & _MASK32, (seed >> 32) & _MASK32)
     return (b << 32) | c
+
+
+#: ``k -> (k, 32 - k)`` as uint32 scalars for :func:`_rotv`; a Python
+#: int shift count costs a conversion on every array operation.
+_SHIFTS = {k: (np.uint32(k), np.uint32(32 - k))
+           for k in (4, 6, 8, 11, 14, 16, 19, 24, 25)}
+
+
+def _rotv(x: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_rot` over a uint32 array (the shifts wrap at 32 bits)."""
+    left, right = _SHIFTS[k]
+    out = x << left
+    out |= x >> right
+    return out
+
+
+def _mixv(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """:func:`_mix` in place over three uint32 arrays."""
+    a -= c
+    a ^= _rotv(c, 4)
+    c += b
+    b -= a
+    b ^= _rotv(a, 6)
+    a += c
+    c -= b
+    c ^= _rotv(b, 8)
+    b += a
+    a -= c
+    a ^= _rotv(c, 16)
+    c += b
+    b -= a
+    b ^= _rotv(a, 19)
+    a += c
+    c -= b
+    c ^= _rotv(b, 4)
+    b += a
+
+
+def _finalv(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """:func:`_final` in place over three uint32 arrays."""
+    c ^= b
+    c -= _rotv(b, 14)
+    a ^= c
+    a -= _rotv(c, 11)
+    b ^= a
+    b -= _rotv(a, 25)
+    c ^= b
+    c -= _rotv(b, 16)
+    a ^= c
+    a -= _rotv(c, 4)
+    b ^= a
+    b -= _rotv(a, 14)
+    c ^= b
+    c -= _rotv(b, 24)
+
+
+def bob_hash64_many(blob: bytes, lengths: np.ndarray, seed: int = 0
+                    ) -> np.ndarray:
+    """:func:`bob_hash64` of every key in a batch, as a uint64 array.
+
+    ``blob`` is the keys' bytes concatenated and ``lengths`` their byte
+    lengths, in order. Keys are grouped by their count of 12-byte
+    blocks; each group's bytes are gathered into a zero-padded
+    ``(m, 12 * blocks)`` matrix and read as little-endian words. A
+    zero-padded tail adds the same words as lookup3's byte-wise tail
+    switch, so every group runs the plain block loop: ``blocks - 1``
+    mixes, then the last block and ``final``. An empty key skips
+    ``final``, as lookup3 does.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    # Twelve zero bytes past the end let every block gather read in range.
+    data = np.frombuffer(bytes(blob) + bytes(12), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    blocks = (lengths + 11) // 12
+    init = (lengths + (0xDEADBEEF + (seed & _MASK32))).astype(np.uint32)
+    out = np.empty(len(lengths), dtype=np.uint64)
+    # bincount, not np.unique: it finds the block counts present without
+    # a lazy submodule import on the first call.
+    for nblocks in np.flatnonzero(np.bincount(blocks)).tolist():
+        rows = np.flatnonzero(blocks == nblocks)
+        a = init[rows]
+        b = a.copy()
+        c = a + np.uint32((seed >> 32) & _MASK32)
+        if nblocks:
+            cols = np.arange(12 * nblocks)
+            raw = data[starts[rows, None] + cols]
+            raw[cols >= lengths[rows, None]] = 0
+            words = raw.view("<u4")
+            for block in range(nblocks):
+                a += words[:, 3 * block]
+                b += words[:, 3 * block + 1]
+                c += words[:, 3 * block + 2]
+                if block < nblocks - 1:
+                    _mixv(a, b, c)
+            _finalv(a, b, c)
+        out[rows] = (b.astype(np.uint64) << np.uint64(32)) | c
+    return out

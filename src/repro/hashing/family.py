@@ -21,54 +21,9 @@ import struct
 
 import numpy as np
 
-from .bobhash import bob_hash64
+from .bobhash import bob_hash64, bob_hash64_many
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-#: Entries kept in a family's ``hash_many`` memo before it is dropped.
-#: Batch workloads revisit hot keys constantly; the cap only guards
-#: against unbounded growth on adversarial all-distinct streams.
-HASH_CACHE_LIMIT = 1 << 20
-
-
-class _CachedBulkHashing:
-    """Mixin: batch hashing with a per-unique-item memo.
-
-    The pure-Python Bob Hash is the per-item bottleneck of the scalar
-    insert path. Batches hash each *unique* item once: repeats — the
-    defining feature of item-batch streams — hit the memo dictionary
-    instead of re-walking the hash rounds.
-    """
-
-    _cache: "dict | None" = None
-
-    def hash_many(self, items) -> np.ndarray:
-        """Return the 64-bit base hashes of a sequence of items.
-
-        Each distinct item is hashed at most once per family instance
-        (memoised up to :data:`HASH_CACHE_LIMIT` entries); the result
-        row-aligns with ``items`` and equals ``base64`` element-wise.
-        """
-        cache = self._cache
-        if cache is None:
-            cache = self._cache = {}
-        elif len(cache) > HASH_CACHE_LIMIT:
-            cache.clear()
-        base64 = self.base64
-        out = np.empty(len(items), dtype=np.uint64)
-        # Object hashing has no vector form; this scalar fallback only
-        # sees items the memo cache hasn't already resolved.
-        for i, item in enumerate(items):  # sketchlint: scalar-ok
-            # Strings key the memo as themselves; any other item by its
-            # canonical bytes, since equal values can hash differently
-            # (True == 1 and (True,) == (1,) as dict keys).
-            key = item if isinstance(item, str) else canonical_bytes(item)
-            h = cache.get(key)
-            if h is None:
-                h = base64(item)
-                cache[key] = h
-            out[i] = h
-        return out
 
 
 def canonical_bytes(item) -> bytes:
@@ -100,7 +55,7 @@ def canonical_bytes(item) -> bytes:
     raise TypeError(f"unhashable stream item type: {type(item).__name__}")
 
 
-class BobHashFamily(_CachedBulkHashing):
+class BobHashFamily:
     """64-bit base hashes from the lookup3 Bob Hash, seeded.
 
     >>> fam = BobHashFamily(seed=1)
@@ -115,11 +70,35 @@ class BobHashFamily(_CachedBulkHashing):
         """Return the 64-bit base hash of ``item``."""
         return bob_hash64(canonical_bytes(item), self.seed)
 
+    def hash_many(self, items) -> np.ndarray:
+        """Return the 64-bit base hashes of a sequence of items.
+
+        Equals ``base64`` element-wise; every key runs through the
+        vectorised lookup3 (:func:`~repro.hashing.bobhash.bob_hash64_many`)
+        and nothing is kept between calls. An all-ASCII batch of strings
+        is encoded in one piece; any other batch key by key.
+        """
+        try:
+            text = "".join(items)
+        except TypeError:
+            text = None
+        if text is not None and text.isascii():
+            blob = text.encode("ascii")
+            lengths = np.fromiter(map(len, items), np.int64, len(items))
+        else:
+            # Canonical bytes have no vector form; only the encoding is
+            # per key, the hash rounds stay vectorised.
+            parts = [canonical_bytes(item)  # sketchlint: scalar-ok
+                     for item in items]
+            blob = b"".join(parts)
+            lengths = np.fromiter(map(len, parts), np.int64, len(parts))
+        return bob_hash64_many(blob, lengths, self.seed)
+
     def __repr__(self) -> str:
         return f"BobHashFamily(seed={self.seed})"
 
 
-class Blake2HashFamily(_CachedBulkHashing):
+class Blake2HashFamily:
     """64-bit base hashes from keyed BLAKE2b (C-speed alternative)."""
 
     def __init__(self, seed: int = 0):
@@ -132,6 +111,10 @@ class Blake2HashFamily(_CachedBulkHashing):
             canonical_bytes(item), digest_size=8, key=self._key
         ).digest()
         return int.from_bytes(digest, "little")
+
+    def hash_many(self, items) -> np.ndarray:
+        """Return the 64-bit base hashes of a sequence of items."""
+        return np.fromiter(map(self.base64, items), np.uint64, len(items))
 
     def __repr__(self) -> str:
         return f"Blake2HashFamily(seed={self.seed})"

@@ -3,9 +3,10 @@
 Every stream key first becomes one 64-bit *key id* (:func:`key_id`,
 :func:`key_ids`): an integer key is its own id (mod 2^64); any other
 key (string, bytes, tuple, bool) is its unseeded Bob Hash, computed by
-one process-wide memoised :class:`~repro.hashing.family.BobHashFamily`.
-A key is thus run through lookup3 at most once, however many sketches
-and rows consume it.
+one :class:`~repro.hashing.family.BobHashFamily` whose ``hash_many``
+runs lookup3 over a whole batch as uint32 array operations. A key is
+thus run through lookup3 once per batch, however many sketches and rows
+consume it, and no key is kept once its batch is hashed.
 
 Each sketch then mixes the id with its own seed (splitmix64, see
 :func:`bulk_base_hashes`) into a 64-bit base hash. Instead of
@@ -107,7 +108,7 @@ def scalar_base_hash(key: int, seed: int = 0) -> int:
     return z ^ (z >> 31)
 
 
-#: The one hash family (and memo) behind every non-integer key id.
+#: The one hash family behind every non-integer key id.
 _KEY_HASH = BobHashFamily(0)
 
 _INTS = (int, np.integer)
@@ -139,8 +140,7 @@ def key_ids(items) -> np.ndarray:
 
     Integer arrays convert without a Python loop. A sequence is split
     into its ints and its other keys in one pass; the other keys are
-    hashed once per distinct key through the process-wide memo
-    (``BobHashFamily.hash_many``).
+    hashed together by the vectorised ``BobHashFamily.hash_many``.
     """
     if isinstance(items, np.ndarray) and items.dtype.kind in "iu":
         return items.astype(np.uint64, copy=False)

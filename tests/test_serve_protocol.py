@@ -18,6 +18,7 @@ the harness in :mod:`repro.serve.testing` and holds the wire contract:
 All generation is derandomized so the suite is deterministic in CI.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -70,11 +71,13 @@ garbage = st.binary(min_size=1, max_size=200).map(
     lambda b: b.replace(b"\n", b" ").replace(b"\r", b" "))
 
 # Lone surrogates (category Cs) are valid JSON string content, so they
-# are valid keys too.
-keys = st.text(
+# are valid keys too. Bools are JSON values but not keys: a command
+# carrying one answers bad-request and leaves the tenant unchanged.
+text_keys = st.text(
     alphabet=st.characters(codec="utf-8", exclude_characters="\x00")
     | st.characters(categories=["Cs"]),
-    min_size=1, max_size=12) | st.integers()
+    min_size=1, max_size=12)
+keys = text_keys | st.integers() | st.booleans()
 
 # Any JSON number a client may send as a time: unbounded ints, including
 # ones past float range, and every finite float.
@@ -92,6 +95,17 @@ commands = st.lists(
         st.tuples(st.just("QUERY"), keys),
     ),
     min_size=1, max_size=40)
+
+
+def is_valid(payload):
+    """Whether a command's key (or every batch key) is a wire key."""
+    batch = payload if isinstance(payload, list) else [payload]
+    return not any(isinstance(key, bool) for key in batch)
+
+
+def assert_bad_request(response):
+    assert response["ok"] is False, response
+    assert response["error"]["code"] == "bad-request", response
 
 
 def assert_well_formed(response):
@@ -162,26 +176,34 @@ class TestDifferentialReplay:
             seed=CONFIG.seed)
         with LineClient.for_service(hosted) as client:
             for op, payload in script:
+                valid = is_valid(payload)
                 if op == "INSERT":
                     response = client.request(
                         {"op": op, "tenant": tenant, "key": payload})
-                    reference.observe(payload)
+                    if valid:
+                        reference.observe(payload)
                 elif op == "INSERT_BATCH":
                     response = client.request(
                         {"op": op, "tenant": tenant, "keys": payload})
-                    reference.observe_many(payload)
+                    if valid:
+                        reference.observe_many(payload)
                 else:
                     response = client.request(
                         {"op": op, "tenant": tenant, "key": payload})
-                    report = reference.report(payload)
-                    assert response["active"] == report.active
-                    assert response["size"] == report.size
-                    assert response["span"] == report.span
-                    assert response["begin"] == report.begin
-                assert response["ok"] is True, response
+                    if valid:
+                        report = reference.report(payload)
+                        assert response["active"] == report.active
+                        assert response["size"] == report.size
+                        assert response["span"] == report.span
+                        assert response["begin"] == report.begin
+                if valid:
+                    assert response["ok"] is True, response
+                else:
+                    assert_bad_request(response)
             stats = client.request({"op": "STATS", "tenant": tenant})
-            inserted = sum(1 for op, _ in script if op == "INSERT") \
-                + sum(len(p) for op, p in script if op == "INSERT_BATCH")
+            accepted = [(op, p) for op, p in script if is_valid(p)]
+            inserted = sum(1 for op, _ in accepted if op == "INSERT") \
+                + sum(len(p) for op, p in accepted if op == "INSERT_BATCH")
             assert stats["tenant"]["items"] == inserted
 
     @given(script=commands)
@@ -195,7 +217,11 @@ class TestDifferentialReplay:
             seed=CONFIG.seed)
         with LineClient.for_service(hosted) as client:
             for op, payload in script:
-                if op == "INSERT_BATCH":
+                if not is_valid(payload):
+                    field = "keys" if op == "INSERT_BATCH" else "key"
+                    assert_bad_request(client.request(
+                        {"op": op, "tenant": tenant, field: payload}))
+                elif op == "INSERT_BATCH":
                     bad = client.request(
                         {"op": op, "tenant": tenant, "keys": payload,
                          "times": [1.0] * len(payload)})
@@ -216,6 +242,63 @@ class TestDifferentialReplay:
                     report = reference.report(payload)
                     assert response["size"] == report.size
                     assert response["active"] == report.active
+
+
+class TestBatchCap:
+    """A frame of exactly ``max_batch`` keys is one batch; one more is
+    refused whole."""
+
+    MAX_BATCH = 256
+    _fresh = itertools.count()
+
+    @pytest.fixture(scope="class")
+    def capped(self):
+        config = dataclasses.replace(CONFIG, max_batch=self.MAX_BATCH)
+        with ServiceThread(default_config=config,
+                           max_tenants=100_000) as h:
+            yield h
+
+    def frame(self, prefix, size):
+        # Distinct and never sent before, so every key is hashed fresh;
+        # round-tripped through JSON, which joins an adjacent surrogate
+        # pair into one character, so the reference sees the served key.
+        return [json.loads(json.dumps(f"{prefix}{next(self._fresh)}"))
+                for _ in range(size)]
+
+    @given(prefix=text_keys)
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_cap_sized_frame_is_accepted_and_one_more_moves_nothing(
+            self, capped, prefix):
+        tenant = fresh_tenant()
+        exact = self.frame(prefix, self.MAX_BATCH)
+        over = self.frame(prefix, self.MAX_BATCH + 1)
+        reference = ItemBatchMonitor(
+            count_window(CONFIG.window_length), memory=CONFIG.memory,
+            seed=CONFIG.seed)
+        for key in exact:
+            reference.observe(key)
+        with LineClient.for_service(capped) as client:
+            accepted = client.request(
+                {"op": "INSERT_BATCH", "tenant": tenant, "keys": exact})
+            assert accepted["ok"] is True, accepted
+            assert accepted["count"] == self.MAX_BATCH
+            refused = client.request(
+                {"op": "INSERT_BATCH", "tenant": tenant, "keys": over})
+            assert refused["ok"] is False, refused
+            assert refused["error"]["code"] == "admission"
+            stats = client.request({"op": "STATS", "tenant": tenant})
+            assert stats["tenant"]["items"] == self.MAX_BATCH
+            answers = client.request_lines([
+                json.dumps({"op": "QUERY", "tenant": tenant,
+                            "key": key}).encode("utf-8") + b"\n"
+                for key in exact + over])
+        assert len(answers) == len(exact) + len(over)
+        for key, answer in zip(exact + over, answers):
+            report = reference.report(key)
+            assert answer["ok"] is True, answer
+            assert (answer["active"], answer["size"], answer["span"],
+                    answer["begin"]) == (report.active, report.size,
+                                         report.span, report.begin), key
 
 
 class TestFullKeyDomain:

@@ -13,16 +13,13 @@ needs:
   cross-PR trajectory file;
 - one :class:`~repro.obs.perf.record.PerfRecord` appended to the
   performance ledger (``benchmarks/results/perf_ledger.jsonl``, or
-  ``$REPRO_PERF_LEDGER``), carrying the headline scalars, kernel
-  backend, host facts, and the explanatory metrics delta when the
-  experiment archived a registry snapshot.
+  ``$REPRO_PERF_LEDGER``), carrying the headline scalars, host facts,
+  and the explanatory metrics delta when the experiment archived a
+  registry snapshot.
 
-``--kernel {auto,numpy,numba}`` selects the kernel backend for the
-whole benchmark session (default: the ``REPRO_KERNEL`` environment
-variable, else ``auto``); the resolved backend is stamped into every
-``BENCH_*.json`` payload via :func:`bench_payload`. Quick-mode runs
-(any ``*_BENCH_QUICK`` env toggle) are marked as such on their ledger
-records so they only ever compare against quick-mode baselines.
+Quick-mode runs (any ``*_BENCH_QUICK`` env toggle) are marked as such
+on their ledger records so they only ever compare against quick-mode
+baselines.
 """
 
 import json
@@ -30,8 +27,6 @@ import os
 import pathlib
 
 import pytest
-
-from repro.kernels import kernel_info, set_default_backend
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -45,23 +40,6 @@ QUICK_ENV_VARS = (
 )
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--kernel", action="store", default=None,
-        choices=("auto", "numpy", "numba"),
-        help="kernel backend for the numeric hot path (default: "
-             "REPRO_KERNEL env var, else auto)",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _apply_kernel_option(request):
-    """Pin the session's process-default backend from ``--kernel``."""
-    choice = request.config.getoption("--kernel")
-    if choice is not None:
-        set_default_backend(choice)
-
-
 def quick_mode():
     """True when any benchmark quick-mode env toggle is set."""
     return any(os.environ.get(var, "") not in ("", "0")
@@ -69,7 +47,7 @@ def quick_mode():
 
 
 def bench_payload(result):
-    """JSON payload for one ExperimentResult, stamped with the backend.
+    """JSON payload for one ExperimentResult.
 
     JSON-safe extras ride along under ``"extras"`` — except the bulky
     registry snapshot, which benchmarks that want it archive separately.
@@ -78,7 +56,6 @@ def bench_payload(result):
         "title": result.title,
         "columns": list(result.columns),
         "rows": [{k: row[k] for k in result.columns} for row in result.rows],
-        "kernel": kernel_info(),
     }
     extras = {k: v for k, v in getattr(result, "extras", {}).items()
               if k != "snapshot"}

@@ -56,12 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive throughput experiments through the per-item insert "
              "loop instead of the batch engine (hot-path regression runs)",
     )
-    parser.add_argument(
-        "--kernel", choices=("auto", "numpy", "numba"), default=None,
-        help="kernel backend for the numeric hot path (default: the "
-             "REPRO_KERNEL environment variable, else auto); 'numba' "
-             "falls back to numpy with a warning when numba is absent",
-    )
     return parser
 
 
@@ -84,10 +78,6 @@ def main(argv=None) -> int:
     from .experiments import EXPERIMENTS
 
     args = build_parser().parse_args(argv)
-    from ..kernels import kernel_info, set_default_backend
-
-    if args.kernel is not None:
-        set_default_backend(args.kernel)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     results = {}
     for name in names:
@@ -131,7 +121,6 @@ def main(argv=None) -> int:
                 "columns": list(result.columns),
                 "rows": [{k: row[k] for k in result.columns}
                          for row in result.rows],
-                "kernel": kernel_info(),
             }
             path = os.path.join(args.json_dir, f"BENCH_{name}.json")
             with open(path, "w") as fh:

@@ -15,6 +15,7 @@ import numpy as np
 from ...core.clockarray import ClockArray
 from ...core.params import cells_for_memory, optimal_k_membership
 from ...hashing import bulk_base_hashes
+from ...kernels import numpy_backend as _kernels
 from ...timebase import count_window
 from ...units import kb_to_bits
 from ..harness import ExperimentResult, cached_trace, membership_query_keys
@@ -38,7 +39,7 @@ def _membership_with_matrix(index_matrix, query_matrix, set_steps, probe,
     np.maximum.at(last_set, index_matrix.ravel(), np.repeat(set_steps, k))
     values = np.zeros(n, dtype=np.int64)
     touched = np.flatnonzero(last_set >= 0)
-    values[touched] = probe.kernels.snapshot_values(
+    values[touched] = _kernels.snapshot_values(
         last_set[touched], touched, n, probe.max_value, query_steps)
     return np.all(values[query_matrix] > 0, axis=1)
 

@@ -30,7 +30,6 @@ from ...core import (
     ClockCountMin,
     ClockTimeSpanSketch,
 )
-from ...kernels import use_backend
 from ...serve import TenantConfig
 from ...timebase import count_window
 from ..harness import ExperimentResult, cached_trace, drive_inserts
@@ -102,20 +101,8 @@ def _monitor_row(result: ExperimentResult, variant: str, keys: list,
 
 
 def run(quick: bool = False, seed: int = 1, n_items: int = DEFAULT_ITEMS,
-        scalar_cap: int = DEFAULT_SCALAR_CAP,
-        kernel=None) -> ExperimentResult:
-    """Measure scalar vs batch ingestion throughput for every variant.
-
-    ``kernel`` pins a kernel backend for the run (a name from
-    :data:`repro.kernels.KERNEL_CHOICES` or a backend instance; None
-    keeps the process default).
-    """
-    with use_backend(kernel):
-        return _run(quick, seed, n_items, scalar_cap)
-
-
-def _run(quick: bool, seed: int, n_items: int,
-         scalar_cap: int) -> ExperimentResult:
+        scalar_cap: int = DEFAULT_SCALAR_CAP) -> ExperimentResult:
+    """Measure scalar vs batch ingestion throughput for every variant."""
     if quick:
         n_items = 20_000
         scalar_cap = 4_000

@@ -31,7 +31,6 @@ import time
 from typing import Any, Callable
 
 from .errors import ConfigurationError, TimeError
-from .kernels import use_backend
 from .obs import names as _names
 from .obs import runtime as _obs
 from .obs import trace as _trace
@@ -103,26 +102,18 @@ class ThreadSafeSketch:
         Same bit-identical semantics as the wrapped sketch's
         ``insert_many``, but the lock is taken per chunk rather than
         per item (or per whole batch), so a cleaner or reader thread
-        can interleave between chunks of a large batch. The kernel
-        backend is resolved once for the whole call and pinned across
-        chunks, so a concurrent ``set_default_backend`` cannot switch
-        backends mid-batch; lock waits are published per chunk through
-        the usual ``repro_lock_*`` series.
+        can interleave between chunks of a large batch. Lock waits are
+        published per chunk through the usual ``repro_lock_*`` series.
         """
         if chunk_size <= 0:
             raise ConfigurationError(
                 f"chunk_size must be positive, got {chunk_size}")
         total = len(items)
-        # Pin the kernel backend under the lock: `clock.kernels` resolves
-        # lazily and a concurrent set_default_backend() may be publishing
-        # the resolution exactly as we read it.
-        backend = self._guarded(lambda: self.sketch.clock.kernels)
-        with use_backend(backend):
-            for pos in range(0, total, chunk_size):
-                end = min(pos + chunk_size, total)
-                chunk_times = None if times is None else times[pos:end]
-                self._guarded(self.sketch.insert_many, items[pos:end],
-                              chunk_times)
+        for pos in range(0, total, chunk_size):
+            end = min(pos + chunk_size, total)
+            chunk_times = None if times is None else times[pos:end]
+            self._guarded(self.sketch.insert_many, items[pos:end],
+                          chunk_times)
 
     def contains(self, item: Any, t: "float | None" = None) -> Any:
         """Locked :meth:`contains` (activeness sketches)."""

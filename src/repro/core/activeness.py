@@ -21,6 +21,7 @@ import numpy as np
 
 from ..engine import BatchEngine
 from ..hashing import IndexDeriver
+from ..kernels import numpy_backend as _kernels
 from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 from ..units import parse_memory
@@ -243,7 +244,7 @@ def snapshot_membership(
 
     values = np.zeros(n, dtype=np.int64)
     touched = np.flatnonzero(last_set >= 0)
-    values[touched] = probe.kernels.snapshot_values(
+    values[touched] = _kernels.snapshot_values(
         last_set[touched], touched, n, max_value, query_steps
     )
 

@@ -17,6 +17,7 @@ import numpy as np
 from ..engine import BatchEngine
 from ..errors import EstimatorSaturatedError
 from ..hashing import IndexDeriver
+from ..kernels import numpy_backend as _kernels
 from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 from ..units import parse_memory
@@ -248,7 +249,7 @@ def snapshot_cardinality(
     np.maximum.at(last_set, cells, set_steps)
 
     touched = np.flatnonzero(last_set >= 0)
-    live = probe.kernels.snapshot_values(last_set[touched], touched, n,
-                                         probe.max_value, query_steps)
+    live = _kernels.snapshot_values(last_set[touched], touched, n,
+                                    probe.max_value, query_steps)
     nonzero = int(np.count_nonzero(live > 0))
     return linear_counting_estimate(n - nonzero, n, strict)

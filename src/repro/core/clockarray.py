@@ -36,16 +36,12 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError, TimeError
-# Back-compat re-exports: the closed-form kernels moved to
-# repro.kernels (numpy reference backend); importing them from here
-# keeps every historical call site working.
-from ..kernels.numpy_backend import snapshot_values, sweep_hits  # noqa: F401
-from ..kernels import resolve_backend
+from ..kernels import numpy_backend as _kernels
 from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 
 __all__ = ["ClockArray", "circles_per_window_for", "dtype_for_bits",
-           "max_value_for", "snapshot_values", "sweep_hits"]
+           "max_value_for"]
 
 #: Step counts (and count-based step products) must stay below this.
 _STEP_LIMIT = 2**63
@@ -112,18 +108,10 @@ class ClockArray:
         preserved, and staleness remains bounded by one extra circle.
         The exact modes (``vector``/``scalar``) preserve the full
         guarantee.
-    kernel_backend:
-        A :class:`~repro.kernels.KernelBackend` (or backend name, or
-        None for the process default) providing the primitive numeric
-        kernels — vector sweeps, closed-form snapshots, fused batch
-        finishers. Resolved once at construction via
-        :func:`repro.kernels.resolve_backend` and exposed as
-        ``self.kernels``; every backend is bit-identical, so this is
-        purely a speed choice.
     """
 
     def __init__(self, n: int, s: int, window: WindowSpec, on_expire=None,
-                 sweep_mode: str = "vector", kernel_backend=None):
+                 sweep_mode: str = "vector"):
         if not 2 <= s <= 64:
             raise ConfigurationError(f"clock cell size s must be in 2..64, got {s}")
         if n <= 0:
@@ -138,7 +126,6 @@ class ClockArray:
         self.values = np.zeros(self.n, dtype=dtype_for_bits(s))
         self.on_expire = on_expire
         self.sweep_mode = sweep_mode
-        self.kernels = resolve_backend(kernel_backend)
         self._steps_done = 0
         self._now = 0.0
         # Sweep telemetry: plain ints maintained unconditionally (the
@@ -285,7 +272,7 @@ class ClockArray:
                 self.on_expire(expired)
 
     def _sweep_vector(self, delta: int) -> None:
-        """Perform ``delta`` sweep steps through the kernel backend."""
+        """Perform ``delta`` sweep steps through the vector kernels."""
         start = self._steps_done % self.n
         full_rounds, remainder = divmod(delta, self.n)
         if full_rounds:
@@ -293,7 +280,7 @@ class ClockArray:
             # the round count at max_value keeps the subtrahend inside
             # the cell dtype.
             rounds = min(full_rounds, self.max_value)
-            self._emit_expired(self.kernels.decay_all(self.values, rounds))
+            self._emit_expired(_kernels.decay_all(self.values, rounds))
         if remainder:
             end = start + remainder
             if end <= self.n:
@@ -304,7 +291,7 @@ class ClockArray:
 
     def _decrement_range(self, a: int, b: int) -> None:
         """Decrement (clamped at zero) cells ``a..b-1`` once."""
-        expired = self.kernels.decrement_range(self.values, a, b)
+        expired = _kernels.decrement_range(self.values, a, b)
         if expired.size:
             self._emit_expired(expired)
 

@@ -8,9 +8,9 @@ picks an application strategy, and commits the sketch's temporal
 bookkeeping once the batch is applied:
 
 - **fused** (exact sweep modes, batches of :data:`DEFAULT_MIN_FUSED`
-  or more): closed-form application through the clock's kernel backend
-  (``clock.kernels.fuse_*``, see :mod:`repro.kernels`) — bit-identical
-  to the scalar loop under every backend, no per-item Python work;
+  or more): closed-form application through the fused kernels
+  (``fuse_*`` in :mod:`repro.kernels.numpy_backend`) — bit-identical
+  to the scalar loop, no per-item Python work;
 - **loop** (exact modes, small batches): the reference per-item
   interleaving of ``advance`` and cell writes;
 - **deferred** (deferred sweep modes): the one-cleaning-circle chunked
@@ -32,6 +32,7 @@ from time import perf_counter
 import numpy as np
 
 from ..errors import TimeError
+from ..kernels import numpy_backend as _kernels
 from ..obs import names as _names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
@@ -166,7 +167,7 @@ class BatchEngine:
             elif count >= self.min_fused:
                 steps = clock.step_targets(times_arr)
                 end_steps = int(steps[-1])
-                cleaned = clock.kernels.fuse_touch(
+                cleaned = _kernels.fuse_touch(
                     clock,
                     index_matrix.ravel(),
                     np.repeat(steps, index_matrix.shape[1]),
@@ -225,7 +226,7 @@ class BatchEngine:
             elif count >= self.min_fused:
                 steps = clock.step_targets(times_arr)
                 end_steps = int(steps[-1])
-                cleaned = clock.kernels.fuse_timespan(
+                cleaned = _kernels.fuse_timespan(
                     clock,
                     timestamps,
                     index_matrix.ravel(),
@@ -292,7 +293,7 @@ class BatchEngine:
             elif not sketch.conservative and count >= self.min_fused:
                 steps = clock.step_targets(times_arr)
                 end_steps = int(steps[-1])
-                cleaned = clock.kernels.fuse_countmin(
+                cleaned = _kernels.fuse_countmin(
                     clock,
                     counters,
                     sketch.counter_max,

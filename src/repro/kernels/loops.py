@@ -1,299 +1,177 @@
-"""Loop-form kernels: the numba-compilable twin of the numpy backend.
+"""Loop-form reference kernels: the differential twin of the numpy kernels.
 
-:func:`build_kernels` constructs the primitive kernels as plain Python
-functions written in the restricted style ``numba.njit`` accepts in
-nopython mode — scalar loops over pre-allocated int64/float64 arrays,
-no object-mode escapes, no allocation inside the kernels. Passing a
-``jit`` decorator compiles every kernel (and the scalar ``hits`` helper
-they share); passing ``None`` returns the same functions un-jitted,
-which gives a slow but dependency-free *pure-Python* backend — the
-differential twin used to test the kernel algorithms on hosts without
-numba.
+Each function here has the name and signature of its counterpart in
+:mod:`repro.kernels.numpy_backend` (``decay_all``, ``decrement_range``,
+``fuse_touch``, ``fuse_timespan``, ``fuse_countmin``) and computes the
+same result as explicit per-cell and per-touch loops over int64/float64
+working copies. The numpy kernels derive a batch's effect in closed
+form over sorted touch segments; these walk it in arrival order, so the
+two are independent statements of one semantics.
 
-:class:`LoopKernelBackend` wraps the kernels behind the
-:class:`~repro.kernels.KernelBackend` seam. The closed-form query
-arithmetic (``sweep_hits`` / ``snapshot_values``) and the shard scatter
-fan-out are inherited from :class:`NumpyKernelBackend` unchanged —
-those are already single numpy expressions with nothing to compile; the
-loop kernels replace the *mutation-heavy* primitives where the batch
-time actually goes (vector sweep, decrement range, the three fused
-finishers).
-
-Bit-identity with the numpy backend is enforced by
-``tests/test_kernel_backends.py``; the per-event recurrences below are
-the sequential form of the segment reconstruction in
+Nothing in the library calls this module. The kernel parity suite
+swaps these functions in for the numpy ones with ``monkeypatch.setattr``
+on ``numpy_backend`` and asserts bit-identical sketch state, expiry logs
+and query answers. The per-touch recurrences below are the sequential
+form of the segment reconstruction in
 :mod:`repro.kernels.numpy_backend` (see the comments on each kernel).
+Interpreter-slow by design.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from .numpy_backend import NumpyKernelBackend
-
-__all__ = ["LoopKernelBackend", "build_kernels"]
-
-#: One loop kernel (possibly jitted) — raw arrays and scalars in, a
-#: scalar count out; signatures live on the functions themselves.
-_Kernel = Callable[..., Any]
+__all__ = ["decay_all", "decrement_range", "fuse_countmin",
+           "fuse_timespan", "fuse_touch"]
 
 
-def build_kernels(jit: "_Kernel | None" = None) -> dict[str, _Kernel]:
-    """Build the loop kernels, optionally through a ``jit`` decorator.
+def _hits(m: int, c: int, n: int) -> int:
+    # Scalar form of sweep_hits: steps in [1, m] that hit cell c.
+    if m >= c + 1:
+        return (m - 1 - c) // n + 1
+    return 0
 
-    Returns a dict of kernels keyed ``decay`` / ``decrange`` /
-    ``touch`` / ``timespan`` / ``countmin``. All array arguments are
-    int64 except ``timestamps``/``stamps`` (float64); callers allocate
-    every array (kernels never allocate, so nopython mode has nothing
-    to box).
-    """
-    deco = jit if jit is not None else (lambda f: f)
 
-    @deco
-    def hits(m: int, c: int, n: int) -> int:
-        # Scalar form of sweep_hits: steps in [1, m] that hit cell c.
-        if m >= c + 1:
-            return (m - 1 - c) // n + 1
+def decay_all(values: np.ndarray, rounds: int) -> np.ndarray:
+    """Every cell loses ``rounds`` (clamped at zero); returns expiries."""
+    work = values.astype(np.int64)
+    expired: list[int] = []
+    for c in range(work.shape[0]):
+        v = work[c]
+        if v > 0:
+            v2 = v - rounds
+            if v2 < 0:
+                v2 = 0
+            work[c] = v2
+            if v2 == 0:
+                expired.append(c)
+    values[:] = work.astype(values.dtype)
+    return np.asarray(expired, dtype=np.int64)
+
+
+def decrement_range(values: np.ndarray, a: int, b: int) -> np.ndarray:
+    """One sweep pass over cells ``a..b-1``; returns absolute expiries."""
+    work = values[a:b].astype(np.int64)
+    expired: list[int] = []
+    for c in range(work.shape[0]):
+        v = work[c]
+        if v > 0:
+            work[c] = v - 1
+            if v == 1:
+                expired.append(a + c)
+    values[a:b] = work.astype(values.dtype)
+    return np.asarray(expired, dtype=np.int64)
+
+
+def _final_values(old: np.ndarray, last: np.ndarray, start_steps: int,
+                  end_steps: int, max_value: int, n: int) -> np.ndarray:
+    # Closed-form final value per cell: touched cells decay from
+    # max_value at their last touch, untouched cells from their
+    # pre-batch value.
+    final = np.zeros(n, dtype=np.int64)
+    for c in range(n):
+        if last[c] >= 0:
+            v = max_value - (_hits(end_steps, c, n) - _hits(last[c], c, n))
+        else:
+            v = old[c] - (_hits(end_steps, c, n) - _hits(start_steps, c, n))
+        if v < 0:
+            v = 0
+        final[c] = v
+    return final
+
+
+def _commit(clock: Any, old: np.ndarray, final: np.ndarray,
+            count_cleaned: bool) -> int:
+    # `cleaned` counts live-before/zero-after cells, which equals
+    # nonzero(before) - nonzero(after) + born.
+    clock.load_values(final)
+    if not count_cleaned:
         return 0
+    return sum(1 for c in range(old.shape[0]) if old[c] > 0 and final[c] == 0)
 
-    @deco
-    def decay(work: np.ndarray, rounds: int, expired: np.ndarray) -> int:
-        # Every cell loses `rounds` (clamped at zero); record expiries.
-        count = 0
-        for c in range(work.shape[0]):
-            v = work[c]
-            if v > 0:
-                v2 = v - rounds
-                if v2 < 0:
-                    v2 = 0
-                work[c] = v2
-                if v2 == 0:
-                    expired[count] = c
-                    count += 1
-        return count
 
-    @deco
-    def decrange(work: np.ndarray, a: int, b: int,
-                 expired: np.ndarray) -> int:
-        # One sweep pass over cells a..b-1; record absolute expiries.
-        count = 0
-        for c in range(a, b):
-            v = work[c]
-            if v > 0:
-                work[c] = v - 1
-                if v == 1:
-                    expired[count] = c
-                    count += 1
-        return count
-
-    @deco
-    def touch(old: np.ndarray, cells: np.ndarray, steps: np.ndarray,
-              last: np.ndarray, final: np.ndarray, start_steps: int,
-              end_steps: int, max_value: int, n: int) -> int:
-        # Pass 1: per-cell last touch step (`last` arrives filled -1).
-        for i in range(cells.shape[0]):
-            c = cells[i]
-            if steps[i] > last[c]:
-                last[c] = steps[i]
-        # Pass 2: closed-form final value per cell — touched cells decay
-        # from max_value at their last touch, untouched cells from their
-        # pre-batch value; `cleaned` counts live-before/zero-after,
-        # which equals nonzero(before) - nonzero(after) + born.
-        cleaned = 0
-        for c in range(n):
-            if last[c] >= 0:
-                v = max_value - (hits(end_steps, c, n) - hits(last[c], c, n))
-            else:
-                v = old[c] - (hits(end_steps, c, n) - hits(start_steps, c, n))
-            if v < 0:
-                v = 0
-            final[c] = v
-            if old[c] > 0 and v == 0:
-                cleaned += 1
-        return cleaned
-
-    @deco
-    def timespan(old: np.ndarray, timestamps: np.ndarray,
-                 cells: np.ndarray, steps: np.ndarray, stamps: np.ndarray,
-                 last: np.ndarray, ts_new: np.ndarray, final: np.ndarray,
-                 start_steps: int, end_steps: int, max_value: int,
-                 n: int) -> int:
-        # Sequential form of the segment reconstruction: walk the
-        # touches in arrival order; a touch finds its cell empty iff
-        # the decrements since the previous touch (or since the batch
-        # started) cover the value held then — exactly then it resets
-        # the first-writer timestamp to its own stamp.
-        for i in range(cells.shape[0]):
-            c = cells[i]
-            s = steps[i]
-            prev = last[c]
-            if prev < 0:
-                decs = hits(s, c, n) - hits(start_steps, c, n)
-                if decs >= old[c]:
-                    ts_new[c] = stamps[i]
-                else:
-                    ts_new[c] = timestamps[c]
-            else:
-                decs = hits(s, c, n) - hits(prev, c, n)
-                if decs >= max_value:
-                    ts_new[c] = stamps[i]
+def fuse_touch(clock: Any, cells: np.ndarray, steps: np.ndarray,
+               end_steps: int, count_cleaned: bool = False) -> int:
+    """Fused batch of plain clock touches, one touch at a time."""
+    n = clock.n
+    old = clock.values.astype(np.int64)
+    last = np.full(n, -1, dtype=np.int64)
+    for c, s in zip(cells.tolist(), steps.tolist()):
+        if s > last[c]:
             last[c] = s
-        cleaned = 0
-        for c in range(n):
-            if last[c] >= 0:
-                v = max_value - (hits(end_steps, c, n) - hits(last[c], c, n))
-                if v < 0:
-                    v = 0
-                if v == 0:
-                    timestamps[c] = 0.0
-                else:
-                    timestamps[c] = ts_new[c]
+    final = _final_values(old, last, clock.steps_done, end_steps,
+                          clock.max_value, n)
+    return _commit(clock, old, final, count_cleaned)
+
+
+def fuse_timespan(clock: Any, timestamps: np.ndarray, cells: np.ndarray,
+                  steps: np.ndarray, stamps: np.ndarray, end_steps: int,
+                  count_cleaned: bool = False) -> int:
+    """Fused batch of touches plus first-writer timestamps."""
+    n = clock.n
+    max_value = clock.max_value
+    start_steps = clock.steps_done
+    old = clock.values.astype(np.int64)
+    last = np.full(n, -1, dtype=np.int64)
+    ts_new = np.zeros(n, dtype=np.float64)
+    # Walk the touches in arrival order; a touch finds its cell empty
+    # iff the decrements since the previous touch (or since the batch
+    # started) cover the value held then — exactly then it resets the
+    # first-writer timestamp to its own stamp.
+    for c, s, stamp in zip(cells.tolist(), steps.tolist(), stamps.tolist()):
+        prev = last[c]
+        if prev < 0:
+            decs = _hits(s, c, n) - _hits(start_steps, c, n)
+            if decs >= old[c]:
+                ts_new[c] = stamp
             else:
-                v = old[c] - (hits(end_steps, c, n) - hits(start_steps, c, n))
-                if v < 0:
-                    v = 0
-                if v == 0:
-                    timestamps[c] = 0.0
-            final[c] = v
-            if old[c] > 0 and v == 0:
-                cleaned += 1
-        return cleaned
-
-    @deco
-    def countmin(old: np.ndarray, ctr: np.ndarray, cells: np.ndarray,
-                 steps: np.ndarray, last: np.ndarray, final: np.ndarray,
-                 start_steps: int, end_steps: int, max_value: int,
-                 counter_max: int, n: int) -> int:
-        # Same empty-at-touch recurrence as `timespan`; a reset restarts
-        # the count at 1 (this touch), otherwise the touch increments.
-        # Per-touch clamping at counter_max equals the numpy backend's
-        # end-clamp because the count only grows within a batch.
-        for i in range(cells.shape[0]):
-            c = cells[i]
-            s = steps[i]
-            prev = last[c]
-            if prev < 0:
-                decs = hits(s, c, n) - hits(start_steps, c, n)
-                held = old[c]
-            else:
-                decs = hits(s, c, n) - hits(prev, c, n)
-                held = max_value
-            if decs >= held:
-                ctr[c] = 1
-            else:
-                ctr[c] = ctr[c] + 1
-            if ctr[c] > counter_max:
-                ctr[c] = counter_max
-            last[c] = s
-        cleaned = 0
-        for c in range(n):
-            if last[c] >= 0:
-                v = max_value - (hits(end_steps, c, n) - hits(last[c], c, n))
-            else:
-                v = old[c] - (hits(end_steps, c, n) - hits(start_steps, c, n))
-            if v < 0:
-                v = 0
-            if v == 0:
-                ctr[c] = 0
-            final[c] = v
-            if old[c] > 0 and v == 0:
-                cleaned += 1
-        return cleaned
-
-    return {
-        "hits": hits,
-        "decay": decay,
-        "decrange": decrange,
-        "touch": touch,
-        "timespan": timespan,
-        "countmin": countmin,
-    }
+                ts_new[c] = timestamps[c]
+        else:
+            decs = _hits(s, c, n) - _hits(prev, c, n)
+            if decs >= max_value:
+                ts_new[c] = stamp
+        last[c] = s
+    final = _final_values(old, last, start_steps, end_steps, max_value, n)
+    for c in range(n):
+        if final[c] == 0:
+            timestamps[c] = 0.0
+        elif last[c] >= 0:
+            timestamps[c] = ts_new[c]
+    return _commit(clock, old, final, count_cleaned)
 
 
-class LoopKernelBackend(NumpyKernelBackend):
-    """Loop-kernel backend: numba-style kernels, jitted or pure Python.
-
-    With ``jit=None`` (default) this is the dependency-free *python*
-    backend — same kernel algorithms, interpreter speed — used for
-    differential testing on hosts without numba. The numba backend
-    subclasses this with ``jit=numba.njit``.
-    """
-
-    name = "python"
-    compiled = False
-
-    def __init__(self, jit: "_Kernel | None" = None) -> None:
-        self._k = build_kernels(jit)
-
-    # -- vector sweep primitives --------------------------------------
-
-    def decay_all(self, values: np.ndarray, rounds: int) -> np.ndarray:
-        work = values.astype(np.int64)
-        expired = np.empty(work.shape[0], dtype=np.int64)
-        count = self._k["decay"](work, rounds, expired)
-        values[:] = work.astype(values.dtype)
-        return expired[:count]
-
-    def decrement_range(self, values: np.ndarray, a: int, b: int,
-                        ) -> np.ndarray:
-        work = values[a:b].astype(np.int64)
-        expired = np.empty(work.shape[0], dtype=np.int64)
-        count = self._k["decrange"](work, 0, work.shape[0], expired)
-        values[a:b] = work.astype(values.dtype)
-        if count:
-            return expired[:count] + a
-        return expired[:count]
-
-    # -- fused batch finishers ----------------------------------------
-
-    def fuse_touch(self, clock: Any, cells: np.ndarray, steps: np.ndarray,
-                   end_steps: int, count_cleaned: bool = False) -> int:
-        n = clock.n
-        old = clock.values.astype(np.int64)
-        last = np.full(n, -1, dtype=np.int64)
-        final = np.zeros(n, dtype=np.int64)
-        cleaned = self._k["touch"](
-            old, np.ascontiguousarray(cells, dtype=np.int64),
-            np.ascontiguousarray(steps, dtype=np.int64), last, final,
-            clock.steps_done, end_steps, clock.max_value, n,
-        )
-        clock.load_values(final)
-        return int(cleaned) if count_cleaned else 0
-
-    def fuse_timespan(self, clock: Any, timestamps: np.ndarray,
-                      cells: np.ndarray, steps: np.ndarray,
-                      stamps: np.ndarray, end_steps: int,
-                      count_cleaned: bool = False) -> int:
-        n = clock.n
-        old = clock.values.astype(np.int64)
-        last = np.full(n, -1, dtype=np.int64)
-        ts_new = np.zeros(n, dtype=np.float64)
-        final = np.zeros(n, dtype=np.int64)
-        cleaned = self._k["timespan"](
-            old, timestamps, np.ascontiguousarray(cells, dtype=np.int64),
-            np.ascontiguousarray(steps, dtype=np.int64),
-            np.ascontiguousarray(stamps, dtype=np.float64), last, ts_new,
-            final, clock.steps_done, end_steps, clock.max_value, n,
-        )
-        clock.load_values(final)
-        return int(cleaned) if count_cleaned else 0
-
-    def fuse_countmin(self, clock: Any, counters: np.ndarray,
-                      counter_max: int, cells: np.ndarray,
-                      steps: np.ndarray, end_steps: int,
-                      count_cleaned: bool = False) -> int:
-        n = clock.n
-        old = clock.values.astype(np.int64)
-        ctr = counters.astype(np.int64)
-        last = np.full(n, -1, dtype=np.int64)
-        final = np.zeros(n, dtype=np.int64)
-        cleaned = self._k["countmin"](
-            old, ctr, np.ascontiguousarray(cells, dtype=np.int64),
-            np.ascontiguousarray(steps, dtype=np.int64), last, final,
-            clock.steps_done, end_steps, clock.max_value, counter_max, n,
-        )
-        counters[:] = ctr.astype(counters.dtype)
-        clock.load_values(final)
-        return int(cleaned) if count_cleaned else 0
+def fuse_countmin(clock: Any, counters: np.ndarray, counter_max: int,
+                  cells: np.ndarray, steps: np.ndarray, end_steps: int,
+                  count_cleaned: bool = False) -> int:
+    """Fused batch of saturating counter bumps plus touches."""
+    n = clock.n
+    max_value = clock.max_value
+    start_steps = clock.steps_done
+    old = clock.values.astype(np.int64)
+    ctr = counters.astype(np.int64)
+    last = np.full(n, -1, dtype=np.int64)
+    # Same empty-at-touch recurrence as `fuse_timespan`; a reset
+    # restarts the count at 1 (this touch), otherwise the touch
+    # increments. Per-touch clamping at counter_max equals the numpy
+    # kernel's end-clamp because the count only grows within a batch.
+    for c, s in zip(cells.tolist(), steps.tolist()):
+        prev = last[c]
+        if prev < 0:
+            decs = _hits(s, c, n) - _hits(start_steps, c, n)
+            held = old[c]
+        else:
+            decs = _hits(s, c, n) - _hits(prev, c, n)
+            held = max_value
+        if decs >= held:
+            ctr[c] = 1
+        else:
+            ctr[c] = ctr[c] + 1
+        if ctr[c] > counter_max:
+            ctr[c] = counter_max
+        last[c] = s
+    final = _final_values(old, last, start_steps, end_steps, max_value, n)
+    ctr[final == 0] = 0
+    counters[:] = ctr.astype(counters.dtype)
+    return _commit(clock, old, final, count_cleaned)

@@ -1,12 +1,15 @@
-"""The numpy reference kernel backend (the library's original hot path).
+"""The numeric hot-path kernels: the library's one implementation.
 
-Every primitive here was moved verbatim from its pre-kernel home —
-``sweep_hits`` / ``snapshot_values`` and the vector sweep bodies from
-:mod:`repro.core.clockarray`, the fused batch finishers and the shard
-scatter fan-out from :mod:`repro.engine` — so the numpy backend *is*
-the historical implementation, bit for bit. Other backends (see
-:mod:`repro.kernels.loops` and :mod:`repro.kernels.numba_backend`) are
-differentially tested against it.
+Every per-cell and per-batch primitive the sketches compute lives here
+as a module-level function: closed-form sweep-hit counting
+(:func:`sweep_hits`, :func:`snapshot_values`), the vector sweep passes
+(:func:`decay_all`, :func:`decrement_range`), the fused batch finishers
+(:func:`fuse_touch`, :func:`fuse_timespan`, :func:`fuse_countmin`) and
+the shard scatter fan-out (:func:`scatter_by_shard`). Callers reach them
+as attributes of this module (``_kernels.fuse_touch(...)``), never
+through a ``from ... import`` binding, so the parity suite can swap in
+the loop reference of :mod:`repro.kernels.loops` and a profiler can wrap
+them by name.
 
 The closed-form math (the paper's snapshot trick, applied
 incrementally): between two consecutive touches of a cell the sweep
@@ -40,7 +43,8 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "NumpyKernelBackend",
+    "decay_all",
+    "decrement_range",
     "fuse_countmin",
     "fuse_timespan",
     "fuse_touch",
@@ -85,6 +89,39 @@ def snapshot_values(
     """
     decs = sweep_hits(query_steps, cells, n) - sweep_hits(set_steps, cells, n)
     return np.maximum(max_value - decs, 0)
+
+
+# ----------------------------------------------------------------------
+# Vector sweep passes (from ClockArray._sweep_vector)
+# ----------------------------------------------------------------------
+
+def decay_all(values: np.ndarray, rounds: int) -> np.ndarray:
+    """Decrement every cell ``rounds`` times (clamped at zero).
+
+    Mutates ``values`` in place and returns the indexes of cells that
+    were live before and are zero after (ascending). The caller clamps
+    ``rounds`` at the cell maximum so the subtrahend stays inside the
+    cell dtype.
+    """
+    was_positive = values > 0
+    np.subtract(values, np.minimum(values, values.dtype.type(rounds)),
+                out=values)
+    return np.flatnonzero(was_positive & (values == 0))
+
+
+def decrement_range(values: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Decrement (clamped at zero) cells ``a..b-1`` once.
+
+    Mutates ``values`` in place and returns the *absolute* indexes of
+    cells this pass expired (ascending).
+    """
+    seg = values[a:b]
+    positive = seg > 0
+    seg[positive] -= 1
+    expired = np.flatnonzero(positive & (seg == 0))
+    if expired.size:
+        return expired + a
+    return expired
 
 
 # ----------------------------------------------------------------------
@@ -312,95 +349,3 @@ def scatter_by_shard(items: np.ndarray, times_arr: np.ndarray,
         mask = shard_ids == shard
         out.append((int(shard), items[mask], times_arr[mask]))
     return out
-
-
-# ----------------------------------------------------------------------
-# The backend object
-# ----------------------------------------------------------------------
-
-class NumpyKernelBackend:
-    """The reference :class:`~repro.kernels.KernelBackend`: pure numpy.
-
-    Every method delegates to the module-level reference functions
-    above, so the backend object adds no behaviour — only the seam.
-    """
-
-    name = "numpy"
-    compiled = False
-
-    # -- closed-form sweep arithmetic ---------------------------------
-
-    def sweep_hits(self, total_steps: int | np.ndarray,
-                   cells: int | np.ndarray, n: int) -> np.ndarray:
-        """See :func:`sweep_hits`."""
-        return sweep_hits(total_steps, cells, n)
-
-    def snapshot_values(self, set_steps: np.ndarray, cells: np.ndarray,
-                        n: int, max_value: int,
-                        query_steps: int) -> np.ndarray:
-        """See :func:`snapshot_values`."""
-        return snapshot_values(set_steps, cells, n, max_value, query_steps)
-
-    # -- vector sweep primitives (from ClockArray._sweep_vector) ------
-
-    def decay_all(self, values: np.ndarray, rounds: int) -> np.ndarray:
-        """Decrement every cell ``rounds`` times (clamped at zero).
-
-        Mutates ``values`` in place and returns the indexes of cells
-        that were live before and are zero after (ascending). The
-        caller clamps ``rounds`` at the cell maximum so the subtrahend
-        stays inside the cell dtype.
-        """
-        was_positive = values > 0
-        np.subtract(values, np.minimum(values, values.dtype.type(rounds)),
-                    out=values)
-        return np.flatnonzero(was_positive & (values == 0))
-
-    def decrement_range(self, values: np.ndarray, a: int, b: int,
-                        ) -> np.ndarray:
-        """Decrement (clamped at zero) cells ``a..b-1`` once.
-
-        Mutates ``values`` in place and returns the *absolute* indexes
-        of cells this pass expired (ascending).
-        """
-        seg = values[a:b]
-        positive = seg > 0
-        seg[positive] -= 1
-        expired = np.flatnonzero(positive & (seg == 0))
-        if expired.size:
-            return expired + a
-        return expired
-
-    # -- fused batch finishers ----------------------------------------
-
-    def fuse_touch(self, clock: Any, cells: np.ndarray, steps: np.ndarray,
-                   end_steps: int, count_cleaned: bool = False) -> int:
-        """See :func:`fuse_touch`."""
-        return fuse_touch(clock, cells, steps, end_steps, count_cleaned)
-
-    def fuse_timespan(self, clock: Any, timestamps: np.ndarray,
-                      cells: np.ndarray, steps: np.ndarray,
-                      stamps: np.ndarray, end_steps: int,
-                      count_cleaned: bool = False) -> int:
-        """See :func:`fuse_timespan`."""
-        return fuse_timespan(clock, timestamps, cells, steps, stamps,
-                             end_steps, count_cleaned)
-
-    def fuse_countmin(self, clock: Any, counters: np.ndarray,
-                      counter_max: int, cells: np.ndarray,
-                      steps: np.ndarray, end_steps: int,
-                      count_cleaned: bool = False) -> int:
-        """See :func:`fuse_countmin`."""
-        return fuse_countmin(clock, counters, counter_max, cells, steps,
-                             end_steps, count_cleaned)
-
-    # -- shard scatter fan-out ----------------------------------------
-
-    def scatter_by_shard(self, items: np.ndarray, times_arr: np.ndarray,
-                         shard_ids: np.ndarray,
-                         ) -> "list[tuple[int, np.ndarray, np.ndarray]]":
-        """See :func:`scatter_by_shard`."""
-        return scatter_by_shard(items, times_arr, shard_ids)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"

@@ -16,9 +16,9 @@ JSON bundle to a configurable directory::
     flight.last_dump_path()                # -> flightdumps/flight-....json
 
 Each bundle holds the last-N spans from the trace ring (stitched worker
-spans included), both telemetry rings, a full metrics snapshot, the
-active kernel backend, and the triggering error — enough to reconstruct
-the moment of failure offline with ``python -m repro.obs trace --input``.
+spans included), both telemetry rings, a full metrics snapshot, and
+the triggering error — enough to reconstruct the moment of failure
+offline with ``python -m repro.obs trace --input``.
 
 Bundles can also be cut on demand: :meth:`FlightRecorder.dump` directly,
 the ``python -m repro.obs trace`` CLI, or a POSIX signal registered via
@@ -97,16 +97,12 @@ class FlightRecorder:
     def bundle(self, reason: str,
                error: "Optional[BaseException]" = None) -> "Dict[str, Any]":
         """Assemble (without writing) one self-contained crash bundle."""
-        # Imported lazily: the obs plane must not pull in the kernel
-        # layer (or numpy backends) just because a recorder exists.
-        from ..kernels import kernel_info
         return {
             "format": _FORMAT,
             "reason": reason,
             "wall_time": _wall_time(),
             "pid": os.getpid(),
             "error": _error_payload(error),
-            "kernel": kernel_info(),
             "trace": _trace.snapshot(),
             "rings": _rt.rings_snapshot(),
             "metrics": _rt.registry().snapshot(),

@@ -44,8 +44,6 @@ __all__ = [
     "MONITOR_MEMORY_BITS",
     "MONITOR_SPLIT_RATIO",
     "MONITOR_TASKS",
-    # kernel backend
-    "KERNEL_INFO",
     # bench harness profiling
     "BENCH_STAGE_SECONDS",
     # accuracy auditing
@@ -153,11 +151,6 @@ MONITOR_MEMORY_BITS = "repro_monitor_memory_bits"
 MONITOR_SPLIT_RATIO = "repro_monitor_split_ratio"
 #: Number of enabled tasks.
 MONITOR_TASKS = "repro_monitor_tasks"
-
-# --------------------------------------------------------------------- kernel
-#: The active kernel backend, as an info-style gauge: value 1 with
-#: labels ``{backend, compiled}`` (``repro.kernels`` selection).
-KERNEL_INFO = "repro_kernel_info"
 
 # ---------------------------------------------------------------------- bench
 #: Histogram of experiment-harness stage latencies, labelled by stage.

@@ -3,7 +3,7 @@
 The subsystem that turns one-off benchmark prints into a trajectory:
 
 - :mod:`~repro.obs.perf.record` — the versioned :class:`PerfRecord`
-  schema (headline scalars, kernel backend, host facts, git revision);
+  schema (headline scalars, host facts, git revision);
 - :mod:`~repro.obs.perf.ledger` — the append-only JSONL
   :class:`PerfLedger` tolerating corrupted trailing lines;
 - :mod:`~repro.obs.perf.compare` — committed :class:`Baseline` files

@@ -103,7 +103,6 @@ class Baseline:
     bench: str
     metrics: "Dict[str, BaselineMetric]"
     host: "Dict[str, Any]" = field(default_factory=dict)
-    kernel: "Dict[str, Any]" = field(default_factory=dict)
     quick: bool = False
     metrics_delta: "Dict[str, float]" = field(default_factory=dict)
     schema: int = SCHEMA_VERSION
@@ -114,7 +113,6 @@ class Baseline:
             "bench": self.bench,
             "quick": self.quick,
             "host": dict(self.host),
-            "kernel": dict(self.kernel),
             "metrics": {name: m.to_dict()
                         for name, m in sorted(self.metrics.items())},
             "metrics_delta": {k: float(v)
@@ -137,7 +135,6 @@ class Baseline:
                     for name, m in dict(payload["metrics"]).items()
                 },
                 host=dict(payload.get("host") or {}),
-                kernel=dict(payload.get("kernel") or {}),
                 quick=bool(payload.get("quick", False)),
                 metrics_delta={
                     str(k): float(v)
@@ -155,7 +152,7 @@ def baseline_from_records(records: "List[PerfRecord]") -> Baseline:
 
     Every record must describe the same benchmark in the same mode;
     each headline metric pools its value across the records as the
-    baseline sample set. Host, kernel, and explanatory telemetry come
+    baseline sample set. Host and explanatory telemetry come
     from the newest record.
     """
     if not records:
@@ -185,7 +182,7 @@ def baseline_from_records(records: "List[PerfRecord]") -> Baseline:
             )
     return Baseline(
         bench=newest.bench, metrics=metrics, host=dict(newest.host),
-        kernel=dict(newest.kernel), quick=newest.quick,
+        quick=newest.quick,
         metrics_delta=dict(newest.metrics_delta),
     )
 

@@ -1,9 +1,8 @@
 """The canonical performance run record: schema, extraction, host facts.
 
 A :class:`PerfRecord` is one benchmark execution reduced to the facts a
-trajectory needs: which benchmark, its headline scalar(s), the kernel
-backend that produced them, the host they ran on, when, and at which
-git revision. Records are versioned (:data:`SCHEMA_VERSION`), round-trip
+trajectory needs: which benchmark, its headline scalar(s), the host
+they ran on, when, and at which git revision. Records are versioned (:data:`SCHEMA_VERSION`), round-trip
 losslessly through ``to_dict``/``from_dict``, and append to the JSONL
 ledger (:mod:`repro.obs.perf.ledger`).
 
@@ -188,7 +187,6 @@ class PerfRecord:
 
     bench: str
     headlines: "Tuple[Headline, ...]"
-    kernel: "Dict[str, Any]" = field(default_factory=dict)
     host: "Dict[str, Any]" = field(default_factory=dict)
     timestamp: float = 0.0
     git_rev: "Optional[str]" = None
@@ -208,7 +206,6 @@ class PerfRecord:
             "schema": self.schema,
             "bench": self.bench,
             "headlines": [h.to_dict() for h in self.headlines],
-            "kernel": dict(self.kernel),
             "host": dict(self.host),
             "timestamp": float(self.timestamp),
             "git_rev": self.git_rev,
@@ -232,7 +229,6 @@ class PerfRecord:
             return cls(
                 bench=str(payload["bench"]),
                 headlines=headlines,
-                kernel=dict(payload.get("kernel") or {}),
                 host=dict(payload.get("host") or {}),
                 timestamp=float(payload.get("timestamp", 0.0)),
                 git_rev=(None if payload.get("git_rev") is None
@@ -261,12 +257,9 @@ class PerfRecord:
         wall clock. ``git_rev=None`` asks the environment
         (:func:`current_git_rev`).
         """
-        from ...kernels import kernel_info
-
         return cls(
             bench=bench,
             headlines=extract_headlines(result),
-            kernel=dict(kernel_info()),
             host=host_facts(),
             timestamp=time.time() if timestamp is None else float(timestamp),
             git_rev=current_git_rev() if git_rev is None else git_rev,

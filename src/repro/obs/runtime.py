@@ -60,7 +60,6 @@ __all__ = [
     "record_query",
     "record_batch",
     "record_lock",
-    "publish_kernel_info",
     "record_event",
     "record_audit_ingest",
     "sample_clock",
@@ -374,25 +373,6 @@ def record_lock(wait_seconds: float, contended: bool) -> None:
     if contended:
         contention_c.inc()
         wait_c.inc(wait_seconds)
-
-
-def publish_kernel_info(backend: str, compiled: bool) -> None:
-    """Publish the active kernel backend as an info-style gauge.
-
-    The ``repro_kernel_info`` series carries its payload in labels
-    (``backend``, ``compiled``) with value 1, the Prometheus ``_info``
-    idiom; when the process default changes, the superseded label set
-    is zeroed so exactly one series reads 1 at any time.
-    """
-    reg = registry()
-    labels = {"backend": backend, "compiled": "true" if compiled else "false"}
-    previous = _SERIES.get("kernel_info")
-    if previous is not None and previous != labels:
-        reg.gauge(names.KERNEL_INFO, "Active kernel backend (info gauge).",
-                  labels=previous).set(0)
-    _SERIES["kernel_info"] = labels
-    reg.gauge(names.KERNEL_INFO, "Active kernel backend (info gauge).",
-              labels=labels).set(1)
 
 
 def sample_clock(clock: Any,

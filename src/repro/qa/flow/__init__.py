@@ -10,7 +10,7 @@ graph (:mod:`repro.qa.flow.callgraph`), and four rules
   (deepens and replaces sketch-lint's SK104);
 - **SK109** fault-path completeness in ``shard/``, ``engine/`` and
   ``serve/``;
-- **SK110** kernel-backend purity (no obs/env/globals/I-O,
+- **SK110** kernel purity (no obs/env/globals/I-O,
   interprocedurally);
 - **SK111** ``_obs.ENABLED`` gating of hot-path instrumentation.
 

@@ -15,9 +15,9 @@ and a *resolved-call* oracle good enough for the repo's idiom:
   type in any method of the class;
 - ``ClassName(...)`` — resolves to ``ClassName.__init__``.
 
-Calls through duck-typed values (``clock.kernels.sweep_hits`` and
-friends) are *not* resolvable and the rules treat them as opaque; that
-is a documented precision limit, not an error.
+Calls through duck-typed values (``sketch.clock.advance`` and friends)
+are *not* resolvable and the rules treat them as opaque; that is a
+documented precision limit, not an error.
 """
 
 from __future__ import annotations

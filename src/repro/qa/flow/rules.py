@@ -23,8 +23,7 @@ translates into the typed ``repro.errors`` family.
 ``SK110`` **kernel purity** — functions reachable from a
 ``repro/kernels/`` backend module may not touch ``repro.obs``,
 ``os.environ``, module globals, or perform I/O. Interprocedural over
-resolved calls; the selection layer (``kernels/__init__.py``) is the
-one sanctioned impure module and is excluded.
+resolved calls; the package ``kernels/__init__.py`` is excluded.
 
 ``SK111`` **obs gating** — enabled-mode instrumentation (``record_*``
 / ``publish_*`` / ``sample_clock`` on the obs-runtime alias) reachable

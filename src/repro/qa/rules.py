@@ -40,12 +40,14 @@ SK107
     Hot-path numpy kernel math lives only under ``repro/kernels/``.
     Defining one of the primitive kernels (``sweep_hits``,
     ``snapshot_values``, ``decay_all``, ``decrement_range``,
-    ``fuse_*``) — or calling one as a bare function instead of
-    dispatching through a backend (``clock.kernels.fuse_touch(...)``)
-    — inside ``core/``/``engine/``/``shard/``/``hashing/`` forks the
-    kernel seam: the copy stops being swappable for the compiled
-    backend and silently drifts from the reference. Deliberate
-    exceptions carry ``# sketchlint: kernel-ok``.
+    ``fuse_*``) — or calling one as a bare function instead of through
+    the ``numpy_backend`` module attribute
+    (``_kernels.fuse_touch(...)``) — inside
+    ``core/``/``engine/``/``shard/``/``hashing/`` forks the kernels: a
+    copy silently drifts from the one implementation, and a bare-name
+    binding escapes both the parity suite's loop-reference swap and a
+    profiler's wrapping. Deliberate exceptions carry
+    ``# sketchlint: kernel-ok``.
 
 The historical SK104 (ThreadSafeSketch lock discipline) was absorbed
 into the flow analyzer's SK108 (:mod:`repro.qa.flow.rules`), which
@@ -437,9 +439,9 @@ def _rule_sk106(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding
 # SK107 — kernel math may live only under repro/kernels/
 # ----------------------------------------------------------------------
 
-#: The primitive-kernel names owned by the kernel-backend layer
-#: (:mod:`repro.kernels`). Defining or bare-calling one of these in a
-#: hot-path module bypasses the backend seam.
+#: The primitive-kernel names owned by :mod:`repro.kernels.numpy_backend`.
+#: Defining or bare-calling one of these in a hot-path module bypasses
+#: the module attribute the parity suite and profilers swap.
 _KERNEL_PRIMITIVES: Set[str] = {
     "sweep_hits", "snapshot_values", "decay_all", "decrement_range",
     "fuse_touch", "fuse_timespan", "fuse_countmin",
@@ -456,19 +458,19 @@ def _rule_sk107(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding
             findings.append(Finding(
                 "SK107", path, node.lineno,
                 f"kernel primitive `{node.name}` defined outside "
-                "repro/kernels/; hot-path kernel math lives in the "
-                "kernel-backend layer so every backend stays swappable "
-                "(mark a deliberate exception with "
+                "repro/kernels/; hot-path kernel math lives in "
+                "repro.kernels.numpy_backend so there is one "
+                "implementation (mark a deliberate exception with "
                 "`# sketchlint: kernel-ok`)",
             ))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _KERNEL_PRIMITIVES):
             findings.append(Finding(
                 "SK107", path, node.func.lineno,
-                f"bare call to kernel primitive `{node.func.id}`; dispatch "
-                "through a backend (`clock.kernels." + node.func.id +
-                "(...)` or `resolve_backend(...)`) so compiled backends "
-                "apply (mark a deliberate exception with "
+                f"bare call to kernel primitive `{node.func.id}`; call "
+                "through the `numpy_backend` module attribute (`_kernels."
+                + node.func.id + "(...)`) so the loop-reference swap and "
+                "profilers see it (mark a deliberate exception with "
                 "`# sketchlint: kernel-ok`)",
             ))
     return findings

@@ -10,11 +10,10 @@ Every payload names the hash scheme that placed keys in its cells
 schemes were recorded — is refused, since its cells would answer for
 the wrong keys.
 
-Payloads are backend-agnostic: kernel backends (:mod:`repro.kernels`)
-are process configuration, not state, so they are never written to a
-payload. A restored sketch resolves the *restoring* process's default
-backend — a sketch saved under numba loads fine on a host without
-numba, and vice versa, with bit-identical cell state either way.
+Payloads hold state only. The kernels that compute it
+(:mod:`repro.kernels`) are code, so nothing about them is written, and
+the parity suite checks that a sketch saved with the loop reference
+kernels swapped in restores bit-identically.
 """
 
 from __future__ import annotations

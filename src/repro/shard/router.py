@@ -45,6 +45,7 @@ from ..core.base import ClockSketchBase
 from ..core import ClockBitmap, ClockBloomFilter, ClockCountMin, ClockTimeSpanSketch
 from ..errors import ConfigurationError
 from ..hashing import ShardSelector, key_ids
+from ..kernels import numpy_backend as _kernels
 from ..obs import names as _names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
@@ -154,10 +155,6 @@ class ShardSet:
                 for by_shard in replicas]
         self.selector = ShardSelector(
             self.shards, seed=first.seed if seed is None else seed)
-        #: The kernel backend driving the scatter fan-out — the first
-        #: replica's resolved backend, so one spec configures both the
-        #: replicas' sweeps and the batch splitting.
-        self.kernels = first.clock.kernels
         #: Each slot's clock array, read only for its immutable sweep
         #: schedule (cells, circles, window) through ``reaches``; the
         #: cell values are the router's to write.
@@ -324,8 +321,7 @@ class ShardedSketch(ClockSketchBase):
                 sp.set("shards", shard_set.shards)
             shard_ids = shard_set.selector.shards_of(items)
             for shard, sub_items, sub_times in \
-                    shard_set.kernels.scatter_by_shard(items, times_arr,
-                                                       shard_ids):
+                    _kernels.scatter_by_shard(items, times_arr, shard_ids):
                 router.ingest(shard, sub_items, sub_times, ctx=sp.ctx)
                 if _obs.ENABLED:
                     _obs.record_shard_route(shard, int(sub_times.shape[0]),

@@ -1,8 +1,12 @@
 """Shared fixtures for the test suite."""
 
+from collections import Counter
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.kernels import loops, numpy_backend
 from repro.qa import sanitizer
 from repro.timebase import count_window, time_window
 
@@ -27,6 +31,37 @@ def _repro_sanitizer():
         yield
     finally:
         sanitizer.uninstall()
+
+
+@contextmanager
+def _loop_kernels():
+    """Run a block with :mod:`repro.kernels.loops` swapped in.
+
+    Each loop reference function replaces its namesake on
+    ``repro.kernels.numpy_backend``, which every call site reaches as a
+    module attribute. Yields a :class:`~collections.Counter` of calls
+    per swapped kernel, so a test can prove the reference really ran.
+    """
+    calls = Counter()
+
+    def counted(name):
+        reference = getattr(loops, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return reference(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in loops.__all__:
+            patch.setattr(numpy_backend, name, counted(name))
+        yield calls
+
+
+@pytest.fixture
+def loop_kernels():
+    """``with loop_kernels() as calls:`` runs on the loop reference."""
+    return _loop_kernels
 
 
 class FakeClock:

@@ -15,13 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clockarray import (
-    ClockArray,
-    dtype_for_bits,
-    snapshot_values,
-    sweep_hits,
-)
+from repro.core.clockarray import ClockArray, dtype_for_bits
 from repro.errors import ConfigurationError, TimeError
+from repro.kernels.numpy_backend import snapshot_values, sweep_hits
 from repro.timebase import count_window, time_window
 
 

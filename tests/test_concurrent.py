@@ -3,6 +3,7 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import ClockBitmap, ClockBloomFilter, time_window
@@ -33,6 +34,21 @@ class TestThreadSafeSketch:
         shared = ThreadSafeSketch(sketch, lock=None)
         shared.insert("x", t=1.0)
         assert shared.estimate(t=2.0).value > 0
+
+    def test_chunked_insert_many_matches_one_batch(self):
+        # Locking per chunk must not change what a batch does.
+        def build():
+            return ClockBloomFilter(n=512, k=3, s=2, window=count_window(256),
+                                    seed=5)
+
+        plain = build()
+        wrapped = ThreadSafeSketch(build())
+        keys = np.arange(5000, dtype=np.int64)
+        plain.insert_many(keys)
+        wrapped.insert_many(keys, chunk_size=1024)
+        assert wrapped.sketch.clock.values.tobytes() == \
+            plain.clock.values.tobytes()
+        assert wrapped.sketch.clock.steps_done == plain.clock.steps_done
 
     def test_advance_clock_ignores_stale_ticks(self):
         sketch = ClockBloomFilter(n=128, k=2, s=2, window=time_window(10.0))

@@ -1,21 +1,26 @@
-"""Differential parity suite for the kernel backends (repro.kernels).
+"""Differential parity suite: the numpy kernels against the loop reference.
 
-Every backend must produce **bit-identical** sketch state — cell
-values, side arrays, cleaner position, expiry side effects, and query
-answers — on the same stream. The suite drives all four sketch kinds
-through every sweep mode at several cell widths (both cell dtypes) and
-compares each available backend against the numpy reference; when
-numba is importable the compiled backend joins the sweep automatically.
+:mod:`repro.kernels.numpy_backend` is the library's one kernel
+implementation; :mod:`repro.kernels.loops` restates its mutating
+kernels as plain per-cell loops. Each case drives one deterministic
+stream twice, once as is and once with the loop functions swapped in on
+the ``numpy_backend`` module (the ``loop_kernels`` fixture), and
+requires **bit-identical** cell values, side arrays, cleaner position,
+expiry-callback logs and query answers. Every case also asserts that
+the swapped-in reference ran, so no case can compare the numpy kernels
+with themselves.
 
-Also covered here: backend selection (``REPRO_KERNEL``, fallback
-warning semantics, per-block overrides), serialize round-trip
-backend-agnosticism, merge identity across backends, the
-``repro_kernel_info`` obs gauge, and the ``ThreadSafeSketch`` batch
-path's once-per-call backend pin.
+The suite covers all four sketch kinds in every sweep mode that calls
+the kernels, at cell widths spanning both cell dtypes. The
+``deferred-scalar`` mode is left out: its sweeps are
+``ClockArray._sweep_scalar`` and its batches take the unfused deferred
+path, so it calls no kernel at all.
+
+Also covered, with and without the swap: serialize round-trips, BF
+merge identity and the time-span never-underestimate contract.
 """
 
-import subprocess
-import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -27,29 +32,12 @@ from repro import (
     ClockTimeSpanSketch,
     count_window,
 )
-from repro.concurrent import ThreadSafeSketch
-from repro.errors import ConfigurationError
-from repro.kernels import (
-    KERNEL_CHOICES,
-    KernelBackend,
-    LoopKernelBackend,
-    NumpyKernelBackend,
-    get_default_backend,
-    kernel_info,
-    numba_available,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
-from repro.obs import names, runtime as obs
 from repro.serialize import dumps_sketch, loads_sketch
 
-#: Backends under differential test. ``python`` is the un-jitted twin
-#: of the numba kernels, so the numba code paths are exercised even on
-#: hosts without numba; the compiled backend joins when importable.
-BACKENDS = ["numpy", "python"] + (["numba"] if numba_available() else [])
+#: The numpy kernels as shipped, then the loop reference swapped in.
+IMPLEMENTATIONS = ("numpy", "python")
 
-SWEEP_MODES = ("vector", "scalar", "deferred", "deferred-scalar")
+SWEEP_MODES = ("vector", "scalar", "deferred")
 
 #: Cell widths spanning both cell dtypes (uint8 and uint16).
 S_VALUES = (2, 4, 8, 16)
@@ -94,32 +82,30 @@ def log_expiries(sketch):
     return log
 
 
-def drive(kind: str, s: int, sweep_mode: str, backend_name: str):
-    """Run one deterministic mixed-batch stream under one backend."""
-    with use_backend(backend_name):
-        sketch = build(kind, s, sweep_mode)
-        assert sketch.clock.kernels is resolve_backend(backend_name)
-        expiries = log_expiries(sketch)
-        rng = np.random.default_rng(1234)
-        for size in BATCH_PLAN:
-            keys = rng.integers(0, 300, size=size)
-            if size == 3:  # sprinkle the scalar path between batches
-                for key in keys:
-                    sketch.insert(int(key))
-            else:
-                sketch.insert_many(keys)
-        query_keys = rng.integers(0, 400, size=64)
-        if kind == "bm":
-            answers = (sketch.query_many(query_keys).tolist(),
-                       float(sketch.estimate()))
-        elif kind == "ts":
-            res = sketch.query_many(query_keys)
-            answers = (np.nan_to_num(res.span, nan=-1.0).tolist(),)
-        elif kind == "cm":
-            answers = (np.asarray(sketch.query_many(query_keys)).tolist(),)
+def drive(kind: str, s: int, sweep_mode: str):
+    """Run one deterministic mixed-batch stream on the current kernels."""
+    sketch = build(kind, s, sweep_mode)
+    expiries = log_expiries(sketch)
+    rng = np.random.default_rng(1234)
+    for size in BATCH_PLAN:
+        keys = rng.integers(0, 300, size=size)
+        if size == 3:  # sprinkle the scalar path between batches
+            for key in keys:
+                sketch.insert(int(key))
         else:
-            answers = (sketch.query_many(query_keys).tolist(),)
-        return sketch, expiries, answers
+            sketch.insert_many(keys)
+    query_keys = rng.integers(0, 400, size=64)
+    if kind == "bm":
+        answers = (sketch.query_many(query_keys).tolist(),
+                   float(sketch.estimate()))
+    elif kind == "ts":
+        res = sketch.query_many(query_keys)
+        answers = (np.nan_to_num(res.span, nan=-1.0).tolist(),)
+    elif kind == "cm":
+        answers = (np.asarray(sketch.query_many(query_keys)).tolist(),)
+    else:
+        answers = (sketch.query_many(query_keys).tolist(),)
+    return sketch, expiries, answers
 
 
 def state_of(sketch):
@@ -140,43 +126,50 @@ def state_of(sketch):
     return st
 
 
+def kernels_for(implementation, loop_kernels):
+    """The context an implementation name runs under."""
+    return loop_kernels() if implementation == "python" else nullcontext()
+
+
 class TestBackendParity:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("sweep_mode", SWEEP_MODES)
     @pytest.mark.parametrize("s", S_VALUES)
-    def test_bit_identical_state_and_side_effects(self, kind, sweep_mode, s):
-        ref_sketch, ref_expiries, ref_answers = drive(kind, s, sweep_mode,
-                                                      "numpy")
-        for backend in BACKENDS[1:]:
-            sketch, expiries, answers = drive(kind, s, sweep_mode, backend)
-            assert state_of(sketch) == state_of(ref_sketch), \
-                (kind, sweep_mode, s, backend)
-            assert expiries == ref_expiries, (kind, sweep_mode, s, backend)
-            assert answers == ref_answers, (kind, sweep_mode, s, backend)
+    def test_bit_identical_state_and_side_effects(self, kind, sweep_mode, s,
+                                                  loop_kernels):
+        ref_sketch, ref_expiries, ref_answers = drive(kind, s, sweep_mode)
+        with loop_kernels() as calls:
+            sketch, expiries, answers = drive(kind, s, sweep_mode)
+        case = (kind, sweep_mode, s)
+        assert sum(calls.values()) > 0, case  # the reference really ran
+        assert state_of(sketch) == state_of(ref_sketch), case
+        assert expiries == ref_expiries, case
+        assert answers == ref_answers, case
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_merge_identity_under_every_backend(self, backend):
-        # BF/BM merge (element-wise max) must commute with the backend:
-        # the union built under any backend equals the numpy union.
-        def union(backend_name):
-            with use_backend(backend_name):
-                left = build("bf", 2, "vector")
-                right = build("bf", 2, "vector")
-                rng = np.random.default_rng(7)
-                # Equal item counts keep the count-windowed clocks (and
-                # their cleaning pointers) aligned, as merge requires.
-                left.insert_many(rng.integers(0, 100, size=150))
-                right.insert_many(rng.integers(100, 200, size=150))
-                left.merge(right)
-                return left.clock.values.copy()
+    @pytest.mark.parametrize("backend", IMPLEMENTATIONS)
+    def test_merge_identity_under_every_backend(self, backend,
+                                                loop_kernels):
+        # BF/BM merge (element-wise max) must commute with the kernels:
+        # the union built on either implementation equals the numpy one.
+        def union():
+            left = build("bf", 2, "vector")
+            right = build("bf", 2, "vector")
+            rng = np.random.default_rng(7)
+            # Equal item counts keep the count-windowed clocks (and
+            # their cleaning pointers) aligned, as merge requires.
+            left.insert_many(rng.integers(0, 100, size=150))
+            right.insert_many(rng.integers(100, 200, size=150))
+            left.merge(right)
+            return left.clock.values.copy()
 
-        assert np.array_equal(union(backend), union("numpy"))
+        with kernels_for(backend, loop_kernels):
+            merged = union()
+        assert np.array_equal(merged, union())
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_timespan_never_underestimates(self, backend):
-        with use_backend(backend):
+    @pytest.mark.parametrize("backend", IMPLEMENTATIONS)
+    def test_timespan_never_underestimates(self, backend, loop_kernels):
+        with kernels_for(backend, loop_kernels):
             ts = build("ts", 8, "vector")
-            times = np.arange(1.0, 101.0)
             keys = np.repeat(np.arange(10, dtype=np.int64), 10)
             ts.insert_many(keys, times=None)
             for key in range(10):
@@ -186,172 +179,18 @@ class TestBackendParity:
                 assert span >= last - first
 
 
-class TestSelection:
-    def test_resolve_accepts_names_instances_and_none(self):
-        assert resolve_backend("numpy") is resolve_backend("numpy")
-        assert isinstance(resolve_backend("python"), LoopKernelBackend)
-        backend = NumpyKernelBackend()
-        assert resolve_backend(backend) is backend
-        assert resolve_backend(None) is get_default_backend()
-        with pytest.raises(ConfigurationError):
-            resolve_backend("fortran")
-        with pytest.raises(ConfigurationError):
-            resolve_backend(42)
-
-    def test_backends_satisfy_the_protocol(self):
-        for name in ("numpy", "python"):
-            assert isinstance(resolve_backend(name), KernelBackend)
-
-    def test_use_backend_restores_previous_default(self):
-        before = get_default_backend()
-        with use_backend("python") as backend:
-            assert backend.name == "python"
-            assert get_default_backend() is backend
-        assert get_default_backend() is before
-
-    def test_clockarray_accepts_backend_spec(self):
-        from repro.core.clockarray import ClockArray
-
-        clock = ClockArray(64, 2, count_window(32), kernel_backend="python")
-        assert clock.kernels.name == "python"
-        clock = ClockArray(64, 2, count_window(32))
-        assert clock.kernels is get_default_backend()
-
-    def test_kernel_info_shape(self):
-        info = kernel_info()
-        assert set(info) == {"backend", "compiled", "requested",
-                             "numba_available"}
-        assert info["backend"] in KERNEL_CHOICES
-        assert info["numba_available"] == numba_available()
-
-    def test_kernel_info_gauge_published_on_backend_change(self):
-        with obs.observed() as reg:
-            set_default_backend("python")
-            try:
-                gauge = reg.get(names.KERNEL_INFO,
-                                {"backend": "python", "compiled": "false"})
-                assert gauge is not None and gauge.value == 1.0
-                set_default_backend("numpy")
-                old = reg.get(names.KERNEL_INFO,
-                              {"backend": "python", "compiled": "false"})
-                new = reg.get(names.KERNEL_INFO,
-                              {"backend": "numpy", "compiled": "false"})
-                assert old is not None and old.value == 0.0
-                assert new is not None and new.value == 1.0
-            finally:
-                set_default_backend("auto")
-
-
-class TestFallbackSubprocess:
-    """Selection semantics proven in pristine interpreters."""
-
-    def _run(self, code, env_kernel=None):
-        import os
-
-        env = dict(os.environ)
-        env.pop("REPRO_KERNEL", None)
-        if env_kernel is not None:
-            env["REPRO_KERNEL"] = env_kernel
-        env["PYTHONPATH"] = str(
-            __import__("pathlib").Path(__file__).resolve().parents[1] / "src")
-        return subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-
-    def test_forced_numpy_import_succeeds_without_numba(self):
-        # -W error: the forced-numpy path must raise no warning at all.
-        proc = self._run(
-            "import warnings; warnings.simplefilter('error')\n"
-            "import numpy as np\n"
-            "from repro import ClockBloomFilter, count_window\n"
-            "from repro.kernels import kernel_info\n"
-            "bf = ClockBloomFilter(n=64, k=2, s=2, window=count_window(16))\n"
-            "bf.insert_many(np.arange(32, dtype=np.int64))\n"
-            "info = kernel_info()\n"
-            "assert info['backend'] == 'numpy', info\n"
-            "assert info['requested'] == 'numpy', info\n"
-            "print('ok')\n",
-            env_kernel="numpy",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    @pytest.mark.skipif(numba_available(),
-                        reason="fallback only fires when numba is absent")
-    def test_requested_numba_falls_back_with_single_warning(self):
-        proc = self._run(
-            "import warnings\n"
-            "import numpy as np\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    from repro import ClockBloomFilter, count_window\n"
-            "    from repro.kernels import kernel_info, resolve_backend\n"
-            "    bf = ClockBloomFilter(n=64, k=2, s=2,\n"
-            "                          window=count_window(16))\n"
-            "    bf.insert_many(np.arange(32, dtype=np.int64))\n"
-            "    resolve_backend('numba')  # second request: no new warning\n"
-            "fallbacks = [w for w in caught\n"
-            "             if 'falling back' in str(w.message)]\n"
-            "assert len(fallbacks) == 1, [str(w.message) for w in caught]\n"
-            "info = kernel_info()\n"
-            "assert info['backend'] == 'numpy', info\n"
-            "assert info['requested'] == 'numba', info\n"
-            "print('ok')\n",
-            env_kernel="numba",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    def test_unknown_env_backend_raises(self):
-        proc = self._run(
-            "from repro import ClockBloomFilter, count_window\n"
-            "try:\n"
-            "    ClockBloomFilter(n=64, k=2, s=2, window=count_window(16))\n"
-            "except Exception as exc:\n"
-            "    print(type(exc).__name__)\n",
-            env_kernel="fortran",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ConfigurationError"
-
-
 class TestSerializeAgnosticism:
-    @pytest.mark.parametrize("save_backend", BACKENDS)
-    def test_round_trip_lands_on_the_restoring_default(self, save_backend):
-        with use_backend(save_backend):
+    @pytest.mark.parametrize("save_backend", IMPLEMENTATIONS)
+    def test_round_trip_lands_on_the_restoring_default(self, save_backend,
+                                                       loop_kernels):
+        # A sketch saved from either implementation restores on the
+        # numpy kernels with identical state and keeps working.
+        rng = np.random.default_rng(3)
+        with kernels_for(save_backend, loop_kernels):
             ts = build("ts", 8, "vector")
-            rng = np.random.default_rng(3)
             ts.insert_many(rng.integers(0, 80, size=200))
             payload = dumps_sketch(ts)
             saved = state_of(ts)
-        with use_backend("numpy"):
-            restored = loads_sketch(payload)
-            assert state_of(restored) == saved
-            assert restored.clock.kernels is resolve_backend("numpy")
-            # The restored sketch keeps working under the new backend.
-            restored.insert_many(rng.integers(0, 80, size=50))
-
-
-class TestThreadSafeBatchPin:
-    def test_insert_many_pins_the_sketch_backend_per_call(self):
-        with use_backend("numpy"):
-            plain = build("bf", 2, "vector")
-            wrapped = ThreadSafeSketch(build("bf", 2, "vector"))
-        # The wrapper must pin its sketch's resolved backend for the
-        # whole chunked call even when the process default differs.
-        with use_backend("python"):
-            seen = []
-            original = wrapped.sketch.insert_many
-
-            def probe(items, times=None):
-                seen.append(get_default_backend().name)
-                return original(items, times)
-
-            wrapped.sketch.insert_many = probe
-            keys = np.arange(5000, dtype=np.int64)
-            wrapped.insert_many(keys, chunk_size=1024)
-        del wrapped.sketch.insert_many
-        plain.insert_many(np.arange(5000, dtype=np.int64))
-        assert seen == ["numpy"] * 5  # every chunk saw the pinned backend
-        # `.clock` is mutable state, so the wrapper no longer forwards it.
-        state = wrapped.sketch.clock.values.tobytes()
-        assert state == plain.clock.values.tobytes()
+        restored = loads_sketch(payload)
+        assert state_of(restored) == saved
+        restored.insert_many(rng.integers(0, 80, size=50))

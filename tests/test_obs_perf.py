@@ -2,6 +2,7 @@
 
 import json
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +39,6 @@ def make_record(bench="synthetic", value=100.0, metric="batch_ips",
     return PerfRecord(
         bench=bench,
         headlines=(Headline(metric, value, unit, higher, portable),),
-        kernel={"backend": "numpy"},
         host=host if host is not None else host_facts(),
         timestamp=timestamp,
         git_rev="deadbeef",
@@ -82,14 +82,14 @@ def test_extract_headlines_vocabulary_and_aggregation():
     assert "variant" not in by_name  # non-vocabulary columns ignored
 
 
-def test_from_result_stamps_kernel_host_and_timestamp():
+def test_from_result_stamps_host_and_timestamp():
     result = ExperimentResult(title="t", columns=["speedup"])
     result.add(speedup=6.5)
     record = PerfRecord.from_result("batch", result, timestamp=123.0,
                                     quick=True, git_rev="abc1234")
     assert record.timestamp == 123.0 and record.quick
     assert record.git_rev == "abc1234"
-    assert record.kernel.get("backend")
+    assert "kernel" not in record.to_dict()
     assert record.headline("speedup").value == 6.5
     assert host_fingerprint(record.host) == host_fingerprint(host_facts())
 
@@ -156,6 +156,21 @@ def test_baseline_from_records_pools_samples(tmp_path):
     assert path.name == "synthetic.json"
 
 
+def test_payloads_carrying_the_old_kernel_key_still_load():
+    # Ledgers and baselines written before the kernel stamp was dropped
+    # carry a "kernel" object; readers ignore it.
+    record = make_record(value=5.0).to_dict()
+    record["kernel"] = {"backend": "numpy", "compiled": False}
+    assert PerfRecord.from_dict(record).headline("batch_ips").value == 5.0
+    baseline = baseline_from_records([make_record()]).to_dict()
+    baseline["kernel"] = {"backend": "numpy"}
+    assert Baseline.from_dict(baseline).bench == "synthetic"
+    committed = load_baselines(
+        Path(__file__).resolve().parents[1] / "benchmarks" / "baselines")
+    assert committed
+    assert all(b.bench == name for name, b in committed.items())
+
+
 def test_baseline_from_records_rejects_mixed_inputs():
     with pytest.raises(PerfSchemaError):
         baseline_from_records([])
@@ -183,8 +198,7 @@ def test_compare_flat_and_regressed_trajectories():
                    "repro_clock_cells_cleaned_total": 5000.0})},
         {"synthetic": Baseline(
             bench=baseline.bench, metrics=baseline.metrics,
-            host=baseline.host, kernel=baseline.kernel,
-            quick=baseline.quick,
+            host=baseline.host, quick=baseline.quick,
             metrics_delta={"repro_lock_wait_seconds_total": 0.012,
                            "repro_clock_cells_cleaned_total": 5100.0})})
     assert regressed.exit_code() == 1
@@ -345,7 +359,7 @@ def test_cli_compare_exit_codes_and_explanation(tmp_path, capsys):
     base = baseline_from_records(ledger.load().records[:4])
     save_baseline(
         Baseline(bench=base.bench, metrics=base.metrics, host=base.host,
-                 kernel=base.kernel, quick=base.quick,
+                 quick=base.quick,
                  metrics_delta={"repro_lock_wait_seconds_total": 0.012}),
         baselines2)
     rc = obs_main(["perf", "--ledger", str(ledger_path), "compare",

@@ -166,6 +166,15 @@ class TestArbitraryInput:
                 assert_well_formed(response)
 
 
+def on_the_wire(payload):
+    """The payload as the server decodes it from its JSON frame.
+
+    JSON joins an adjacent lone high and low surrogate into one
+    character, so a drawn key can reach the server as a different key.
+    """
+    return json.loads(json.dumps(payload))
+
+
 class TestDifferentialReplay:
     @given(script=commands)
     @FUZZ
@@ -177,21 +186,22 @@ class TestDifferentialReplay:
         with LineClient.for_service(hosted) as client:
             for op, payload in script:
                 valid = is_valid(payload)
+                wire = on_the_wire(payload)
                 if op == "INSERT":
                     response = client.request(
                         {"op": op, "tenant": tenant, "key": payload})
                     if valid:
-                        reference.observe(payload)
+                        reference.observe(wire)
                 elif op == "INSERT_BATCH":
                     response = client.request(
                         {"op": op, "tenant": tenant, "keys": payload})
                     if valid:
-                        reference.observe_many(payload)
+                        reference.observe_many(wire)
                 else:
                     response = client.request(
                         {"op": op, "tenant": tenant, "key": payload})
                     if valid:
-                        report = reference.report(payload)
+                        report = reference.report(wire)
                         assert response["active"] == report.active
                         assert response["size"] == report.size
                         assert response["span"] == report.span
@@ -230,16 +240,16 @@ class TestDifferentialReplay:
                     good = client.request(
                         {"op": op, "tenant": tenant, "keys": payload})
                     assert good["ok"] is True
-                    reference.observe_many(payload)
+                    reference.observe_many(on_the_wire(payload))
                 elif op == "INSERT":
                     assert client.request(
                         {"op": op, "tenant": tenant,
                          "key": payload})["ok"] is True
-                    reference.observe(payload)
+                    reference.observe(on_the_wire(payload))
                 else:
                     response = client.request(
                         {"op": "QUERY", "tenant": tenant, "key": payload})
-                    report = reference.report(payload)
+                    report = reference.report(on_the_wire(payload))
                     assert response["size"] == report.size
                     assert response["active"] == report.active
 

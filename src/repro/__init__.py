@@ -18,31 +18,56 @@ Quickstart
 True
 """
 
-from .core import (
-    ClockArray,
-    ClockBloomFilter,
-    ClockBitmap,
-    ClockCountMin,
-    ClockTimeSpanSketch,
-    CardinalityEstimate,
-    TimeSpanResult,
-    TimeSpanBatchResult,
-)
-from .engine import BatchEngine
-from .monitor import BatchReport, ItemBatchMonitor
-from .serialize import dump_sketch, dumps_sketch, load_sketch, loads_sketch
-from .shard import ShardedSketch
-from .streams import BatchTracker, Batch, Stream, segment_batches
-from .timebase import WindowKind, WindowSpec, count_window, time_window
-from .units import format_bits, parse_memory
-from .errors import (
-    ConfigurationError,
-    DatasetError,
-    EstimatorSaturatedError,
-    MemoryBudgetError,
-    ReproError,
-    TimeError,
-)
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # the names as tools see them; at run time see _SOURCES
+    from .core import (
+        ClockArray,
+        ClockBloomFilter,
+        ClockBitmap,
+        ClockCountMin,
+        ClockTimeSpanSketch,
+        CardinalityEstimate,
+        TimeSpanResult,
+        TimeSpanBatchResult,
+    )
+    from .engine import BatchEngine
+    from .monitor import BatchReport, ItemBatchMonitor
+    from .serialize import dump_sketch, dumps_sketch, load_sketch, loads_sketch
+    from .shard import ShardedSketch
+    from .streams import BatchTracker, Batch, Stream, segment_batches
+    from .timebase import WindowKind, WindowSpec, count_window, time_window
+    from .units import format_bits, parse_memory
+    from .errors import (
+        ConfigurationError,
+        DatasetError,
+        EstimatorSaturatedError,
+        MemoryBudgetError,
+        ReproError,
+        TimeError,
+    )
+
+#: The submodule behind each public name. Names load on first use
+#: (PEP 562), so importing one subpackage (a server imports only
+#: ``repro.serve``) compiles none of the others.
+_SOURCES = {
+    "core": ("ClockArray", "ClockBloomFilter", "ClockBitmap",
+             "ClockCountMin", "ClockTimeSpanSketch", "CardinalityEstimate",
+             "TimeSpanResult", "TimeSpanBatchResult"),
+    "engine": ("BatchEngine",),
+    "monitor": ("ItemBatchMonitor", "BatchReport"),
+    "serialize": ("dump_sketch", "dumps_sketch", "load_sketch",
+                  "loads_sketch"),
+    "shard": ("ShardedSketch",),
+    "streams": ("BatchTracker", "Batch", "Stream", "segment_batches"),
+    "timebase": ("WindowKind", "WindowSpec", "count_window", "time_window"),
+    "units": ("format_bits", "parse_memory"),
+    "errors": ("ConfigurationError", "DatasetError",
+               "EstimatorSaturatedError", "MemoryBudgetError", "ReproError",
+               "TimeError"),
+}
+_ORIGIN = {name: module for module, names in _SOURCES.items()
+           for name in names}
 
 __version__ = "1.0.0"
 
@@ -81,3 +106,11 @@ __all__ = [
     "DatasetError",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -62,6 +62,10 @@ class PeriodicityDetector:
         self.max_tracked = int(max_tracked)
         self.active = ClockBloomFilter.from_memory(memory, window, seed=seed)
         self._starts: "dict[object, deque]" = {}
+        #: Each tracked key's period, recomputed only when its starts
+        #: change (the only time it can): ``due_keys`` reads every
+        #: tracked key on every check.
+        self._periods: "dict[object, float | None]" = {}
         self._clock = 0.0
 
     def observe(self, key, t=None) -> None:
@@ -79,15 +83,19 @@ class PeriodicityDetector:
             starts = deque(maxlen=self.history)
             self._starts[key] = starts
         starts.append(now)
+        self._periods[key] = self._period_of(starts)
 
     def _evict_stalest(self) -> None:
         stalest = min(self._starts, key=lambda k: self._starts[k][-1])
         del self._starts[stalest]
+        del self._periods[stalest]
 
     def period(self, key) -> "float | None":
         """The key's batch period, or None when not periodic (yet)."""
-        starts = self._starts.get(key)
-        if starts is None or len(starts) < 3:
+        return self._periods.get(key)
+
+    def _period_of(self, starts: deque) -> "float | None":
+        if len(starts) < 3:
             return None
         gaps = np.diff(np.asarray(starts, dtype=np.float64))
         low, high = float(gaps.min()), float(gaps.max())
@@ -111,7 +119,7 @@ class PeriodicityDetector:
         due = []
         now = self._clock
         for key, starts in self._starts.items():
-            period = self.period(key)
+            period = self._periods[key]
             if period is None:
                 continue
             next_start = starts[-1] + period

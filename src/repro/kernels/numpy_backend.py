@@ -342,10 +342,14 @@ def scatter_by_shard(items: np.ndarray, times_arr: np.ndarray,
     receive items appear in the result, in ascending shard order; the
     concatenation of all sub-batches in time order is exactly the input
     batch.
+
+    The receiving shards come from ``bincount``, not ``np.unique``: the
+    latter imports ``numpy.ma`` on its first call, which would land in
+    the parent after the shard workers fork (dirtying pages they share).
     """
     shard_ids = np.asarray(shard_ids, dtype=np.int64)
     out: "list[tuple[int, Any, np.ndarray]]" = []
-    for shard in np.unique(shard_ids):
+    for shard in np.flatnonzero(np.bincount(shard_ids)):
         mask = shard_ids == shard
         out.append((int(shard), items[mask], times_arr[mask]))
     return out

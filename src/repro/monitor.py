@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import membership_fpr
+from .analysis.membership import membership_fpr
 from .core import (
     ClockBitmap,
     ClockBloomFilter,

@@ -4,7 +4,7 @@ A low-overhead observability layer for the clock-sketch stack:
 
 - a registry of counters, gauges, and log-scale histograms
   (:mod:`repro.obs.registry`) with Prometheus text and JSON snapshot
-  exposition (:mod:`repro.obs.export`);
+  exposition (:mod:`repro.obs.export`, imported lazily);
 - a fixed-size sweep-trace ring (:mod:`repro.obs.ring`) recording
   every cleaning sweep's timestamp, pointer position, and cells
   cleaned;
@@ -50,16 +50,10 @@ Examples
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import names
 from .events import SEVERITIES, EventRing, ObsEvent
-from .export import (
-    parse_prometheus,
-    prometheus_text,
-    registry_from_snapshot,
-    snapshot_json,
-)
 from .registry import (
     NULL_REGISTRY,
     Counter,
@@ -83,6 +77,14 @@ from .runtime import (
     sweep_ring,
     timed,
 )
+
+if TYPE_CHECKING:
+    from .export import (
+        parse_prometheus,
+        prometheus_text,
+        registry_from_snapshot,
+        snapshot_json,
+    )
 
 __all__ = [
     "names",
@@ -110,7 +112,7 @@ __all__ = [
     "SEVERITIES",
     "SECONDS_BOUNDS",
     "SIZE_BOUNDS",
-    # exposition
+    # exposition (lazy)
     "prometheus_text",
     "parse_prometheus",
     "snapshot_json",
@@ -124,17 +126,24 @@ __all__ = [
 ]
 
 
+#: Exposition functions, loaded from :mod:`repro.obs.export` on first use.
+_EXPORT_NAMES = ("prometheus_text", "parse_prometheus", "snapshot_json",
+                 "registry_from_snapshot")
+
+
 def __getattr__(name: str) -> Any:
-    # MetricsServer pulls in http.server, and the audit plane pulls in
-    # the monitor/analysis stack; load either only on first use so
-    # importing repro.obs (which every instrumented module does) stays
-    # cheap. Submodules load through importlib, not ``from . import``:
-    # the latter re-enters this __getattr__ via its hasattr check and
-    # recurses.
+    # MetricsServer pulls in http.server, the audit plane pulls in the
+    # monitor/analysis stack, and nothing on the ingest path exposes
+    # metrics; load each only on first use so importing repro.obs
+    # (which every instrumented module does) stays cheap. Submodules
+    # load through importlib, not ``from . import``: the latter
+    # re-enters this __getattr__ via its hasattr check and recurses.
+    import importlib
+    if name in _EXPORT_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.export"), name)
     if name == "MetricsServer":
         from .http import MetricsServer
         return MetricsServer
     if name in ("audit", "trace", "flight", "perf"):
-        import importlib
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import io
 import os
-from typing import IO, TYPE_CHECKING, Any, Mapping, Union
-
-if TYPE_CHECKING:  # runtime import would be circular (shard imports us)
-    from .shard import ShardedSketch
+from typing import IO, Any, Mapping, Union
 
 import numpy as np
 
 from .core import ClockBitmap, ClockBloomFilter, ClockCountMin, ClockTimeSpanSketch
 from .errors import ConfigurationError
+from .shard import ShardedSketch, ShardSet
 from .timebase import WindowKind, WindowSpec
 
 __all__ = ["HASH_SCHEME", "dump_sketch", "dumps_sketch", "load_sketch",
@@ -43,7 +41,7 @@ Sketch = Union[ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch
 
 #: Everything the dump/load entry points accept: plain sketches plus
 #: the sharded facade (flattened to per-shard payloads).
-AnySketch = Union[Sketch, "ShardedSketch"]
+AnySketch = Union[Sketch, ShardedSketch]
 
 _KINDS: "dict[str, type]" = {
     "ClockBloomFilter": ClockBloomFilter,
@@ -65,8 +63,6 @@ def _build_window(length: float, kind: str) -> WindowSpec:
 
 def _payload_any(sketch: AnySketch) -> "dict[str, Any]":
     """Payload for any serialisable sketch, sharded facades included."""
-    from .shard import ShardedSketch  # local: shard imports this module
-
     if isinstance(sketch, ShardedSketch):
         return _payload_sharded(sketch)
     return _payload(sketch)
@@ -145,8 +141,6 @@ def _restore_sharded(payload: "Mapping[str, Any]") -> Any:
     facade restarts its worker pool, each worker inheriting its shard's
     restored replicas.
     """
-    from .shard import ShardSet  # local: shard imports this module
-
     shard_set = ShardSet([_restore_replicas(payload)],
                          seed=int(payload["selector_seed"]),
                          router=str(payload["router_kind"]))

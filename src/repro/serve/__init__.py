@@ -1,9 +1,9 @@
 """Network-facing multi-tenant ingestion service.
 
-The "millions of users" front door over the sketch engine: an asyncio
-TCP server speaking a newline-delimited JSON line/batch protocol
-(``INSERT`` / ``INSERT_BATCH`` / ``QUERY`` / ``STATS`` /
-``CHECKPOINT`` / ``PING``) over per-tenant
+The front door over the sketch engine: an asyncio TCP server speaking
+a newline-delimited JSON line/batch protocol (``INSERT`` /
+``INSERT_BATCH`` / ``QUERY`` / ``STATS`` / ``CHECKPOINT`` / ``PING``)
+over per-tenant
 :meth:`~repro.monitor.ItemBatchMonitor.sharded` monitors, each with an
 independent window, memory budget, and shard layout. Admission control
 and engine backpressure surface as typed protocol errors; rolling
@@ -24,7 +24,8 @@ checkpoint guarantees, and failure matrix.
 True
 """
 
-from .checkpoint import CHECKPOINT_FORMAT, CheckpointManager, RestoredState
+from typing import TYPE_CHECKING, Any
+
 from .protocol import (
     ERROR_CODES,
     MAX_FRAME_BYTES,
@@ -37,6 +38,9 @@ from .protocol import (
 )
 from .service import IngestService
 from .tenants import Tenant, TenantConfig, TenantManager
+
+if TYPE_CHECKING:
+    from .checkpoint import CHECKPOINT_FORMAT, CheckpointManager, RestoredState
 
 __all__ = [
     "IngestService",
@@ -55,3 +59,16 @@ __all__ = [
     "ok_response",
     "error_response",
 ]
+
+#: Names loaded from :mod:`repro.serve.checkpoint` on first use: a
+#: service without a checkpoint directory never needs it (nor the
+#: serialisation and shard modules behind it).
+_CHECKPOINT_NAMES = ("CheckpointManager", "RestoredState",
+                     "CHECKPOINT_FORMAT")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _CHECKPOINT_NAMES:
+        from . import checkpoint
+        return getattr(checkpoint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,13 +23,15 @@ means the per-tenant ordering is the arrival order on the wire.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Set
 
 from ..errors import BadFrameError, CheckpointError
 from ..obs import runtime as _obs
 from . import protocol
-from .checkpoint import CheckpointManager
 from .tenants import Tenant, TenantConfig, TenantManager
+
+if TYPE_CHECKING:  # loaded at run time only when checkpointing is on
+    from .checkpoint import CheckpointManager
 
 __all__ = ["IngestService"]
 
@@ -89,7 +91,9 @@ class IngestService:
         self.checkpoint_poll = float(checkpoint_poll)
         self.checkpoints: "Optional[CheckpointManager]" = None
         if checkpoint_dir is not None:
-            self.checkpoints = CheckpointManager(
+            from . import checkpoint
+
+            self.checkpoints = checkpoint.CheckpointManager(
                 checkpoint_dir, keep=keep, hooks=checkpoint_hooks)
         self._server: "Optional[asyncio.AbstractServer]" = None
         self._checkpoint_task: "Optional[asyncio.Task[None]]" = None

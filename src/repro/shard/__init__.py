@@ -9,8 +9,21 @@ clock union. See ``docs/sharding.md`` for the exactness guarantees per
 sketch kind.
 """
 
+from typing import TYPE_CHECKING, Any
+
 from .router import SerialShardRouter, ShardedSketch, ShardSet
-from .workers import ProcessShardRouter
+
+if TYPE_CHECKING:
+    from .workers import ProcessShardRouter
 
 __all__ = ["ProcessShardRouter", "SerialShardRouter", "ShardSet",
            "ShardedSketch"]
+
+
+def __getattr__(name: str) -> Any:
+    # The worker pool (and multiprocessing behind it) loads only for a
+    # process-routed set, or on first use of this name.
+    if name == "ProcessShardRouter":
+        from . import workers
+        return workers.ProcessShardRouter
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

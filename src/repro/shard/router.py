@@ -36,6 +36,7 @@ worker applying its sub-batches to every slot of its shard.
 
 from __future__ import annotations
 
+import copy
 from time import perf_counter
 from typing import Any
 
@@ -49,15 +50,16 @@ from ..kernels import numpy_backend as _kernels
 from ..obs import names as _names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
-from ..serialize import dumps_sketch, loads_sketch
-from .workers import (
-    DEFAULT_QUEUE_CAPACITY,
-    DEFAULT_TIMEOUT,
-    ProcessShardRouter,
-    advance_replica,
-)
 
 __all__ = ["SerialShardRouter", "ShardSet", "ShardedSketch"]
+
+#: Default bound on each process worker's command queue (commands, not
+#: items).
+DEFAULT_QUEUE_CAPACITY = 16
+
+#: Default seconds a process-router dispatch/barrier may wait before
+#: declaring back-pressure or a dead worker.
+DEFAULT_TIMEOUT = 30.0
 
 _SHARDABLE = (ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch)
 
@@ -69,6 +71,24 @@ _FORWARDED_CONFIG = frozenset({
     "window", "n", "k", "s", "seed", "width", "depth", "conservative",
     "counter_bits", "counter_max", "max_value",
 })
+
+
+def advance_replica(replica: Any, now: float, flush: bool) -> None:
+    """The barrier step for one replica: clean up to ``now``.
+
+    Advances the clock, flushes a deferred sweep backlog when ``flush``
+    (merge validity requires every cleaning pointer at the same
+    position; a single shard skips it so that ``P=1`` stays
+    bit-identical to a plain sketch even in deferred modes), and raises
+    the replica's stream time. Both routers run exactly this step.
+    """
+    clock = replica.clock
+    if now > clock.now:
+        clock.advance(now)
+    if flush and clock.is_deferred:
+        clock.flush()
+    if now > replica._now:
+        replica._now = float(now)
 
 
 class SerialShardRouter:
@@ -163,6 +183,10 @@ class ShardSet:
         if router == "serial":
             self.router = SerialShardRouter(flat, self.slots)
         elif router == "process":
+            # Loaded only here: the serial path never needs the worker
+            # pool, nor the multiprocessing package behind it.
+            from .workers import ProcessShardRouter
+
             self.router = ProcessShardRouter(
                 flat, slots=self.slots, queue_capacity=DEFAULT_QUEUE_CAPACITY
                 if queue_capacity is None else queue_capacity,
@@ -198,9 +222,10 @@ class ShardSet:
                 "prototype must be pristine (no inserts, cleaner at "
                 "step 0); pass a factory or a freshly built sketch"
             )
-        payloads = [dumps_sketch(prototype) for prototype in prototypes]
-        return cls([[loads_sketch(payload) for _ in range(shards)]
-                    for payload in payloads], **options)
+        # In-memory copies: every replica owns its arrays (the process
+        # router then binds them into its shard's block).
+        return cls([[copy.deepcopy(prototype) for _ in range(shards)]
+                    for prototype in prototypes], **options)
 
     def views(self) -> "list[ShardedSketch]":
         """One :class:`ShardedSketch` per slot, in slot order."""

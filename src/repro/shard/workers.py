@@ -48,41 +48,17 @@ from ..errors import (
 from ..obs import names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
+from .router import DEFAULT_QUEUE_CAPACITY, DEFAULT_TIMEOUT, advance_replica
 
-__all__ = ["ProcessShardRouter", "advance_replica"]
+__all__ = ["ProcessShardRouter"]
 
 #: Bytes of one replica's control record at the front of its shard's
 #: block: int64 steps_done, int64 items_inserted, float64 now.
 _CONTROL_BYTES = 24
 
-#: Default bound on each worker's command queue (commands, not items).
-DEFAULT_QUEUE_CAPACITY = 16
-
-#: Default seconds a dispatch/barrier may wait before declaring
-#: back-pressure or a dead worker.
-DEFAULT_TIMEOUT = 30.0
-
 #: Real-time seconds per blocking poll step; the *deadline* arithmetic
 #: runs on the injectable time source, this only bounds each syscall.
 _POLL_INTERVAL = 0.05
-
-
-def advance_replica(replica: Any, now: float, flush: bool) -> None:
-    """The barrier step for one replica: clean up to ``now``.
-
-    Advances the clock, flushes a deferred sweep backlog when ``flush``
-    (merge validity requires every cleaning pointer at the same
-    position; a single shard skips it so that ``P=1`` stays
-    bit-identical to a plain sketch even in deferred modes), and raises
-    the replica's stream time. Both routers run exactly this step.
-    """
-    clock = replica.clock
-    if now > clock.now:
-        clock.advance(now)
-    if flush and clock.is_deferred:
-        clock.flush()
-    if now > replica._now:
-        replica._now = float(now)
 
 
 def _fork_context() -> Any:

@@ -10,8 +10,11 @@ guarantees under test:
   length across the 12-byte block boundaries, for batches of 0, 1 and
   65,536 keys, and for seeds with both 32-bit halves non-zero;
 - neither family holds any per-key state after hashing;
-- the first batch a freshly built serving monitor ingests imports no
-  module (a lazy numpy import would land in the service's start-up).
+- the first batch a freshly built serving monitor ingests, and the
+  first query after it, import no module, plain or sharded (a lazy
+  numpy import would land in the service's first frame, and for the
+  process router after its workers fork);
+- a plain tenant's server never loads the modules it does not use.
 """
 
 import os
@@ -135,19 +138,59 @@ COLD_START = textwrap.dedent("""
     import sys
     import repro.serve
     monitor = repro.serve.TenantConfig(window_length=4096, memory="64KB",
-                                       seed=1).build_monitor()
+                                       seed=1, **%s).build_monitor()
     before = set(sys.modules)
     monitor.observe_many([f"{i:016x}" for i in range(250)])
+    monitor.report("0000000000000007")  # the barrier and merge, if sharded
     print(sorted(set(sys.modules) - before))
+    monitor.close()
+""")
+
+#: What a plain tenant's server never needs: the stream-analysis
+#: package, checkpoint serialisation, the shard layer (and the worker
+#: pool's multiprocessing behind it), and metrics exposition.
+UNUSED_BY_PLAIN_TENANT = (
+    "repro.streams", "repro.streams.batches", "repro.streams.groundtruth",
+    "repro.streams.model", "repro.streams.statistics", "repro.streams.topk",
+    "repro.serialize", "repro.serve.checkpoint", "repro.shard",
+    "repro.shard.router", "repro.shard.workers", "repro.obs.export",
+    "multiprocessing",
+)
+
+PLAIN_SERVER = textwrap.dedent("""
+    import sys
+    import repro.obs
+    import repro.obs.trace
+    import repro.serve
+    config = repro.serve.TenantConfig(window_length=4096, memory="64KB",
+                                      seed=1)
+    repro.serve.IngestService(config)  # no checkpoint directory
+    config.build_monitor().observe_many([f"{i:016x}" for i in range(250)])
+    print(sorted(set(sys.modules) & set(%r)))
 """)
 
 
-def test_first_batch_imports_no_module():
-    # A first call that lazily imports (np.unique does) would add its
-    # import time to the service's first frame.
+def _run(script):
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+    out = subprocess.run([sys.executable, "-c", script], env=env,
                          check=True, capture_output=True, text=True,
                          timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("tenant", [
+    {},
+    {"shards": 2, "router": "serial"},
+    # The parent scatters after its workers fork: a lazy import there
+    # would also dirty pages it shares with them.
+    {"shards": 2, "router": "process"},
+], ids=["plain", "serial-2", "process-2"])
+def test_first_batch_imports_no_module(tenant):
+    # A first call that lazily imports (np.unique does) would add its
+    # import time to the service's first frame.
+    assert _run(COLD_START % (tenant,)) == "[]"
+
+
+def test_plain_tenant_loads_nothing_it_does_not_use():
+    assert _run(PLAIN_SERVER % (UNUSED_BY_PLAIN_TENANT,)) == "[]"

@@ -18,6 +18,8 @@ class TestExports:
         "repro.core", "repro.baselines", "repro.hashing", "repro.streams",
         "repro.datasets", "repro.cache", "repro.analysis", "repro.apps",
         "repro.ext", "repro.bench", "repro.timebase",
+        # Some names of these load lazily, through a module __getattr__.
+        "repro.obs", "repro.serve", "repro.shard",
     ])
     def test_subpackage_all_resolves(self, subpackage):
         import importlib

@@ -28,10 +28,14 @@ from repro import (
     ItemBatchMonitor,
     ShardedSketch,
     count_window,
+    dumps_sketch,
+    loads_sketch,
     time_window,
 )
 from repro.core.params import error_window_length
+from repro.kernels import numpy_backend
 from repro.obs.audit import AnalyticPredictor
+from repro.shard import ShardSet
 
 WINDOW = 256
 SWEEP_MODES = ("vector", "scalar", "deferred", "deferred-scalar")
@@ -270,6 +274,85 @@ class TestMultiShardAnalyticBands:
         sharded_rate = self._span_err_rate(sharded, truth, active, now,
                                            residual)
         assert sharded_rate <= plain_rate
+
+
+def _derivers(sketch):
+    return getattr(sketch, "_derivers", None) or [sketch.deriver]
+
+
+def _state(sketch):
+    """Everything a replica is: configuration, hash seeds, cleaner
+    position, bookkeeping and its mutable arrays (by value)."""
+    config = {name: getattr(sketch, name, None) for name in (
+        "window", "n", "k", "s", "seed", "width", "depth", "conservative",
+        "counter_bits", "counter_max")}
+    clock = sketch.clock
+    return {
+        "kind": type(sketch).__name__,
+        "config": config,
+        "hash_seeds": [d.seed for d in _derivers(sketch)],
+        "clock": (clock.n, clock.s, clock.max_value, clock.sweep_mode,
+                  clock.steps_done, clock.now, clock.values.dtype.str,
+                  clock.values.tolist()),
+        "bookkeeping": (sketch.now, sketch.items_inserted,
+                        sketch.engine.min_fused),
+        "counters": getattr(sketch, "counters", np.empty(0)).tolist(),
+        "timestamps": getattr(sketch, "timestamps", np.empty(0)).tolist(),
+    }
+
+
+def _arrays(sketch):
+    return [a for a in (sketch.clock.values, getattr(sketch, "counters", None),
+                        getattr(sketch, "timestamps", None)) if a is not None]
+
+
+class TestReplicaClones:
+    """``ShardSet.cloned`` copies each pristine prototype in memory: every
+    replica equals the prototype's serialisation round trip, and owns
+    its arrays."""
+
+    @pytest.mark.parametrize("router", ["serial", "process"])
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_clones_equal_a_round_trip(self, kind, router):
+        prototype = MAKERS[kind]("deferred")
+        prototype.engine.min_fused = 7  # a non-default the payload carries
+        expected = _state(loads_sketch(dumps_sketch(prototype)))
+        shard_set = ShardSet.cloned([prototype, MAKERS[kind]("vector")], 3,
+                                    router=router)
+        try:
+            replicas = shard_set.router.replicas
+            assert [_state(r) for r in replicas[0::2]] == [expected] * 3
+            for replica in replicas:  # callbacks bound to the clone
+                assert replica.engine.sketch is replica
+                hook = replica.clock.on_expire
+                assert hook is None or hook.__self__ is replica
+            probe = np.asarray(range(64), dtype=np.uint64)
+            for replica in replicas[0::2]:
+                for mine, theirs in zip(_derivers(replica),
+                                        _derivers(prototype)):
+                    assert np.array_equal(mine.bulk(probe),
+                                          theirs.bulk(probe))
+            arrays = [a for sketch in (prototype, *replicas)
+                      for a in _arrays(sketch)]
+            for i, first in enumerate(arrays):
+                for second in arrays[i + 1:]:
+                    assert not np.shares_memory(first, second)
+        finally:
+            shard_set.close()
+
+
+class TestScatter:
+    def test_sub_batches_in_shard_order_and_only_receiving_shards(self):
+        shard_ids = np.random.default_rng(5).choice([5, 0, 2], size=300)
+        items = np.arange(300, dtype=np.uint64)
+        times = items.astype(np.float64) + 1.0
+        out = numpy_backend.scatter_by_shard(items, times, shard_ids)
+        assert [shard for shard, _, _ in out] == [0, 2, 5]
+        for shard, sub_items, sub_times in out:
+            assert sub_items.tolist() == items[shard_ids == shard].tolist()
+            assert sub_times.tolist() == times[shard_ids == shard].tolist()
+        empty = np.empty(0, dtype=np.int64)
+        assert numpy_backend.scatter_by_shard(empty, empty, empty) == []
 
 
 class TestFacadeValidation:

@@ -234,12 +234,11 @@ class FaultInjector:
         worker may not even be scheduled (to process the injected
         command) before a fast caller gives up.  The worker acks the
         crash *before* exiting, so once the process is gone the error
-        ack is guaranteed to be queued and the next commands fail
-        deterministically.
+        ack is guaranteed to be in its pipe and the next commands fail
+        deterministically. The router reaps the worker: it must stay
+        the only ``waitpid`` caller for its children.
         """
-        proc = self._router(tenant_name)._procs[shard]
-        proc.join(deadline)
-        if proc.is_alive():
+        if not self._router(tenant_name).join(shard, deadline):
             raise TimeoutError(
                 f"shard {shard} worker still alive {deadline}s after "
                 "the injected crash")

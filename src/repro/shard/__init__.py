@@ -21,8 +21,8 @@ __all__ = ["ProcessShardRouter", "SerialShardRouter", "ShardSet",
 
 
 def __getattr__(name: str) -> Any:
-    # The worker pool (and multiprocessing behind it) loads only for a
-    # process-routed set, or on first use of this name.
+    # The worker pool loads only for a process-routed set, or on first
+    # use of this name.
     if name == "ProcessShardRouter":
         from . import workers
         return workers.ProcessShardRouter

@@ -184,7 +184,7 @@ class ShardSet:
             self.router = SerialShardRouter(flat, self.slots)
         elif router == "process":
             # Loaded only here: the serial path never needs the worker
-            # pool, nor the multiprocessing package behind it.
+            # pool.
             from .workers import ProcessShardRouter
 
             self.router = ProcessShardRouter(

@@ -1,4 +1,4 @@
-"""Multiprocessing worker pool for sharded ingestion.
+"""Forked worker processes for sharded ingestion, over plain pipes.
 
 Each shard lives in a dedicated worker process that owns the shard's
 cells for every slot of the shard set (one slot per sketch: a sharded
@@ -6,23 +6,26 @@ monitor has one slot per enabled task). Before forking a shard's
 worker, the parent binds each replica's
 :class:`~repro.core.clockarray.ClockArray` buffer (and its side arrays
 — timestamps, counters) to numpy views over one anonymous shared
-mapping (``mmap.mmap(-1, size)``, ``MAP_SHARED``). The forked worker
-inherits the mapping and the bound replicas, so it is the sole *writer*
-of cells the parent *reads* for merged queries without copying. The
-block has no name, no ``/dev/shm`` file and no resource tracker: the
-kernel frees it when the last process mapping it exits. Inheritance
-needs the ``fork`` start method, which the router always names
-explicitly.
+mapping (``mmap.mmap(-1, size)``, ``MAP_SHARED``). The worker is a bare
+``os.fork`` of the parent: it inherits the mapping and the bound
+replicas, so it is the sole *writer* of cells the parent *reads* for
+merged queries without copying. The block has no name, no ``/dev/shm``
+file and no resource tracker: the kernel frees it when the last process
+mapping it exits. Where ``os.fork`` does not exist the router is
+refused.
 
-Workers drain ``insert_many`` chunks from a bounded command queue
-(back-pressure raises :class:`~repro.errors.ShardBackpressureError`
-instead of buffering unboundedly) and apply each chunk to every slot;
-they acknowledge every command on a shared ack queue. A barrier simply
-waits until every dispatched command is acknowledged, then adopts each
-replica's cleaner position from its small shared control record. A
-worker that raises (or dies) surfaces as a
-:class:`~repro.errors.ShardWorkerError` carrying the partial-result
-picture — never a hang.
+Each worker has two pipes: it reads commands from one and writes an
+acknowledgement for every command to the other, each message a
+length-prefixed pickle. The parent bounds the commands in flight per
+shard (back-pressure raises :class:`~repro.errors.ShardBackpressureError`
+instead of buffering unboundedly) and writes without blocking: a
+command goes out whole or not at all. A barrier waits until every
+dispatched command is acknowledged, then adopts each replica's cleaner
+position from its small shared control record. A worker that raises
+(or dies) surfaces as a :class:`~repro.errors.ShardWorkerError`
+carrying the partial-result picture — never a hang. A worker holds no
+write end of any command pipe, so when the parent dies, even by
+SIGKILL, every worker reads end-of-file and exits.
 
 Time is injectable (``time_source``) exactly as in
 :class:`repro.concurrent.BackgroundCleaner`, so the deadline logic is
@@ -31,12 +34,15 @@ deterministically testable.
 
 from __future__ import annotations
 
+import fcntl
 import mmap
-import multiprocessing
-import queue as queue_mod
+import os
+import pickle
+import select
+import signal
 import time
 from contextlib import nullcontext
-from typing import Any
+from typing import Any, BinaryIO, NoReturn
 
 import numpy as np
 
@@ -60,22 +66,17 @@ _CONTROL_BYTES = 24
 #: runs on the injectable time source, this only bounds each syscall.
 _POLL_INTERVAL = 0.05
 
+#: Bytes of the length prefix in front of every pickled message.
+_HEADER = 8
 
-def _fork_context() -> Any:
-    """The ``fork`` multiprocessing context, named explicitly.
+#: Bytes each command pipe is grown to (Linux's default ceiling for an
+#: unprivileged process): room to queue large sub-batches while the
+#: worker is busy with earlier ones.
+_PIPE_BYTES = 1 << 20
 
-    Workers inherit their block and replicas across the fork, so a
-    platform default of ``spawn`` or ``forkserver`` (the Linux default
-    from Python 3.14) would silently break them; where ``fork`` does
-    not exist the router is refused. A router forks all its workers in
-    its constructor, before any of its own queue feeder threads start.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise ConfigurationError(
-            "router='process' needs the 'fork' start method, which this "
-            "platform lacks; use router='serial'"
-        )
-    return multiprocessing.get_context("fork")
+#: The parent's ends of every live router's pipes. A forked worker
+#: closes them all, so it keeps no other worker's command pipe open.
+_PARENT_ENDS: "set[int]" = set()
 
 
 def _shared_block(sketches: "list[Any]") -> mmap.mmap:
@@ -142,19 +143,51 @@ def _command_ctx(op: str, command: "tuple[Any, ...]") -> Any:
     return None
 
 
+def _frame(message: Any) -> bytes:
+    """One pipe message: an 8-byte length, then the pickle."""
+    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return len(body).to_bytes(_HEADER, "little") + body
+
+
+def _ready(fds: "list[int]", events: int, timeout: float) -> "list[int]":
+    """The ``fds`` ready for ``events`` within ``timeout`` seconds."""
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, events)
+    return [fd for fd, _ in poller.poll(timeout * 1000)]
+
+
+def _pipe_room(fd: int) -> int:
+    """Grow a pipe to ``_PIPE_BYTES`` where the platform can (Linux);
+    returns the bytes it holds."""
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        return 65536  # the usual default elsewhere
+    try:
+        return int(fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES))
+    except OSError:  # past the user's pipe quota: it keeps its size
+        return int(fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ))
+
+
+def _close_parent_end(fd: int) -> None:
+    _PARENT_ENDS.discard(fd)
+    os.close(fd)
+
+
 def _shard_worker(shard: int, sketches: "list[Any]", block: mmap.mmap,
-                  commands: Any, acks: Any) -> None:
+                  commands: BinaryIO, acks: BinaryIO) -> None:
     """One shard's worker loop: drain commands into its replicas.
 
     ``sketches`` are the shard's replicas, one per slot, inherited
-    across the fork already bound to ``block``. Command protocol
-    (tuples): ``("ingest", seq, items, times, ctx)`` applies the chunk
-    to every slot, ``("advance", seq, now, flush, ctx)`` runs the
-    barrier step on every slot, ``("stop", seq)``, plus the test-only
-    fault hooks ``("stall", seq, seconds)`` and ``("crash", seq)``.
-    Every command is acknowledged as ``(shard, seq, status, detail,
-    spans)``; an exception acknowledges with ``status="error"`` and
-    ends the worker.
+    across the fork already bound to ``block``. Commands arrive on the
+    ``commands`` pipe as tuples: ``("ingest", seq, items, times, ctx)``
+    applies the chunk to every slot, ``("advance", seq, now, flush,
+    ctx)`` runs the barrier step on every slot, ``("stop", seq)``, plus
+    the test-only fault hooks ``("stall", seq, seconds)`` and
+    ``("crash", seq)``. Every command is acknowledged on the ``acks``
+    pipe as ``(shard, seq, status, detail, spans)``; an exception
+    acknowledges with ``status="error"`` and ends the worker. End of
+    file on ``commands`` (the router closed it, or the parent died)
+    ends it too.
 
     ``ctx`` is an optional propagated span context ``(trace_id,
     span_id)`` from the parent's scatter/merge span. When present, the
@@ -165,7 +198,10 @@ def _shard_worker(shard: int, sketches: "list[Any]", block: mmap.mmap,
     """
     running = True
     while running:
-        command = commands.get()
+        header = commands.read(_HEADER)
+        if len(header) < _HEADER:
+            return
+        command = pickle.loads(commands.read(int.from_bytes(header, "little")))
         op, seq = command[0], command[1]
         status, detail = "ok", ""
         spans: "list[dict[str, Any]]" = []
@@ -200,11 +236,12 @@ def _shard_worker(shard: int, sketches: "list[Any]", block: mmap.mmap,
             detail = f"{type(exc).__name__}: {exc}"
             running = False
         _write_control(block, sketches)
-        acks.put((shard, seq, status, detail, spans))
+        acks.write(_frame((shard, seq, status, detail, spans)))
+        acks.flush()
 
 
 class ProcessShardRouter:
-    """Routes shard sub-batches to a pool of worker processes.
+    """Routes shard sub-batches to one forked worker per shard.
 
     Parameters
     ----------
@@ -215,8 +252,9 @@ class ProcessShardRouter:
     slots:
         Replicas per shard; one worker process serves them all.
     queue_capacity:
-        Bound on each worker's command queue; a full queue past
-        ``timeout`` raises :class:`~repro.errors.ShardBackpressureError`.
+        Bound on each worker's commands in flight (dispatched, not yet
+        acknowledged); a dispatch that finds no room before ``timeout``
+        raises :class:`~repro.errors.ShardBackpressureError`.
     timeout:
         Seconds a dispatch or barrier waits before declaring failure.
     time_source:
@@ -230,49 +268,86 @@ class ProcessShardRouter:
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT,
                  time_source: Any = None) -> None:
-        ctx = _fork_context()
+        if not hasattr(os, "fork"):
+            raise ConfigurationError(
+                "router='process' forks its workers, which this platform "
+                "cannot do; use router='serial'"
+            )
+        if int(queue_capacity) < 1:
+            raise ConfigurationError(
+                f"queue_capacity must be >= 1, got {queue_capacity}")
         self.replicas = list(replicas)
         self.slots = int(slots)
         self.shards = len(self.replicas) // self.slots
+        self.capacity = int(queue_capacity)
         self.timeout = float(timeout)
         self._time = time_source if time_source is not None else time.monotonic
-        self._acks = ctx.Queue()
-        self._commands: "list[Any]" = []
+        #: Worker process ids, in shard order.
+        self.pids: "list[int]" = []
+        self._commands: "list[int]" = []  # write ends of the command pipes
+        self._room: "list[int]" = []  # bytes each command pipe holds
+        self._acks: "list[int]" = []  # read ends of the ack pipes; -1 at EOF
+        self._inbox: "list[bytearray]" = []  # ack bytes not yet parsed
         self._blocks: "list[mmap.mmap]" = []
-        self._procs: "list[Any]" = []
-        self._pending: "list[list[int]]" = [[] for _ in range(self.shards)]
+        #: Per shard, each unacknowledged command's seq -> the pipe bytes
+        #: it is charged.
+        self._pending: "list[dict[int, int]]" = [
+            {} for _ in range(self.shards)]
+        self._reaped: "set[int]" = set()
         self._failed: "dict[int, str]" = {}
         self._seq = 0
         self._closed = False
+        self._owner = os.getpid()
         try:
             for shard in range(self.shards):
-                group = self._group(shard)
-                for replica in group:
-                    replica._accepts_global_times = True
-                block = _shared_block(group)
-                self._blocks.append(block)
-                commands = ctx.Queue(maxsize=int(queue_capacity))
-                self._commands.append(commands)
-                proc = ctx.Process(
-                    target=_shard_worker,
-                    args=(shard, group, block, commands, self._acks),
-                    daemon=True,
-                )
-                proc.start()
-                self._procs.append(proc)
+                self._start(shard)
         except BaseException:
             self.close()
             raise
 
-    def _group(self, shard: int) -> "list[Any]":
-        """Shard ``shard``'s replicas, one per slot."""
-        return self.replicas[shard * self.slots:(shard + 1) * self.slots]
+    def _start(self, shard: int) -> None:
+        """Bind a shard's block, open its two pipes, fork its worker."""
+        group = self.replicas[shard * self.slots:(shard + 1) * self.slots]
+        for replica in group:
+            replica._accepts_global_times = True
+        block = _shared_block(group)
+        self._blocks.append(block)
+        command_r, command_w = os.pipe()
+        ack_r, ack_w = os.pipe()
+        for fd in (command_w, ack_r):
+            os.set_blocking(fd, False)
+            _PARENT_ENDS.add(fd)
+        self._commands.append(command_w)
+        self._room.append(_pipe_room(command_w))
+        self._acks.append(ack_r)
+        self._inbox.append(bytearray())
+        try:
+            pid = os.fork()
+            if pid == 0:
+                # The worker leaves through os._exit: it never unwinds
+                # into the caller's stack or runs its exit handlers.
+                code = 1
+                try:
+                    # Holding no command pipe's write end, the worker
+                    # reads end of file once its parent is gone.
+                    for fd in _PARENT_ENDS:
+                        os.close(fd)
+                    with open(command_r, "rb") as commands, \
+                            open(ack_w, "wb") as acks:
+                        _shard_worker(shard, group, block, commands, acks)
+                    code = 0
+                finally:
+                    os._exit(code)
+        finally:
+            os.close(command_r)
+            os.close(ack_w)
+        self.pids.append(pid)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _raise_failed(self) -> None:
+    def _raise_failed(self) -> NoReturn:
         pending = {i: len(p) for i, p in enumerate(self._pending) if p}
         shards = ", ".join(f"{i} ({reason})"
                            for i, reason in sorted(self._failed.items()))
@@ -283,31 +358,47 @@ class ProcessShardRouter:
         )
 
     def _absorb_acks(self, block: bool = False) -> bool:
-        """Pull available acks; returns True if any arrived."""
+        """Read the acks that have arrived; returns True if any did.
+
+        With ``block`` it first waits up to one poll interval. End of
+        file on an ack pipe means its worker exited: a shard that still
+        had commands in flight has failed.
+        """
         got = False
-        while True:
-            try:
-                if block and not got:
-                    ack = self._acks.get(timeout=_POLL_INTERVAL)
-                else:
-                    ack = self._acks.get_nowait()
-            except queue_mod.Empty:
-                return got
-            got = True
-            shard, seq, status, detail, spans = ack
-            if spans and _obs.ENABLED:
-                _trace.record_spans(spans)
-            try:
-                self._pending[shard].remove(seq)
-            except ValueError:
-                # An ack for a command we never recorded as pending means
-                # the seq bookkeeping diverged between parent and worker —
-                # mark the shard failed so the next dispatch/barrier
-                # surfaces it instead of silently dropping the ack.
-                self._failed[shard] = (
-                    f"protocol error: unexpected ack for command {seq}")
-            if status != "ok":
-                self._failed[shard] = detail
+        live = [fd for fd in self._acks if fd >= 0]
+        for fd in _ready(live, select.POLLIN,
+                         _POLL_INTERVAL if block else 0.0):
+            index = self._acks.index(fd)
+            data = os.read(fd, 1 << 16)
+            if not data:
+                self._acks[index] = -1
+                _close_parent_end(fd)
+                if self._pending[index]:
+                    self._failed.setdefault(index, "worker process died")
+                continue
+            inbox = self._inbox[index]
+            inbox += data
+            while len(inbox) >= _HEADER:
+                end = _HEADER + int.from_bytes(inbox[:_HEADER], "little")
+                if len(inbox) < end:
+                    break
+                shard, seq, status, detail, spans = pickle.loads(
+                    inbox[_HEADER:end])
+                del inbox[:end]
+                got = True
+                if spans and _obs.ENABLED:
+                    _trace.record_spans(spans)
+                if self._pending[shard].pop(seq, None) is None:
+                    # An ack for a command we never recorded as pending
+                    # means the seq bookkeeping diverged between parent
+                    # and worker — mark the shard failed so the next
+                    # dispatch/barrier surfaces it instead of silently
+                    # dropping the ack.
+                    self._failed[shard] = (
+                        f"protocol error: unexpected ack for command {seq}")
+                if status != "ok":
+                    self._failed[shard] = detail
+        return got
 
     def _dispatch(self, shard: int, command: "tuple[Any, ...]") -> None:
         if self._closed:
@@ -316,27 +407,43 @@ class ProcessShardRouter:
             self._raise_failed()
         self._seq += 1
         seq = self._seq
-        full = (command[0], seq) + command[1:]
+        frame = _frame((command[0], seq) + command[1:])
+        charge = len(frame) + mmap.PAGESIZE
+        pending = self._pending[shard]
         deadline = self._time() + self.timeout
-        commands = self._commands[shard]
-        while True:
+        # Room: fewer than ``capacity`` commands in flight, and the pipe
+        # either drained (the worker is reading it) or able to take the
+        # whole frame beside the unacknowledged ones, each charged a
+        # page more for the pipe page it may start; so a command is
+        # never left half-written.
+        while len(pending) >= self.capacity or (pending and sum(
+                pending.values()) + charge > self._room[shard]):
+            self._absorb_acks(block=True)
+            if self._failed:
+                self._raise_failed()
+            if self._time() >= deadline:
+                raise ShardBackpressureError(
+                    f"shard {shard} queue full for {self.timeout}s "
+                    f"({len(pending)} commands pending); "
+                    "the stream is outrunning this worker"
+                )
+        pending[seq] = charge
+        fd = self._commands[shard]
+        view = memoryview(frame)
+        while view:
             try:
-                commands.put(full, timeout=_POLL_INTERVAL)
-                break
-            except queue_mod.Full:
-                self._absorb_acks()
-                if self._failed:
-                    self._raise_failed()
-                if not self._procs[shard].is_alive():
-                    self._failed[shard] = "worker process died"
-                    self._raise_failed()
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                # Only a frame larger than the drained pipe gets here.
                 if self._time() >= deadline:
-                    raise ShardBackpressureError(
-                        f"shard {shard} queue full for {self.timeout}s "
-                        f"({len(self._pending[shard])} commands pending); "
-                        "the stream is outrunning this worker"
-                    )
-        self._pending[shard].append(seq)
+                    self._failed[shard] = "worker stopped reading commands"
+                    self._raise_failed()
+                _ready([fd], select.POLLOUT, _POLL_INTERVAL)
+            except BrokenPipeError:
+                # A crashed worker acked its error before exiting.
+                self._absorb_acks()
+                self._failed.setdefault(shard, "worker process died")
+                self._raise_failed()
         self._absorb_acks()
 
     def ingest(self, shard: int, items: Any, times: np.ndarray,
@@ -360,19 +467,9 @@ class ProcessShardRouter:
     def drain(self) -> None:
         """Block until every dispatched command is acknowledged."""
         deadline = self._time() + self.timeout
-        while any(self._pending):
-            if self._absorb_acks(block=True):
-                if self._failed:
-                    self._raise_failed()
-                continue
-            if self._failed:
-                self._raise_failed()
-            for shard, pend in enumerate(self._pending):
-                if pend and not self._procs[shard].is_alive():
-                    self._failed[shard] = "worker process died"
-            if self._failed:
-                self._raise_failed()
-            if self._time() >= deadline:
+        while any(self._pending) and not self._failed:
+            if not self._absorb_acks(block=True) \
+                    and self._time() >= deadline:
                 pending = {i: len(p) for i, p in enumerate(self._pending)
                            if p}
                 raise ShardWorkerError(
@@ -406,46 +503,63 @@ class ProcessShardRouter:
                 replica._now = now
 
     def queue_depth(self, shard: int) -> int:
-        """Commands currently pending in a shard's queue (best effort)."""
-        try:
-            return int(self._commands[shard].qsize())
-        except (NotImplementedError, OSError):
-            return len(self._pending[shard])
+        """Commands dispatched to a shard and not yet acknowledged."""
+        return len(self._pending[shard])
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop workers and release their queues.
+    def join(self, shard: int, timeout: float = 0.0) -> bool:
+        """Whether a shard's worker has exited, waiting up to ``timeout``
+        real seconds; an exited worker is reaped here.
 
-        Idempotent. Nothing needs unlinking: the replicas keep their
-        views over the shard blocks, which no process writes any more,
-        so a closed sharded sketch remains queryable, and each block is
-        unmapped once its last view is gone.
+        The router is its workers' only waiter: a second ``waitpid``
+        caller would take the exit status from it.
         """
-        if self._closed:
+        deadline = time.monotonic() + timeout
+        while shard not in self._reaped:
+            try:
+                done = os.waitpid(self.pids[shard], os.WNOHANG)[0]
+            except ChildProcessError:  # already reaped elsewhere
+                done = self.pids[shard]
+            if done:
+                self._reaped.add(shard)
+            elif time.monotonic() >= deadline:
+                return False
+            else:
+                time.sleep(0.01)
+        return True
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop the workers, reap them and close their pipes.
+
+        Idempotent, and a no-op in a forked copy of the router. Each
+        worker gets ``stop`` and then end of file; one still running
+        ``timeout`` seconds later is killed. Nothing needs unlinking:
+        the replicas keep their views over the shard blocks, which no
+        process writes any more, so a closed sharded sketch remains
+        queryable, and each block is unmapped once its last view is
+        gone.
+        """
+        if self._closed or os.getpid() != self._owner:
             return
         self._closed = True
-        for shard, commands in enumerate(self._commands):
-            proc = self._procs[shard] if shard < len(self._procs) else None
-            if proc is not None and proc.is_alive():
-                self._seq += 1
-                try:
-                    commands.put(("stop", self._seq), timeout=_POLL_INTERVAL)
-                except queue_mod.Full:
-                    pass
-        for proc in self._procs:
-            proc.join(timeout=timeout)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=timeout)
+        for fd in self._commands:
+            self._seq += 1
+            try:
+                os.write(fd, _frame(("stop", self._seq)))
+            except OSError:
+                pass  # a full or broken pipe: end of file stops it too
+            _close_parent_end(fd)
+        for shard, pid in enumerate(self.pids):
+            if not self.join(shard, timeout):
+                os.kill(pid, signal.SIGKILL)
+                self.join(shard, timeout)
         self._sync_replicas()
-        for commands in self._commands:
-            commands.cancel_join_thread()
-            commands.close()
-        self._acks.cancel_join_thread()
-        self._acks.close()
+        for fd in self._acks:
+            if fd >= 0:
+                _close_parent_end(fd)
 
     def __del__(self) -> None:
         try:

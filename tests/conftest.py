@@ -1,7 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import os
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,26 @@ def _loop_kernels():
 def loop_kernels():
     """``with loop_kernels() as calls:`` runs on the loop reference."""
     return _loop_kernels
+
+
+def _os_children():
+    """Pids of every live (not zombie) process whose parent is this one."""
+    me = os.getpid()
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == me and fields[0] != "Z":
+            children.add(int(stat.parent.name))
+    return children
+
+
+@pytest.fixture
+def os_children():
+    """``os_children()`` lists this process's live children from /proc."""
+    return _os_children
 
 
 class FakeClock:

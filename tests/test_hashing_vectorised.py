@@ -136,19 +136,26 @@ class TestNoMemo:
 
 COLD_START = textwrap.dedent("""
     import sys
+    import threading
     import repro.serve
+    threads, loaded = threading.active_count(), set(sys.modules)
     monitor = repro.serve.TenantConfig(window_length=4096, memory="64KB",
                                        seed=1, **%s).build_monitor()
     before = set(sys.modules)
     monitor.observe_many([f"{i:016x}" for i in range(250)])
     monitor.report("0000000000000007")  # the barrier and merge, if sharded
     print(sorted(set(sys.modules) - before))
+    # Across build, first batch and query: no multiprocessing (its
+    # queues each start a feeder thread) and no thread of any kind.
+    print(sorted(name for name in set(sys.modules) - loaded
+                 if name.startswith("multiprocessing")),
+          threading.active_count() - threads)
     monitor.close()
 """)
 
 #: What a plain tenant's server never needs: the stream-analysis
-#: package, checkpoint serialisation, the shard layer (and the worker
-#: pool's multiprocessing behind it), and metrics exposition.
+#: package, checkpoint serialisation, the shard layer and metrics
+#: exposition (and multiprocessing, which nothing in repro loads).
 UNUSED_BY_PLAIN_TENANT = (
     "repro.streams", "repro.streams.batches", "repro.streams.groundtruth",
     "repro.streams.model", "repro.streams.statistics", "repro.streams.topk",
@@ -189,7 +196,9 @@ def _run(script):
 def test_first_batch_imports_no_module(tenant):
     # A first call that lazily imports (np.unique does) would add its
     # import time to the service's first frame.
-    assert _run(COLD_START % (tenant,)) == "[]"
+    first_batch, tenant_wide = _run(COLD_START % (tenant,)).splitlines()
+    assert first_batch == "[]"
+    assert tenant_wide == "[] 0"
 
 
 def test_plain_tenant_loads_nothing_it_does_not_use():

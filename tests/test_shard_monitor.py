@@ -9,7 +9,6 @@ restore, and check §7's distributed-measurement answers on a
 time-based window.
 """
 
-import multiprocessing
 import tempfile
 
 import numpy as np
@@ -52,19 +51,19 @@ def _reports(monitor, probe):
 
 
 class TestShape:
-    def test_process_router_runs_one_worker_per_shard(self):
-        before = {p.pid for p in multiprocessing.active_children()}
+    def test_process_router_runs_one_worker_per_shard(self, os_children):
+        before = os_children()
         monitor = ItemBatchMonitor.sharded(
             count_window(WINDOW), memory="16KB", seed=1, shards=2,
             router="process")
         try:
-            started = {p.pid for p in multiprocessing.active_children()}
-            assert len(started - before) == 2
+            started = os_children() - before
+            assert len(started) == 2
+            assert started == set(monitor.activeness.router.pids)
             assert len(monitor.tasks) == 4
         finally:
             monitor.close()
-        assert not {p.pid for p in multiprocessing.active_children()} \
-            - before
+        assert not os_children() - before
 
     def test_one_serial_shard_is_the_plain_monitor(self):
         monitor = ItemBatchMonitor.sharded(

@@ -1,4 +1,4 @@
-"""Deterministic tests for the multiprocessing shard worker pool.
+"""Deterministic tests for the forked shard worker pool.
 
 Concurrency failure modes are driven, not awaited: the router takes an
 injectable ``time_source`` (the :class:`BackgroundCleaner` pattern from
@@ -10,14 +10,18 @@ picture — never as a hang — and shutdown must always be clean and
 idempotent.
 """
 
-import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     ClockBloomFilter,
     ClockCountMin,
@@ -122,6 +126,37 @@ class TestBackpressure:
         finally:
             sharded.close()
 
+    def test_sub_batches_larger_than_a_pipe_go_whole_or_not_at_all(self):
+        # ~1.1 MB per command, more than a pipe holds: the first goes out
+        # in pieces while the idle worker reads it; behind a wedged
+        # worker the next one raises back-pressure without writing a
+        # byte, and the router carries on once the worker catches up.
+        size = 70_000
+        keys = np.arange(3 * size, dtype=np.uint64)
+        serial = ShardedSketch(_make_bloom, shards=1, router="serial")
+        with ShardedSketch(_make_bloom, shards=1, router="process",
+                           timeout=1.0) as sharded:
+            for batch in (keys[:size], keys[size:2 * size]):
+                sharded.insert_many(batch)
+                serial.insert_many(batch)
+            sharded.merged()
+            stalled = time.monotonic()
+            sharded.router.inject(0, "stall", 2.0)
+            with pytest.raises(ShardBackpressureError):
+                sharded.insert_many(keys[2 * size:])
+            time.sleep(max(0.0, stalled + 2.2 - time.monotonic()))
+            sharded.insert_many(keys[-500:])
+            serial.insert_many(keys[-500:])
+            assert np.array_equal(sharded.merged().clock.values,
+                                  serial.merged().clock.values)
+
+    def test_capacity_below_one_is_refused(self):
+        # No command could ever be in flight: every dispatch would wait
+        # out its deadline.
+        with pytest.raises(ConfigurationError, match="queue_capacity"):
+            ShardedSketch(_make_bloom, shards=1, router="process",
+                          queue_capacity=0)
+
 
 class TestWorkerFailure:
     def test_crash_surfaces_with_partial_result_info(self):
@@ -190,20 +225,6 @@ class TestSharedMemoryHygiene:
         assert sh.metrics()["router"] == "process"
 
 
-def _os_children():
-    """Pids of every live process whose parent is this one."""
-    me = os.getpid()
-    children = set()
-    for stat in Path("/proc").glob("[0-9]*/stat"):
-        try:
-            fields = stat.read_text().rsplit(")", 1)[1].split()
-        except (OSError, IndexError):
-            continue
-        if int(fields[1]) == me and fields[0] != "Z":
-            children.add(int(stat.parent.name))
-    return children
-
-
 def _wait_for(predicate, timeout=10.0):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -222,40 +243,94 @@ class TestProcessHygiene:
     mappings, so there is nothing to unlink and no resource tracker."""
 
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_exactly_p_children_and_no_segments(self, shards):
+    def test_exactly_p_children_and_no_segments(self, shards, os_children):
         shm_before = set(os.listdir("/dev/shm"))
-        mp_before = set(multiprocessing.active_children())
-        os_before = _os_children()
+        os_before = os_children()
         monitor = ItemBatchMonitor.sharded(
             WINDOW, memory="8KB", shards=shards, router="process",
             timeout=20.0)
         try:
             monitor.observe_many(_items(9, size=600))
             monitor.report("key-1")  # barrier: every ingest applied
-            workers = set(multiprocessing.active_children()) - mp_before
+            router = monitor.activeness.router
+            workers = set(router.pids)
             assert len(workers) == shards
-            assert _os_children() - os_before == {p.pid for p in workers}
+            assert os_children() - os_before == workers
             assert set(os.listdir("/dev/shm")) == shm_before
 
-            monitor.activeness.router.inject(0, "crash")
+            router.inject(0, "crash")
             with pytest.raises(ShardWorkerError):
                 monitor.report("key-1", t=monitor.activeness.now + 1)
-            assert _wait_for(lambda: len(
-                set(multiprocessing.active_children()) - mp_before)
-                == shards - 1)
-            assert _os_children() - os_before <= {p.pid for p in workers}
+            assert _wait_for(lambda: os_children() - os_before
+                             == workers - {router.pids[0]})
+            assert os_children() - os_before <= workers
             assert set(os.listdir("/dev/shm")) == shm_before
         finally:
             monitor.close()
-        assert not set(multiprocessing.active_children()) - mp_before
-        assert _wait_for(lambda: not _os_children() - os_before)
+        # close() reaped every worker: none is left even as a zombie.
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+        assert _wait_for(lambda: not os_children() - os_before)
         assert set(os.listdir("/dev/shm")) == shm_before
 
-    def test_process_router_needs_fork(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn", "forkserver"])
-        before = set(multiprocessing.active_children())
+    def test_process_router_needs_fork(self, monkeypatch, os_children):
+        monkeypatch.delattr(os, "fork")
+        before = os_children()
         with pytest.raises(ConfigurationError, match="fork"):
             ItemBatchMonitor.sharded(WINDOW, memory="8KB", shards=2,
                                      router="process")
-        assert set(multiprocessing.active_children()) == before
+        assert os_children() == before
+
+    def test_workers_exit_when_the_parent_is_killed(self):
+        # Two process tenants in one server: each worker must hold no
+        # write end of any command pipe, its own or the other tenant's,
+        # or end of file never reaches it once the parent is gone.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        with subprocess.Popen([sys.executable, "-c", ORPHAN_PARENT],
+                              env=env, stdout=subprocess.PIPE,
+                              text=True) as server:
+            try:
+                workers = [int(pid)
+                           for pid in server.stdout.readline().split()]
+                assert len(workers) == 4
+            finally:
+                server.kill()
+        try:
+            assert _wait_for(lambda: not [pid for pid in workers
+                                          if _running(pid)], timeout=5.0)
+        finally:
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+#: Builds two 2-shard process-routed monitors, prints the pids of its
+#: child processes, then waits to be killed.
+ORPHAN_PARENT = textwrap.dedent("""
+    import os, time
+    from pathlib import Path
+    from repro import ItemBatchMonitor, count_window
+
+    monitors = [ItemBatchMonitor.sharded(count_window(256), memory="8KB",
+                                         shards=2, router="process")
+                for _ in range(2)]
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == os.getpid():
+            children.append(stat.parent.name)
+    print(*children, flush=True)
+    time.sleep(60)
+""")
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"

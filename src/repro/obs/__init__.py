@@ -35,10 +35,10 @@ A low-overhead observability layer for the clock-sketch stack:
   lazily — see :mod:`repro.obs.http`) and a CLI
   (``python -m repro.obs``).
 
-Metric names are registered constants in :mod:`repro.obs.names`
-(enforced by sketch-lint rule SK106). The full catalogue, exposition
-formats, and the <10% enabled-overhead budget are documented in
-``docs/observability.md``.
+Every metric is declared once, with its kind, help text and labels, in
+:mod:`repro.obs.names` (names enforced by sketch-lint rule SK106). The
+full catalogue, exposition formats, and the <10% enabled-overhead
+budget are documented in ``docs/observability.md``.
 
 Examples
 --------
@@ -53,7 +53,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from . import names
-from .events import SEVERITIES, EventRing, ObsEvent
+from .events import SEVERITIES, ObsEvent
 from .registry import (
     NULL_REGISTRY,
     Counter,
@@ -64,7 +64,7 @@ from .registry import (
     SECONDS_BOUNDS,
     SIZE_BOUNDS,
 )
-from .ring import SweepTraceRing
+from .ring import LockedRing, SweepTraceRing
 from .runtime import (
     disable,
     enable,
@@ -107,7 +107,7 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "SweepTraceRing",
-    "EventRing",
+    "LockedRing",
     "ObsEvent",
     "SEVERITIES",
     "SECONDS_BOUNDS",

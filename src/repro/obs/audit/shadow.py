@@ -41,7 +41,6 @@ from ...streams.groundtruth import BatchTracker
 from ...timebase import WindowKind, WindowSpec
 from .. import names
 from .. import runtime as _obs
-from ..registry import SECONDS_BOUNDS
 from .drift import DriftAlert, DriftDetector
 from .predictor import AnalyticPredictor, TaskPrediction
 from .sampler import ShadowSampler
@@ -429,11 +428,8 @@ class ShadowAuditor:
     def _record_abs_errors(task: str, abs_err: np.ndarray) -> None:
         if not _obs.ENABLED or abs_err.size == 0:
             return
-        _obs.registry().histogram(
-            names.AUDIT_ABS_ERROR,
-            "Absolute estimation error of audited answers (log-2 buckets).",
-            labels={"task": task},
-        ).observe_many(abs_err)
+        _obs.series(names.AUDIT_ABS_ERROR, {"task": task}).observe_many(
+            abs_err)
 
     def _publish(self, report: AuditReport) -> None:
         """Push the cycle's numbers into the registry and event ring."""
@@ -447,32 +443,23 @@ class ShadowAuditor:
                         "predicted": alert.predicted,
                         "threshold": alert.threshold},
             )
-        reg = _obs.registry()
         for task, audit in report.tasks.items():
             labels = {"task": task, "stat": audit.stat}
-            reg.gauge(names.AUDIT_OBSERVED_ERROR,
-                      "Shadow-measured error of the live sketch.",
-                      labels=labels).set(audit.observed)
-            reg.gauge(names.AUDIT_PREDICTED_ERROR,
-                      "Analytically predicted error at this configuration.",
-                      labels=labels).set(audit.predicted)
+            _obs.series(names.AUDIT_OBSERVED_ERROR, labels).set(
+                audit.observed)
+            _obs.series(names.AUDIT_PREDICTED_ERROR, labels).set(
+                audit.predicted)
             if audit.predicted > 0.0:
-                reg.gauge(names.AUDIT_ERROR_RATIO,
-                          "Observed error over predicted error.",
-                          labels=labels).set(audit.observed / audit.predicted)
+                _obs.series(names.AUDIT_ERROR_RATIO, labels).set(
+                    audit.observed / audit.predicted)
             error_window = (audit.prediction.detail.get("error_window")
                             if audit.prediction is not None else None)
             if error_window is not None:
-                reg.gauge(names.AUDIT_ERROR_WINDOW_LENGTH,
-                          "Residual error-window length T/(2^s - 2).",
-                          labels={"task": task}).set(error_window)
+                _obs.series(names.AUDIT_ERROR_WINDOW_LENGTH, labels).set(
+                    error_window)
         for alert in report.alerts:
-            reg.counter(names.AUDIT_ALERTS_TOTAL,
-                        "Drift alerts raised by the accuracy auditor.",
-                        labels={"task": alert.task,
-                                "kind": alert.kind}).inc()
-        reg.counter(names.AUDIT_CYCLES_TOTAL,
-                    "Audit cycles completed.").inc()
-        reg.histogram(names.AUDIT_CYCLE_SECONDS,
-                      "Wall-clock seconds per audit cycle (log-2 buckets).",
-                      bounds=SECONDS_BOUNDS).observe(report.duration_seconds)
+            _obs.series(names.AUDIT_ALERTS_TOTAL,
+                        {"task": alert.task, "kind": alert.kind}).inc()
+        _obs.series(names.AUDIT_CYCLES_TOTAL).inc()
+        _obs.series(names.AUDIT_CYCLE_SECONDS).observe(
+            report.duration_seconds)

@@ -1,4 +1,4 @@
-"""Structured observability events: severities and a fixed-size ring.
+"""Structured observability events and their severities.
 
 Where the sweep-trace ring records *regular* telemetry (one event per
 cleaning sweep), this module records *irregular* operational events —
@@ -7,23 +7,22 @@ notices. Each event carries a severity (``info`` / ``warning`` /
 ``critical``), a machine-readable ``kind``, the stream time it refers
 to, and a small free-form payload.
 
-Events land in an :class:`EventRing` (same overwriting semantics and
-read-back surface as :class:`~repro.obs.ring.SweepTraceRing`) and are
-also counted into the ``repro_obs_events_total`` counter, labelled by
-severity and kind, so alert rates are visible on ``/metrics`` even
-after the ring has wrapped. The ring itself is exported through
-``/metrics.json`` and ``python -m repro.obs --rings``.
+Events land in the switchboard's event ring (a
+:class:`~repro.obs.ring.LockedRing`, since events arrive from many
+threads) and are also counted into the ``repro_obs_events_total``
+counter, labelled by severity and kind, so alert rates are visible on
+``/metrics`` even after the ring has wrapped. The ring itself is
+exported through ``/metrics.json`` and ``python -m repro.obs --rings``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping
 
 from ..errors import ConfigurationError
 
-__all__ = ["ObsEvent", "EventRing", "SEVERITIES"]
+__all__ = ["ObsEvent", "SEVERITIES"]
 
 #: Legal event severities, mildest first.
 SEVERITIES = ("info", "warning", "critical")
@@ -74,87 +73,3 @@ class ObsEvent:
             "message": self.message,
             "fields": dict(self.fields),
         }
-
-
-class EventRing:
-    """Overwriting ring of the most recent ``capacity`` events.
-
-    Same shape as :class:`~repro.obs.ring.SweepTraceRing`: pushes
-    overwrite the oldest entry once full, ``total_pushed`` keeps
-    counting, and read-back is chronological. Events are irregular and
-    orders of magnitude rarer than sweeps, so entries are stored as the
-    :class:`ObsEvent` objects themselves rather than parallel columns.
-
-    Unlike the single-writer sweep ring, events can arrive from many
-    threads at once (auditor thread, lock waiters, flight recorder), so
-    pushes are serialised under a lock and each entry carries a
-    monotonic sequence number assigned at push time — lost or torn
-    records would show up as gaps or inversions in the read-back.
-    """
-
-    def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ConfigurationError(
-                f"ring capacity must be >= 1, got {capacity}"
-            )
-        self.capacity = int(capacity)
-        self._entries: "List[Optional[Tuple[int, ObsEvent]]]" = \
-            [None] * self.capacity
-        self._next = 0
-        self._total = 0
-        self._lock = threading.Lock()
-
-    def push(self, event: ObsEvent) -> None:
-        """Record one event, overwriting the oldest when full."""
-        with self._lock:
-            i = self._next
-            self._entries[i] = (self._total, event)
-            self._next = (i + 1) % self.capacity
-            self._total += 1
-
-    def __len__(self) -> int:
-        """Events currently held (≤ capacity)."""
-        return min(self._total, self.capacity)
-
-    @property
-    def total_pushed(self) -> int:
-        """Events ever pushed, including those already overwritten."""
-        return self._total
-
-    def _snapshot(self) -> "List[Tuple[int, ObsEvent]]":
-        with self._lock:
-            size = min(self._total, self.capacity)
-            if self._total <= self.capacity:
-                order = range(size)
-            else:
-                order = ((i + self._next) % self.capacity
-                         for i in range(size))
-            return [entry for i in order
-                    if (entry := self._entries[i]) is not None]
-
-    def events(self) -> "List[ObsEvent]":
-        """Chronological list of the held events."""
-        return [event for _seq, event in self._snapshot()]
-
-    def dicts(self) -> "List[Dict[str, Any]]":
-        """Chronological events as JSON-friendly dicts, each carrying
-        its push-time ``seq`` number."""
-        out: "List[Dict[str, Any]]" = []
-        for seq, event in self._snapshot():
-            d = event.as_dict()
-            d["seq"] = seq
-            out.append(d)
-        return out
-
-    def clear(self) -> None:
-        """Drop all events (buffer stays allocated)."""
-        with self._lock:
-            self._entries = [None] * self.capacity
-            self._next = 0
-            self._total = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"EventRing(capacity={self.capacity}, held={len(self)}, "
-            f"total_pushed={self._total})"
-        )

@@ -122,10 +122,7 @@ class FlightRecorder:
             self.last_dump_path = path
             self._prune()
         if _rt.ENABLED:
-            _rt.registry().counter(
-                names.FLIGHT_DUMPS_TOTAL,
-                "Flight-recorder bundles written.",
-                labels={"reason": safe}).inc()
+            _rt.series(names.FLIGHT_DUMPS_TOTAL, {"reason": safe}).inc()
             _rt.record_event(
                 time=0.0, severity="critical", kind="flight-dump",
                 message=f"flight bundle written: {path}",

@@ -1,22 +1,33 @@
-"""The metric-name catalogue: every registered metric name, as a constant.
+"""The metric catalogue: every metric the library registers, declared once.
 
 Metric names are part of the library's operational contract — dashboards
 and alerts reference them by string, so a typo in one instrumentation
-site silently forks a series. sketch-lint rule SK106 therefore bans
-inline name literals at registration sites (``registry.counter("...")``);
-every name lives here, once, and instrumentation imports the constant.
+site silently forks a series. Each name is therefore a constant here,
+and sketch-lint rule SK106 bans inline name literals at registration
+sites (``registry.counter("...")``).
+
+Each constant is declared together with its kind, help text, label
+names and, for histograms, whether it times seconds. :data:`CATALOGUE`
+maps every name to that :class:`Metric` entry, and
+:func:`repro.obs.runtime.series` registers series from it, so no
+instrumentation site restates any of them. The constants stay plain
+strings, usable wherever a name is expected (``registry.get(...)``).
 
 Naming follows the Prometheus conventions: ``repro_`` namespace, an
 area segment (``clock``, ``sketch``, ``engine``, ``lock``, ``monitor``,
 ``bench``), a ``_total`` suffix on counters and a unit suffix
-(``_seconds``, ``_bits``, ``_steps``) where one applies. The full
-catalogue with per-metric semantics is documented in
-``docs/observability.md``.
+(``_seconds``, ``_bits``, ``_steps``) where one applies.
+``docs/observability.md`` describes each metric; a test keeps its
+table equal to this catalogue.
 """
 
 from __future__ import annotations
 
+from typing import Dict, NamedTuple, Tuple
+
 __all__ = [
+    "Metric",
+    "CATALOGUE",
     # clock / sweep telemetry
     "CLOCK_SWEEPS_TOTAL",
     "CLOCK_SWEEP_STEPS_TOTAL",
@@ -96,147 +107,222 @@ __all__ = [
     "SPAN_SHARD_ACK",
 ]
 
+
+class Metric(NamedTuple):
+    """How one metric name is registered."""
+
+    #: ``"counter"``, ``"gauge"`` or ``"histogram"``.
+    kind: str
+    help: str
+    #: The label names every series of the metric carries, in order.
+    labels: Tuple[str, ...]
+    #: Histograms only: bucket by the log-2 ``SECONDS_BOUNDS`` rather
+    #: than the default ``SIZE_BOUNDS``.
+    seconds: bool
+
+
+#: Every metric name, mapped to its declaration.
+CATALOGUE: Dict[str, Metric] = {}
+
+
+def _declare(name: str, kind: str, help: str, *labels: str,
+             seconds: bool = False) -> str:
+    CATALOGUE[name] = Metric(kind, help, labels, seconds)
+    return name
+
+
 # ---------------------------------------------------------------------- clock
-#: Sweep executions performed (one ``advance``/``flush``/fused batch
-#: that did work counts once).
-CLOCK_SWEEPS_TOTAL = "repro_clock_sweeps_total"
-#: Individual sweep steps (cell visits) performed by the cleaner.
-CLOCK_SWEEP_STEPS_TOTAL = "repro_clock_sweep_steps_total"
-#: Cells whose clock reached zero (expired) during cleaning.
-CLOCK_CELLS_CLEANED_TOTAL = "repro_clock_cells_cleaned_total"
-#: Cleaner lag behind the ideal ``T/(2^s - 2)`` cadence, in steps
-#: (0 for exact sweep modes after every operation; < n for deferred).
-CLOCK_SWEEP_LAG_STEPS = "repro_clock_sweep_lag_steps"
-#: Fraction of clock cells currently non-zero (sampled).
-CLOCK_FILL_RATIO = "repro_clock_fill_ratio"
-#: Number of clock cells currently zero (sampled).
-CLOCK_ZERO_CELLS = "repro_clock_zero_cells"
-#: Log-2-bucketed histogram of non-zero cell values (sampled occupancy).
-CLOCK_CELL_VALUE = "repro_clock_cell_value"
+CLOCK_SWEEPS_TOTAL = _declare(
+    "repro_clock_sweeps_total", "counter", "Cleaning sweeps executed.")
+CLOCK_SWEEP_STEPS_TOTAL = _declare(
+    "repro_clock_sweep_steps_total", "counter",
+    "Individual sweep steps (cell visits).")
+CLOCK_CELLS_CLEANED_TOTAL = _declare(
+    "repro_clock_cells_cleaned_total", "counter",
+    "Cells expired (decremented to zero) by cleaning.")
+CLOCK_SWEEP_LAG_STEPS = _declare(
+    "repro_clock_sweep_lag_steps", "gauge",
+    "Cleaner lag behind the ideal cadence, in steps.")
+CLOCK_FILL_RATIO = _declare(
+    "repro_clock_fill_ratio", "gauge",
+    "Fraction of clock cells currently non-zero.", "sketch")
+CLOCK_ZERO_CELLS = _declare(
+    "repro_clock_zero_cells", "gauge", "Clock cells currently zero.", "sketch")
+#: Bucketed 1, 2, 4, ... up to ``2^s`` for the sampled clock's cell width.
+CLOCK_CELL_VALUE = _declare(
+    "repro_clock_cell_value", "histogram",
+    "Non-zero clock cell values (log-2 buckets).", "sketch")
 
 # --------------------------------------------------------------------- sketch
-#: Items inserted, labelled by sketch class (scalar and batch paths).
-SKETCH_INSERTS_TOTAL = "repro_sketch_inserts_total"
-#: Query operations resolved, labelled by sketch class.
-SKETCH_QUERIES_TOTAL = "repro_sketch_queries_total"
-#: Accounted memory footprint per task, in bits (gauge).
-SKETCH_MEMORY_BITS = "repro_sketch_memory_bits"
-#: Estimated-vs-capacity fill per task (fraction of live cells).
-SKETCH_FILL_RATIO = "repro_sketch_fill_ratio"
+SKETCH_INSERTS_TOTAL = _declare(
+    "repro_sketch_inserts_total", "counter", "Items inserted.", "sketch")
+SKETCH_QUERIES_TOTAL = _declare(
+    "repro_sketch_queries_total", "counter", "Query operations resolved.",
+    "sketch")
+SKETCH_MEMORY_BITS = _declare(
+    "repro_sketch_memory_bits", "gauge",
+    "Accounted memory footprint in bits.", "sketch")
+SKETCH_FILL_RATIO = _declare(
+    "repro_sketch_fill_ratio", "gauge", "Estimated fraction of live cells.",
+    "sketch")
 
 # --------------------------------------------------------------------- engine
-#: Items ingested through the batch engine.
-ENGINE_BATCH_ITEMS_TOTAL = "repro_engine_batch_items_total"
-#: Batches applied, labelled by path (``fused``/``loop``/``deferred``).
-ENGINE_BATCHES_TOTAL = "repro_engine_batches_total"
-#: Histogram of batch sizes handed to the engine.
-ENGINE_BATCH_SIZE = "repro_engine_batch_size"
-#: Histogram of wall-clock seconds per applied batch.
-ENGINE_BATCH_SECONDS = "repro_engine_batch_seconds"
-#: Items/sec of the most recent batch application (gauge).
-ENGINE_ITEMS_PER_SEC = "repro_engine_items_per_sec"
+ENGINE_BATCH_ITEMS_TOTAL = _declare(
+    "repro_engine_batch_items_total", "counter",
+    "Items ingested through the batch engine.", "sketch")
+#: ``path`` is ``fused``, ``loop`` or ``deferred``.
+ENGINE_BATCHES_TOTAL = _declare(
+    "repro_engine_batches_total", "counter",
+    "Batches applied, by execution path.", "sketch", "path")
+ENGINE_BATCH_SIZE = _declare(
+    "repro_engine_batch_size", "histogram",
+    "Batch sizes handed to the engine (log-2 buckets).", "sketch")
+ENGINE_BATCH_SECONDS = _declare(
+    "repro_engine_batch_seconds", "histogram",
+    "Wall-clock seconds per applied batch (log-2 buckets).", "sketch",
+    seconds=True)
+ENGINE_ITEMS_PER_SEC = _declare(
+    "repro_engine_items_per_sec", "gauge",
+    "Items/sec of the most recent batch.", "sketch")
 
 # ----------------------------------------------------------------------- lock
-#: Lock acquisitions by ThreadSafeSketch's guarded paths.
-LOCK_ACQUIRES_TOTAL = "repro_lock_acquires_total"
-#: Acquisitions that found the lock held (contended).
-LOCK_CONTENTION_TOTAL = "repro_lock_contention_total"
-#: Cumulative seconds spent blocked waiting for the lock.
-LOCK_WAIT_SECONDS_TOTAL = "repro_lock_wait_seconds_total"
+LOCK_ACQUIRES_TOTAL = _declare(
+    "repro_lock_acquires_total", "counter", "Guarded lock acquisitions.")
+LOCK_CONTENTION_TOTAL = _declare(
+    "repro_lock_contention_total", "counter",
+    "Acquisitions that found the lock held.")
+LOCK_WAIT_SECONDS_TOTAL = _declare(
+    "repro_lock_wait_seconds_total", "counter",
+    "Seconds spent blocked on the lock.")
 
 # -------------------------------------------------------------------- monitor
-#: Total accounted footprint of an ItemBatchMonitor, in bits.
-MONITOR_MEMORY_BITS = "repro_monitor_memory_bits"
-#: Configured (normalised) memory split, labelled by task.
-MONITOR_SPLIT_RATIO = "repro_monitor_split_ratio"
-#: Number of enabled tasks.
-MONITOR_TASKS = "repro_monitor_tasks"
+MONITOR_MEMORY_BITS = _declare(
+    "repro_monitor_memory_bits", "gauge",
+    "Total accounted monitor footprint in bits.")
+MONITOR_SPLIT_RATIO = _declare(
+    "repro_monitor_split_ratio", "gauge",
+    "Configured memory split by task (sums to 1).", "task")
+MONITOR_TASKS = _declare(
+    "repro_monitor_tasks", "gauge", "Enabled measurement tasks.")
 
 # ---------------------------------------------------------------------- bench
-#: Histogram of experiment-harness stage latencies, labelled by stage.
-BENCH_STAGE_SECONDS = "repro_bench_stage_seconds"
+BENCH_STAGE_SECONDS = _declare(
+    "repro_bench_stage_seconds", "histogram",
+    "Stage latency in seconds (log-2 buckets).", "stage", seconds=True)
 
 # ---------------------------------------------------------------------- audit
-#: Stream items folded into the shadow-truth tracker (the sampled subset).
-AUDIT_SAMPLED_ITEMS_TOTAL = "repro_audit_sampled_items_total"
-#: Distinct keys currently held by the shadow tracker (gauge).
-AUDIT_SHADOW_KEYS = "repro_audit_shadow_keys"
-#: Audit replay cycles executed.
-AUDIT_CYCLES_TOTAL = "repro_audit_cycles_total"
-#: Wall-clock seconds per audit cycle (log-2 buckets).
-AUDIT_CYCLE_SECONDS = "repro_audit_cycle_seconds"
-#: Online error estimate from the shadow replay, labelled ``{task, stat}``.
-AUDIT_OBSERVED_ERROR = "repro_audit_observed_error"
-#: Analytically predicted error at the live configuration, by task.
-AUDIT_PREDICTED_ERROR = "repro_audit_predicted_error"
-#: Observed / predicted error ratio, by task (1.0 = exactly as modelled).
-AUDIT_ERROR_RATIO = "repro_audit_error_ratio"
-#: Residual error-window length ``T / (2^s - 2)`` per task (gauge).
-AUDIT_ERROR_WINDOW_LENGTH = "repro_audit_error_window_length"
-#: Absolute per-key error of audited size/span queries (log-2 buckets).
-AUDIT_ABS_ERROR = "repro_audit_abs_error"
-#: Drift alerts raised, labelled ``{task, kind}``.
-AUDIT_ALERTS_TOTAL = "repro_audit_alerts_total"
+AUDIT_SAMPLED_ITEMS_TOTAL = _declare(
+    "repro_audit_sampled_items_total", "counter",
+    "Stream items folded into the shadow tracker.")
+AUDIT_SHADOW_KEYS = _declare(
+    "repro_audit_shadow_keys", "gauge",
+    "Distinct keys held by the shadow tracker.")
+AUDIT_CYCLES_TOTAL = _declare(
+    "repro_audit_cycles_total", "counter", "Audit cycles completed.")
+AUDIT_CYCLE_SECONDS = _declare(
+    "repro_audit_cycle_seconds", "histogram",
+    "Wall-clock seconds per audit cycle (log-2 buckets).", seconds=True)
+AUDIT_OBSERVED_ERROR = _declare(
+    "repro_audit_observed_error", "gauge",
+    "Shadow-measured error of the live sketch.", "task", "stat")
+AUDIT_PREDICTED_ERROR = _declare(
+    "repro_audit_predicted_error", "gauge",
+    "Analytically predicted error at this configuration.", "task", "stat")
+AUDIT_ERROR_RATIO = _declare(
+    "repro_audit_error_ratio", "gauge",
+    "Observed error over predicted error.", "task", "stat")
+AUDIT_ERROR_WINDOW_LENGTH = _declare(
+    "repro_audit_error_window_length", "gauge",
+    "Residual error-window length T/(2^s - 2).", "task")
+AUDIT_ABS_ERROR = _declare(
+    "repro_audit_abs_error", "histogram",
+    "Absolute estimation error of audited answers (log-2 buckets).", "task")
+AUDIT_ALERTS_TOTAL = _declare(
+    "repro_audit_alerts_total", "counter",
+    "Drift alerts raised by the accuracy auditor.", "task", "kind")
 
 # ---------------------------------------------------------------------- shard
-#: Items routed to each shard, labelled ``{shard}``.
-SHARD_ITEMS_ROUTED_TOTAL = "repro_shard_items_routed_total"
-#: Scatter batches dispatched to each shard, labelled ``{shard}``.
-SHARD_BATCHES_ROUTED_TOTAL = "repro_shard_batches_routed_total"
-#: Pending commands in a worker's queue at dispatch time, labelled
-#: ``{shard}`` (gauge; serial routers report 0).
-SHARD_QUEUE_DEPTH = "repro_shard_queue_depth"
-#: Merged global snapshots built, labelled by sketch class.
-SHARD_MERGES_TOTAL = "repro_shard_merges_total"
-#: Wall-clock seconds per merged-snapshot build (log-2 buckets).
-SHARD_MERGE_SECONDS = "repro_shard_merge_seconds"
+SHARD_ITEMS_ROUTED_TOTAL = _declare(
+    "repro_shard_items_routed_total", "counter",
+    "Items routed to this shard.", "shard")
+SHARD_BATCHES_ROUTED_TOTAL = _declare(
+    "repro_shard_batches_routed_total", "counter",
+    "Scatter batches dispatched to this shard.", "shard")
+#: The serial router applies batches inline and reports 0.
+SHARD_QUEUE_DEPTH = _declare(
+    "repro_shard_queue_depth", "gauge",
+    "Commands pending in the shard's worker queue at dispatch time.",
+    "shard")
+SHARD_MERGES_TOTAL = _declare(
+    "repro_shard_merges_total", "counter",
+    "Merged global snapshots built.", "sketch")
+SHARD_MERGE_SECONDS = _declare(
+    "repro_shard_merge_seconds", "histogram",
+    "Wall-clock seconds per merged-snapshot build (log-2 buckets).",
+    "sketch", seconds=True)
 
 # --------------------------------------------------------------------- events
-#: Structured observability events recorded, labelled ``{severity, kind}``.
-OBS_EVENTS_TOTAL = "repro_obs_events_total"
+OBS_EVENTS_TOTAL = _declare(
+    "repro_obs_events_total", "counter",
+    "Structured observability events.", "severity", "kind")
 
 # ---------------------------------------------------------------------- trace
-#: Spans finished into the span ring, labelled by span ``{name}``.
-TRACE_SPANS_TOTAL = "repro_trace_spans_total"
-#: Sampled root spans started (one per recorded trace).
-TRACE_TRACES_TOTAL = "repro_trace_traces_total"
-#: Flight-recorder bundles written, labelled by ``{reason}``.
-FLIGHT_DUMPS_TOTAL = "repro_flight_dumps_total"
+TRACE_SPANS_TOTAL = _declare(
+    "repro_trace_spans_total", "counter",
+    "Spans finished into the span ring.", "name")
+TRACE_TRACES_TOTAL = _declare(
+    "repro_trace_traces_total", "counter", "Sampled root spans started.")
+FLIGHT_DUMPS_TOTAL = _declare(
+    "repro_flight_dumps_total", "counter",
+    "Flight-recorder bundles written.", "reason")
 
 # ---------------------------------------------------------------------- serve
-#: Client connections accepted by the ingestion service.
-SERVE_CONNECTIONS_TOTAL = "repro_serve_connections_total"
-#: Client connections currently open (gauge).
-SERVE_CONNECTIONS_OPEN = "repro_serve_connections_open"
-#: Protocol commands executed successfully, labelled ``{tenant, op}``.
-SERVE_COMMANDS_TOTAL = "repro_serve_commands_total"
-#: Error responses sent, labelled by wire error ``{code}``.
-SERVE_ERRORS_TOTAL = "repro_serve_errors_total"
-#: Stream items ingested through the service, labelled ``{tenant}``.
-SERVE_ITEMS_TOTAL = "repro_serve_items_total"
-#: Tenants currently resident (gauge).
-SERVE_TENANTS = "repro_serve_tenants"
-#: Tenants quarantined after an engine failure, labelled ``{tenant}``.
-SERVE_QUARANTINES_TOTAL = "repro_serve_quarantines_total"
-#: Checkpoints written, labelled ``{tenant}``.
-SERVE_CHECKPOINTS_TOTAL = "repro_serve_checkpoints_total"
-#: Wall-clock seconds per checkpoint write (log-2 buckets).
-SERVE_CHECKPOINT_SECONDS = "repro_serve_checkpoint_seconds"
-#: Restore attempts at service start, labelled ``{tenant, outcome}``
-#: (``restored``/``fallback``/``fresh``).
-SERVE_RESTORES_TOTAL = "repro_serve_restores_total"
+SERVE_CONNECTIONS_TOTAL = _declare(
+    "repro_serve_connections_total", "counter",
+    "Client connections accepted.")
+SERVE_CONNECTIONS_OPEN = _declare(
+    "repro_serve_connections_open", "gauge",
+    "Client connections currently open.")
+SERVE_COMMANDS_TOTAL = _declare(
+    "repro_serve_commands_total", "counter",
+    "Protocol commands executed successfully.", "tenant", "op")
+SERVE_ERRORS_TOTAL = _declare(
+    "repro_serve_errors_total", "counter",
+    "Error responses sent on the wire.", "code")
+SERVE_ITEMS_TOTAL = _declare(
+    "repro_serve_items_total", "counter",
+    "Stream items ingested through the service.", "tenant")
+SERVE_TENANTS = _declare(
+    "repro_serve_tenants", "gauge", "Tenants currently resident.")
+SERVE_QUARANTINES_TOTAL = _declare(
+    "repro_serve_quarantines_total", "counter",
+    "Tenants quarantined after an engine failure.", "tenant")
+SERVE_CHECKPOINTS_TOTAL = _declare(
+    "repro_serve_checkpoints_total", "counter", "Checkpoints written.",
+    "tenant")
+SERVE_CHECKPOINT_SECONDS = _declare(
+    "repro_serve_checkpoint_seconds", "histogram",
+    "Wall-clock seconds per checkpoint write (log-2 buckets).", seconds=True)
+#: ``outcome`` is ``restored``, ``fallback`` or ``fresh``.
+SERVE_RESTORES_TOTAL = _declare(
+    "repro_serve_restores_total", "counter",
+    "Restore attempts at service start, by outcome.", "tenant", "outcome")
 
 # ----------------------------------------------------------------------- perf
-#: Benchmark runs appended to the performance ledger, labelled ``{bench}``.
-PERF_RECORDS_TOTAL = "repro_perf_records_total"
-#: Current-vs-baseline comparisons evaluated, labelled ``{status}``
-#: (``improved``/``flat``/``regressed``/``insufficient``/``skipped``).
-PERF_COMPARES_TOTAL = "repro_perf_compares_total"
-#: Comparisons that classified as an actionable regression, labelled
-#: ``{bench}``.
-PERF_REGRESSIONS_TOTAL = "repro_perf_regressions_total"
-#: Last recorded headline scalar, labelled ``{bench, metric}`` (gauge).
-PERF_HEADLINE = "repro_perf_headline"
+PERF_RECORDS_TOTAL = _declare(
+    "repro_perf_records_total", "counter",
+    "Benchmark runs appended to the performance ledger.", "bench")
+#: ``status`` is ``improved``, ``flat``, ``regressed``, ``insufficient``
+#: or ``skipped``.
+PERF_COMPARES_TOTAL = _declare(
+    "repro_perf_compares_total", "counter",
+    "Current-vs-baseline comparisons evaluated.", "status")
+PERF_REGRESSIONS_TOTAL = _declare(
+    "repro_perf_regressions_total", "counter",
+    "Comparisons classified as actionable regressions.", "bench")
+PERF_HEADLINE = _declare(
+    "repro_perf_headline", "gauge",
+    "Last recorded headline scalar, by bench and metric.", "bench", "metric")
 
 # ----------------------------------------------------------- span vocabulary
 # Span names are part of the same operational contract as metric names:

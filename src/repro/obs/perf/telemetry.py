@@ -158,23 +158,14 @@ def publish_record(bench: str,
     Call sites gate on ``_obs.ENABLED``; like every recorder, this
     also tolerates direct calls by writing into the null registry.
     """
-    reg = _obs.registry()
-    reg.counter(names.PERF_RECORDS_TOTAL,
-                "Benchmark runs appended to the performance ledger.",
-                labels={"bench": bench}).inc()
+    _obs.series(names.PERF_RECORDS_TOTAL, {"bench": bench}).inc()
     for metric, value in headlines.items():
-        reg.gauge(names.PERF_HEADLINE,
-                  "Last recorded headline scalar, by bench and metric.",
-                  labels={"bench": bench, "metric": metric}).set(value)
+        _obs.series(names.PERF_HEADLINE,
+                    {"bench": bench, "metric": metric}).set(value)
 
 
 def publish_compare(bench: str, status: str) -> None:
     """Count one comparison verdict (and regressions separately)."""
-    reg = _obs.registry()
-    reg.counter(names.PERF_COMPARES_TOTAL,
-                "Current-vs-baseline comparisons evaluated.",
-                labels={"status": status}).inc()
+    _obs.series(names.PERF_COMPARES_TOTAL, {"status": status}).inc()
     if status == "regressed":
-        reg.counter(names.PERF_REGRESSIONS_TOTAL,
-                    "Comparisons classified as actionable regressions.",
-                    labels={"bench": bench}).inc()
+        _obs.series(names.PERF_REGRESSIONS_TOTAL, {"bench": bench}).inc()

@@ -1,4 +1,4 @@
-"""Fixed-size ring buffer for sweep traces.
+"""Fixed-size overwriting ring buffers: the sweep trace and a locked ring.
 
 Every cleaning sweep emits one event — wall-clock timestamp, pointer
 position after the sweep, number of cells cleaned, and steps executed —
@@ -11,17 +11,22 @@ order of magnitude cheaper than four numpy scalar stores. Tests and
 the bench harness read the events back in chronological order via
 :meth:`SweepTraceRing.events` (or as numpy arrays via
 :meth:`SweepTraceRing.arrays`, converted on demand).
+
+:class:`LockedRing` holds whole objects instead (structured events,
+finished spans): those are orders of magnitude rarer than sweeps but
+arrive from many threads at once, so its pushes are serialised.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import threading
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["SweepTraceRing", "SweepEvent"]
+__all__ = ["SweepTraceRing", "SweepEvent", "LockedRing"]
 
 #: One decoded trace event (plain dict keys, JSON-friendly).
 SweepEvent = Dict[str, float]
@@ -105,3 +110,68 @@ class SweepTraceRing:
             f"SweepTraceRing(capacity={self.capacity}, "
             f"held={len(self)}, total_pushed={self._total})"
         )
+
+
+class LockedRing:
+    """Thread-safe overwriting ring of the most recent ``capacity`` entries.
+
+    Same semantics as :class:`SweepTraceRing` — pushes overwrite the
+    oldest entry once full, ``total_pushed`` keeps counting, read-back
+    is chronological — but pushes may come from many threads (engine
+    threads, lock waiters, the auditor, the ack-absorbing parent), so
+    every push and read holds the lock. Lost or torn records would show
+    up as gaps or inversions in :meth:`numbered`.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ConfigurationError(
+                f"ring capacity must be >= 1, got {capacity}"
+            )
+        self.capacity = int(capacity)
+        self._entries: "List[Optional[Any]]" = [None] * self.capacity
+        self._next = 0
+        self._total = 0
+        self._lock = threading.Lock()
+
+    def push(self, entry: Any) -> None:
+        """Record one entry, overwriting the oldest when full."""
+        with self._lock:
+            i = self._next
+            self._entries[i] = entry
+            self._next = (i + 1) % self.capacity
+            self._total += 1
+
+    def __len__(self) -> int:
+        """Entries currently held (≤ capacity)."""
+        return min(self._total, self.capacity)
+
+    @property
+    def total_pushed(self) -> int:
+        """Entries ever pushed, including those already overwritten."""
+        return self._total
+
+    def numbered(self) -> "List[Tuple[int, Any]]":
+        """Chronological ``(seq, entry)`` pairs, ``seq`` being the
+        entry's push index (0 for the first entry ever pushed)."""
+        with self._lock:
+            size = min(self._total, self.capacity)
+            start = self._next if self._total > self.capacity else 0
+            first = self._total - size
+            return [(first + i, self._entries[(start + i) % self.capacity])
+                    for i in range(size)]
+
+    def entries(self) -> "List[Any]":
+        """The held entries, oldest first."""
+        return [entry for _seq, entry in self.numbered()]
+
+    def clear(self) -> None:
+        """Drop all entries (buffer stays allocated)."""
+        with self._lock:
+            self._entries = [None] * self.capacity
+            self._next = 0
+            self._total = 0
+
+    def __repr__(self) -> str:
+        return (f"LockedRing(capacity={self.capacity}, held={len(self)}, "
+                f"total_pushed={self._total})")

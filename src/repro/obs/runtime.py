@@ -28,19 +28,22 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union,
+)
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from . import names
-from .events import EventRing, ObsEvent
+from .events import ObsEvent
 from .registry import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
     SECONDS_BOUNDS,
 )
-from .ring import SweepTraceRing
+from .ring import LockedRing, SweepTraceRing
 
 __all__ = [
     "ENABLED",
@@ -53,6 +56,7 @@ __all__ = [
     "sweep_ring",
     "event_ring",
     "rings_snapshot",
+    "series",
     "timed",
     "record_sweep",
     "record_sweep_deferral",
@@ -61,6 +65,7 @@ __all__ = [
     "record_batch",
     "record_lock",
     "record_event",
+    "record_span",
     "record_audit_ingest",
     "sample_clock",
     "publish_sketch",
@@ -83,15 +88,7 @@ ENABLED: bool = False
 
 _REGISTRY: "Union[MetricsRegistry, NullRegistry]" = NULL_REGISTRY
 _RING: SweepTraceRing = SweepTraceRing(1)
-_EVENTS: EventRing = EventRing(1)
-
-#: Hot-path recorder cache: key -> tuple of pre-interned metric objects.
-#: Registry interning builds a label dict plus a sorted key per lookup;
-#: recorders that fire per batch/sweep would pay that on every event, so
-#: they memoise their series here. Invalidated whenever the switchboard
-#: flips (enable/disable), which is the only time ``registry()`` can
-#: start handing out different objects.
-_SERIES: "Dict[Any, Any]" = {}
+_EVENTS: LockedRing = LockedRing(1)
 
 #: Callbacks run whenever ``enable(fresh=True)`` rebuilds the rings, so
 #: satellite stores (e.g. the span ring in :mod:`repro.obs.trace`) can
@@ -118,7 +115,7 @@ def enable(ring_capacity: int = DEFAULT_RING_CAPACITY,
     if fresh or isinstance(_REGISTRY, NullRegistry):
         _REGISTRY = MetricsRegistry()
         _RING = SweepTraceRing(ring_capacity)
-        _EVENTS = EventRing(event_capacity)
+        _EVENTS = LockedRing(event_capacity)
         for hook in _RESET_HOOKS:
             hook()
     _SERIES.clear()
@@ -150,7 +147,7 @@ def sweep_ring() -> SweepTraceRing:
     return _RING
 
 
-def event_ring() -> EventRing:
+def event_ring() -> LockedRing:
     """The structured-event ring populated while instrumentation is on."""
     return _EVENTS
 
@@ -170,7 +167,8 @@ def rings_snapshot() -> "Dict[str, Any]":
         "events": {
             "capacity": _EVENTS.capacity,
             "total_pushed": _EVENTS.total_pushed,
-            "events": _EVENTS.dicts(),
+            "events": [dict(event.as_dict(), seq=seq)
+                       for seq, event in _EVENTS.numbered()],
         },
     }
 
@@ -224,11 +222,7 @@ class timed:
 
     def __exit__(self, *exc: Any) -> bool:
         if self._active:
-            elapsed = perf_counter() - self._t0
-            _REGISTRY.histogram(
-                self.name, "Stage latency in seconds (log-2 buckets).",
-                labels=self.labels, bounds=SECONDS_BOUNDS,
-            ).observe(elapsed)
+            series(self.name, self.labels).observe(perf_counter() - self._t0)
         return False
 
     def __call__(self, func: "Callable[..., Any]") -> "Callable[..., Any]":
@@ -242,6 +236,94 @@ class timed:
         return wrapper
 
 
+# ------------------------------------------------------------------ catalogue
+
+def series(name: str, labels: "Optional[Mapping[str, str]]" = None,
+           bounds: "Optional[np.ndarray]" = None) -> Any:
+    """The live series ``name`` for ``labels``, as the catalogue declares it.
+
+    Kind, help text and histogram bounds come from
+    :data:`repro.obs.names.CATALOGUE`. Only the metric's own label names
+    are read from ``labels``, which may carry more; a missing one
+    raises. ``bounds`` overrides the catalogue's histogram buckets.
+    While disabled this is the shared null series of the same kind.
+    """
+    spec = names.CATALOGUE[name]
+    try:
+        own = {key: labels[key] for key in spec.labels} if spec.labels \
+            else None
+    except (KeyError, TypeError):
+        raise ConfigurationError(
+            f"metric {name} needs labels {spec.labels}, got {labels!r}"
+        ) from None
+    reg = registry()
+    if spec.kind == "counter":
+        return reg.counter(name, spec.help, own)
+    if spec.kind == "gauge":
+        return reg.gauge(name, spec.help, own)
+    if bounds is None and spec.seconds:
+        bounds = SECONDS_BOUNDS
+    return reg.histogram(name, spec.help, own, bounds)
+
+
+#: Metrics that one recorder updates together, by memo key.
+_GROUPS: "Dict[str, Tuple[str, ...]]" = {
+    "sweep": (names.CLOCK_SWEEPS_TOTAL, names.CLOCK_SWEEP_STEPS_TOTAL,
+              names.CLOCK_CELLS_CLEANED_TOTAL, names.CLOCK_SWEEP_LAG_STEPS),
+    # Engine batches are inserts too: folding SKETCH_INSERTS_TOTAL into
+    # the batch group keeps the per-batch cost to a single memo hit.
+    "batch": (names.ENGINE_BATCH_ITEMS_TOTAL, names.ENGINE_BATCHES_TOTAL,
+              names.ENGINE_BATCH_SIZE, names.ENGINE_BATCH_SECONDS,
+              names.ENGINE_ITEMS_PER_SEC, names.SKETCH_INSERTS_TOTAL),
+    "lock": (names.LOCK_ACQUIRES_TOTAL, names.LOCK_CONTENTION_TOTAL,
+             names.LOCK_WAIT_SECONDS_TOTAL),
+    "audit_ingest": (names.AUDIT_SAMPLED_ITEMS_TOTAL,
+                     names.AUDIT_SHADOW_KEYS),
+    "shard_route": (names.SHARD_ITEMS_ROUTED_TOTAL,
+                    names.SHARD_BATCHES_ROUTED_TOTAL,
+                    names.SHARD_QUEUE_DEPTH),
+    "shard_merge": (names.SHARD_MERGES_TOTAL, names.SHARD_MERGE_SECONDS),
+    "serve_conn": (names.SERVE_CONNECTIONS_TOTAL,
+                   names.SERVE_CONNECTIONS_OPEN),
+    "serve_cmd": (names.SERVE_COMMANDS_TOTAL, names.SERVE_ITEMS_TOTAL),
+    "serve_ckpt": (names.SERVE_CHECKPOINTS_TOTAL,
+                   names.SERVE_CHECKPOINT_SECONDS),
+}
+
+
+class _SeriesMemo(dict):
+    """The recorders' series, registered on first use.
+
+    Registry interning builds a label dict plus a sorted key per lookup;
+    recorders that fire per batch or sweep would pay that on every
+    event, so they read their series from here: one dict hit. A key is
+    a metric name or a :data:`_GROUPS` key, alone or followed (in a
+    tuple) by label values, ordered as the catalogue first names those
+    labels. A metric name maps to its series, a group to the tuple of
+    its series. Cleared whenever the switchboard flips, the only time
+    ``registry()`` can start handing out different objects.
+    """
+
+    def __missing__(self, key: Any) -> Any:
+        head, *values = key if isinstance(key, tuple) else (key,)
+        metrics = _GROUPS.get(head, (head,))
+        label_names = dict.fromkeys(
+            label for metric in metrics
+            for label in names.CATALOGUE[metric].labels)
+        if len(values) != len(label_names):
+            raise ConfigurationError(
+                f"memo key {key!r} needs values for {tuple(label_names)}")
+        labels = dict(zip(label_names, values))
+        made = tuple(series(metric, labels) for metric in metrics)
+        if head not in _GROUPS:
+            made = made[0]
+        self[key] = made
+        return made
+
+
+_SERIES = _SeriesMemo()
+
+
 # ------------------------------------------------------------------ recorders
 # Call sites guard with ``if _obs.ENABLED`` so none of this executes on
 # the disabled path; the helpers also tolerate being called directly
@@ -250,21 +332,7 @@ class timed:
 def record_sweep(time: float, pointer: int, cleaned: int, steps: int,
                  lag: int = 0) -> None:
     """One executed cleaning sweep: counters plus a ring-trace event."""
-    series = _SERIES.get("sweep")
-    if series is None:
-        reg = registry()
-        series = (
-            reg.counter(names.CLOCK_SWEEPS_TOTAL,
-                        "Cleaning sweeps executed."),
-            reg.counter(names.CLOCK_SWEEP_STEPS_TOTAL,
-                        "Individual sweep steps (cell visits)."),
-            reg.counter(names.CLOCK_CELLS_CLEANED_TOTAL,
-                        "Cells expired (decremented to zero) by cleaning."),
-            reg.gauge(names.CLOCK_SWEEP_LAG_STEPS,
-                      "Cleaner lag behind the ideal cadence, in steps."),
-        )
-        _SERIES["sweep"] = series
-    sweeps_c, steps_c, cleaned_c, lag_g = series
+    sweeps_c, steps_c, cleaned_c, lag_g = _SERIES["sweep"]
     sweeps_c.inc()
     steps_c.inc(steps)
     cleaned_c.inc(cleaned)
@@ -275,76 +343,27 @@ def record_sweep(time: float, pointer: int, cleaned: int, steps: int,
 
 def record_sweep_deferral(lag: int) -> None:
     """A deferred-mode clock skipped sweeping; publish its current lag."""
-    gauge = _SERIES.get("sweep_lag")
-    if gauge is None:
-        gauge = registry().gauge(
-            names.CLOCK_SWEEP_LAG_STEPS,
-            "Cleaner lag behind the ideal cadence, in steps.",
-        )
-        _SERIES["sweep_lag"] = gauge
-    gauge.set(lag)
+    _SERIES[names.CLOCK_SWEEP_LAG_STEPS].set(lag)
 
 
 def record_insert(sketch: str, count: int = 1) -> None:
     """Items inserted through a sketch's scalar path."""
-    key = ("insert", sketch)
-    counter = _SERIES.get(key)
-    if counter is None:
-        counter = registry().counter(
-            names.SKETCH_INSERTS_TOTAL, "Items inserted.",
-            labels={"sketch": sketch},
-        )
-        _SERIES[key] = counter
-    counter.inc(count)
+    _SERIES[names.SKETCH_INSERTS_TOTAL, sketch].inc(count)
 
 
 def record_query(sketch: str, count: int = 1) -> None:
     """Query operations resolved by a sketch."""
-    key = ("query", sketch)
-    counter = _SERIES.get(key)
-    if counter is None:
-        counter = registry().counter(
-            names.SKETCH_QUERIES_TOTAL, "Query operations resolved.",
-            labels={"sketch": sketch},
-        )
-        _SERIES[key] = counter
-    counter.inc(count)
+    _SERIES[names.SKETCH_QUERIES_TOTAL, sketch].inc(count)
 
 
 def record_batch(sketch: str, items: int, path: str, seconds: float) -> None:
     """One batch applied by the engine, with its path and wall time.
 
-    Also counts the items into ``SKETCH_INSERTS_TOTAL`` — engine
-    batches *are* inserts, and folding the two records into one cached
-    series tuple keeps the per-batch cost to a single dict hit.
+    Also counts the items into ``SKETCH_INSERTS_TOTAL``: engine batches
+    *are* inserts.
     """
-    key = ("batch", sketch, path)
-    series = _SERIES.get(key)
-    if series is None:
-        reg = registry()
-        labels = {"sketch": sketch}
-        series = (
-            reg.counter(names.ENGINE_BATCH_ITEMS_TOTAL,
-                        "Items ingested through the batch engine.",
-                        labels=labels),
-            reg.counter(names.ENGINE_BATCHES_TOTAL,
-                        "Batches applied, by execution path.",
-                        labels={"sketch": sketch, "path": path}),
-            reg.histogram(names.ENGINE_BATCH_SIZE,
-                          "Batch sizes handed to the engine (log-2 buckets).",
-                          labels=labels),
-            reg.histogram(names.ENGINE_BATCH_SECONDS,
-                          "Wall-clock seconds per applied batch "
-                          "(log-2 buckets).",
-                          labels=labels, bounds=SECONDS_BOUNDS),
-            reg.gauge(names.ENGINE_ITEMS_PER_SEC,
-                      "Items/sec of the most recent batch.",
-                      labels=labels),
-            reg.counter(names.SKETCH_INSERTS_TOTAL, "Items inserted.",
-                        labels=labels),
-        )
-        _SERIES[key] = series
-    items_c, batches_c, size_h, seconds_h, ips_g, inserts_c = series
+    items_c, batches_c, size_h, seconds_h, ips_g, inserts_c = \
+        _SERIES["batch", sketch, path]
     items_c.inc(items)
     batches_c.inc()
     size_h.observe(items)
@@ -356,19 +375,7 @@ def record_batch(sketch: str, items: int, path: str, seconds: float) -> None:
 
 def record_lock(wait_seconds: float, contended: bool) -> None:
     """One guarded lock acquisition (wait time only measured if contended)."""
-    series = _SERIES.get("lock")
-    if series is None:
-        reg = registry()
-        series = (
-            reg.counter(names.LOCK_ACQUIRES_TOTAL,
-                        "Guarded lock acquisitions."),
-            reg.counter(names.LOCK_CONTENTION_TOTAL,
-                        "Acquisitions that found the lock held."),
-            reg.counter(names.LOCK_WAIT_SECONDS_TOTAL,
-                        "Seconds spent blocked on the lock."),
-        )
-        _SERIES["lock"] = series
-    acquires_c, contention_c, wait_c = series
+    acquires_c, contention_c, wait_c = _SERIES["lock"]
     acquires_c.inc()
     if contended:
         contention_c.inc()
@@ -382,36 +389,22 @@ def sample_clock(clock: Any,
     Duck-typed on ``clock.values`` / ``clock.s`` so this module never
     imports ``repro.core`` (instrumented modules import *us*).
     """
-    reg = registry()
     values = clock.values
     nonzero = values[values > 0]
     n = int(values.size)
-    fill = float(nonzero.size) / n if n else 0.0
-    label_dict = dict(labels) if labels else None
-    reg.gauge(names.CLOCK_FILL_RATIO,
-              "Fraction of clock cells currently non-zero.",
-              labels=label_dict).set(fill)
-    reg.gauge(names.CLOCK_ZERO_CELLS,
-              "Clock cells currently zero.",
-              labels=label_dict).set(n - int(nonzero.size))
+    series(names.CLOCK_FILL_RATIO, labels).set(
+        float(nonzero.size) / n if n else 0.0)
+    series(names.CLOCK_ZERO_CELLS, labels).set(n - int(nonzero.size))
     bounds = np.power(2.0, np.arange(0, int(clock.s) + 1, dtype=np.float64))
-    reg.histogram(names.CLOCK_CELL_VALUE,
-                  "Non-zero clock cell values (log-2 buckets).",
-                  labels=label_dict, bounds=bounds).observe_many(nonzero)
+    series(names.CLOCK_CELL_VALUE, labels, bounds).observe_many(nonzero)
 
 
 def publish_sketch(sketch: str, memory_bits: int,
                    fill_ratio: "Optional[float]" = None) -> None:
     """Publish a sketch's footprint and fill gauges."""
-    reg = registry()
-    labels = {"sketch": sketch}
-    reg.gauge(names.SKETCH_MEMORY_BITS,
-              "Accounted memory footprint in bits.",
-              labels=labels).set(memory_bits)
+    _SERIES[names.SKETCH_MEMORY_BITS, sketch].set(memory_bits)
     if fill_ratio is not None:
-        reg.gauge(names.SKETCH_FILL_RATIO,
-                  "Estimated fraction of live cells.",
-                  labels=labels).set(fill_ratio)
+        _SERIES[names.SKETCH_FILL_RATIO, sketch].set(fill_ratio)
 
 
 def record_event(time: float, severity: str, kind: str, message: str,
@@ -422,33 +415,23 @@ def record_event(time: float, severity: str, kind: str, message: str,
     disabled, a no-op); the ring push is enabled-only, mirroring the
     sweep trace.
     """
-    key = ("event", severity, kind)
-    counter = _SERIES.get(key)
-    if counter is None:
-        counter = registry().counter(
-            names.OBS_EVENTS_TOTAL, "Structured observability events.",
-            labels={"severity": severity, "kind": kind},
-        )
-        _SERIES[key] = counter
-    counter.inc()
+    _SERIES[names.OBS_EVENTS_TOTAL, severity, kind].inc()
     if ENABLED:
         _EVENTS.push(ObsEvent(time=time, severity=severity, kind=kind,
                               message=message, fields=dict(fields or {})))
 
 
+def record_span(name: str, root: bool) -> None:
+    """One finished span entered the span ring (``root``: it opened a
+    sampled trace)."""
+    _SERIES[names.TRACE_SPANS_TOTAL, name].inc()
+    if root:
+        _SERIES[names.TRACE_TRACES_TOTAL].inc()
+
+
 def record_audit_ingest(sampled: int, shadow_keys: int) -> None:
     """Shadow-sampler intake: sampled item count plus tracker size."""
-    series = _SERIES.get("audit_ingest")
-    if series is None:
-        reg = registry()
-        series = (
-            reg.counter(names.AUDIT_SAMPLED_ITEMS_TOTAL,
-                        "Stream items folded into the shadow tracker."),
-            reg.gauge(names.AUDIT_SHADOW_KEYS,
-                      "Distinct keys held by the shadow tracker."),
-        )
-        _SERIES["audit_ingest"] = series
-    sampled_c, keys_g = series
+    sampled_c, keys_g = _SERIES["audit_ingest"]
     sampled_c.inc(sampled)
     keys_g.set(shadow_keys)
 
@@ -460,23 +443,7 @@ def record_shard_route(shard: int, items: int, depth: int = 0) -> None:
     worker queue at dispatch time (0 for the serial router, which
     applies batches inline).
     """
-    key = ("shard_route", shard)
-    series = _SERIES.get(key)
-    if series is None:
-        reg = registry()
-        labels = {"shard": str(shard)}
-        series = (
-            reg.counter(names.SHARD_ITEMS_ROUTED_TOTAL,
-                        "Items routed to this shard.", labels=labels),
-            reg.counter(names.SHARD_BATCHES_ROUTED_TOTAL,
-                        "Scatter batches dispatched to this shard.",
-                        labels=labels),
-            reg.gauge(names.SHARD_QUEUE_DEPTH,
-                      "Commands pending in the shard's worker queue "
-                      "at dispatch time.", labels=labels),
-        )
-        _SERIES[key] = series
-    items_c, batches_c, depth_g = series
+    items_c, batches_c, depth_g = _SERIES["shard_route", str(shard)]
     items_c.inc(items)
     batches_c.inc()
     depth_g.set(depth)
@@ -484,38 +451,14 @@ def record_shard_route(shard: int, items: int, depth: int = 0) -> None:
 
 def record_shard_merge(sketch: str, shards: int, seconds: float) -> None:
     """One merged global snapshot built from per-shard replicas."""
-    key = ("shard_merge", sketch)
-    series = _SERIES.get(key)
-    if series is None:
-        reg = registry()
-        labels = {"sketch": sketch}
-        series = (
-            reg.counter(names.SHARD_MERGES_TOTAL,
-                        "Merged global snapshots built.", labels=labels),
-            reg.histogram(names.SHARD_MERGE_SECONDS,
-                          "Wall-clock seconds per merged-snapshot build "
-                          "(log-2 buckets).",
-                          labels=labels, bounds=SECONDS_BOUNDS),
-        )
-        _SERIES[key] = series
-    merges_c, seconds_h = series
+    merges_c, seconds_h = _SERIES["shard_merge", sketch]
     merges_c.inc()
     seconds_h.observe(seconds)
 
 
 def record_serve_connection(delta: int, open_now: int) -> None:
     """A client connection opened (``delta=1``) or closed (``delta=-1``)."""
-    series = _SERIES.get("serve_conn")
-    if series is None:
-        reg = registry()
-        series = (
-            reg.counter(names.SERVE_CONNECTIONS_TOTAL,
-                        "Client connections accepted."),
-            reg.gauge(names.SERVE_CONNECTIONS_OPEN,
-                      "Client connections currently open."),
-        )
-        _SERIES["serve_conn"] = series
-    total_c, open_g = series
+    total_c, open_g = _SERIES["serve_conn"]
     if delta > 0:
         total_c.inc(delta)
     open_g.set(open_now)
@@ -523,20 +466,7 @@ def record_serve_connection(delta: int, open_now: int) -> None:
 
 def record_serve_command(tenant: str, op: str, items: int = 0) -> None:
     """One successful protocol command (plus its ingested item count)."""
-    key = ("serve_cmd", tenant, op)
-    series = _SERIES.get(key)
-    if series is None:
-        reg = registry()
-        series = (
-            reg.counter(names.SERVE_COMMANDS_TOTAL,
-                        "Protocol commands executed successfully.",
-                        labels={"tenant": tenant, "op": op}),
-            reg.counter(names.SERVE_ITEMS_TOTAL,
-                        "Stream items ingested through the service.",
-                        labels={"tenant": tenant}),
-        )
-        _SERIES[key] = series
-    commands_c, items_c = series
+    commands_c, items_c = _SERIES["serve_cmd", tenant, op]
     commands_c.inc()
     if items:
         items_c.inc(items)
@@ -544,74 +474,34 @@ def record_serve_command(tenant: str, op: str, items: int = 0) -> None:
 
 def record_serve_error(code: str) -> None:
     """One typed error response sent on the wire, by error code."""
-    key = ("serve_err", code)
-    counter = _SERIES.get(key)
-    if counter is None:
-        counter = registry().counter(
-            names.SERVE_ERRORS_TOTAL, "Error responses sent on the wire.",
-            labels={"code": code})
-        _SERIES[key] = counter
-    counter.inc()
+    _SERIES[names.SERVE_ERRORS_TOTAL, code].inc()
 
 
 def record_serve_quarantine(tenant: str) -> None:
     """A tenant was quarantined after an engine failure."""
-    key = ("serve_quarantine", tenant)
-    counter = _SERIES.get(key)
-    if counter is None:
-        counter = registry().counter(
-            names.SERVE_QUARANTINES_TOTAL,
-            "Tenants quarantined after an engine failure.",
-            labels={"tenant": tenant})
-        _SERIES[key] = counter
-    counter.inc()
+    _SERIES[names.SERVE_QUARANTINES_TOTAL, tenant].inc()
 
 
 def record_serve_checkpoint(tenant: str, seconds: float) -> None:
     """One checkpoint written for a tenant."""
-    key = ("serve_ckpt", tenant)
-    series = _SERIES.get(key)
-    if series is None:
-        reg = registry()
-        series = (
-            reg.counter(names.SERVE_CHECKPOINTS_TOTAL,
-                        "Checkpoints written.", labels={"tenant": tenant}),
-            reg.histogram(names.SERVE_CHECKPOINT_SECONDS,
-                          "Wall-clock seconds per checkpoint write "
-                          "(log-2 buckets).", bounds=SECONDS_BOUNDS),
-        )
-        _SERIES[key] = series
-    checkpoints_c, seconds_h = series
+    checkpoints_c, seconds_h = _SERIES["serve_ckpt", tenant]
     checkpoints_c.inc()
     seconds_h.observe(seconds)
 
 
 def record_serve_restore(tenant: str, outcome: str) -> None:
     """One restore attempt resolved (restored / fallback / fresh)."""
-    key = ("serve_restore", tenant, outcome)
-    counter = _SERIES.get(key)
-    if counter is None:
-        counter = registry().counter(
-            names.SERVE_RESTORES_TOTAL,
-            "Restore attempts at service start, by outcome.",
-            labels={"tenant": tenant, "outcome": outcome})
-        _SERIES[key] = counter
-    counter.inc()
+    _SERIES[names.SERVE_RESTORES_TOTAL, tenant, outcome].inc()
 
 
 def publish_serve_tenants(count: int) -> None:
     """Publish the number of resident tenants."""
-    registry().gauge(names.SERVE_TENANTS,
-                     "Tenants currently resident.").set(count)
+    _SERIES[names.SERVE_TENANTS].set(count)
 
 
 def publish_monitor(memory_bits: int, split: "Mapping[str, float]") -> None:
     """Publish an ItemBatchMonitor's footprint and normalised split."""
-    reg = registry()
-    reg.gauge(names.MONITOR_MEMORY_BITS,
-              "Total accounted monitor footprint in bits.").set(memory_bits)
-    reg.gauge(names.MONITOR_TASKS, "Enabled measurement tasks.").set(len(split))
+    _SERIES[names.MONITOR_MEMORY_BITS].set(memory_bits)
+    _SERIES[names.MONITOR_TASKS].set(len(split))
     for task, fraction in split.items():
-        reg.gauge(names.MONITOR_SPLIT_RATIO,
-                  "Configured memory split by task (sums to 1).",
-                  labels={"task": task}).set(fraction)
+        _SERIES[names.MONITOR_SPLIT_RATIO, task].set(fraction)

@@ -16,8 +16,8 @@ Spans follow the switchboard discipline of :mod:`repro.obs.runtime`:
 while ``_obs.ENABLED`` is off (and no worker capture is active),
 :func:`span` hands back the shared :data:`NULL_SPAN` — one module-flag
 check and one ``ContextVar`` read, no allocation. While on, finished
-spans land in a thread-safe :class:`SpanRing` (newest-overwrites, same
-read-back shape as the sweep/event rings) and are counted into
+spans land in a :class:`~repro.obs.ring.LockedRing` (the event ring's
+class: pushes come from many threads) and are counted into
 ``repro_trace_spans_total``; sampling is per *trace*, 1-in-N roots
 (``sample_every``), and an unsampled root suppresses its whole subtree.
 
@@ -47,12 +47,11 @@ from time import time as _wall_time
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
-from . import names
 from . import runtime as _rt
+from .ring import LockedRing
 
 __all__ = [
     "Span",
-    "SpanRing",
     "Tracer",
     "NULL_SPAN",
     "span",
@@ -210,66 +209,6 @@ class Span(_SpanBase):
                 f"span={self.span_id}, parent={self.parent_id})")
 
 
-class SpanRing:
-    """Thread-safe overwriting ring of the most recent finished spans.
-
-    Entries are the spans' JSON-friendly dicts (local spans and adopted
-    worker spans share one representation). Pushes from engine threads,
-    lock waiters, and the ack-absorbing parent may interleave, so the
-    ring is locked — unlike the single-writer sweep ring.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ConfigurationError(
-                f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._entries: "List[Optional[Dict[str, Any]]]" = \
-            [None] * self.capacity
-        self._next = 0
-        self._total = 0
-        self._lock = threading.Lock()
-
-    def push(self, span_dict: "Dict[str, Any]") -> None:
-        """Record one finished span, overwriting the oldest when full."""
-        with self._lock:
-            i = self._next
-            self._entries[i] = span_dict
-            self._next = (i + 1) % self.capacity
-            self._total += 1
-
-    def __len__(self) -> int:
-        return min(self._total, self.capacity)
-
-    @property
-    def total_pushed(self) -> int:
-        """Spans ever pushed, including those already overwritten."""
-        return self._total
-
-    def spans(self) -> "List[Dict[str, Any]]":
-        """The held spans in push order (oldest first)."""
-        with self._lock:
-            size = min(self._total, self.capacity)
-            if self._total <= self.capacity:
-                order = range(size)
-            else:
-                order = ((i + self._next) % self.capacity
-                         for i in range(size))
-            return [entry for i in order
-                    if (entry := self._entries[i]) is not None]
-
-    def clear(self) -> None:
-        """Drop all spans (buffer stays allocated)."""
-        with self._lock:
-            self._entries = [None] * self.capacity
-            self._next = 0
-            self._total = 0
-
-    def __repr__(self) -> str:
-        return (f"SpanRing(capacity={self.capacity}, held={len(self)}, "
-                f"total_pushed={self._total})")
-
-
 class Tracer:
     """Owns the span ring and the per-trace sampling decision."""
 
@@ -278,7 +217,7 @@ class Tracer:
         if sample_every < 0:
             raise ConfigurationError(
                 f"sample_every must be >= 0, got {sample_every}")
-        self.ring = SpanRing(capacity)
+        self.ring = LockedRing(capacity)
         self.sample_every = int(sample_every)
         self._roots = itertools.count()
 
@@ -305,13 +244,7 @@ class Tracer:
             cap.sink.append(payload)
         if _rt.ENABLED:
             self.ring.push(payload)
-            reg = _rt.registry()
-            reg.counter(names.TRACE_SPANS_TOTAL,
-                        "Spans finished into the span ring.",
-                        labels={"name": span.name}).inc()
-            if span.parent_id is None:
-                reg.counter(names.TRACE_TRACES_TOTAL,
-                            "Sampled root spans started.").inc()
+            _rt.record_span(span.name, span.parent_id is None)
 
 
 _TRACER = Tracer()
@@ -395,13 +328,10 @@ def record_spans(spans: "Iterable[Mapping[str, Any]]") -> None:
     paths must guard with ``_obs.ENABLED`` (enforced by SK111).
     """
     ring = _TRACER.ring
-    reg = _rt.registry()
     for entry in spans:
         payload = dict(entry)
         ring.push(payload)
-        reg.counter(names.TRACE_SPANS_TOTAL,
-                    "Spans finished into the span ring.",
-                    labels={"name": str(payload.get("name", "?"))}).inc()
+        _rt.record_span(str(payload.get("name", "?")), False)
 
 
 def snapshot() -> "Dict[str, Any]":
@@ -412,7 +342,7 @@ def snapshot() -> "Dict[str, Any]":
         "capacity": ring.capacity,
         "total_pushed": ring.total_pushed,
         "sample_every": _TRACER.sample_every,
-        "spans": ring.spans(),
+        "spans": ring.entries(),
     }
 
 
@@ -427,7 +357,7 @@ def chrome_trace(
     attributes under ``args``.
     """
     if spans is None:
-        spans = _TRACER.ring.spans()
+        spans = _TRACER.ring.entries()
     events: "List[Dict[str, Any]]" = []
     for entry in spans:
         args = dict(entry.get("attrs") or {})

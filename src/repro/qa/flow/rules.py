@@ -26,7 +26,8 @@ translates into the typed ``repro.errors`` family.
 resolved calls; the package ``kernels/__init__.py`` is excluded.
 
 ``SK111`` **obs gating** — enabled-mode instrumentation (``record_*``
-/ ``publish_*`` / ``sample_clock`` on the obs-runtime alias) reachable
+/ ``publish_*`` / ``sample_clock`` / ``series`` on the obs-runtime
+alias) reachable
 from a public hot-path function must sit behind the ``_obs.ENABLED``
 switchboard on every path. Taint propagates through unguarded resolved
 calls; ``repro.obs.runtime`` itself (internally no-op-safe when
@@ -65,8 +66,11 @@ _MUTABLE_REPLICA_ATTRS = frozenset({
 #: replica reads are race-free until the next dispatch.
 _QUIESCENCE_CALLS = frozenset({"drain", "barrier", "join"})
 
-#: Hot-path instrumentation recorders on the obs-runtime alias.
+#: Hot-path instrumentation recorders on the obs-runtime alias: the
+#: prefixed recorders plus ``sample_clock`` and the catalogue lookup
+#: ``series``, which registers a live series when enabled.
 _RECORDER_PREFIXES = ("record_", "publish_")
+_RECORDER_NAMES = frozenset({"sample_clock", "series"})
 
 
 class FlowScope:
@@ -593,7 +597,7 @@ def _is_recorder_call(mod: ModuleInfo, call: ast.Call) -> bool:
     if func.value.id not in _obs_aliases(mod):
         return False
     return func.attr.startswith(_RECORDER_PREFIXES) \
-        or func.attr == "sample_clock"
+        or func.attr in _RECORDER_NAMES
 
 
 def _rule_sk111(project: Project) -> List[Finding]:

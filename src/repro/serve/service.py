@@ -262,7 +262,7 @@ class IngestService:
                 code = payload["error"]["code"]
                 _obs.record_serve_error(code)
                 if code == "internal":
-                    _obs.record_event(0.0, "error", "serve.internal",
+                    _obs.record_event(0.0, "critical", "serve.internal",
                                       f"{type(exc).__name__}: {exc}")
         return payload
 
@@ -344,7 +344,7 @@ class IngestService:
         the previous generation stays valid; record and move on."""
         if _obs.ENABLED:
             _obs.record_event(
-                tenant.position, "error", "serve.checkpoint_failed",
+                tenant.position, "warning", "serve.checkpoint_failed",
                 f"{tenant.name}: {type(exc).__name__}: {exc}",
                 fields={"tenant": tenant.name})
 

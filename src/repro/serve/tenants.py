@@ -162,7 +162,7 @@ class Tenant:
         self.quarantine_reason = f"{type(exc).__name__}: {exc}"
         if _obs.ENABLED:
             _obs.record_serve_quarantine(self.name)
-            _obs.record_event(self.position, "error", "serve.quarantine",
+            _obs.record_event(self.position, "critical", "serve.quarantine",
                               self.quarantine_reason,
                               fields={"tenant": self.name})
 

@@ -1,5 +1,6 @@
 """SK111 corpus: unguarded enabled-mode instrumentation on hot paths."""
 
+from ..obs import names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
 from ..obs import perf as _perf
@@ -38,3 +39,12 @@ def flush_batch(sketch, items, headlines):
     # registry; on a hot path they need the same ENABLED guard as any
     # other recorder.
     _perf.publish_record(type(sketch).__name__, headlines)
+
+
+def contains_many(sketch, items):
+    hits = sketch.lookup(items)
+    # BAD: the catalogue lookup registers a live series while enabled;
+    # an unguarded call on the hot path escapes the switchboard.
+    _obs.series(names.SKETCH_QUERIES_TOTAL,
+                {"sketch": type(sketch).__name__}).inc(len(items))
+    return hits

@@ -1,5 +1,6 @@
 """SK111 corpus, clean: every recorder call behind the switchboard."""
 
+from ..obs import names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
 from ..obs import perf as _perf
@@ -45,3 +46,11 @@ def audit_cycle(report):
     for alert in report.alerts:
         _obs.record_event(time=report.now, severity=alert.severity,
                           kind="audit", message=alert.message, fields={})
+
+
+def contains_many(sketch, items):
+    hits = sketch.lookup(items)
+    if _obs.ENABLED:
+        _obs.series(names.SKETCH_QUERIES_TOTAL,
+                    {"sketch": type(sketch).__name__}).inc(len(items))
+    return hits

@@ -5,8 +5,10 @@ Every test that enables instrumentation restores the disabled default
 """
 
 import json
+import re
 import threading
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,20 +198,20 @@ class TestSweepTraceRing:
 
 class TestEventRingConcurrency:
     def test_sequence_numbers_are_assigned_in_push_order(self):
-        ring = obs.EventRing(capacity=4)
+        ring = obs.LockedRing(capacity=4)
         for i in range(7):
             ring.push(obs.ObsEvent(time=float(i), severity="info",
                                    kind="seq", message=str(i)))
-        dicts = ring.dicts()
+        numbered = ring.numbered()
         # After wrapping, the survivors are the most recent four, in
         # order, and each carries its global push index.
-        assert [d["seq"] for d in dicts] == [3, 4, 5, 6]
-        assert [d["message"] for d in dicts] == ["3", "4", "5", "6"]
+        assert [seq for seq, _ in numbered] == [3, 4, 5, 6]
+        assert [e.message for _, e in numbered] == ["3", "4", "5", "6"]
         assert ring.total_pushed == 7
 
     def test_concurrent_writers_lose_and_tear_nothing(self):
         writers, per_writer = 8, 500
-        ring = obs.EventRing(capacity=64)
+        ring = obs.LockedRing(capacity=64)
         start = threading.Barrier(writers)
 
         def hammer(wid: int) -> None:
@@ -229,21 +231,21 @@ class TestEventRingConcurrency:
         # No push was lost: the global counter saw every one.
         assert ring.total_pushed == writers * per_writer
         assert len(ring) == 64
-        dicts = ring.dicts()
+        numbered = ring.numbered()
         # Sequence numbers are unique, strictly increasing, and drawn
         # from the valid range (the ring keeps *some* recent window —
         # which events survive depends on interleaving, but order and
         # integrity must hold).
-        seqs = [d["seq"] for d in dicts]
+        seqs = [seq for seq, _ in numbered]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
         assert all(0 <= s < writers * per_writer for s in seqs)
         # No torn records: each event's fields agree with its message.
-        for d in dicts:
-            wid, i = d["fields"]["wid"], d["fields"]["i"]
-            assert d["message"] == f"{wid}:{i}"
-            assert d["kind"] == f"w{wid}"
-            assert d["time"] == float(i)
+        for _, event in numbered:
+            wid, i = event.fields["wid"], event.fields["i"]
+            assert event.message == f"{wid}:{i}"
+            assert event.kind == f"w{wid}"
+            assert event.time == float(i)
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -406,6 +408,37 @@ class TestSwitchboard:
         obs.enable(ring_capacity=2)
         ring = obs.sweep_ring()
         assert ring.capacity == 2
+
+
+class TestCatalogue:
+    def test_docs_table_matches_the_catalogue(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs"
+               / "observability.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(repro_\w+)` \| (\w+) \|", doc, re.M)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == {(name, metric.kind)
+                             for name, metric in names.CATALOGUE.items()}
+
+    def test_series_registers_as_declared_with_its_own_labels(self):
+        with obs.observed() as reg:
+            runtime.series(names.SERVE_ITEMS_TOTAL,
+                           {"tenant": "a", "op": "QUERY"}).inc()
+            runtime.series(names.SERVE_CHECKPOINT_SECONDS).observe(0.5)
+        items = reg.get(names.SERVE_ITEMS_TOTAL, labels={"tenant": "a"})
+        spec = names.CATALOGUE[names.SERVE_ITEMS_TOTAL]
+        assert (items.kind, items.help) == (spec.kind, spec.help)
+        seconds = reg.get(names.SERVE_CHECKPOINT_SECONDS)
+        assert list(seconds.bounds) == list(SECONDS_BOUNDS)
+
+    def test_series_refuses_a_missing_label(self):
+        with obs.observed():
+            with pytest.raises(ConfigurationError, match="needs labels"):
+                runtime.series(names.SERVE_COMMANDS_TOTAL, {"tenant": "a"})
+
+    def test_recorder_memo_key_needs_every_label_value(self):
+        with obs.observed():
+            with pytest.raises(ConfigurationError, match="needs values"):
+                runtime._SERIES["serve_cmd", "only-tenant"]
 
 
 class TestTimed:
@@ -670,22 +703,23 @@ class TestEventRing:
             ObsEvent(time=1.0, severity="panic", kind="x", message="m")
 
     def test_capacity_must_be_positive(self):
-        from repro.obs.events import EventRing
+        from repro.obs.ring import LockedRing
 
         with pytest.raises(ConfigurationError):
-            EventRing(0)
+            LockedRing(0)
 
     def test_wraparound_keeps_most_recent(self):
-        from repro.obs.events import EventRing, ObsEvent
+        from repro.obs.events import ObsEvent
+        from repro.obs.ring import LockedRing
 
-        ring = EventRing(capacity=3)
+        ring = LockedRing(capacity=3)
         for i in range(5):
             ring.push(ObsEvent(time=float(i), severity="info",
                                kind="k", message=f"m{i}"))
         assert ring.total_pushed == 5
         assert len(ring) == 3
-        assert [e.time for e in ring.events()] == [2.0, 3.0, 4.0]
-        dicts = ring.dicts()
+        assert [e.time for e in ring.entries()] == [2.0, 3.0, 4.0]
+        dicts = [e.as_dict() for e in ring.entries()]
         assert dicts[-1]["message"] == "m4"
 
     def test_record_event_counts_and_pushes(self):
@@ -695,7 +729,7 @@ class TestEventRing:
         counter = reg.get(names.OBS_EVENTS_TOTAL,
                           labels={"severity": "warning", "kind": "audit-test"})
         assert counter is not None and counter.value == 1.0
-        events = obs.event_ring().events()
+        events = obs.event_ring().entries()
         assert len(events) == 1 and events[0].fields["task"] == "span"
 
     def test_record_event_disabled_skips_ring(self):

@@ -337,7 +337,7 @@ class TestAuditCycle:
         total = sum(c.value for c in reg
                     if c.name == names.AUDIT_ALERTS_TOTAL)
         assert total >= len(report.alerts)
-        ring_kinds = {e.kind for e in obs.event_ring().events()}
+        ring_kinds = {e.kind for e in obs.event_ring().entries()}
         assert "audit-budget" in ring_kinds
 
     def test_undersized_prediction_still_tracks_observed(self):

@@ -75,10 +75,10 @@ class TestFlightRecorder:
                   for c in snap["counters"]
                   if c["name"] == names.FLIGHT_DUMPS_TOTAL}
         assert dumped == {f"reason-{i}": 1 for i in range(4)}
-        critical = [e for e in obs.event_ring().dicts()
-                    if e["kind"] == "flight-dump"]
+        critical = [e for e in obs.event_ring().entries()
+                    if e.kind == "flight-dump"]
         assert len(critical) == 4
-        assert all(e["severity"] == "critical" for e in critical)
+        assert all(e.severity == "critical" for e in critical)
 
     def test_reason_is_sanitised_for_filenames(self, tmp_path):
         rec = flight.FlightRecorder(str(tmp_path))

@@ -1,8 +1,9 @@
 """Tests for ``repro.obs.trace`` — spans, sampling, capture, stitching.
 
-The tracer follows the switchboard discipline: every test that enables
-instrumentation or reconfigures the tracer restores the defaults (the
-autouse fixture below), so trace state never leaks between tests.
+The tracer follows the switchboard discipline: the autouse fixture
+below restores the defaults before and after every test, so trace state
+never leaks between tests, including spans other suites (the audit
+plane's) left in the process tracer.
 """
 
 import threading
@@ -16,17 +17,20 @@ from repro.errors import ConfigurationError
 from repro.monitor import ItemBatchMonitor
 from repro.obs import names
 from repro.obs import trace
+from repro.obs.ring import LockedRing
 
 
 @pytest.fixture(autouse=True)
-def _trace_reset_after():
+def _trace_reset():
+    obs.disable()
+    trace.configure()
     yield
     obs.disable()
     trace.configure()
 
 
 def spans_by_name(name):
-    return [s for s in trace.tracer().ring.spans() if s["name"] == name]
+    return [s for s in trace.tracer().ring.entries() if s["name"] == name]
 
 
 class TestSpanLifecycle:
@@ -126,17 +130,17 @@ class TestSampling:
 class TestSpanRing:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError, match=">= 1"):
-            trace.SpanRing(0)
+            LockedRing(0)
 
     def test_wraparound_keeps_most_recent_in_order(self):
-        ring = trace.SpanRing(capacity=3)
+        ring = LockedRing(capacity=3)
         for i in range(7):
             ring.push({"name": f"s{i}"})
         assert len(ring) == 3
         assert ring.total_pushed == 7
-        assert [s["name"] for s in ring.spans()] == ["s4", "s5", "s6"]
+        assert [s["name"] for s in ring.entries()] == ["s4", "s5", "s6"]
         ring.clear()
-        assert len(ring) == 0 and ring.spans() == []
+        assert len(ring) == 0 and ring.entries() == []
 
     def test_configure_replaces_ring_and_fresh_enable_clears_it(self):
         obs.enable(fresh=True)
@@ -173,7 +177,7 @@ class TestCaptureAndStitching:
             {"name": "shard.ingest", "trace_id": "t", "span_id": "a"},
             {"name": "shard.ingest", "trace_id": "t", "span_id": "b"},
         ])
-        assert [s["span_id"] for s in trace.tracer().ring.spans()] == \
+        assert [s["span_id"] for s in trace.tracer().ring.entries()] == \
             ["a", "b"]
         snap = reg.snapshot()
         count, = [c["value"] for c in snap["counters"]

@@ -32,7 +32,7 @@ CASES = {
               "src/repro/shard/fixture.py"),
     "SK110": ("sk110_bad.py", 4, "sk110_good.py",
               "src/repro/kernels/fixture.py"),
-    "SK111": ("sk111_bad.py", 4, "sk111_good.py",
+    "SK111": ("sk111_bad.py", 5, "sk111_good.py",
               "src/repro/core/fixture.py"),
 }
 

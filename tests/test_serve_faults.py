@@ -21,8 +21,9 @@ final checkpoint. The contracts:
 import numpy as np
 import pytest
 
-from repro import ItemBatchMonitor
+from repro import ItemBatchMonitor, obs
 from repro.core.params import error_window_length
+from repro.obs import names
 from repro.serve import TenantConfig
 from repro.serve.testing import FaultInjector, LineClient, ServiceThread
 
@@ -37,27 +38,33 @@ PROCESS = TenantConfig(window_length=256, memory="8KB",
                        queue_capacity=64, timeout=10.0)
 
 
+def _crash_and_fail(hosted, client, tenant):
+    """Crash shard 0 of ``tenant`` and return the first failed answer.
+
+    Dispatch is pipelined, so wait for the worker to be provably down
+    (its error ack queued); the crash then surfaces on a subsequent
+    command.
+    """
+    assert client.request({"op": "INSERT_BATCH", "tenant": tenant,
+                           "keys": _keys(1, 100)})["ok"] is True
+    injector = FaultInjector(hosted)
+    injector.crash_shard(tenant, shard=0)
+    injector.wait_for_worker_exit(tenant, shard=0)
+    for attempt in range(50):
+        failed = client.request({"op": "INSERT_BATCH", "tenant": tenant,
+                                 "keys": _keys(2 + attempt, 100)})
+        if not failed["ok"]:
+            return failed
+    raise AssertionError("the crashed shard never failed a command")
+
+
 class TestWorkerCrash:
     def test_crash_mid_batch_quarantines_only_that_tenant(self):
         with ServiceThread(default_config=PROCESS) as hosted:
             with LineClient.for_service(hosted) as client:
-                warm = client.request({"op": "INSERT_BATCH", "tenant": "t0",
-                                       "keys": _keys(1, 100)})
-                assert warm["ok"] is True
-                injector = FaultInjector(hosted)
-                injector.crash_shard("t0", shard=0)
-                # Dispatch is pipelined, so wait for the worker to be
-                # provably down (its error ack queued); the crash then
-                # surfaces on a subsequent command as the typed
-                # worker-failed error (never a hang).
-                injector.wait_for_worker_exit("t0", shard=0)
-                failed = None
-                for attempt in range(50):
-                    failed = client.request(
-                        {"op": "INSERT_BATCH", "tenant": "t0",
-                         "keys": _keys(2 + attempt, 100)})
-                    if not failed["ok"]:
-                        break
+                # The crash surfaces as the typed worker-failed error
+                # (never a hang).
+                failed = _crash_and_fail(hosted, client, "t0")
                 assert failed["ok"] is False
                 assert failed["error"]["code"] == "worker-failed"
                 assert failed["error"]["retryable"] is False
@@ -75,6 +82,19 @@ class TestWorkerCrash:
                 service = client.request({"op": "STATS"})
                 assert service["service"]["quarantined"] == ["t0"]
                 assert client.request({"op": "PING"})["ok"] is True
+
+    def test_crash_with_metrics_on_answers_worker_failed(self):
+        # The quarantine event must carry a severity the event log
+        # accepts, or recording it turns worker-failed into bad-request.
+        with obs.observed():
+            with ServiceThread(default_config=PROCESS) as hosted:
+                with LineClient.for_service(hosted) as client:
+                    failed = _crash_and_fail(hosted, client, "t0")
+            assert failed["error"]["code"] == "worker-failed"
+            quarantines = [event for event in obs.event_ring().entries()
+                           if event.kind == "serve.quarantine"]
+        assert [event.severity for event in quarantines] == ["critical"]
+        assert quarantines[0].fields == {"tenant": "t0"}
 
     def test_graceful_stop_after_crash_does_not_hang(self):
         hosted = ServiceThread(default_config=PROCESS).start()
@@ -245,3 +265,55 @@ class TestQuarantineAndCheckpointInteraction:
                 assert response["error"]["code"] == "quarantined"
                 # The background sweep skips it too, without dying.
                 assert hosted.checkpoint_now(force=True) == {}
+
+
+class TestServeMetrics:
+    SERIES = (
+        names.SERVE_CONNECTIONS_TOTAL, names.SERVE_CONNECTIONS_OPEN,
+        names.SERVE_COMMANDS_TOTAL, names.SERVE_ERRORS_TOTAL,
+        names.SERVE_ITEMS_TOTAL, names.SERVE_TENANTS,
+        names.SERVE_QUARANTINES_TOTAL, names.SERVE_CHECKPOINTS_TOTAL,
+        names.SERVE_CHECKPOINT_SECONDS, names.SERVE_RESTORES_TOTAL,
+    )
+
+    def test_every_serve_series_moves_with_its_catalogue_labels(
+            self, tmp_path):
+        plain = TenantConfig(window_length=128, memory="32KB", seed=7)
+        configs = {"crashy": PROCESS}
+        with obs.observed() as reg:
+            with ServiceThread(default_config=plain, tenants=configs,
+                               checkpoint_dir=str(tmp_path)) as hosted:
+                with LineClient.for_service(hosted) as client:
+                    assert client.request(
+                        {"op": "INSERT_BATCH", "tenant": "acme",
+                         "keys": _keys(5, 200)})["ok"] is True
+                    assert client.request({"op": "QUERY", "tenant": "acme",
+                                           "key": "key-1"})["ok"] is True
+                    bad = client.request({"op": "QUERY", "tenant": "acme"})
+                    assert bad["error"]["code"] == "bad-request"
+                    assert client.request({"op": "CHECKPOINT",
+                                           "tenant": "acme"})["ok"] is True
+                    _crash_and_fail(hosted, client, "crashy")
+                    assert reg.get(names.SERVE_CONNECTIONS_OPEN).value == 1
+            with ServiceThread(default_config=plain,
+                               checkpoint_dir=str(tmp_path)) as restarted:
+                assert restarted.service.restore_outcomes["acme"] \
+                    == "restored"
+        for name in self.SERIES:
+            spec = names.CATALOGUE[name]
+            found = [m for m in reg if m.name == name]
+            assert found, name
+            for metric in found:
+                assert metric.kind == spec.kind, name
+                assert set(metric.labels) == set(spec.labels), name
+            if spec.kind == "counter":
+                assert sum(m.value for m in found) > 0, name
+            elif spec.kind == "histogram":
+                assert sum(m.count for m in found) > 0, name
+        assert reg.get(names.SERVE_TENANTS).value >= 1
+        assert reg.get(names.SERVE_ERRORS_TOTAL,
+                       {"code": "bad-request"}).value == 1
+        assert reg.get(names.SERVE_QUARANTINES_TOTAL,
+                       {"tenant": "crashy"}).value == 1
+        assert reg.get(names.SERVE_RESTORES_TOTAL,
+                       {"tenant": "acme", "outcome": "restored"}).value == 1

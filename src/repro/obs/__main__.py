@@ -11,6 +11,10 @@ emits, and as the quickest way to eyeball the metric catalogue::
     python -m repro.obs --serve --serve-seconds 30 &
     curl http://127.0.0.1:9464/metrics
 
+The root command, ``audit`` and ``trace`` share one set of stream
+options (``--items/--window/--memory/--chunk/--dataset/--seed``);
+``audit`` defaults to a 200000-item stream on a 128KB budget.
+
 The ``audit`` subcommand attaches the live accuracy auditor
 (:mod:`repro.obs.audit`) to the monitor and prints each cycle's
 observed-vs-predicted error table::
@@ -44,6 +48,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Iterator
 
 from ..monitor import ItemBatchMonitor
 from ..timebase import count_window
@@ -51,24 +56,43 @@ from . import names, runtime
 from .export import prometheus_text, snapshot_json
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _stream_options() -> argparse.ArgumentParser:
+    """The synthetic-stream options every driving command shares.
+
+    A fresh parser per command: ``parents=`` shares the option objects,
+    so one command's ``set_defaults`` would otherwise change the
+    others' defaults too.
+    """
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--items", type=int, default=100_000,
+                        help="stream length (default %(default)s)")
+    stream.add_argument("--window", type=int, default=4096,
+                        help="count window T in items (default %(default)s)")
+    stream.add_argument("--memory", default="64KB",
+                        help="monitor memory budget (default %(default)s)")
+    stream.add_argument("--chunk", type=_positive_int, default=4096,
+                        help="insert_many chunk size (default %(default)s)")
+    stream.add_argument("--dataset", default="caida",
+                        choices=("caida", "criteo", "network"),
+                        help="synthetic trace to replay (default %(default)s)")
+    stream.add_argument("--seed", type=int, default=1)
+    return stream
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Run an instrumented ItemBatchMonitor over a "
                     "synthetic stream and expose its metrics.",
+        parents=[_stream_options()],
     )
-    parser.add_argument("--items", type=int, default=100_000,
-                        help="stream length (default 100000)")
-    parser.add_argument("--window", type=int, default=4096,
-                        help="count window T in items (default 4096)")
-    parser.add_argument("--memory", default="64KB",
-                        help="monitor memory budget (default 64KB)")
-    parser.add_argument("--chunk", type=int, default=4096,
-                        help="insert_many chunk size (default 4096)")
-    parser.add_argument("--dataset", default="caida",
-                        choices=("caida", "criteo", "network"),
-                        help="synthetic trace to replay (default caida)")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--format", dest="fmt", default="prometheus",
                         choices=("prometheus", "json"),
                         help="exposition printed to stdout")
@@ -90,13 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drive a monitored stream with the shadow-truth "
                     "accuracy auditor attached; prints observed vs "
                     "predicted error per task and any drift alerts.",
+        parents=[_stream_options()],
     )
-    audit.add_argument("--items", type=int, default=200_000,
-                       help="stream length (default 200000)")
-    audit.add_argument("--window", type=int, default=4096,
-                       help="count window T in items (default 4096)")
-    audit.add_argument("--memory", default="128KB",
-                       help="monitor memory budget (default 128KB)")
+    audit.set_defaults(items=200_000, memory="128KB")
     audit.add_argument("--undersized", action="store_true",
                        help="shrink the budget to 2KB to demonstrate "
                             "drift/budget alerts")
@@ -104,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shadow-sampled key fraction (default 0.05)")
     audit.add_argument("--every", type=int, default=None,
                        help="audit cadence in items (default: auto)")
-    audit.add_argument("--chunk", type=int, default=4096,
-                       help="insert_many chunk size (default 4096)")
-    audit.add_argument("--dataset", default="caida",
-                       choices=("caida", "criteo", "network"),
-                       help="synthetic trace to replay (default caida)")
-    audit.add_argument("--seed", type=int, default=1)
     audit.add_argument("--demo", action="store_true",
                        help="print every audit cycle as it completes")
     audit.add_argument("--watch", action="store_true",
@@ -122,19 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "sharded) and print the span ring, export it as a "
                     "Chrome trace-event file, or re-export spans from a "
                     "flight-recorder bundle.",
+        parents=[_stream_options()],
     )
-    trace.add_argument("--items", type=int, default=100_000,
-                       help="stream length (default 100000)")
-    trace.add_argument("--window", type=int, default=4096,
-                       help="count window T in items (default 4096)")
-    trace.add_argument("--memory", default="64KB",
-                       help="monitor memory budget (default 64KB)")
-    trace.add_argument("--chunk", type=int, default=4096,
-                       help="insert_many chunk size (default 4096)")
-    trace.add_argument("--dataset", default="caida",
-                       choices=("caida", "criteo", "network"),
-                       help="synthetic trace to replay (default caida)")
-    trace.add_argument("--seed", type=int, default=1)
     trace.add_argument("--shards", type=int, default=1,
                        help="shard the monitor P ways (default 1)")
     trace.add_argument("--router", default="serial",
@@ -201,23 +204,31 @@ def _print_report(report, registry, watch: bool) -> None:
     sys.stdout.flush()
 
 
-def run_audit(args) -> int:
+def _drive(monitor, args) -> "Iterator[None]":
+    """Feed the synthetic stream to ``monitor`` in ``--chunk`` batches,
+    yielding after each one."""
+    # Import lazily: the dataset synthesizers pull in the heavier parts
+    # of the library, which pure exposition users never need.
     from ..datasets import get_dataset
 
+    keys = get_dataset(args.dataset, n_items=args.items,
+                       window_hint=args.window, seed=args.seed).keys
+    for pos in range(0, len(keys), args.chunk):
+        monitor.observe_many(keys[pos:pos + args.chunk])
+        yield
+
+
+def run_audit(args) -> int:
     registry = runtime.enable(fresh=True)
     memory = "2KB" if args.undersized else args.memory
     monitor = ItemBatchMonitor(count_window(args.window), memory=memory,
                                seed=args.seed)
     auditor = monitor.audited(sample_rate=args.sample_rate,
                               every_items=args.every)
-    stream = get_dataset(args.dataset, n_items=args.items,
-                         window_hint=args.window, seed=args.seed)
-    keys = stream.keys
     verbose = args.demo or args.watch
 
     cycles_printed = 0
-    for pos in range(0, len(keys), max(1, args.chunk)):
-        monitor.observe_many(keys[pos:pos + args.chunk])
+    for _ in _drive(monitor, args):
         report = auditor.last_report
         if (verbose and report is not None
                 and report.cycle > cycles_printed):
@@ -281,8 +292,6 @@ def run_trace(args) -> int:
             _export_chrome(spans, args.chrome)
         return 0
 
-    from ..datasets import get_dataset
-
     runtime.enable(fresh=True)
     trace_mod.configure(capacity=args.capacity,
                         sample_every=args.sample_every)
@@ -290,17 +299,10 @@ def run_trace(args) -> int:
     monitor = ItemBatchMonitor.sharded(
         count_window(args.window), memory=args.memory, seed=args.seed,
         shards=args.shards, router=args.router)
-    stream = get_dataset(args.dataset, n_items=args.items,
-                         window_hint=args.window, seed=args.seed)
-    keys = stream.keys
     try:
-        for pos in range(0, len(keys), max(1, args.chunk)):
-            monitor.observe_many(keys[pos:pos + args.chunk])
+        for _ in _drive(monitor, args):
+            pass
         if args.crash:
-            if args.router != "process" or args.shards < 2:
-                print("--crash needs --router process and --shards >= 2",
-                      file=sys.stderr)
-                return 2
             router = monitor._sketches[0].router
             router.inject(0, "crash")
             try:
@@ -329,27 +331,24 @@ def run_trace(args) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "audit":
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "audit":
         return run_audit(args)
-    if getattr(args, "command", None) == "trace":
+    if args.command == "trace":
+        if args.crash and (args.router != "process" or args.shards < 2):
+            parser.error("trace --crash needs --router process and "
+                         "--shards >= 2")
         return run_trace(args)
-    if getattr(args, "command", None) == "perf":
+    if args.command == "perf":
         from .perf.cli import run_perf
         return run_perf(args)
-
-    # Import lazily: the dataset synthesizers pull in the heavier parts
-    # of the library, which pure exposition users never need.
-    from ..datasets import get_dataset
 
     registry = runtime.enable(fresh=True)
     monitor = ItemBatchMonitor(count_window(args.window),
                                memory=args.memory, seed=args.seed)
-    stream = get_dataset(args.dataset, n_items=args.items,
-                         window_hint=args.window, seed=args.seed)
-    keys = stream.keys
-    for pos in range(0, len(keys), max(1, args.chunk)):
-        monitor.observe_many(keys[pos:pos + args.chunk])
+    for _ in _drive(monitor, args):
+        pass
     monitor.metrics()  # publish monitor/sketch gauges + occupancy
 
     if args.serve:

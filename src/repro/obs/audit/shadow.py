@@ -449,9 +449,6 @@ class ShadowAuditor:
                 audit.observed)
             _obs.series(names.AUDIT_PREDICTED_ERROR, labels).set(
                 audit.predicted)
-            if audit.predicted > 0.0:
-                _obs.series(names.AUDIT_ERROR_RATIO, labels).set(
-                    audit.observed / audit.predicted)
             error_window = (audit.prediction.detail.get("error_window")
                             if audit.prediction is not None else None)
             if error_window is not None:

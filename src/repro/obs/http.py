@@ -28,7 +28,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from .export import prometheus_text, snapshot_json
 from . import runtime
@@ -45,11 +45,11 @@ class _MetricsHandler(BaseHTTPRequestHandler):
         owner: "MetricsServer" = self.server.owner  # type: ignore[attr-defined]
         path, _, query = self.path.partition("?")
         if path == "/metrics":
-            body = prometheus_text(owner.registry()).encode("utf-8")
+            body = prometheus_text(runtime.registry()).encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         elif path == "/metrics.json":
             body = snapshot_json(
-                owner.registry(), rings=runtime.rings_snapshot()
+                runtime.registry(), rings=runtime.rings_snapshot()
             ).encode("utf-8")
             content_type = "application/json; charset=utf-8"
         elif path == "/trace.json":
@@ -74,15 +74,9 @@ class _MetricsHandler(BaseHTTPRequestHandler):
             body = json.dumps(owner.status(), indent=2,
                               default=str).encode("utf-8")
             content_type = "application/json; charset=utf-8"
-        elif path in owner.pages:
-            body = json.dumps(owner.pages[path](), indent=2,
-                              default=str).encode("utf-8")
-            content_type = "application/json; charset=utf-8"
         else:
-            known = ", ".join(
-                ["/metrics", "/metrics.json", "/trace.json", "/perf.json",
-                 "/healthz", "/statusz"] + sorted(owner.pages))
-            self.send_error(404, f"try {known}")
+            self.send_error(404, "try /metrics, /metrics.json, /trace.json, "
+                                 "/perf.json, /healthz, /statusz")
             return
         self.send_response(200)
         self.send_header("Content-Type", content_type)
@@ -103,10 +97,9 @@ class MetricsServer:
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` — handy for tests and examples).
-    registry_provider:
-        Zero-arg callable returning the registry to expose on each
-        scrape; defaults to :func:`repro.obs.runtime.registry`, i.e.
-        whatever is currently enabled.
+
+    Each scrape exposes :func:`repro.obs.runtime.registry`, i.e.
+    whatever is currently enabled.
 
     Examples
     --------
@@ -118,26 +111,12 @@ class MetricsServer:
     >>> server.stop()                                    # doctest: +SKIP
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 registry_provider: "Optional[Callable[[], Any]]" = None):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self._requested_port = port
-        self._provider = registry_provider or runtime.registry
         self._server: "Optional[ThreadingHTTPServer]" = None
         self._thread: "Optional[threading.Thread]" = None
         self._started_at: "Optional[float]" = None
-        #: Extra JSON pages: absolute path -> zero-arg payload provider.
-        #: Subsystems extend the exposition surface here (e.g. the
-        #: ingestion service registers ``/serve.json``).
-        self.pages: "Dict[str, Callable[[], Any]]" = {}
-
-    def add_json_page(self, path: str,
-                      provider: "Callable[[], Any]") -> "MetricsServer":
-        """Expose ``provider()`` as JSON at ``path`` (must start with /)."""
-        if not path.startswith("/"):
-            raise ValueError(f"page path must start with '/', got {path!r}")
-        self.pages[path] = provider
-        return self
 
     @property
     def port(self) -> int:
@@ -150,10 +129,6 @@ class MetricsServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}/metrics"
 
-    def registry(self) -> Any:
-        """The registry currently being exposed."""
-        return self._provider()
-
     def uptime_seconds(self) -> float:
         """Seconds since :meth:`start`; 0.0 while stopped."""
         if self._started_at is None:
@@ -162,7 +137,7 @@ class MetricsServer:
 
     def status(self) -> "Dict[str, Any]":
         """The ``/statusz`` payload: uptime, registry and ring vitals."""
-        reg = self.registry()
+        reg = runtime.registry()
         sweep = runtime.sweep_ring()
         events = runtime.event_ring()
         tracer = _trace.tracer()
@@ -184,7 +159,6 @@ class MetricsServer:
             "trace_sample_every": tracer.sample_every,
             "flight_recorder_installed": flight.recorder() is not None,
             "last_flight_dump": flight.last_dump_path(),
-            "extra_pages": sorted(self.pages),
         }
 
     def start(self) -> "MetricsServer":

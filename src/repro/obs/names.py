@@ -46,7 +46,6 @@ __all__ = [
     "ENGINE_BATCHES_TOTAL",
     "ENGINE_BATCH_SIZE",
     "ENGINE_BATCH_SECONDS",
-    "ENGINE_ITEMS_PER_SEC",
     # concurrency
     "LOCK_ACQUIRES_TOTAL",
     "LOCK_CONTENTION_TOTAL",
@@ -64,14 +63,10 @@ __all__ = [
     "AUDIT_CYCLE_SECONDS",
     "AUDIT_OBSERVED_ERROR",
     "AUDIT_PREDICTED_ERROR",
-    "AUDIT_ERROR_RATIO",
     "AUDIT_ERROR_WINDOW_LENGTH",
     "AUDIT_ABS_ERROR",
     "AUDIT_ALERTS_TOTAL",
-    # shard router / worker pool
-    "SHARD_ITEMS_ROUTED_TOTAL",
-    "SHARD_BATCHES_ROUTED_TOTAL",
-    "SHARD_QUEUE_DEPTH",
+    # shard merges
     "SHARD_MERGES_TOTAL",
     "SHARD_MERGE_SECONDS",
     # structured event log
@@ -181,9 +176,6 @@ ENGINE_BATCH_SECONDS = _declare(
     "repro_engine_batch_seconds", "histogram",
     "Wall-clock seconds per applied batch (log-2 buckets).", "sketch",
     seconds=True)
-ENGINE_ITEMS_PER_SEC = _declare(
-    "repro_engine_items_per_sec", "gauge",
-    "Items/sec of the most recent batch.", "sketch")
 
 # ----------------------------------------------------------------------- lock
 LOCK_ACQUIRES_TOTAL = _declare(
@@ -228,9 +220,6 @@ AUDIT_OBSERVED_ERROR = _declare(
 AUDIT_PREDICTED_ERROR = _declare(
     "repro_audit_predicted_error", "gauge",
     "Analytically predicted error at this configuration.", "task", "stat")
-AUDIT_ERROR_RATIO = _declare(
-    "repro_audit_error_ratio", "gauge",
-    "Observed error over predicted error.", "task", "stat")
 AUDIT_ERROR_WINDOW_LENGTH = _declare(
     "repro_audit_error_window_length", "gauge",
     "Residual error-window length T/(2^s - 2).", "task")
@@ -242,17 +231,6 @@ AUDIT_ALERTS_TOTAL = _declare(
     "Drift alerts raised by the accuracy auditor.", "task", "kind")
 
 # ---------------------------------------------------------------------- shard
-SHARD_ITEMS_ROUTED_TOTAL = _declare(
-    "repro_shard_items_routed_total", "counter",
-    "Items routed to this shard.", "shard")
-SHARD_BATCHES_ROUTED_TOTAL = _declare(
-    "repro_shard_batches_routed_total", "counter",
-    "Scatter batches dispatched to this shard.", "shard")
-#: The serial router applies batches inline and reports 0.
-SHARD_QUEUE_DEPTH = _declare(
-    "repro_shard_queue_depth", "gauge",
-    "Commands pending in the shard's worker queue at dispatch time.",
-    "shard")
 SHARD_MERGES_TOTAL = _declare(
     "repro_shard_merges_total", "counter",
     "Merged global snapshots built.", "sketch")

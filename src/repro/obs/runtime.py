@@ -274,14 +274,11 @@ _GROUPS: "Dict[str, Tuple[str, ...]]" = {
     # the batch group keeps the per-batch cost to a single memo hit.
     "batch": (names.ENGINE_BATCH_ITEMS_TOTAL, names.ENGINE_BATCHES_TOTAL,
               names.ENGINE_BATCH_SIZE, names.ENGINE_BATCH_SECONDS,
-              names.ENGINE_ITEMS_PER_SEC, names.SKETCH_INSERTS_TOTAL),
+              names.SKETCH_INSERTS_TOTAL),
     "lock": (names.LOCK_ACQUIRES_TOTAL, names.LOCK_CONTENTION_TOTAL,
              names.LOCK_WAIT_SECONDS_TOTAL),
     "audit_ingest": (names.AUDIT_SAMPLED_ITEMS_TOTAL,
                      names.AUDIT_SHADOW_KEYS),
-    "shard_route": (names.SHARD_ITEMS_ROUTED_TOTAL,
-                    names.SHARD_BATCHES_ROUTED_TOTAL,
-                    names.SHARD_QUEUE_DEPTH),
     "shard_merge": (names.SHARD_MERGES_TOTAL, names.SHARD_MERGE_SECONDS),
     "serve_conn": (names.SERVE_CONNECTIONS_TOTAL,
                    names.SERVE_CONNECTIONS_OPEN),
@@ -362,14 +359,12 @@ def record_batch(sketch: str, items: int, path: str, seconds: float) -> None:
     Also counts the items into ``SKETCH_INSERTS_TOTAL``: engine batches
     *are* inserts.
     """
-    items_c, batches_c, size_h, seconds_h, ips_g, inserts_c = \
+    items_c, batches_c, size_h, seconds_h, inserts_c = \
         _SERIES["batch", sketch, path]
     items_c.inc(items)
     batches_c.inc()
     size_h.observe(items)
     seconds_h.observe(seconds)
-    if seconds > 0.0:
-        ips_g.set(items / seconds)
     inserts_c.inc(items)
 
 
@@ -434,19 +429,6 @@ def record_audit_ingest(sampled: int, shadow_keys: int) -> None:
     sampled_c, keys_g = _SERIES["audit_ingest"]
     sampled_c.inc(sampled)
     keys_g.set(shadow_keys)
-
-
-def record_shard_route(shard: int, items: int, depth: int = 0) -> None:
-    """One scatter batch dispatched to a shard, with its queue depth.
-
-    ``depth`` is the number of commands already pending in the shard's
-    worker queue at dispatch time (0 for the serial router, which
-    applies batches inline).
-    """
-    items_c, batches_c, depth_g = _SERIES["shard_route", str(shard)]
-    items_c.inc(items)
-    batches_c.inc()
-    depth_g.set(depth)
 
 
 def record_shard_merge(sketch: str, shards: int, seconds: float) -> None:

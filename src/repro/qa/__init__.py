@@ -13,10 +13,9 @@ Three legs, all repo-specific, unified behind
 
 - **sketch-flow** (:mod:`repro.qa.flow`): an inter-procedural dataflow
   analyzer — per-function CFGs, a cross-module call graph, and four
-  whole-program rules: SK108 lock dominance (absorbing the old lint
-  rule SK104), SK109 fault-path completeness, SK110 kernel purity,
-  SK111 ``_obs.ENABLED`` gating. Run it with
-  ``python -m repro.qa flow src tests``.
+  whole-program rules: SK108 lock dominance, SK109 fault-path
+  completeness, SK110 kernel purity, SK111 ``_obs.ENABLED`` gating.
+  Run it with ``python -m repro.qa flow src tests``.
 
 - **sanitizer** (:mod:`repro.qa.sanitizer`): a dynamic invariant
   checker that wraps :class:`~repro.core.clockarray.ClockArray` and

@@ -15,8 +15,8 @@ graph (:mod:`repro.qa.flow.callgraph`), and four rules
 - **SK111** ``_obs.ENABLED`` gating of hot-path instrumentation.
 
 Run it as ``python -m repro.qa flow src tests`` (see
-:mod:`repro.qa.flow.driver` for suppressions and baselines, and
-``docs/qa.md`` for the rule catalog).
+:mod:`repro.qa.flow.driver` for suppressions, and ``docs/qa.md`` for
+the rule catalog).
 """
 
 from __future__ import annotations

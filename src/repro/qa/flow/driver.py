@@ -1,29 +1,20 @@
-"""Flow-analyzer driver: project loading, suppressions, baseline, CLI.
+"""Flow-analyzer driver: project loading, suppressions, CLI.
 
 ::
 
     python -m repro.qa flow src tests
-    python -m repro.qa flow --write-baseline flow-baseline.json src
-    python -m repro.qa flow --baseline flow-baseline.json src tests
 
 Exit status mirrors sketch-lint: 0 clean, 1 findings, 2 usage or parse
 error. Suppression comments are shared with sketch-lint (same
 ``# sketchlint: <token>`` syntax, same placement rules); the flow
-tokens are ``lock-ok`` (SK108 — also accepted under its historical
-spellings ``lockfree-ok`` / ``SK104``), ``fault-ok`` (SK109),
-``impure-ok`` (SK110), and ``obs-gate-ok`` (SK111).
-
-A *baseline* file is a JSON list of ``"path:line:rule"`` strings;
-findings matching an entry are reported as baselined (and do not fail
-the run), which lets the analyzer land on a tree with known debt
-without freezing the rules themselves.
+tokens are ``lock-ok`` (SK108), ``fault-ok`` (SK109), ``impure-ok``
+(SK110), and ``obs-gate-ok`` (SK111).
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Sequence, Set, Tuple
@@ -74,14 +65,10 @@ def _filter_suppressed(findings: List[Finding],
     return out
 
 
-def analyze_paths(paths: Sequence["Path | str"], *,
-                  respect_suppressions: bool = True) -> List[Finding]:
+def analyze_paths(paths: Sequence["Path | str"]) -> List[Finding]:
     """Run the flow rules over every Python file under ``paths``."""
     project, parsed = load_project(paths)
-    findings = run_flow_rules(project)
-    if respect_suppressions:
-        findings = _filter_suppressed(findings, parsed)
-    return findings
+    return _filter_suppressed(run_flow_rules(project), parsed)
 
 
 def analyze_source(source: str, path: str) -> List[Finding]:
@@ -100,10 +87,6 @@ def analyze_source(source: str, path: str) -> List[Finding]:
             if f.line not in table.get(f.rule, ())]
 
 
-def _baseline_key(finding: Finding) -> str:
-    return f"{finding.path}:{finding.line}:{finding.rule}"
-
-
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.qa flow",
@@ -114,12 +97,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
                         help="files or directories to analyze")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress the per-finding listing")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="JSON baseline of accepted findings "
-                             '("path:line:rule" entries)')
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="write the current findings to FILE as a "
-                             "baseline and exit 0")
     args = parser.parse_args(argv)
 
     missing = [p for p in args.paths if not Path(p).exists()]
@@ -133,34 +110,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(f"sketchflow: parse error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        payload = sorted(_baseline_key(f) for f in findings)
-        Path(args.write_baseline).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"sketchflow: baseline of {len(payload)} finding(s) "
-              f"written to {args.write_baseline}")
-        return 0
-
-    baseline: Set[str] = set()
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"sketchflow: no such baseline: {args.baseline}",
-                  file=sys.stderr)
-            return 2
-        baseline = set(json.loads(
-            baseline_path.read_text(encoding="utf-8")))
-
-    fresh = [f for f in findings if _baseline_key(f) not in baseline]
-    known = len(findings) - len(fresh)
     if not args.quiet:
-        for finding in fresh:
+        for finding in findings:
             print(finding.format())
     files = len(set(iter_python_files(args.paths)))
-    status = "clean" if not fresh else f"{len(fresh)} finding(s)"
-    extra = f", {known} baselined" if known else ""
-    print(f"sketchflow: {files} file(s) analyzed, {status}{extra}")
-    return 1 if fresh else 0
+    status = "clean" if not findings else f"{len(findings)} finding(s)"
+    print(f"sketchflow: {files} file(s) analyzed, {status}")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

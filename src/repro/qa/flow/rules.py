@@ -11,8 +11,8 @@ shard replica state must follow a quiescence point (``drain`` /
 ``barrier`` / ``join``) or run in a single-owner context (``__init__``,
 a ``kind = "serial"`` router, a worker-process function). Dynamic
 ``getattr`` forwards are only clean under a proven membership test
-against a module-level frozen string allowlist. Replaces SK104, whose
-suppression tokens now map here.
+against a module-level frozen string allowlist. Replaces sketch-lint's
+SK104.
 
 ``SK109`` **fault-path completeness** — in ``shard/``, ``engine/``
 and ``serve/``

@@ -29,11 +29,15 @@ SK105
     pair means some callers silently fall off the vectorised path (or
     have no scalar reference to property-test against).
 SK106
-    Metric registration sites (``counter`` / ``gauge`` / ``histogram``
-    registrars and ``timed`` instrumentation) must name their series
-    through the registered constants in :mod:`repro.obs.names`, never
-    inline string literals. An inline name drifts from the catalogue
-    silently — dashboards point at a series nobody emits any more.
+    Metric registration sites (``repro.obs.runtime.series``, the
+    ``counter`` / ``gauge`` / ``histogram`` registrars and ``timed``
+    instrumentation) must name their series through the registered
+    constants in :mod:`repro.obs.names`, never inline string literals.
+    ``series`` counts only when called bare or on a name an import in
+    the same module binds to :mod:`repro.obs.runtime`, so an unrelated
+    ``result.series(...)`` stays clean. An inline name drifts from the
+    catalogue silently — dashboards point at a series nobody emits any
+    more.
     Test modules (any path with a ``tests`` segment) are exempt, as
     are intentional literals marked ``# sketchlint: metric-name-ok``.
 SK107
@@ -52,9 +56,7 @@ SK107
 The historical SK104 (ThreadSafeSketch lock discipline) was absorbed
 into the flow analyzer's SK108 (:mod:`repro.qa.flow.rules`), which
 checks the same discipline with real control-flow dominance — plus
-shard-replica quiescence — instead of a per-statement pattern. The
-``lockfree-ok`` token (and the literal ``SK104``) remain accepted and
-now suppress SK108.
+shard-replica quiescence — instead of a per-statement pattern.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ __all__ = ["Finding", "ModuleScope", "RULE_IDS", "SUPPRESSION_TOKENS",
 RULE_IDS = ("SK101", "SK102", "SK103", "SK105", "SK106", "SK107")
 
 #: Suppression comment tokens (``# sketchlint: <token>``) per rule.
-#: Shared with the flow analyzer (SK108-SK111); ``lockfree-ok`` and the
-#: literal ``SK104`` are kept as aliases of SK108, which replaced SK104.
+#: Shared with the flow analyzer (SK108-SK111).
 SUPPRESSION_TOKENS: Dict[str, str] = {
     "scalar-ok": "SK101",
     "dtype-ok": "SK102",
@@ -80,8 +81,6 @@ SUPPRESSION_TOKENS: Dict[str, str] = {
     "metric-name-ok": "SK106",
     "kernel-ok": "SK107",
     "lock-ok": "SK108",
-    "lockfree-ok": "SK108",
-    "SK104": "SK108",
     "fault-ok": "SK109",
     "impure-ok": "SK110",
     "obs-gate-ok": "SK111",
@@ -397,6 +396,38 @@ def _rule_sk105(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding
 #: Registrar call names whose first argument names a metric series.
 _METRIC_REGISTRARS: Set[str] = {"counter", "gauge", "histogram", "timed"}
 
+#: The module whose ``series`` is the live registration path.
+_OBS_RUNTIME = "repro.obs.runtime"
+
+
+def _import_base(node: ast.ImportFrom, path: str) -> "Optional[str]":
+    """Absolute module a ``from ... import`` reads from, or None."""
+    if not node.level:
+        return node.module
+    parts = PurePosixPath(str(path).replace("\\", "/")).parts
+    if "repro" not in parts:
+        return None
+    package = list(parts[parts.index("repro"):-1])
+    if node.level - 1 > len(package):
+        return None
+    base = package[:len(package) - (node.level - 1)]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _runtime_receivers(tree: ast.Module, path: str) -> Set[str]:
+    """Dotted names that an import binds to :mod:`repro.obs.runtime`."""
+    receivers = {_OBS_RUNTIME}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            receivers.update(alias.asname for alias in node.names
+                             if alias.name == _OBS_RUNTIME and alias.asname)
+        elif isinstance(node, ast.ImportFrom):
+            base = _import_base(node, path)
+            receivers.update(alias.asname or alias.name
+                             for alias in node.names
+                             if f"{base}.{alias.name}" == _OBS_RUNTIME)
+    return receivers
+
 
 def _metric_name_arg(node: ast.Call) -> "Optional[ast.expr]":
     for kw in node.keywords:
@@ -411,17 +442,21 @@ def _rule_sk106(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding
     if not scope.metric_scope:
         return []
     findings: List[Finding] = []
+    receivers = _runtime_receivers(tree, path)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         if isinstance(func, ast.Attribute):
             registrar = func.attr
+            if registrar == "series" and \
+                    ".".join(_attr_chain(func.value)) not in receivers:
+                continue
         elif isinstance(func, ast.Name):
             registrar = func.id
         else:
             continue
-        if registrar not in _METRIC_REGISTRARS:
+        if registrar != "series" and registrar not in _METRIC_REGISTRARS:
             continue
         arg = _metric_name_arg(node)
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):

@@ -361,17 +361,6 @@ class IngestService:
         })
         return manager
 
-    def serve_payload(self) -> "Dict[str, Any]":
-        """The ``/serve.json`` exposition payload."""
-        return {
-            "service": self.stats(),
-            "tenants": {t.name: t.stats() for t in self.tenants},
-        }
-
-    def attach_metrics(self, server: Any) -> Any:
-        """Register ``/serve.json`` on a :class:`MetricsServer`."""
-        return server.add_json_page("/serve.json", self.serve_payload)
-
     async def __aenter__(self) -> "IngestService":
         return await self.start()
 

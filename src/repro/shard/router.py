@@ -348,9 +348,6 @@ class ShardedSketch(ClockSketchBase):
             for shard, sub_items, sub_times in \
                     _kernels.scatter_by_shard(items, times_arr, shard_ids):
                 router.ingest(shard, sub_items, sub_times, ctx=sp.ctx)
-                if _obs.ENABLED:
-                    _obs.record_shard_route(shard, int(sub_times.shape[0]),
-                                            router.queue_depth(shard))
         shard_set.items_inserted += count
         shard_set.now = float(times_arr[-1])
         shard_set.version += 1

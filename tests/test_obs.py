@@ -440,6 +440,21 @@ class TestCatalogue:
             with pytest.raises(ConfigurationError, match="needs values"):
                 runtime._SERIES["serve_cmd", "only-tenant"]
 
+    def test_every_declared_metric_is_referenced_in_src(self):
+        # A declared name nothing in src/ mentions is a series no code
+        # path can emit; it must be deleted, not documented.
+        root = Path(__file__).resolve().parents[1] / "src" / "repro"
+        text = "\n".join(path.read_text(encoding="utf-8")
+                         for path in root.rglob("*.py")
+                         if path != root / "obs" / "names.py")
+        constants = {value: key for key, value in vars(names).items()
+                     if isinstance(value, str) and value in names.CATALOGUE}
+        assert set(constants) == set(names.CATALOGUE)
+        unread = sorted(name for name, const in constants.items()
+                        if name not in text
+                        and not re.search(rf"\b{const}\b", text))
+        assert unread == []
+
 
 class TestTimed:
     def test_context_manager_records_one_observation(self):
@@ -626,9 +641,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         name_set = {entry["name"]
                     for kind in payload.values() for entry in kind}
-        assert names.SKETCH_INSERTS_TOTAL in name_set
-        assert names.MONITOR_MEMORY_BITS in name_set
-        assert names.CLOCK_SWEEPS_TOTAL in name_set
+        assert name_set == {
+            names.CLOCK_CELLS_CLEANED_TOTAL, names.CLOCK_CELL_VALUE,
+            names.CLOCK_FILL_RATIO, names.CLOCK_SWEEPS_TOTAL,
+            names.CLOCK_SWEEP_LAG_STEPS, names.CLOCK_SWEEP_STEPS_TOTAL,
+            names.CLOCK_ZERO_CELLS,
+            names.ENGINE_BATCHES_TOTAL, names.ENGINE_BATCH_ITEMS_TOTAL,
+            names.ENGINE_BATCH_SECONDS, names.ENGINE_BATCH_SIZE,
+            names.MONITOR_MEMORY_BITS, names.MONITOR_SPLIT_RATIO,
+            names.MONITOR_TASKS,
+            names.SKETCH_FILL_RATIO, names.SKETCH_INSERTS_TOTAL,
+            names.SKETCH_MEMORY_BITS,
+            names.TRACE_SPANS_TOTAL, names.TRACE_TRACES_TOTAL,
+        }
 
     def test_prometheus_format_parses(self, capsys):
         from repro.obs.__main__ import main
@@ -637,6 +662,60 @@ class TestCli:
                      "--memory", "16KB", "--format", "prometheus"]) == 0
         families = obs.parse_prometheus(capsys.readouterr().out)
         assert names.ENGINE_BATCH_ITEMS_TOTAL in families
+
+    @pytest.mark.parametrize("chunk", ["0", "-5"])
+    def test_non_positive_chunk_is_a_usage_error(self, chunk, capsys):
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--items", "2000", "--chunk", chunk, "--format", "json"])
+        assert exc.value.code == 2
+        assert "--chunk" in capsys.readouterr().err
+
+    def test_trace_crash_without_process_shards_fails_before_running(
+            self, tmp_path, capsys):
+        from repro.obs import flight, trace
+        from repro.obs.__main__ import main
+
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["trace", "--items", "2000", "--crash",
+                      "--flight-dir", str(tmp_path)])
+        finally:
+            flight.uninstall()
+            trace.configure()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--crash needs --router process" in captured.err
+        assert "span ring" not in captured.out
+
+    def test_trace_exports_chrome_and_reads_a_flight_bundle(
+            self, tmp_path, capsys):
+        from repro.obs import flight, trace
+        from repro.obs.__main__ import main
+
+        chrome = tmp_path / "trace.json"
+        try:
+            assert main(["trace", "--items", "2000", "--window", "256",
+                         "--memory", "16KB", "--chunk", "500",
+                         "--tail", "3", "--chrome", str(chrome),
+                         "--flight-dir", str(tmp_path)]) == 0
+            out = capsys.readouterr().out
+            bundle = flight.recorder().dump("cli-test")
+        finally:
+            flight.uninstall()
+            trace.configure()
+        assert "last 3 of" in out
+        events = json.loads(chrome.read_text(encoding="utf-8"))
+        assert names.SPAN_MONITOR_OBSERVE in {
+            event["name"] for event in events["traceEvents"]}
+
+        assert main(["trace", "--input", bundle, "--tail", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "flight bundle: reason=cli-test" in out
+        spans = [line for line in out.splitlines()
+                 if names.SPAN_MONITOR_OBSERVE in line]
+        assert len(spans) == 4
 
 
 class TestHistogramQuantile:

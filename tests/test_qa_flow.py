@@ -9,7 +9,6 @@ own ``src/`` and ``tests/`` trees.
 """
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
@@ -204,17 +203,6 @@ class TestSuppressions:
             analyze_source(load("sk108_bad.py"),
                            "src/repro/shard/fixture.py")) - 1
 
-    def test_legacy_sk104_spellings_map_to_sk108(self):
-        for token in ("lockfree-ok", "SK104"):
-            source = load("sk108_bad.py").replace(
-                "return self.sketch.insert(item)",
-                f"return self.sketch.insert(item)  # sketchlint: {token}",
-            )
-            findings = analyze_source(source,
-                                      "src/repro/shard/fixture.py")
-            lines = {f.line for f in findings}
-            assert 12 not in lines, token
-
 
 class TestStaleSuppressions:
     def test_stale_and_live_tokens_distinguished(self, tmp_path):
@@ -272,17 +260,6 @@ class TestCli:
         assert main([str(target)]) == 2
         assert "parse error" in capsys.readouterr().err
 
-    def test_baseline_roundtrip(self, tmp_path, capsys):
-        self._write(tmp_path, "mod.py", "sk109_bad.py", "shard")
-        baseline = tmp_path / "baseline.json"
-        assert main(["--write-baseline", str(baseline),
-                     str(tmp_path)]) == 0
-        entries = json.loads(baseline.read_text(encoding="utf-8"))
-        assert entries and all(":SK109" in e for e in entries)
-        capsys.readouterr()
-        assert main(["--baseline", str(baseline), str(tmp_path)]) == 0
-        assert "baselined" in capsys.readouterr().out
-
 
 class TestUnifiedDriver:
     def test_no_subcommand_prints_usage(self, capsys):
@@ -301,13 +278,6 @@ class TestUnifiedDriver:
         target.parent.mkdir()
         target.write_text("import numpy as np\n", encoding="utf-8")
         assert qa_main(["lint", str(target)]) == 0
-        assert "sketchlint" in capsys.readouterr().out
-
-    def test_bare_paths_run_the_linter(self, tmp_path, capsys):
-        target = tmp_path / "core" / "mod.py"
-        target.parent.mkdir()
-        target.write_text("import numpy as np\n", encoding="utf-8")
-        assert qa_main([str(target)]) == 0
         assert "sketchlint" in capsys.readouterr().out
 
     def test_sanitize_smoke_run(self, capsys):

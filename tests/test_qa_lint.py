@@ -25,7 +25,7 @@ CASES = {
     "SK102": ("sk102_bad.py", 4, "sk102_good.py"),
     "SK103": ("sk103_bad.py", 5, "sk103_good.py"),
     "SK105": ("sk105_bad.py", 2, "sk105_good.py"),
-    "SK106": ("sk106_bad.py", 4, "sk106_good.py"),
+    "SK106": ("sk106_bad.py", 5, "sk106_good.py"),
     "SK107": ("sk107_bad.py", 4, "sk107_good.py"),
 }
 

@@ -131,10 +131,7 @@ class ClockBloomFilter(ClockSketchBase):
 
     def contains_many(self, items, t=None) -> np.ndarray:
         """Vectorised :meth:`contains` over a batch of items."""
-        now = self._query_time(t)
-        self.clock.advance(now)
-        index_matrix = self.deriver.bulk(items)
-        return np.all(self.clock.values[index_matrix] > 0, axis=1)
+        return self._read_many(items, t)
 
     def query(self, item, t=None) -> bool:
         """Scalar query alias: activeness of one item (see :meth:`contains`)."""

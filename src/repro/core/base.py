@@ -205,15 +205,53 @@ class ClockSketchBase:
                 "time first"
             )
 
-    def _merge_commit(self, other) -> None:
-        """Union the clock state and temporal bookkeeping of ``other``.
+    # Each kind states its merge rule once (``_union``: ``merge`` applies
+    # it to whole arrays, a sharded query to a key's gathered cells) and
+    # its answer formula once (``_answer``). The defaults are the Bloom
+    # filter's; a bitmap is its k = 1 case.
 
-        Clock cells merge by element-wise max through the validating
-        :meth:`~repro.core.clockarray.ClockArray.merge_max`; the merged
-        sketch counts both sides' items and sits at the later of the
-        two stream times.
+    #: Per-cell arrays beside the clock cells (``counters``, ...).
+    _CELL_FIELDS: "tuple[str, ...]" = ()
+
+    def _cells(self, idx) -> tuple:
+        """The cell images at ``idx``: clock values, then each field."""
+        return (self.clock.values[idx],
+                *(getattr(self, name)[idx] for name in self._CELL_FIELDS))
+
+    def _query_index(self, items) -> np.ndarray:
+        return self.deriver.bulk(items)
+
+    @staticmethod
+    def _union(values) -> tuple:
+        """Merge cell images stacked one per sketch along axis 0."""
+        return (values.max(axis=0),)
+
+    @staticmethod
+    def _answer(now, values):
+        # Active iff every hashed clock of the item is non-zero.
+        return np.all(values > 0, axis=1)
+
+    def _read_many(self, items, t):
+        """Advance to the query time, then answer from the items' cells."""
+        now = self._query_time(t)
+        self.clock.advance(now)
+        return self._answer(now, *self._cells(self._query_index(items)))
+
+    def _merge_commit(self, other) -> None:
+        """Union the cell state and temporal bookkeeping of ``other``.
+
+        The kind's :meth:`_union` combines both sides' whole cell images;
+        the clock image lands through the validating
+        :meth:`~repro.core.clockarray.ClockArray.load_values`. The merged
+        sketch counts both sides' items and sits at the later of the two
+        stream times.
         """
-        self.clock.merge_max(other.clock.values)
+        whole = slice(None)
+        values, *fields = self._union(*map(
+            np.stack, zip(self._cells(whole), other._cells(whole))))
+        self.clock.load_values(values)
+        for name, image in zip(self._CELL_FIELDS, fields):
+            getattr(self, name)[:] = image
         if other.clock.now > self.clock.now:
             self.clock.sync_state(other.clock.now, self.clock.steps_done)
         self._now = max(self._now, other._now)

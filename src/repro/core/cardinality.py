@@ -146,10 +146,7 @@ class ClockBitmap(ClockSketchBase):
         what :meth:`estimate` aggregates, exposed per item for
         diagnostics and batch pipelines.
         """
-        now = self._query_time(t)
-        self.clock.advance(now)
-        cells = self.deriver.bulk_single(items)
-        return self.clock.values[cells] > 0
+        return self._read_many(items, t)
 
     def estimate(self, t=None, strict: bool = False) -> CardinalityEstimate:
         """Estimate the number of active item batches at time ``t``."""

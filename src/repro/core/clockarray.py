@@ -325,8 +325,9 @@ class ClockArray:
         """Adopt a complete cell image, validating shape and range.
 
         The write-API twin of reading ``values``: the fused batch
-        engine computes whole post-sweep images in closed form, and
-        deserialisation restores saved ones — both land here instead of
+        engine computes whole post-sweep images in closed form, a merge
+        computes the union image, and deserialisation restores saved
+        ones — all land here instead of
         writing the buffer directly, so an out-of-range or mis-shaped
         image is rejected before it can corrupt the array.
         """
@@ -344,31 +345,6 @@ class ClockArray:
                 f"cell image holds values outside [0, {self.max_value}]"
             )
         self.values[:] = image.astype(self.values.dtype)
-
-    def merge_max(self, image) -> None:
-        """Fold another cell image in by element-wise maximum.
-
-        The merge twin of :meth:`load_values`, and the only sanctioned
-        way to union clock state (shard merges, worker aggregation):
-        the image is validated against the array's shape and value
-        range first, so a corrupt or mis-shaped peer can never poison
-        the cells. Taking the max preserves the window guarantee — a
-        cell is never made newer than its newest writer, and never
-        expired while any side still holds it live.
-        """
-        image = np.asarray(image)  # sketchlint: dtype-ok
-        if image.shape != (self.n,):
-            raise ConfigurationError(
-                f"cell image shape {image.shape} does not match "
-                f"({self.n},)"
-            )
-        if image.size and (int(image.max()) > self.max_value
-                           or int(image.min()) < 0):
-            raise ConfigurationError(
-                f"cell image holds values outside [0, {self.max_value}]"
-            )
-        np.maximum(self.values, image.astype(self.values.dtype),
-                   out=self.values)
 
     def bind_buffer(self, view: np.ndarray) -> None:
         """Adopt an external array as the cell buffer (shared memory).

@@ -68,6 +68,8 @@ class ClockCountMin(ClockSketchBase):
     5
     """
 
+    _CELL_FIELDS = ("counters",)
+
     def __init__(self, width: int, depth: int, s: int, window: WindowSpec,
                  counter_bits: int = DEFAULT_COUNTER_BITS, seed: int = 0,
                  sweep_mode: str = "vector", conservative: bool = False,
@@ -187,9 +189,22 @@ class ClockCountMin(ClockSketchBase):
 
     def query_many(self, items, t=None) -> np.ndarray:
         """Vectorised :meth:`query` over a batch of items."""
-        now = self._query_time(t)
-        self.clock.advance(now)
-        return np.min(self.counters[self._flat_matrix(items)], axis=1).astype(np.int64)
+        return self._read_many(items, t)
+
+    _query_index = _flat_matrix
+
+    @staticmethod
+    def _answer(now, values, counters) -> np.ndarray:
+        # The Count-Min minimum over the d rows.
+        return np.min(counters, axis=1).astype(np.int64)
+
+    def _union(self, values, counters) -> tuple:
+        # Clocks max; counters sum, saturating, and clear on a dead clock.
+        merged = values.max(axis=0)
+        summed = counters.sum(axis=0, dtype=np.int64)
+        np.minimum(summed, self.counter_max, out=summed)
+        summed[merged == 0] = 0
+        return merged, summed
 
     def snapshot(self) -> "ClockCountMin":
         """Deep copy of the current state (cells, counters, bookkeeping)."""
@@ -216,11 +231,7 @@ class ClockCountMin(ClockSketchBase):
         self._merge_check(
             other, ("width", "depth", "s", "counter_bits", "window", "seed")
         )
-        summed = self.counters.astype(np.int64) + other.counters.astype(np.int64)
-        np.minimum(summed, self.counter_max, out=summed)
-        self.counters[:] = summed.astype(self.counters.dtype)
         self._merge_commit(other)
-        self.counters[self.clock.values == 0] = 0
         return self
 
     def memory_bits(self) -> int:

@@ -92,6 +92,8 @@ class ClockTimeSpanSketch(ClockSketchBase):
     9.0
     """
 
+    _CELL_FIELDS = ("timestamps",)
+
     def __init__(self, n: int, k: int, s: int, window: WindowSpec,
                  seed: int = 0, sweep_mode: str = "vector",
                  sanitize: bool = False):
@@ -174,15 +176,23 @@ class ClockTimeSpanSketch(ClockSketchBase):
         hashed timestamps and ``span = t - begin``; inactive items hold
         NaN in both float arrays.
         """
-        now = self._query_time(t)
-        self.clock.advance(now)
-        index_matrix = self.deriver.bulk(items)
-        active = np.all(self.clock.values[index_matrix] > 0, axis=1)
-        begin = np.max(self.timestamps[index_matrix], axis=1)
+        return self._read_many(items, t)
+
+    @staticmethod
+    def _answer(now, values, timestamps) -> TimeSpanBatchResult:
+        active = np.all(values > 0, axis=1)
+        begin = np.max(timestamps, axis=1)
         span = now - begin
         begin[~active] = np.nan
         span[~active] = np.nan
         return TimeSpanBatchResult(active=active, span=span, begin=begin)
+
+    @staticmethod
+    def _union(values, timestamps) -> tuple:
+        # Clocks max; each cell keeps its oldest live (non-zero) stamp.
+        first = np.where(timestamps > 0.0, timestamps, np.inf).min(axis=0)
+        first[first == np.inf] = 0.0
+        return values.max(axis=0), first
 
     def snapshot(self) -> "ClockTimeSpanSketch":
         """Deep copy of the current state (cells, stamps, bookkeeping)."""
@@ -209,11 +219,6 @@ class ClockTimeSpanSketch(ClockSketchBase):
         two shards' batches collide in a cell. Returns ``self``.
         """
         self._merge_check(other, ("n", "k", "s", "window", "seed"))
-        mine, theirs = self.timestamps, other.timestamps
-        both = (mine > 0.0) & (theirs > 0.0)
-        only_theirs = (mine == 0.0) & (theirs > 0.0)
-        mine[both] = np.minimum(mine[both], theirs[both])
-        mine[only_theirs] = theirs[only_theirs]
         self._merge_commit(other)
         return self
 

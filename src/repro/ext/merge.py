@@ -19,11 +19,12 @@ barrier the paper envisions.
 
 These functions are thin wrappers over the sketches' own ``merge()``
 methods: each folds ``b`` into ``a`` in place and returns ``a``
-(``snapshot()`` first to keep ``a``). The methods route every cell write through the validating
-:meth:`~repro.core.clockarray.ClockArray.merge_max` /
-:meth:`~repro.core.clockarray.ClockArray.load_values` entry points —
-the same ones the runtime sanitizer checks. ``repro.shard`` builds its
-global query view on the same methods.
+(``snapshot()`` first to keep ``a``). The methods write the union's
+clock image through the validating
+:meth:`~repro.core.clockarray.ClockArray.load_values` entry point —
+the one the runtime sanitizer checks. ``repro.shard`` builds its
+global view on the same methods, and answers point queries with the
+same per-kind merge rule over just the queried cells.
 """
 
 from __future__ import annotations

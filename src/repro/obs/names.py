@@ -233,10 +233,10 @@ AUDIT_ALERTS_TOTAL = _declare(
 # ---------------------------------------------------------------------- shard
 SHARD_MERGES_TOTAL = _declare(
     "repro_shard_merges_total", "counter",
-    "Merged global snapshots built.", "sketch")
+    "Barrier-synchronised shard reads (snapshots, point queries).", "sketch")
 SHARD_MERGE_SECONDS = _declare(
     "repro_shard_merge_seconds", "histogram",
-    "Wall-clock seconds per merged-snapshot build (log-2 buckets).",
+    "Wall-clock seconds per barrier-synchronised read (log-2 buckets).",
     "sketch", seconds=True)
 
 # --------------------------------------------------------------------- events
@@ -320,7 +320,7 @@ SPAN_SHARD_SCATTER = "shard.scatter"
 SPAN_SHARD_INGEST = "shard.ingest"
 #: One ``advance`` (barrier) command applied by a shard worker.
 SPAN_SHARD_ADVANCE = "shard.advance"
-#: The parent-side merged-snapshot build (barrier + union).
+#: The parent-side barrier of a sharded read (+ a merged view's union).
 SPAN_SHARD_MERGE = "shard.merge"
 #: The parent-side wait for every dispatched command's acknowledgement.
 SPAN_SHARD_ACK = "shard.ack"

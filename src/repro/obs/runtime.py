@@ -432,7 +432,7 @@ def record_audit_ingest(sampled: int, shadow_keys: int) -> None:
 
 
 def record_shard_merge(sketch: str, shards: int, seconds: float) -> None:
-    """One merged global snapshot built from per-shard replicas."""
+    """One barrier-synchronised read of the per-shard replicas."""
     merges_c, seconds_h = _SERIES["shard_merge", sketch]
     merges_c.inc()
     seconds_h.observe(seconds)

@@ -56,7 +56,7 @@ _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: replica counts as immutable configuration.
 _MUTABLE_REPLICA_ATTRS = frozenset({
     "clock", "timestamps", "counters", "values",
-    "insert", "insert_many", "snapshot", "merge",
+    "insert", "insert_many", "snapshot", "merge", "_cells",
     "advance", "flush", "sync_state", "load_values",
     "_now", "_items_inserted", "items_inserted", "now",
 })

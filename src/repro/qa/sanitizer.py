@@ -343,7 +343,7 @@ _BATCH_DEAD: Dict[Tuple[str, str], Callable[[Any], Any]] = {
 }
 
 _CLOCK_METHODS = ("advance", "sync_state", "flush", "touch", "load_values",
-                  "merge_max", "reset")
+                  "reset")
 
 _AGGREGATE_READERS: Dict[str, Tuple[str, ...]] = {
     "ClockBitmap": ("estimate",),

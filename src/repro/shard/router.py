@@ -10,8 +10,10 @@ by a *dedicated* shard hash (seeded independently of the index hashes,
 so routing never correlates with cell placement; see
 :mod:`repro.hashing.sharding`), computed and scattered once per batch
 for all slots. Each slot is read through a :class:`ShardedSketch`
-view, whose queries are answered from a merged global view built by
-element-wise clock union (paper §7's mergeability):
+view. Its point and batch queries gather the queried keys' cells from
+every replica and combine just those by the kind's merge rule;
+:meth:`ShardedSketch.merged` applies the same rule to whole arrays
+when a global sketch is needed (paper §7's mergeability):
 
 - **activeness / cardinality** (clock cells only): with every replica's
   cleaning pointer synchronised to the query time, the element-wise max
@@ -37,6 +39,7 @@ worker applying its sub-batches to every slot of its shard.
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager, nullcontext
 from time import perf_counter
 from typing import Any
 
@@ -236,10 +239,14 @@ class ShardSet:
             views.append(view)
         return views
 
+    def synced(self, now: float) -> bool:
+        """Is every shard synchronised to ``now`` since the last ingest?"""
+        return self._synced == (self.version, now)
+
     def barrier(self, now: float, ctx: Any = None) -> None:
         """Synchronise every shard to ``now`` — once per ingest version,
         however many slots are queried."""
-        if self._synced != (self.version, now):
+        if not self.synced(now):
             self.router.barrier(now, ctx=ctx)
             self._synced = (self.version, now)
 
@@ -269,7 +276,8 @@ class ShardedSketch(ClockSketchBase):
     set. The facade exposes the full sketch API — ``insert`` /
     ``insert_many`` route by shard hash and feed *every* slot of the
     set (the slots measure one stream); ``query`` / ``query_many`` /
-    ``contains`` / ``contains_many`` / ``estimate`` are answered from a
+    ``contains`` / ``contains_many`` combine the queried keys' cells
+    across replicas, and ``estimate`` / ``snapshot`` / ``clock`` read a
     cached merged view of this slot (rebuilt after the next insert or
     at a new query time). Use as a context manager to release worker
     processes.
@@ -374,22 +382,14 @@ class ShardedSketch(ClockSketchBase):
         if cache is not None and self._cache_version == shard_set.version \
                 and cache.now == now:
             return cache
-        started = perf_counter()
-        with _trace.span(_names.SPAN_SHARD_MERGE) as sp:
-            if sp.recording:
-                sp.set("shards", shard_set.shards)
+        with self._merge_span() as sp:
             shard_set.barrier(now, ctx=sp.ctx)
             replicas = self.replicas
             view = replicas[0].snapshot()
             for other in replicas[1:]:
                 view.merge(other)
-            if sp.recording:
-                sp.set("kind", type(view).__name__)
         view._now = float(now)
         view._items_inserted = self._items_inserted
-        if _obs.ENABLED:
-            _obs.record_shard_merge(type(view).__name__, shard_set.shards,
-                                    perf_counter() - started)
         self._cache = view
         self._cache_version = shard_set.version
         return view
@@ -399,25 +399,60 @@ class ShardedSketch(ClockSketchBase):
         return self.merged(t).snapshot()
 
     # ------------------------------------------------------------------
-    # Queries (delegate to the merged view)
+    # Point queries: the key's cells, gathered from every replica
     # ------------------------------------------------------------------
 
+    @contextmanager
+    def _merge_span(self) -> Any:
+        """A ``shard.merge`` span, timed into ``repro_shard_merge_seconds``."""
+        kind = type(self.replicas[0]).__name__
+        started = perf_counter()
+        with _trace.span(_names.SPAN_SHARD_MERGE, shards=self.shards,
+                         kind=kind) as sp:
+            yield sp
+        if _obs.ENABLED:
+            _obs.record_shard_merge(kind, self.shards,
+                                    perf_counter() - started)
+
+    def _gathered(self, items: Any, t: "float | None") -> Any:
+        """:meth:`merged`'s answer for a batch, building no sketch.
+
+        Derives the items' cell indexes once, stacks every replica's
+        images of just those cells, and applies the kind's merge rule
+        (``_union``) and answer formula (``_answer``). A query at an
+        already synchronised time opens no span.
+        """
+        now = self._query_time(t)
+        shard_set = self.shard_set
+        with (nullcontext(_trace.NULL_SPAN) if shard_set.synced(now)
+              else self._merge_span()) as sp:
+            shard_set.barrier(now, ctx=sp.ctx)
+            replicas = self.replicas
+            first = replicas[0]
+            idx = first._query_index(items)
+            cells = zip(*(replica._cells(idx) for replica in replicas))
+            return first._answer(now, *first._union(*map(np.stack, cells)))
+
     def query(self, item: Any, t: "float | None" = None) -> Any:
-        """Query the merged global view for one item."""
-        return self.merged(t).query(item)
+        """Query the global state for one item."""
+        answer = self._gathered([item], t)[0]
+        # numpy scalars become the plain sketch's bool / int.
+        return answer.item() if isinstance(answer, np.generic) else answer
 
     def query_many(self, items: Any, t: "float | None" = None) -> Any:
-        """Query the merged global view for a batch of items."""
-        return self.merged(t).query_many(items)
+        """Query the global state for a batch of items."""
+        return self._gathered(items, t)
 
     def contains(self, item: Any, t: "float | None" = None) -> bool:
-        """Membership query on the merged view (Bloom-filter kinds)."""
-        return self.merged(t).contains(item)
+        """Membership query (Bloom-filter kind)."""
+        self.replicas[0].contains  # AttributeError, as on the other kinds
+        return self.query(item, t)
 
     def contains_many(self, items: Any,
                       t: "float | None" = None) -> np.ndarray:
-        """Batch membership query on the merged view."""
-        return self.merged(t).contains_many(items)
+        """Batch membership query (Bloom-filter kind)."""
+        self.replicas[0].contains_many  # AttributeError, as on the others
+        return self._gathered(items, t)
 
     def estimate(self, t: "float | None" = None,
                  strict: bool = False) -> float:

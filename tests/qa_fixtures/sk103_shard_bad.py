@@ -1,7 +1,7 @@
 """SK103 bad (shard scope): merging by raw cell writes.
 
 The shard router's merge path must go through the validating
-``ClockArray.merge_max`` entry point — hand-rolled elementwise-max
+``ClockArray.load_values`` entry point — hand-rolled elementwise-max
 writes into the cell buffer bypass the range/shape checks the runtime
 sanitizer hooks.
 """

@@ -3,7 +3,7 @@ import numpy as np
 
 
 def merge(clock, other_values):
-    clock.merge_max(other_values)
+    clock.load_values(np.maximum(clock.values, other_values))
 
 
 def rebind(clock, view):

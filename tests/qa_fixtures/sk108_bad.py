@@ -31,3 +31,7 @@ class ShardFacade:
         # BAD (shard scope): mutable replica state with no preceding
         # drain/barrier/join quiescence call.
         return [r.snapshot() for r in self.replicas]
+
+    def raw_gather(self, idx):
+        # BAD (shard scope): a point query's cell images, read unsynced.
+        return [r._cells(idx) for r in self.replicas]

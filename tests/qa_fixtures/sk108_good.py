@@ -38,6 +38,10 @@ class ShardFacade:
         self.drain()  # quiescence: workers are done before we read
         return [r.snapshot() for r in self.replicas]
 
+    def gathered(self, idx):
+        self.drain()
+        return [r._cells(idx) for r in self.replicas]
+
 
 class SerialFacade:
     kind = "serial"

@@ -5,7 +5,10 @@ Every test that enables instrumentation restores the disabled default
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import urllib.request
 from pathlib import Path
@@ -662,6 +665,28 @@ class TestCli:
                      "--memory", "16KB", "--format", "prometheus"]) == 0
         families = obs.parse_prometheus(capsys.readouterr().out)
         assert names.ENGINE_BATCH_ITEMS_TOTAL in families
+
+    def test_serve_exposes_the_catalogue_over_http(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(runtime.__file__).parents[2]),
+                          env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.obs", "--items", "2000",
+             "--window", "256", "--memory", "16KB", "--serve",
+             "--port", "0", "--serve-seconds", "2"],
+            stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            line = proc.stderr.readline()
+            url = re.search(r"serving (\S+)", line)
+            assert url, f"no URL on stderr: {line!r}"
+            text = urllib.request.urlopen(url.group(1), timeout=5).read()
+        finally:
+            proc.stderr.close()
+            assert proc.wait(timeout=30) == 0
+        families = obs.parse_prometheus(text.decode("utf-8"))
+        assert names.ENGINE_BATCH_ITEMS_TOTAL in families
+        assert set(families) <= set(names.CATALOGUE)
 
     @pytest.mark.parametrize("chunk", ["0", "-5"])
     def test_non_positive_chunk_is_a_usage_error(self, chunk, capsys):

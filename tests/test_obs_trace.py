@@ -322,3 +322,24 @@ class TestShardedStitching:
         # Worker spans really were recorded in other processes.
         import os
         assert all(s["pid"] != os.getpid() for s in ingest)
+
+    def test_monitor_report_runs_one_traced_barrier(self):
+        # report() queries three slots; only the first runs the
+        # barrier, so one shard.merge span holds every worker's advance.
+        obs.enable(fresh=True)
+        monitor = ItemBatchMonitor.sharded(count_window(256), memory="16KB",
+                                           seed=3, shards=2,
+                                           router="process")
+        try:
+            keys = [f"key-{i}" for i in range(300)]
+            monitor.observe_many(keys)
+            trace.tracer().ring.clear()
+            assert monitor.report(keys[-1]).active
+        finally:
+            monitor.close()
+        merge, = spans_by_name(names.SPAN_SHARD_MERGE)
+        advance = spans_by_name(names.SPAN_SHARD_ADVANCE)
+        assert merge["attrs"]["shards"] == 2
+        assert {s["attrs"]["shard"] for s in advance} == {"0", "1"}
+        assert {s["parent_id"] for s in advance} == {merge["span_id"]}
+        assert {s["trace_id"] for s in advance} == {merge["trace_id"]}

@@ -25,7 +25,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 #: rule -> (bad fixture, expected findings, good fixture, virtual path)
 CASES = {
-    "SK108": ("sk108_bad.py", 4, "sk108_good.py",
+    "SK108": ("sk108_bad.py", 5, "sk108_good.py",
               "src/repro/shard/fixture.py"),
     "SK109": ("sk109_bad.py", 3, "sk109_good.py",
               "src/repro/shard/fixture.py"),

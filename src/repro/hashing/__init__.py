@@ -18,7 +18,15 @@ subpackage provides:
   over uint64 id arrays.
 - :mod:`repro.hashing.fingerprint` — fixed-width fingerprints used by
   the SWAMP baseline.
+- :mod:`repro.hashing.sharding` — the seeded key-to-shard selector of
+  the shard layer.
+
+``Fingerprinter``, ``ShardSelector`` and ``shard_seed_for`` load on
+first use (PEP 562), so a plain, unsharded server compiles neither of
+their modules.
 """
+
+from typing import TYPE_CHECKING, Any
 
 from .bobhash import hashlittle, hashlittle2, bob_hash64, bob_hash64_many
 from .family import BobHashFamily, Blake2HashFamily, canonical_bytes
@@ -32,8 +40,10 @@ from .indexing import (
     derive_index_matrix,
     derive_index_single,
 )
-from .fingerprint import Fingerprinter
-from .sharding import ShardSelector, shard_seed_for
+
+if TYPE_CHECKING:
+    from .fingerprint import Fingerprinter
+    from .sharding import ShardSelector, shard_seed_for
 
 __all__ = [
     "hashlittle",
@@ -55,3 +65,16 @@ __all__ = [
     "ShardSelector",
     "shard_seed_for",
 ]
+
+
+#: The submodule behind each name loaded on first use.
+_ORIGIN = {"Fingerprinter": "fingerprint", "ShardSelector": "sharding",
+           "shard_seed_for": "sharding"}
+
+
+def __getattr__(name: str) -> Any:
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

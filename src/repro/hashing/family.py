@@ -12,11 +12,11 @@ Two families are provided:
   lookup3 port in :mod:`repro.hashing.bobhash`; it makes the key ids.
 - :class:`Blake2HashFamily` — a faster alternative backed by CPython's
   C implementation of BLAKE2b, useful for large experiment sweeps.
+  Building one is what imports :mod:`hashlib` (and with it OpenSSL).
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
@@ -102,12 +102,14 @@ class Blake2HashFamily:
     """64-bit base hashes from keyed BLAKE2b (C-speed alternative)."""
 
     def __init__(self, seed: int = 0):
+        import hashlib
         self.seed = seed & _MASK64
         self._key = struct.pack("<Q", self.seed)
+        self._blake2b = hashlib.blake2b
 
     def base64(self, item) -> int:
         """Return the 64-bit base hash of ``item``."""
-        digest = hashlib.blake2b(
+        digest = self._blake2b(
             canonical_bytes(item), digest_size=8, key=self._key
         ).digest()
         return int.from_bytes(digest, "little")

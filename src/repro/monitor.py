@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis.membership import membership_fpr
 from .core import (
     ClockBitmap,
     ClockBloomFilter,
@@ -342,6 +341,8 @@ class ItemBatchMonitor:
         """
         if self.activeness is None:
             return None
+        # The §5 error models are read by nothing else a server runs.
+        from .analysis.membership import membership_fpr
         bits = getattr(self.activeness, "shard_memory_bits",
                        self.activeness.memory_bits)()
         return membership_fpr(bits, self.window.length, self.activeness.s,

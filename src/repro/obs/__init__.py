@@ -3,13 +3,15 @@
 A low-overhead observability layer for the clock-sketch stack:
 
 - a registry of counters, gauges, and log-scale histograms
-  (:mod:`repro.obs.registry`) with Prometheus text and JSON snapshot
-  exposition (:mod:`repro.obs.export`, imported lazily);
+  (:mod:`repro.obs.metrics`, imported on first use) with Prometheus
+  text and JSON snapshot exposition (:mod:`repro.obs.export`, imported
+  lazily);
 - a fixed-size sweep-trace ring (:mod:`repro.obs.ring`) recording
   every cleaning sweep's timestamp, pointer position, and cells
   cleaned;
-- a structured-event ring (:mod:`repro.obs.events`) carrying the
-  audit plane's drift alerts and other severity-tagged events;
+- a structured-event ring (:mod:`repro.obs.ring`) of event records
+  (:mod:`repro.obs.events`, imported on first use) carrying the audit
+  plane's drift alerts and other severity-tagged events;
 - the process-wide switchboard (:mod:`repro.obs.runtime`):
   instrumentation in ``core/``, ``engine/``, ``concurrent`` and
   ``monitor`` is nil-cost until :func:`enable` (or the
@@ -53,17 +55,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from . import names
-from .events import SEVERITIES, ObsEvent
-from .registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    SECONDS_BOUNDS,
-    SIZE_BOUNDS,
-)
 from .ring import LockedRing, SweepTraceRing
 from .runtime import (
     disable,
@@ -79,6 +70,17 @@ from .runtime import (
 )
 
 if TYPE_CHECKING:
+    from .events import SEVERITIES, ObsEvent
+    from .metrics import (
+        NULL_REGISTRY,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        NullRegistry,
+        SECONDS_BOUNDS,
+        SIZE_BOUNDS,
+    )
     from .export import (
         parse_prometheus,
         prometheus_text,
@@ -126,24 +128,32 @@ __all__ = [
 ]
 
 
-#: Exposition functions, loaded from :mod:`repro.obs.export` on first use.
-_EXPORT_NAMES = ("prometheus_text", "parse_prometheus", "snapshot_json",
-                 "registry_from_snapshot")
+#: The submodule behind each name loaded on first use.
+_SOURCES = {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "NullRegistry", "NULL_REGISTRY", "SECONDS_BOUNDS",
+                "SIZE_BOUNDS"),
+    "events": ("ObsEvent", "SEVERITIES"),
+    "export": ("prometheus_text", "parse_prometheus", "snapshot_json",
+               "registry_from_snapshot"),
+    "http": ("MetricsServer",),
+}
+_ORIGIN = {name: module for module, exported in _SOURCES.items()
+           for name in exported}
 
 
 def __getattr__(name: str) -> Any:
     # MetricsServer pulls in http.server, the audit plane pulls in the
-    # monitor/analysis stack, and nothing on the ingest path exposes
-    # metrics; load each only on first use so importing repro.obs
-    # (which every instrumented module does) stays cheap. Submodules
-    # load through importlib, not ``from . import``: the latter
-    # re-enters this __getattr__ via its hasattr check and recurses.
+    # monitor/analysis stack, and a disabled switchboard needs neither
+    # the metric primitives nor event records; load each only on first
+    # use so importing repro.obs (which every instrumented module does)
+    # stays cheap. Submodules load through importlib, not ``from .
+    # import``: the latter re-enters this __getattr__ via its hasattr
+    # check and recurses.
     import importlib
-    if name in _EXPORT_NAMES:
-        return getattr(importlib.import_module(f"{__name__}.export"), name)
-    if name == "MetricsServer":
-        from .http import MetricsServer
-        return MetricsServer
+    module = _ORIGIN.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
     if name in ("audit", "trace", "flight", "perf"):
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

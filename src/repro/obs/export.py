@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from .registry import Counter, Gauge, Histogram, MetricsRegistry, NullRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, NullRegistry
 
 __all__ = [
     "prometheus_text",

@@ -9,10 +9,14 @@ Hot-path instrumentation in ``core/``, ``engine/``, ``concurrent`` and
         _obs.record_batch(...)
 
 Disabled (the default), the cost is one module-attribute load and a
-falsy branch — nothing is imported beyond this module, no objects are
-allocated, and :func:`registry` hands back the shared
-:data:`~repro.obs.registry.NULL_REGISTRY`. :func:`enable` swaps in a
-real :class:`~repro.obs.registry.MetricsRegistry` plus a
+falsy branch, and no objects are allocated. Importing this module loads
+only :mod:`repro.obs.names`, :mod:`repro.obs.ring`, :mod:`repro.errors`
+and numpy: the metric primitives (:mod:`repro.obs.metrics`) load on
+the first :func:`enable`, :func:`registry` or :func:`series` call, and
+the event record (:mod:`repro.obs.events`) on the first event recorded
+while enabled. Disabled, :func:`registry` hands back the shared
+:data:`~repro.obs.metrics.NULL_REGISTRY`. :func:`enable` swaps in a
+real :class:`~repro.obs.metrics.MetricsRegistry` plus a
 :class:`~repro.obs.ring.SweepTraceRing`; :func:`observed` scopes that
 to a ``with`` block. The enabled-mode overhead is the ``obs`` plane of
 :mod:`repro.bench.experiments.overhead`, held to a documented <10%
@@ -29,21 +33,18 @@ import functools
 from contextlib import contextmanager
 from time import perf_counter
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional,
+    Tuple, Union,
 )
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from . import names
-from .events import ObsEvent
-from .registry import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-    SECONDS_BOUNDS,
-)
 from .ring import LockedRing, SweepTraceRing
+
+if TYPE_CHECKING:
+    from .metrics import MetricsRegistry, NullRegistry
 
 __all__ = [
     "ENABLED",
@@ -86,7 +87,8 @@ DEFAULT_EVENT_CAPACITY = 256
 #: module (``_obs.ENABLED``) so toggling is visible everywhere at once.
 ENABLED: bool = False
 
-_REGISTRY: "Union[MetricsRegistry, NullRegistry]" = NULL_REGISTRY
+#: The registry of the last :func:`enable`; ``None`` until the first.
+_REGISTRY: "Optional[MetricsRegistry]" = None
 _RING: SweepTraceRing = SweepTraceRing(1)
 _EVENTS: LockedRing = LockedRing(1)
 
@@ -112,7 +114,8 @@ def enable(ring_capacity: int = DEFAULT_RING_CAPACITY,
     previous ones (if any survive from an earlier enable).
     """
     global ENABLED, _REGISTRY, _RING, _EVENTS
-    if fresh or isinstance(_REGISTRY, NullRegistry):
+    from .metrics import MetricsRegistry
+    if fresh or _REGISTRY is None:
         _REGISTRY = MetricsRegistry()
         _RING = SweepTraceRing(ring_capacity)
         _EVENTS = LockedRing(event_capacity)
@@ -120,7 +123,7 @@ def enable(ring_capacity: int = DEFAULT_RING_CAPACITY,
             hook()
     _SERIES.clear()
     ENABLED = True
-    assert isinstance(_REGISTRY, MetricsRegistry)
+    assert _REGISTRY is not None
     return _REGISTRY
 
 
@@ -129,7 +132,7 @@ def disable() -> "Union[MetricsRegistry, NullRegistry]":
     global ENABLED
     ENABLED = False
     _SERIES.clear()
-    return _REGISTRY
+    return registry() if _REGISTRY is None else _REGISTRY
 
 
 def enabled() -> bool:
@@ -139,7 +142,10 @@ def enabled() -> bool:
 
 def registry() -> "Union[MetricsRegistry, NullRegistry]":
     """The live registry, or the shared no-op one while disabled."""
-    return _REGISTRY if ENABLED else NULL_REGISTRY
+    if ENABLED:
+        return _REGISTRY
+    from .metrics import NULL_REGISTRY
+    return NULL_REGISTRY
 
 
 def sweep_ring() -> SweepTraceRing:
@@ -262,6 +268,7 @@ def series(name: str, labels: "Optional[Mapping[str, str]]" = None,
     if spec.kind == "gauge":
         return reg.gauge(name, spec.help, own)
     if bounds is None and spec.seconds:
+        from .metrics import SECONDS_BOUNDS
         bounds = SECONDS_BOUNDS
     return reg.histogram(name, spec.help, own, bounds)
 
@@ -412,6 +419,7 @@ def record_event(time: float, severity: str, kind: str, message: str,
     """
     _SERIES[names.OBS_EVENTS_TOTAL, severity, kind].inc()
     if ENABLED:
+        from .events import ObsEvent
         _EVENTS.push(ObsEvent(time=time, severity=severity, kind=kind,
                               message=message, fields=dict(fields or {})))
 

@@ -154,14 +154,21 @@ COLD_START = textwrap.dedent("""
 """)
 
 #: What a plain tenant's server never needs: the stream-analysis
-#: package, checkpoint serialisation, the shard layer and metrics
-#: exposition (and multiprocessing, which nothing in repro loads).
+#: package, checkpoint serialisation, the shard layer and its key
+#: hashing, the metric primitives, event records and metrics exposition
+#: of a disabled switchboard, the §5 error models, the SWAMP
+#: fingerprints, and hashlib (only a BLAKE2 family needs it), nor
+#: multiprocessing, which nothing in repro loads.
 UNUSED_BY_PLAIN_TENANT = (
     "repro.streams", "repro.streams.batches", "repro.streams.groundtruth",
     "repro.streams.model", "repro.streams.statistics", "repro.streams.topk",
     "repro.serialize", "repro.serve.checkpoint", "repro.shard",
     "repro.shard.router", "repro.shard.workers", "repro.obs.export",
-    "multiprocessing",
+    "repro.obs.metrics", "repro.obs.events", "repro.analysis",
+    "repro.analysis.cardinality", "repro.analysis.membership",
+    "repro.analysis.size", "repro.analysis.timespan",
+    "repro.hashing.fingerprint", "repro.hashing.sharding",
+    "hashlib", "_hashlib", "_blake2", "multiprocessing",
 )
 
 PLAIN_SERVER = textwrap.dedent("""

@@ -21,7 +21,7 @@ from repro.concurrent import ThreadSafeSketch
 from repro.errors import ConfigurationError
 from repro.obs import names
 from repro.obs import runtime
-from repro.obs.registry import (
+from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
@@ -411,6 +411,25 @@ class TestSwitchboard:
         obs.enable(ring_capacity=2)
         ring = obs.sweep_ring()
         assert ring.capacity == 2
+
+    def test_metrics_submodule_leaves_registry_callable(self):
+        # Importing a submodule binds it on its package, so a submodule
+        # named like the switchboard's registry() would replace it.
+        # A fresh interpreter, so the metrics module loads lazily here.
+        script = (
+            "import repro.obs\n"
+            "import repro.obs.metrics as metrics\n"
+            "assert repro.obs.registry() is metrics.NULL_REGISTRY\n"
+            "live = repro.obs.enable()\n"
+            "assert isinstance(live, metrics.MetricsRegistry)\n"
+            "assert repro.obs.registry() is live\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(runtime.__file__).parents[2]),
+                          env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       timeout=60)
 
 
 class TestCatalogue:

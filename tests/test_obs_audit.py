@@ -371,3 +371,18 @@ class TestAuditCli:
                      "--chunk", "2048", "--sample-rate", "0.2"]) == 0
         out = capsys.readouterr().out
         assert "alerts in the final cycle" in out
+
+    def test_watch_redraws_every_cycle_with_its_footer(self, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(["audit", "--watch", "--items", "20000",
+                     "--window", "1024", "--chunk", "2048",
+                     "--sample-rate", "0.2", "--every", "8000"]) == 0
+        out = capsys.readouterr().out
+        before, *cycles = out.split("\x1b[2J\x1b[H")
+        assert before == ""
+        assert len(cycles) >= 2  # cadence cycles plus the final one
+        for view in cycles:
+            assert "audit cycle" in view
+            assert "cycle p50=" in view
+        assert "done:" in cycles[-1]

@@ -15,7 +15,10 @@ sketch for them. These tests hold that path to the whole-sketch
 - a deterministic guard on the mechanism: on a process-router monitor,
   ``report()`` and the batch queries call no kind's ``snapshot()`` and
   rebuild no ``merged()`` view, while ``estimate()`` and ``snapshot()``
-  still do.
+  still do;
+- the barrier's telemetry: one ``report()`` after a batch records one
+  ``repro_shard_merges_total`` increment and one
+  ``repro_shard_merge_seconds`` observation, a synchronised one none.
 """
 
 import copy
@@ -32,9 +35,12 @@ from repro import (
     ClockTimeSpanSketch,
     ItemBatchMonitor,
     ShardedSketch,
+    count_window,
+    obs,
     time_window,
 )
 from repro.hashing import key_id
+from repro.obs import names
 from repro.shard import ShardSet
 
 WINDOW = 8.0
@@ -234,3 +240,27 @@ class TestNoMergedViewPerQuery:
         with pytest.raises(AttributeError):
             monitor.size_sketch.contains("a")
         assert monitor.activeness.contains(key_id("a"))
+
+
+class TestMergeTelemetry:
+    def test_one_barrier_per_unsynchronised_report(self):
+        monitor = ItemBatchMonitor.sharded(count_window(1024), memory="16KB",
+                                           seed=3, shards=2)
+        # Only the activeness query of a report() runs the barrier; the
+        # other tasks find the shard set synchronised.
+        labels = {"sketch": "ClockBloomFilter"}
+        with obs.observed() as reg:
+            def merges():
+                counter = reg.get(names.SHARD_MERGES_TOTAL, labels)
+                hist = reg.get(names.SHARD_MERGE_SECONDS, labels)
+                return (0.0 if counter is None else counter.value,
+                        0 if hist is None else hist.count)
+
+            monitor.observe_many([f"k{i}" for i in range(500)])
+            assert merges() == (0.0, 0)
+            assert monitor.report("k7").active
+            assert merges() == (1.0, 1)
+            assert monitor.report("k7").active
+            assert merges() == (1.0, 1)
+        assert [metric.labels for metric in reg
+                if metric.name == names.SHARD_MERGES_TOTAL] == [labels]

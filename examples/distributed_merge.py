@@ -14,7 +14,6 @@ import numpy as np
 
 from repro import ClockBitmap, ClockBloomFilter, time_window
 from repro.datasets import caida_like
-from repro.ext import merge_bitmaps, merge_bloom_filters
 from repro.streams import split_active_inactive
 
 N_WORKERS = 3
@@ -46,10 +45,8 @@ def main() -> None:
         sketch.clock.advance(barrier)
         sketch._now = barrier
 
-    merged_filter = merge_bloom_filters(filters[0], filters[1])
-    merged_filter = merge_bloom_filters(merged_filter, filters[2])
-    merged_bitmap = merge_bitmaps(bitmaps[0], bitmaps[1])
-    merged_bitmap = merge_bitmaps(merged_bitmap, bitmaps[2])
+    merged_filter = filters[0].merge(filters[1]).merge(filters[2])
+    merged_bitmap = bitmaps[0].merge(bitmaps[1]).merge(bitmaps[2])
 
     active, _ = split_active_inactive(stream.keys, stream.times, barrier,
                                       window)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 
-from .harness import ExperimentResult
+from .harness import ExperimentResult, _format_cell
 
 __all__ = ["to_markdown", "write_report", "aggregate_results"]
 
@@ -68,16 +68,6 @@ def aggregate_results(results: "list[ExperimentResult]") -> ExperimentResult:
             out[f"{col}_std"] = math.sqrt(var)
         merged.add(**out)
     return merged
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if value != 0 and (abs(value) < 1e-3 or abs(value) >= 1e5):
-            return f"{value:.3e}"
-        return f"{value:.4f}".rstrip("0").rstrip(".")
-    return str(value)
 
 
 def to_markdown(result: ExperimentResult) -> str:

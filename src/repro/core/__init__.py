@@ -27,6 +27,10 @@ from .timespan import ClockTimeSpanSketch, TimeSpanBatchResult, TimeSpanResult
 from .size import ClockCountMin
 from .params import active_load, cells_for_memory, optimal_k_membership
 
+#: The four sketch kinds: what a shard set replicates and a checkpoint
+#: restores.
+KINDS = (ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch)
+
 __all__ = [
     "ClockArray",
     "dtype_for_bits",
@@ -40,6 +44,7 @@ __all__ = [
     "TimeSpanResult",
     "TimeSpanBatchResult",
     "ClockCountMin",
+    "KINDS",
     "active_load",
     "cells_for_memory",
     "optimal_k_membership",

@@ -22,7 +22,6 @@ import numpy as np
 from ..engine import BatchEngine
 from ..hashing import IndexDeriver
 from ..kernels import numpy_backend as _kernels
-from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 from ..units import parse_memory
 from .base import ClockSketchBase
@@ -62,6 +61,9 @@ class ClockBloomFilter(ClockSketchBase):
     >>> bf.contains("flow-a")
     True
     """
+
+    _CONFIG = ("n", "k", "s", "seed")
+    _TASK = "activeness"
 
     def __init__(self, n: int, k: int, s: int, window: WindowSpec,
                  seed: int = 0, sweep_mode: str = "vector",
@@ -141,54 +143,8 @@ class ClockBloomFilter(ClockSketchBase):
         """Batch query alias: activeness per item (see :meth:`contains_many`)."""
         return self.contains_many(items, t)
 
-    def snapshot(self) -> "ClockBloomFilter":
-        """Deep copy of the current state (cells, cleaner, bookkeeping).
-
-        The copy is detached: mutating either sketch never affects the
-        other. Shard routers snapshot one replica and :meth:`merge` the
-        rest into it to build a global view.
-        """
-        clone = ClockBloomFilter(n=self.n, k=self.k, s=self.s,
-                                 window=self.window, seed=self.seed,
-                                 sweep_mode=self.clock.sweep_mode)
-        self._copy_state_into(clone)
-        return clone
-
-    def merge(self, other: "ClockBloomFilter") -> "ClockBloomFilter":
-        """Fold another filter in: the Bloom union (element-wise clock max).
-
-        With clock cells, the classic bit-OR becomes an element-wise
-        max — a cell is live in the union iff it is live on either
-        side, and its remaining lifetime is its newest writer's. Both
-        sketches must share a configuration and a cleaning-pointer
-        position (synchronise to a common stream time first). Returns
-        ``self``.
-        """
-        self._merge_check(other, ("n", "k", "s", "window", "seed"))
-        self._merge_commit(other)
-        return self
-
-    def memory_bits(self) -> int:
-        """Accounted footprint in bits (clock cells only, per §4.1)."""
-        return self.clock.memory_bits()
-
-    def metrics(self) -> dict:
-        """Operational snapshot; publishes gauges while obs is enabled."""
-        fill = self.clock.fill_ratio()
-        if _obs.ENABLED:
-            name = type(self).__name__
-            _obs.publish_sketch(name, self.memory_bits(), fill)
-            _obs.sample_clock(self.clock, labels={"sketch": name})
-        return {
-            "task": "activeness",
-            "sketch": type(self).__name__,
-            "memory_bits": self.memory_bits(),
-            "items_inserted": self.items_inserted,
-            "fill_ratio": fill,
-            "k": self.k,
-            "s": self.s,
-            "sweep": self.clock.sweep_telemetry(),
-        }
+    def _metric_extras(self) -> dict:
+        return {"k": self.k, "s": self.s}
 
     def __repr__(self) -> str:
         return (

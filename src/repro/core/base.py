@@ -19,6 +19,7 @@ cleaning thread deterministically.
 from __future__ import annotations
 
 import math
+from typing import ClassVar
 
 import numpy as np
 
@@ -175,43 +176,29 @@ class ClockSketchBase:
             )
 
     # ------------------------------------------------------------------
-    # Merge / snapshot plumbing (shared by all four sketches)
+    # One declaration per kind; snapshot, merge and metrics read it
     # ------------------------------------------------------------------
 
-    def _merge_check(self, other, attrs) -> None:
-        """Validate that ``other`` is structurally merge-compatible.
+    # A kind declares its constructor fields, its cell arrays beside the
+    # clock, its merge rule once (``_union``: ``merge`` applies it to
+    # whole arrays, a sharded query to a key's gathered cells), its
+    # answer formula once (``_answer``) and its ``metrics`` task and
+    # fields. The rule defaults are the Bloom filter's; a bitmap is its
+    # k = 1 case.
 
-        Merging requires an identical configuration (same cells,
-        hashes, seed, window) and cleaning pointers at the same
-        position — i.e. both sketches synchronised to a common stream
-        time, the Flink-style barrier of paper §7.
-        """
-        if type(other) is not type(self):
-            raise ConfigurationError(
-                f"cannot merge {type(self).__name__} with "
-                f"{type(other).__name__}"
-            )
-        for attr in attrs:
-            va, vb = getattr(self, attr), getattr(other, attr)
-            if va != vb:
-                raise ConfigurationError(
-                    f"cannot merge: {attr} differs ({va} != {vb})"
-                )
-        if self.clock.steps_done != other.clock.steps_done:
-            raise ConfigurationError(
-                "cannot merge: cleaning pointers disagree "
-                f"({self.clock.steps_done} != {other.clock.steps_done} "
-                "steps); synchronise both sketches to the same stream "
-                "time first"
-            )
+    #: Constructor fields besides ``window`` and ``sweep_mode``: what a
+    #: snapshot or a checkpoint rebuilds the sketch from.
+    _CONFIG: ClassVar[tuple[str, ...]] = ()
 
-    # Each kind states its merge rule once (``_union``: ``merge`` applies
-    # it to whole arrays, a sharded query to a key's gathered cells) and
-    # its answer formula once (``_answer``). The defaults are the Bloom
-    # filter's; a bitmap is its k = 1 case.
+    #: Fields of ``_CONFIG`` that choose an update rule, not the cell
+    #: layout, so :meth:`merge` accepts sketches that differ in them.
+    _MERGE_FREE: ClassVar[tuple[str, ...]] = ()
 
     #: Per-cell arrays beside the clock cells (``counters``, ...).
-    _CELL_FIELDS: "tuple[str, ...]" = ()
+    _CELL_FIELDS: ClassVar[tuple[str, ...]] = ()
+
+    #: The ``task`` that :meth:`metrics` reports.
+    _TASK: ClassVar[str] = ""
 
     def _cells(self, idx) -> tuple:
         """The cell images at ``idx``: clock values, then each field."""
@@ -223,7 +210,17 @@ class ClockSketchBase:
 
     @staticmethod
     def _union(values) -> tuple:
-        """Merge cell images stacked one per sketch along axis 0."""
+        """Merge cell images stacked one per sketch along axis 0.
+
+        With clock cells a Bloom filter's bit-OR becomes an element-wise
+        max: a cell is live in the union iff it is live on either side,
+        and its remaining lifetime is its newest writer's. For a bitmap
+        a cell is zero in the union iff it is zero on both sides, so a
+        later ``estimate`` applies the §4.2 estimator ``-n ln(u/n)`` to
+        the union's zero count: the standard post-union linear-counting
+        estimate, which deduplicates batches several workers saw instead
+        of summing their estimates.
+        """
         return (values.max(axis=0),)
 
     @staticmethod
@@ -237,12 +234,90 @@ class ClockSketchBase:
         self.clock.advance(now)
         return self._answer(now, *self._cells(self._query_index(items)))
 
+    def snapshot(self):
+        """Deep copy of the current state (cells, cleaner, bookkeeping).
+
+        The copy is detached: mutating either sketch never affects the
+        other. Shard routers snapshot one replica and :meth:`merge` the
+        rest into it to build a global view.
+        """
+        clone = type(self)(window=self.window,
+                           sweep_mode=self.clock.sweep_mode,
+                           **{name: getattr(self, name)
+                              for name in self._CONFIG})
+        self._copy_state_into(clone)
+        return clone
+
+    def merge(self, other):
+        """Fold ``other`` in by the kind's union (paper §7); returns ``self``.
+
+        Workers measuring disjoint substreams of one logical stream merge
+        their sketches at a synchronisation point instead of sharing
+        state per item. The unions are conservative:
+
+        - clock cells merge by element-wise **max**: an item active on
+          either side stays active in the union, and no clock is newer
+          than its newest writer, so the window guarantee carries over;
+        - the kind's cell arrays merge by its :meth:`_union`: Count-Min
+          counters **sum** (each worker counted disjoint occurrences),
+          time-span stamps are **first-writer-wins** (the older stamp
+          survives on cells live on both sides), keeping spans
+          overestimates.
+
+        Both sketches must share a cell layout (the window and every
+        ``_CONFIG`` field outside ``_MERGE_FREE``: same cells, hashes,
+        seed) and a cleaning-pointer position, i.e. both synchronised
+        to a common stream time, the Flink-style barrier the paper
+        envisions. ``snapshot()`` first to keep ``self``.
+
+        Examples
+        --------
+        >>> from repro import ClockBloomFilter, time_window
+        >>> w = time_window(100.0)
+        >>> f1 = ClockBloomFilter(n=256, k=3, s=2, window=w, seed=5)
+        >>> f2 = ClockBloomFilter(n=256, k=3, s=2, window=w, seed=5)
+        >>> f1.insert("left", t=1.0); f2.insert("right", t=2.0)
+        >>> f1.contains("right", t=3.0); f2.contains("right", t=3.0)
+        False
+        True
+        >>> merged = f1.merge(f2)
+        >>> merged.contains("left"), merged.contains("right")
+        (True, True)
+        """
+        self._merge_check(other)
+        self._merge_commit(other)
+        return self
+
+    def _merge_check(self, other) -> None:
+        """Validate that ``other`` is structurally merge-compatible."""
+        if type(other) is not type(self):
+            raise ConfigurationError(
+                f"cannot merge {type(self).__name__} with "
+                f"{type(other).__name__}"
+            )
+        for attr in (*self._CONFIG, "window"):
+            if attr in self._MERGE_FREE:
+                continue
+            va, vb = getattr(self, attr), getattr(other, attr)
+            if va != vb:
+                raise ConfigurationError(
+                    f"cannot merge: {attr} differs ({va} != {vb})"
+                )
+        if self.clock.steps_done != other.clock.steps_done:
+            raise ConfigurationError(
+                "cannot merge: cleaning pointers disagree "
+                f"({self.clock.steps_done} != {other.clock.steps_done} "
+                "steps); synchronise both sketches to the same stream "
+                "time first"
+            )
+
     def _merge_commit(self, other) -> None:
         """Union the cell state and temporal bookkeeping of ``other``.
 
         The kind's :meth:`_union` combines both sides' whole cell images;
         the clock image lands through the validating
-        :meth:`~repro.core.clockarray.ClockArray.load_values`. The merged
+        :meth:`~repro.core.clockarray.ClockArray.load_values`, the entry
+        point the runtime sanitizer checks. The merged
         sketch counts both sides' items and sits at the later of the two
         stream times.
         """
@@ -258,19 +333,47 @@ class ClockSketchBase:
         self._items_inserted += other._items_inserted
 
     def _copy_state_into(self, clone) -> None:
-        """Copy clock cells and temporal bookkeeping into a fresh clone.
+        """Copy clock cells, cell arrays and temporal bookkeeping into a
+        pristine clone with the same configuration.
 
-        Used by each sketch's ``snapshot()``: ``clone`` must be a
-        pristine instance with the same configuration. Cell images go
-        through the validating
+        Clock images go through the validating
         :meth:`~repro.core.clockarray.ClockArray.load_values` /
         :meth:`~repro.core.clockarray.ClockArray.sync_state` entry
         points, never raw buffer writes.
         """
         clone.clock.load_values(self.clock.values)
         clone.clock.sync_state(self.clock.now, self.clock.steps_done)
+        for name in self._CELL_FIELDS:
+            getattr(clone, name)[:] = getattr(self, name)
         clone._now = self._now
         clone._items_inserted = self._items_inserted
+
+    def memory_bits(self) -> int:
+        """Accounted footprint in bits (clock cells only, per §4.1)."""
+        return self.clock.memory_bits()
+
+    def metrics(self) -> dict:
+        """Operational snapshot; publishes gauges while obs is enabled.
+
+        Reads the current cell state without advancing the clock (a
+        metrics scrape must not perturb the structure), so a kind's
+        figures, such as the bitmap's estimate, reflect the last
+        operation's time.
+        """
+        name = type(self).__name__
+        bits = self.memory_bits()
+        fill = self.clock.fill_ratio()
+        if _obs.ENABLED:
+            _obs.publish_sketch(name, bits, fill)
+            _obs.sample_clock(self.clock, labels={"sketch": name})
+        return {"task": self._TASK, "sketch": name, "memory_bits": bits,
+                "items_inserted": self.items_inserted, "fill_ratio": fill,
+                **self._metric_extras(),
+                "sweep": self.clock.sweep_telemetry()}
+
+    def _metric_extras(self) -> dict:
+        """The kind's own :meth:`metrics` fields."""
+        return {}
 
     def _query_time(self, t) -> float:
         """Resolve the time of a query (defaults to the latest time).

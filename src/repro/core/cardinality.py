@@ -18,7 +18,6 @@ from ..engine import BatchEngine
 from ..errors import EstimatorSaturatedError
 from ..hashing import IndexDeriver
 from ..kernels import numpy_backend as _kernels
-from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 from ..units import parse_memory
 from .base import ClockSketchBase
@@ -79,6 +78,9 @@ class ClockBitmap(ClockSketchBase):
     >>> 80 < bm.estimate().value < 125
     True
     """
+
+    _CONFIG = ("n", "s", "seed")
+    _TASK = "cardinality"
 
     def __init__(self, n: int, s: int, window: WindowSpec, seed: int = 0,
                  sweep_mode: str = "vector", sanitize: bool = False):
@@ -154,57 +156,10 @@ class ClockBitmap(ClockSketchBase):
         self.clock.advance(now)
         return linear_counting_estimate(self.clock.count_zero(), self.n, strict)
 
-    def snapshot(self) -> "ClockBitmap":
-        """Deep copy of the current state (cells, cleaner, bookkeeping)."""
-        clone = ClockBitmap(n=self.n, s=self.s, window=self.window,
-                            seed=self.seed,
-                            sweep_mode=self.clock.sweep_mode)
-        self._copy_state_into(clone)
-        return clone
-
-    def merge(self, other: "ClockBitmap") -> "ClockBitmap":
-        """Fold another bitmap in: the linear-counting union.
-
-        Clock cells merge by element-wise max (a cell is zero in the
-        union iff it is zero on both sides), so a later
-        :meth:`estimate` applies the §4.2 estimator ``-n ln(u/n)`` to
-        the *union's* zero count — the standard post-union
-        linear-counting estimator, which deduplicates batches seen by
-        several workers instead of summing per-worker estimates.
-        Returns ``self``.
-        """
-        self._merge_check(other, ("n", "s", "window", "seed"))
-        self._merge_commit(other)
-        return self
-
-    def memory_bits(self) -> int:
-        """Accounted footprint in bits."""
-        return self.clock.memory_bits()
-
-    def metrics(self) -> dict:
-        """Operational snapshot; publishes gauges while obs is enabled.
-
-        Reads the current cell state without advancing the clock (a
-        metrics scrape must not perturb the structure), so the embedded
-        estimate reflects the last operation's time.
-        """
-        fill = self.clock.fill_ratio()
+    def _metric_extras(self) -> dict:
         estimate = linear_counting_estimate(self.clock.count_zero(), self.n)
-        if _obs.ENABLED:
-            name = type(self).__name__
-            _obs.publish_sketch(name, self.memory_bits(), fill)
-            _obs.sample_clock(self.clock, labels={"sketch": name})
-        return {
-            "task": "cardinality",
-            "sketch": type(self).__name__,
-            "memory_bits": self.memory_bits(),
-            "items_inserted": self.items_inserted,
-            "fill_ratio": fill,
-            "s": self.s,
-            "estimate": estimate.value,
-            "saturated": estimate.saturated,
-            "sweep": self.clock.sweep_telemetry(),
-        }
+        return {"s": self.s, "estimate": estimate.value,
+                "saturated": estimate.saturated}
 
     def __repr__(self) -> str:
         return f"ClockBitmap(n={self.n}, s={self.s}, window={self.window})"

@@ -406,20 +406,6 @@ class ClockArray:
         """Fraction of cells currently non-zero."""
         return float(np.count_nonzero(self.values)) / self.n
 
-    def occupancy_histogram(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Log-2 histogram of the non-zero cell values.
-
-        Returns ``(bounds, counts)``: ``bounds`` are the upper bucket
-        bounds ``2^0 .. 2^s`` (``le`` semantics) and ``counts`` has one
-        extra overflow slot (always zero, since values cap at
-        ``2^s - 1``).
-        """
-        bounds = np.power(2.0, np.arange(0, self.s + 1, dtype=np.float64))
-        nonzero = self.values[self.values > 0].astype(np.float64)
-        indexes = np.searchsorted(bounds, nonzero, side="left")
-        counts = np.bincount(indexes, minlength=bounds.size + 1)
-        return bounds, counts
-
     def sweep_telemetry(self) -> dict:
         """One-call snapshot of the cleaner's bookkeeping."""
         return {

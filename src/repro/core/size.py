@@ -16,7 +16,6 @@ import numpy as np
 from ..engine import BatchEngine
 from ..errors import ConfigurationError
 from ..hashing import IndexDeriver, key_id, key_ids
-from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 from ..units import parse_memory
 from .base import ClockSketchBase
@@ -68,7 +67,11 @@ class ClockCountMin(ClockSketchBase):
     5
     """
 
+    _CONFIG = ("width", "depth", "s", "counter_bits", "seed", "conservative")
+    #: A conservative and a plain sketch count on the same cells.
+    _MERGE_FREE = ("conservative",)
     _CELL_FIELDS = ("counters",)
+    _TASK = "size"
 
     def __init__(self, width: int, depth: int, s: int, window: WindowSpec,
                  counter_bits: int = DEFAULT_COUNTER_BITS, seed: int = 0,
@@ -199,66 +202,33 @@ class ClockCountMin(ClockSketchBase):
         return np.min(counters, axis=1).astype(np.int64)
 
     def _union(self, values, counters) -> tuple:
-        # Clocks max; counters sum, saturating, and clear on a dead clock.
+        """Clocks max; counters sum.
+
+        Each side counted disjoint occurrences, so per-row counters add
+        (saturating at the counter ceiling instead of wrapping), and a
+        counter whose merged clock is zero (both sides expired) is
+        erased. The merged estimate stays an overestimate of the truth;
+        see ``docs/sharding.md`` for the exact-vs-conservative bounds.
+        """
         merged = values.max(axis=0)
         summed = counters.sum(axis=0, dtype=np.int64)
         np.minimum(summed, self.counter_max, out=summed)
         summed[merged == 0] = 0
         return merged, summed
 
-    def snapshot(self) -> "ClockCountMin":
-        """Deep copy of the current state (cells, counters, bookkeeping)."""
-        clone = ClockCountMin(width=self.width, depth=self.depth, s=self.s,
-                              window=self.window,
-                              counter_bits=self.counter_bits, seed=self.seed,
-                              sweep_mode=self.clock.sweep_mode,
-                              conservative=self.conservative)
-        self._copy_state_into(clone)
-        clone.counters[:] = self.counters
-        return clone
-
-    def merge(self, other: "ClockCountMin") -> "ClockCountMin":
-        """Fold another CM sketch in: counters sum, clocks max.
-
-        Each side counted disjoint occurrences, so per-row counters add
-        (saturating at the counter ceiling instead of wrapping); clock
-        cells merge by element-wise max, and any counter whose merged
-        clock is zero (both sides expired) is erased. The merged
-        estimate stays an overestimate of the truth; see
-        ``docs/sharding.md`` for the exact-vs-conservative bounds.
-        Returns ``self``.
-        """
-        self._merge_check(
-            other, ("width", "depth", "s", "counter_bits", "window", "seed")
-        )
-        self._merge_commit(other)
-        return self
-
     def memory_bits(self) -> int:
         """Accounted footprint: ``d * w`` cells of ``s + b`` bits."""
         return self.width * self.depth * (self.s + self.counter_bits)
 
-    def metrics(self) -> dict:
-        """Operational snapshot; publishes gauges while obs is enabled."""
-        fill = self.clock.fill_ratio()
-        live_counters = int(np.count_nonzero(self.counters))
-        saturated = int(np.count_nonzero(self.counters >= self.counter_max))
-        if _obs.ENABLED:
-            name = type(self).__name__
-            _obs.publish_sketch(name, self.memory_bits(), fill)
-            _obs.sample_clock(self.clock, labels={"sketch": name})
+    def _metric_extras(self) -> dict:
+        counters = self.counters
         return {
-            "task": "size",
-            "sketch": type(self).__name__,
-            "memory_bits": self.memory_bits(),
-            "items_inserted": self.items_inserted,
-            "fill_ratio": fill,
             "s": self.s,
             "depth": self.depth,
             "width": self.width,
-            "live_counters": live_counters,
-            "saturated_counters": saturated,
-            "sweep": self.clock.sweep_telemetry(),
+            "live_counters": int(np.count_nonzero(counters)),
+            "saturated_counters": int(np.count_nonzero(
+                counters >= self.counter_max)),
         }
 
     def __repr__(self) -> str:

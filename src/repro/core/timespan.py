@@ -24,7 +24,6 @@ import numpy as np
 from ..engine import BatchEngine
 from ..errors import TimeError
 from ..hashing import IndexDeriver
-from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 from ..units import parse_memory
 from .base import ClockSketchBase
@@ -92,7 +91,9 @@ class ClockTimeSpanSketch(ClockSketchBase):
     9.0
     """
 
+    _CONFIG = ("n", "k", "s", "seed")
     _CELL_FIELDS = ("timestamps",)
+    _TASK = "span"
 
     def __init__(self, n: int, k: int, s: int, window: WindowSpec,
                  seed: int = 0, sweep_mode: str = "vector",
@@ -189,62 +190,30 @@ class ClockTimeSpanSketch(ClockSketchBase):
 
     @staticmethod
     def _union(values, timestamps) -> tuple:
-        # Clocks max; each cell keeps its oldest live (non-zero) stamp.
+        """Clocks max; stamps first-writer-wins.
+
+        A cell live on both sides keeps the *older* (minimum) of the
+        two stamps, and a cell live on one side keeps that side's
+        stamp. First-writer-wins is the only direction that preserves
+        the span contract: a cell's stamp may only ever be **older**
+        than the start of any batch currently using it (exactly as
+        collisions already behave within one sketch), so the per-key
+        maximum over ``k`` merged stamps still never starts after the
+        true batch begin, and spans stay overestimates. Taking the
+        newer stamp instead could report a span *shorter* than the
+        truth whenever two shards' batches collide in a cell.
+        """
         first = np.where(timestamps > 0.0, timestamps, np.inf).min(axis=0)
         first[first == np.inf] = 0.0
         return values.max(axis=0), first
-
-    def snapshot(self) -> "ClockTimeSpanSketch":
-        """Deep copy of the current state (cells, stamps, bookkeeping)."""
-        clone = ClockTimeSpanSketch(n=self.n, k=self.k, s=self.s,
-                                    window=self.window, seed=self.seed,
-                                    sweep_mode=self.clock.sweep_mode)
-        self._copy_state_into(clone)
-        clone.timestamps[:] = self.timestamps
-        return clone
-
-    def merge(self, other: "ClockTimeSpanSketch") -> "ClockTimeSpanSketch":
-        """Fold another span sketch in: first-writer-wins timestamps.
-
-        Clock cells merge by element-wise max; a cell live on both
-        sides keeps the *older* (minimum) of the two timestamps, and a
-        cell live on one side keeps that side's stamp. First-writer-
-        wins is the only direction that preserves the sketch's span
-        contract: a cell's stamp may only ever be **older** than the
-        start of any batch currently using it (exactly as collisions
-        already behave within one sketch), so the per-key maximum over
-        ``k`` merged stamps still never starts after the true batch
-        begin — spans stay overestimates. Taking the newer stamp
-        instead could report a span *shorter* than the truth whenever
-        two shards' batches collide in a cell. Returns ``self``.
-        """
-        self._merge_check(other, ("n", "k", "s", "window", "seed"))
-        self._merge_commit(other)
-        return self
 
     def memory_bits(self) -> int:
         """Accounted footprint: ``n`` cells of ``s + 64`` bits."""
         return self.n * (self.s + TIMESTAMP_BITS)
 
-    def metrics(self) -> dict:
-        """Operational snapshot; publishes gauges while obs is enabled."""
-        fill = self.clock.fill_ratio()
-        stamped = int(np.count_nonzero(self.timestamps))
-        if _obs.ENABLED:
-            name = type(self).__name__
-            _obs.publish_sketch(name, self.memory_bits(), fill)
-            _obs.sample_clock(self.clock, labels={"sketch": name})
-        return {
-            "task": "span",
-            "sketch": type(self).__name__,
-            "memory_bits": self.memory_bits(),
-            "items_inserted": self.items_inserted,
-            "fill_ratio": fill,
-            "k": self.k,
-            "s": self.s,
-            "stamped_cells": stamped,
-            "sweep": self.clock.sweep_telemetry(),
-        }
+    def _metric_extras(self) -> dict:
+        return {"k": self.k, "s": self.s,
+                "stamped_cells": int(np.count_nonzero(self.timestamps))}
 
     def __repr__(self) -> str:
         return (

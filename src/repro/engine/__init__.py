@@ -8,6 +8,6 @@ exact sweep modes. See :mod:`repro.engine.batch` for the orchestration
 and :mod:`repro.kernels.numpy_backend` for the closed-form math.
 """
 
-from .batch import DEFAULT_MIN_FUSED, BatchEngine
+from .batch import BatchEngine
 
-__all__ = ["BatchEngine", "DEFAULT_MIN_FUSED"]
+__all__ = ["BatchEngine"]

@@ -7,7 +7,7 @@ batch's arrival times in bulk (:meth:`ClockSketchBase._insert_times_many`),
 picks an application strategy, and commits the sketch's temporal
 bookkeeping once the batch is applied:
 
-- **fused** (exact sweep modes, batches of :data:`DEFAULT_MIN_FUSED`
+- **fused** (exact sweep modes, batches of :data:`MIN_FUSED`
   or more): closed-form application through the fused kernels
   (``fuse_*`` in :mod:`repro.kernels.numpy_backend`) — bit-identical
   to the scalar loop, no per-item Python work;
@@ -21,8 +21,8 @@ Order-dependent updates that have no closed form — Count-Min's
 conservative update — always take the loop path, so ``insert_many``
 stays exactly equal to the equivalent ``insert`` loop there too.
 
-The engine is stateless apart from its ``min_fused`` threshold, so
-serialisation of a sketch ignores it entirely.
+The engine holds no state a checkpoint needs, so serialisation of a
+sketch ignores it entirely.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from ..obs import names as _names
 from ..obs import runtime as _obs
 from ..obs import trace as _trace
 
-__all__ = ["BatchEngine", "DEFAULT_MIN_FUSED"]
+__all__ = ["BatchEngine", "MIN_FUSED"]
 
 #: Smallest batch routed through the fused closed-form path. Below
 #: this, the numpy setup (argsort, segment bookkeeping) costs more than
 #: the per-item loop it replaces; the cutover is deliberately low
 #: because both paths produce bit-identical state.
-DEFAULT_MIN_FUSED = 16
+MIN_FUSED = 16
 
 
 class BatchEngine:
@@ -57,11 +57,10 @@ class BatchEngine:
         only writer of its temporal counters during a batch.
     """
 
-    __slots__ = ("sketch", "min_fused", "tap")
+    __slots__ = ("sketch", "tap")
 
     def __init__(self, sketch):
         self.sketch = sketch
-        self.min_fused = DEFAULT_MIN_FUSED
         #: Optional audit tap: ``tap(items, times_arr)`` called once per
         #: batch with the original stream items and their resolved
         #: arrival times, *before* the batch is applied (and outside the
@@ -164,7 +163,7 @@ class BatchEngine:
 
                 self._ingest_deferred(times_arr, scatter)
                 path = "deferred"
-            elif count >= self.min_fused:
+            elif count >= MIN_FUSED:
                 steps = clock.step_targets(times_arr)
                 end_steps = int(steps[-1])
                 cleaned = _kernels.fuse_touch(
@@ -223,7 +222,7 @@ class BatchEngine:
 
                 self._ingest_deferred(times_arr, scatter)
                 path = "deferred"
-            elif count >= self.min_fused:
+            elif count >= MIN_FUSED:
                 steps = clock.step_targets(times_arr)
                 end_steps = int(steps[-1])
                 cleaned = _kernels.fuse_timespan(
@@ -290,7 +289,7 @@ class BatchEngine:
 
                 self._ingest_deferred(times_arr, scatter)
                 path = "deferred"
-            elif not sketch.conservative and count >= self.min_fused:
+            elif not sketch.conservative and count >= MIN_FUSED:
                 steps = clock.step_targets(times_arr)
                 end_steps = int(steps[-1])
                 cleaned = _kernels.fuse_countmin(

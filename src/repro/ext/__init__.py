@@ -6,21 +6,17 @@
 - :mod:`repro.ext.adaptive` — per-key learned batch thresholds: "the
   threshold T for two different item batches may differ and an
   algorithm should learn the proper thresholds".
-- :mod:`repro.ext.merge` — mergeable Clock-sketches for distributed
-  measurement ("combining Flink framework can help save
-  synchronization cost in distributed measurement"); the keyed
-  partition-and-merge pipeline itself is
-  :meth:`repro.monitor.ItemBatchMonitor.sharded`.
+
+Mergeable Clock-sketches for distributed measurement ("combining Flink
+framework can help save synchronization cost in distributed
+measurement") need no extension module: every sketch's own
+:meth:`~repro.core.base.ClockSketchBase.merge` is the §7 union, and the
+keyed partition-and-merge pipeline is
+:meth:`repro.monitor.ItemBatchMonitor.sharded`.
 """
 
 from .similar import KeyedMapper, SimilarItemSketch, TokenPrefixMapper
 from .adaptive import AdaptiveBatchTracker, GapThresholdLearner
-from .merge import (
-    merge_bloom_filters,
-    merge_bitmaps,
-    merge_count_mins,
-    merge_timespan_sketches,
-)
 
 __all__ = [
     "KeyedMapper",
@@ -28,8 +24,4 @@ __all__ = [
     "SimilarItemSketch",
     "GapThresholdLearner",
     "AdaptiveBatchTracker",
-    "merge_bloom_filters",
-    "merge_bitmaps",
-    "merge_count_mins",
-    "merge_timespan_sketches",
 ]

@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from .record import PerfRecord, PerfSchemaError
 
@@ -41,13 +41,6 @@ class LedgerLoad:
 
     records: "List[PerfRecord]" = field(default_factory=list)
     skipped: int = 0
-
-    def by_bench(self) -> "Dict[str, List[PerfRecord]]":
-        """Records grouped by benchmark id, ledger order preserved."""
-        out: "Dict[str, List[PerfRecord]]" = {}
-        for record in self.records:
-            out.setdefault(record.bench, []).append(record)
-        return out
 
     def latest(self, bench: str,
                quick: "Optional[bool]" = None) -> "Optional[PerfRecord]":

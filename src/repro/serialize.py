@@ -1,10 +1,14 @@
 """Saving and restoring sketch state.
 
-Long-running deployments snapshot their sketches across restarts; the
-merge extension ships sketches between workers. This module serialises
-any of the four Clock-sketch structures to (and from) an ``.npz``
-payload: configuration plus the raw cell arrays and the cleaner's exact
-position, so a restored sketch continues bit-for-bit where it stopped.
+Long-running deployments snapshot their sketches across restarts. This
+module serialises any of the four Clock-sketch structures to (and from)
+an ``.npz`` payload: the window, the sweep mode, every constructor
+field the kind declares (``_CONFIG``), the clock cells and every cell
+array beside them (``_CELL_FIELDS``), and the cleaner's exact position,
+so a restored sketch continues bit-for-bit where it stopped. One loop
+over those declarations writes and restores all four kinds; keys a
+payload carries beyond them (``engine_min_fused``, written by older
+versions) are ignored.
 Every payload names the hash scheme that placed keys in its cells
 (:data:`HASH_SCHEME`); a payload from another scheme — or from before
 schemes were recorded — is refused, since its cells would answer for
@@ -24,7 +28,13 @@ from typing import IO, Any, Mapping, Union
 
 import numpy as np
 
-from .core import ClockBitmap, ClockBloomFilter, ClockCountMin, ClockTimeSpanSketch
+from .core import (
+    KINDS,
+    ClockBitmap,
+    ClockBloomFilter,
+    ClockCountMin,
+    ClockTimeSpanSketch,
+)
 from .errors import ConfigurationError
 from .shard import ShardedSketch, ShardSet
 from .timebase import WindowKind, WindowSpec
@@ -43,12 +53,7 @@ Sketch = Union[ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch
 #: the sharded facade (flattened to per-shard payloads).
 AnySketch = Union[Sketch, ShardedSketch]
 
-_KINDS: "dict[str, type]" = {
-    "ClockBloomFilter": ClockBloomFilter,
-    "ClockBitmap": ClockBitmap,
-    "ClockCountMin": ClockCountMin,
-    "ClockTimeSpanSketch": ClockTimeSpanSketch,
-}
+_KINDS: "dict[str, Any]" = {kind.__name__: kind for kind in KINDS}
 
 _PathOrFile = Union[str, "os.PathLike[str]", IO[bytes]]
 
@@ -99,30 +104,16 @@ def _payload(sketch: Sketch) -> "dict[str, Any]":
         "hash_scheme": np.array(HASH_SCHEME),
         "window_length": np.array(length),
         "window_kind": np.array(wkind),
-        "seed": np.array(sketch.seed),
         "sweep_mode": np.array(sketch.clock.sweep_mode),
         "clock_values": sketch.clock.values,
         "steps_done": np.array(sketch.clock.steps_done),
         "now": np.array(sketch.now),
         "items_inserted": np.array(sketch.items_inserted),
-        "s": np.array(sketch.s),
-        "engine_min_fused": np.array(sketch.engine.min_fused),
     }
-    if isinstance(sketch, ClockBloomFilter):
-        payload["k"] = np.array(sketch.k)
-        payload["n"] = np.array(sketch.n)
-    elif isinstance(sketch, ClockBitmap):
-        payload["n"] = np.array(sketch.n)
-    elif isinstance(sketch, ClockCountMin):
-        payload["width"] = np.array(sketch.width)
-        payload["depth"] = np.array(sketch.depth)
-        payload["counter_bits"] = np.array(sketch.counter_bits)
-        payload["conservative"] = np.array(sketch.conservative)
-        payload["counters"] = sketch.counters
-    elif isinstance(sketch, ClockTimeSpanSketch):
-        payload["k"] = np.array(sketch.k)
-        payload["n"] = np.array(sketch.n)
-        payload["timestamps"] = sketch.timestamps
+    for name in sketch._CONFIG:
+        payload[name] = np.array(getattr(sketch, name))
+    for name in sketch._CELL_FIELDS:
+        payload[name] = getattr(sketch, name)
     return payload
 
 
@@ -168,40 +159,21 @@ def _restore(payload: "Mapping[str, Any]") -> Sketch:
             f"{HASH_SCHEME!r}: its cells place keys differently; "
             "rebuild the sketch from the stream instead"
         )
-    window = _build_window(float(payload["window_length"]),
-                           str(payload["window_kind"]))
-    seed = int(payload["seed"])
-    sweep_mode = str(payload["sweep_mode"])
-    s = int(payload["s"])
-    sketch: Sketch
-    if kind == "ClockBloomFilter":
-        sketch = ClockBloomFilter(n=int(payload["n"]), k=int(payload["k"]),
-                                  s=s, window=window, seed=seed,
-                                  sweep_mode=sweep_mode)
-    elif kind == "ClockBitmap":
-        sketch = ClockBitmap(n=int(payload["n"]), s=s, window=window,
-                             seed=seed, sweep_mode=sweep_mode)
-    elif kind == "ClockCountMin":
-        sketch = ClockCountMin(width=int(payload["width"]),
-                               depth=int(payload["depth"]), s=s,
-                               window=window,
-                               counter_bits=int(payload["counter_bits"]),
-                               seed=seed, sweep_mode=sweep_mode,
-                               conservative=bool(payload["conservative"]))
-        sketch.counters[:] = payload["counters"]
-    elif kind == "ClockTimeSpanSketch":
-        sketch = ClockTimeSpanSketch(n=int(payload["n"]), k=int(payload["k"]),
-                                     s=s, window=window, seed=seed,
-                                     sweep_mode=sweep_mode)
-        sketch.timestamps[:] = payload["timestamps"]
-    else:
+    cls = _KINDS.get(kind)
+    if cls is None:
         raise ConfigurationError(f"cannot restore sketch kind {kind!r}")
+    sketch: Sketch = cls(
+        window=_build_window(float(payload["window_length"]),
+                             str(payload["window_kind"])),
+        sweep_mode=str(payload["sweep_mode"]),
+        **{name: payload[name].item() for name in cls._CONFIG})
+    for name in cls._CELL_FIELDS:
+        getattr(sketch, name)[:] = payload[name]
     sketch.clock.load_values(payload["clock_values"])
     sketch.clock._steps_done = int(payload["steps_done"])
     sketch.clock._now = float(payload["now"])
     sketch._now = float(payload["now"])
     sketch._items_inserted = int(payload["items_inserted"])
-    sketch.engine.min_fused = int(payload["engine_min_fused"])
     return sketch
 
 

@@ -215,11 +215,6 @@ class CheckpointManager:
         monitor = _assemble_monitor(cfg, tasks, parts)
         return monitor, cfg, meta
 
-    def purge(self, name: str) -> None:
-        """Delete every checkpoint generation for one tenant."""
-        for path in self.checkpoints(name):
-            path.unlink(missing_ok=True)
-
 
 def _assemble_monitor(
         config: TenantConfig, tasks: "List[str]",

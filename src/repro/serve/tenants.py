@@ -18,8 +18,6 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from ..core.params import error_window_length
 from ..errors import (
     AdmissionError,
@@ -166,30 +164,21 @@ class Tenant:
                               self.quarantine_reason,
                               fields={"tenant": self.name})
 
-    def _validated_times(
-            self, count: int,
-            times: "Optional[List[float]]") -> "Optional[np.ndarray]":
-        """Enforce the stream time contract before touching any sketch.
+    def _check_times_kind(self, times: "Optional[List[float]]") -> None:
+        """Refuse timestamps the window kind does not take (or needs).
 
-        Validating up front keeps a rejected batch all-or-nothing: no
-        sketch sees any of it, so accepted commands replay exactly
-        against a differential in-process monitor.
+        Only these two checks live here, to give the mistake the
+        ``time-error`` wire code. The times themselves (length, order,
+        not before the stream position) are validated once by the
+        monitor before any task moves, so a rejected batch stays
+        all-or-nothing and accepted commands replay exactly against a
+        differential in-process monitor.
         """
         if self.config.window().is_count_based:
             if times is not None:
                 raise TimeError("count-based tenant takes no timestamps")
-            return None
-        if times is None:
+        elif times is None:
             raise TimeError("time-based tenant requires timestamps")
-        arr = np.asarray(times, dtype=np.float64)
-        if arr.shape[0] != count:
-            raise TimeError("times must be as long as keys")
-        if arr.shape[0] > 1 and bool(np.any(np.diff(arr) < 0)):
-            raise TimeError("times must be non-decreasing within a batch")
-        if float(arr[0]) < self.position:
-            raise TimeError(
-                f"time moved backwards: {float(arr[0])} < {self.position}")
-        return arr
 
     def ingest(self, keys: "List[Any]",
                times: "Optional[List[float]]") -> int:
@@ -199,9 +188,9 @@ class Tenant:
             raise AdmissionError(
                 f"batch of {len(keys)} exceeds tenant {self.name!r}'s "
                 f"{self.config.max_batch}-item cap")
-        arr = self._validated_times(len(keys), times)
+        self._check_times_kind(times)
         try:
-            self.monitor.observe_many(keys, arr)
+            self.monitor.observe_many(keys, times)
         except ShardWorkerError as exc:
             self.quarantine(exc)
             raise
@@ -281,10 +270,6 @@ class TenantManager:
 
     def __iter__(self) -> "Iterable[Tenant]":
         return iter(list(self._tenants.values()))
-
-    def known_names(self) -> "List[str]":
-        """Configured plus resident tenant names."""
-        return sorted(set(self.configs) | set(self._tenants))
 
     def config_for(self, name: str) -> TenantConfig:
         config = self.configs.get(name)

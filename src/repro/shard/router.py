@@ -46,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from ..core.base import ClockSketchBase
-from ..core import ClockBitmap, ClockBloomFilter, ClockCountMin, ClockTimeSpanSketch
+from ..core import KINDS
 from ..errors import ConfigurationError
 from ..hashing import ShardSelector, key_ids
 from ..kernels import numpy_backend as _kernels
@@ -64,12 +64,12 @@ DEFAULT_QUEUE_CAPACITY = 16
 #: declaring back-pressure or a dead worker.
 DEFAULT_TIMEOUT = 30.0
 
-_SHARDABLE = (ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch)
-
-#: Immutable replica configuration the facade forwards verbatim.
-#: Mutable state (clock, counters, timestamps, engine) is deliberately
-#: absent: with a process router it lives in shared memory that workers
-#: may still be writing.
+#: Immutable replica configuration the facade forwards verbatim: every
+#: kind's ``_CONFIG`` fields plus the derived ceilings. Mutable state
+#: (clock, cell arrays, engine) is deliberately absent: with a process
+#: router it lives in shared memory that workers may still be writing.
+#: A literal, so the flow analyzer (SK108) can check every forwarding
+#: ``getattr`` against it; a test pins it to the declarations.
 _FORWARDED_CONFIG = frozenset({
     "window", "n", "k", "s", "seed", "width", "depth", "conservative",
     "counter_bits", "counter_max", "max_value",
@@ -211,7 +211,7 @@ class ShardSet:
                **options: Any) -> "ShardSet":
         """A fresh set: ``shards`` clones of each pristine prototype."""
         for prototype in prototypes:
-            if not isinstance(prototype, _SHARDABLE):
+            if not isinstance(prototype, KINDS):
                 raise ConfigurationError(
                     "prototype must be one of the four clock sketches, "
                     f"got {type(prototype).__name__}"
@@ -288,7 +288,7 @@ class ShardedSketch(ClockSketchBase):
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT,
                  time_source: Any = None) -> None:
-        if callable(prototype) and not isinstance(prototype, _SHARDABLE):
+        if callable(prototype) and not isinstance(prototype, KINDS):
             prototype = prototype()
         self._bind(ShardSet.cloned(
             [prototype], shards, router=router,
@@ -397,6 +397,12 @@ class ShardedSketch(ClockSketchBase):
     def snapshot(self, t: "float | None" = None) -> Any:
         """A detached copy of the merged global sketch at time ``t``."""
         return self.merged(t).snapshot()
+
+    def merge(self, other: Any) -> Any:
+        """Refused: a shard set unions its own replicas (:meth:`merged`);
+        merge ``snapshot()`` copies to combine sharded sketches."""
+        raise ConfigurationError("a sharded sketch merges only its own "
+                                 "replicas; merge snapshot() copies")
 
     # ------------------------------------------------------------------
     # Point queries: the key's cells, gathered from every replica
@@ -512,7 +518,7 @@ class ShardedSketch(ClockSketchBase):
         # a plain sketch. Only the closed _FORWARDED_CONFIG set is
         # forwarded: with a process router the replica is backed by
         # shared memory that worker processes may still be writing, so
-        # mutable state (clock, counters, engine) must go through the
+        # mutable state (clock, cell arrays, engine) must go through the
         # barrier-synchronised query path, never raw delegation.
         if name not in _FORWARDED_CONFIG:
             raise AttributeError(name)

@@ -4,8 +4,8 @@ Each shard lives in a dedicated worker process that owns the shard's
 cells for every slot of the shard set (one slot per sketch: a sharded
 monitor has one slot per enabled task). Before forking a shard's
 worker, the parent binds each replica's
-:class:`~repro.core.clockarray.ClockArray` buffer (and its side arrays
-— timestamps, counters) to numpy views over one anonymous shared
+:class:`~repro.core.clockarray.ClockArray` buffer (and the kind's cell
+arrays beside it) to numpy views over one anonymous shared
 mapping (``mmap.mmap(-1, size)``, ``MAP_SHARED``). The worker is a bare
 ``os.fork`` of the parent: it inherits the mapping and the bound
 replicas, so it is the sole *writer* of cells the parent *reads* for
@@ -83,19 +83,17 @@ def _shared_block(sketches: "list[Any]") -> mmap.mmap:
     """Bind one shard's replicas into a fresh anonymous shared block.
 
     Layout: a control record per slot, then every slot's mutable arrays
-    (clock values, plus timestamps or counters where the kind carries
-    them), each 8-byte aligned. Binding is state-preserving: current
-    contents are copied into the block, the clock buffer through the
-    validating :meth:`~repro.core.clockarray.ClockArray.bind_buffer`.
+    (clock values, then the kind's cell arrays), each 8-byte aligned.
+    Binding is state-preserving: current contents are copied into the
+    block, the clock buffer through the validating
+    :meth:`~repro.core.clockarray.ClockArray.bind_buffer`.
     """
     fields: "list[tuple[Any, str, np.ndarray, int]]" = []
     offset = _CONTROL_BYTES * len(sketches)
     for sketch in sketches:
-        for owner, attr in ((sketch.clock, "values"), (sketch, "timestamps"),
-                            (sketch, "counters")):
-            arr = getattr(owner, attr, None)
-            if arr is None:
-                continue
+        for owner, attr in ((sketch.clock, "values"),
+                            *((sketch, name) for name in sketch._CELL_FIELDS)):
+            arr = getattr(owner, attr)
             offset = -(-offset // 8) * 8  # 8-byte-align every array
             fields.append((owner, attr, arr, offset))
             offset += arr.nbytes

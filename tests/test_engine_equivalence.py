@@ -9,6 +9,8 @@ timestamps), the cleaner position, ``now``, and ``items_inserted`` all
 match exactly, so subsequent queries cannot tell the paths apart.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from repro import (
     time_window,
 )
 from repro.concurrent import ThreadSafeSketch
+from repro.engine import batch as engine_batch
 from repro.serialize import dumps_sketch, loads_sketch
 
 SKETCHES = ["bf", "bm", "cm", "cm_cons", "ts"]
@@ -69,6 +72,15 @@ def assert_identical(a, b):
         np.testing.assert_array_equal(a.timestamps, b.timestamps)
 
 
+@contextmanager
+def fused_from_one():
+    """Route every exact-mode batch, even of one item, through the fused
+    path (hypothesis reruns a test body, so no function-scoped fixture)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_batch, "MIN_FUSED", 1)
+        yield
+
+
 def scalar_replay(sketch, keys, times=None):
     if times is None:
         for key in keys:
@@ -98,9 +110,9 @@ class TestBatchVsScalarLoop:
     def test_count_window(self, kind, mode, keys, seed):
         window = count_window(32)
         batch = build(kind, window, mode, seed=3)
-        batch.engine.min_fused = 1  # force the fused path where exact
         scalar = build(kind, window, mode, seed=3)
-        batch.insert_many(keys)
+        with fused_from_one():  # force the fused path where exact
+            batch.insert_many(keys)
         scalar_replay(scalar, keys)
         assert_identical(batch, scalar)
 
@@ -113,15 +125,15 @@ class TestBatchVsScalarLoop:
         rng = np.random.default_rng(seed)
         times = make_times(rng, len(keys))
         batch = build(kind, window, mode, seed=3)
-        batch.engine.min_fused = 1
         scalar = build(kind, window, mode, seed=3)
-        batch.insert_many(keys, times)
+        with fused_from_one():
+            batch.insert_many(keys, times)
         scalar_replay(scalar, keys, times)
         assert_identical(batch, scalar)
 
     @pytest.mark.parametrize("kind", SKETCHES)
     def test_default_threshold_small_batches(self, kind):
-        """Below ``min_fused`` the engine loops — still identical."""
+        """Below ``MIN_FUSED`` the engine loops — still identical."""
         batch = build(kind, count_window(32))
         scalar = build(kind, count_window(32))
         for chunk in (["a"], ["b", "c"], ["a", "a", "d"]):
@@ -142,9 +154,9 @@ class TestBatchVsScalarLoop:
     def test_string_and_tuple_items(self, kind):
         keys = ["flow-1", ("src", 80), "flow-1", ("dst", 443), b"raw"]
         batch = build(kind, count_window(16))
-        batch.engine.min_fused = 1
         scalar = build(kind, count_window(16))
-        batch.insert_many(keys)
+        with fused_from_one():
+            batch.insert_many(keys)
         scalar_replay(scalar, keys)
         assert_identical(batch, scalar)
 
@@ -179,7 +191,6 @@ class TestInterleavings:
     def test_random_interleaving_count(self, kind, seed):
         rng = np.random.default_rng(seed)
         batch = build(kind, count_window(24))
-        batch.engine.min_fused = 1
         scalar = build(kind, count_window(24))
         for _ in range(rng.integers(2, 6)):
             keys = list(rng.integers(0, 30, size=rng.integers(1, 60)))
@@ -188,7 +199,8 @@ class TestInterleavings:
                     batch.insert(key)
                     scalar.insert(key)
             else:
-                batch.insert_many(keys)
+                with fused_from_one():
+                    batch.insert_many(keys)
                 scalar_replay(scalar, keys)
             probe = int(rng.integers(0, 30))
             if kind in ("bf",):
@@ -203,7 +215,6 @@ class TestInterleavings:
     def test_random_interleaving_time(self, kind, seed):
         rng = np.random.default_rng(seed)
         batch = build(kind, time_window(12.0))
-        batch.engine.min_fused = 1
         scalar = build(kind, time_window(12.0))
         now = 0.0
         for _ in range(rng.integers(2, 6)):
@@ -211,7 +222,8 @@ class TestInterleavings:
             steps = rng.choice([0.0, 0.5, 3.0], size=len(keys))
             times = now + 1.0 + np.cumsum(steps)
             now = float(times[-1])
-            batch.insert_many(keys, times)
+            with fused_from_one():
+                batch.insert_many(keys, times)
             scalar_replay(scalar, keys, times)
             assert_identical(batch, scalar)
 
@@ -250,7 +262,6 @@ class TestUpperLayers:
             a = build(kind, count_window(32))
             a.insert_many(list(range(50)))
             b = loads_sketch(dumps_sketch(a))
-            assert b.engine.min_fused == a.engine.min_fused
             assert_identical(a, b)
             a.insert_many([7, 8, 9] * 10)
             b.insert_many([7, 8, 9] * 10)

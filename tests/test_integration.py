@@ -13,11 +13,11 @@ import repro.baselines.swamp
 import repro.baselines.tinytable
 import repro.cache.policies
 import repro.core.activeness
+import repro.core.base
 import repro.core.cardinality
 import repro.core.size
 import repro.core.timespan
 import repro.ext.adaptive
-import repro.ext.merge
 import repro.ext.similar
 import repro.hashing.family
 import repro.streams.groundtruth
@@ -38,6 +38,7 @@ DOCTEST_MODULES = [
     repro,
     repro.units,
     repro.hashing.family,
+    repro.core.base,
     repro.core.activeness,
     repro.core.cardinality,
     repro.core.timespan,
@@ -48,7 +49,6 @@ DOCTEST_MODULES = [
     repro.cache.policies,
     repro.ext.similar,
     repro.ext.adaptive,
-    repro.ext.merge,
 ]
 
 

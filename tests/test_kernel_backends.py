@@ -46,7 +46,7 @@ KINDS = ("bf", "bm", "cm", "ts")
 
 WINDOW = 256
 
-#: Batch sizes straddling the fused cutover (DEFAULT_MIN_FUSED = 16),
+#: Batch sizes straddling the fused cutover (engine.batch.MIN_FUSED = 16),
 #: plus scalar singles, so fused, loop, and deferred paths all run.
 BATCH_PLAN = (1, 7, 64, 3, 300, 16)
 

@@ -388,6 +388,22 @@ class TestTimeDomain:
             assert "finite" in response["error"]["message"]
             assert client.request({"op": "PING"})["ok"] is True
 
+    @pytest.mark.parametrize("times", [[4.0, 5.0], [6.0, 5.5]],
+                             ids=["backwards", "decreasing-within"])
+    def test_out_of_order_batch_is_a_time_error_and_moves_nothing(
+            self, timed, times):
+        tenant = fresh_tenant()
+        with LineClient.for_service(timed) as client:
+            first = {"op": "INSERT_BATCH", "tenant": tenant,
+                     "keys": ["j", "k"], "times": [5.0, 5.0]}
+            assert client.request(first)["ok"] is True
+            stats = {"op": "STATS", "tenant": tenant}
+            before = client.request(stats)
+            response = client.request({**first, "times": times})
+            assert response["ok"] is False
+            assert response["error"]["code"] == "time-error", response
+            assert client.request(stats) == before
+
     @given(stamp=stamps)
     @FUZZ
     def test_any_time_is_accepted_or_typed_and_tenant_keeps_serving(

@@ -294,8 +294,7 @@ def _state(sketch):
         "clock": (clock.n, clock.s, clock.max_value, clock.sweep_mode,
                   clock.steps_done, clock.now, clock.values.dtype.str,
                   clock.values.tolist()),
-        "bookkeeping": (sketch.now, sketch.items_inserted,
-                        sketch.engine.min_fused),
+        "bookkeeping": (sketch.now, sketch.items_inserted),
         "counters": getattr(sketch, "counters", np.empty(0)).tolist(),
         "timestamps": getattr(sketch, "timestamps", np.empty(0)).tolist(),
     }
@@ -315,7 +314,6 @@ class TestReplicaClones:
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     def test_clones_equal_a_round_trip(self, kind, router):
         prototype = MAKERS[kind]("deferred")
-        prototype.engine.min_fused = 7  # a non-default the payload carries
         expected = _state(loads_sketch(dumps_sketch(prototype)))
         shard_set = ShardSet.cloned([prototype, MAKERS[kind]("vector")], 3,
                                     router=router)

@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import BatchEngine
 from ..hashing import IndexDeriver
 from ..kernels import numpy_backend as _kernels
 from ..timebase import WindowSpec
 from ..units import parse_memory
-from .base import ClockSketchBase
+from .base import ClockSketchKind
 from .clockarray import ClockArray
 from .params import OPTIMAL_S_MEMBERSHIP, cells_for_memory, optimal_k_membership
 
 __all__ = ["ClockBloomFilter", "snapshot_membership"]
 
 
-class ClockBloomFilter(ClockSketchBase):
+class ClockBloomFilter(ClockSketchKind):
     """Clock-sketch for item batch activeness (BF+clock).
 
     Parameters
@@ -74,7 +73,6 @@ class ClockBloomFilter(ClockSketchBase):
         self.clock = ClockArray(n, s, window, sweep_mode=sweep_mode)
         self.deriver = IndexDeriver(n=n, k=k, seed=seed)
         self.seed = seed
-        self.engine = BatchEngine(self)
         if sanitize:
             from ..qa.sanitizer import sanitize_sketch
             sanitize_sketch(self)
@@ -98,31 +96,6 @@ class ClockBloomFilter(ClockSketchBase):
     def n(self) -> int:
         """Number of clock cells."""
         return self.clock.n
-
-    def insert(self, item, t=None) -> None:
-        """Record an occurrence of ``item`` (at time ``t`` if time-based).
-
-        Semantically the batch-size-1 case of :meth:`insert_many`
-        (bit-identical final state, property-tested), kept as a direct
-        scalar path so single-item callers skip the batch machinery.
-        """
-        now = self._insert_time(t)
-        self.clock.advance(now)
-        self.clock.touch(self.deriver.indexes(item))
-
-    def insert_many(self, items, times=None) -> None:
-        """Insert a batch of items through the batch engine.
-
-        ``items`` may be an integer key array (fully vectorised
-        hashing) or any sequence of hashable stream items. ``times`` is
-        required for time-based windows and must be non-decreasing.
-        The final state is bit-identical to the equivalent loop of
-        :meth:`insert` calls on the exact sweep modes; with a deferred
-        cleaner, inserts are chunk-vectorised under that mode's relaxed
-        window guarantee.
-        """
-        self.engine.ingest_touch(self.deriver.bulk(items), times,
-                                 items=items)
 
     def contains(self, item, t=None) -> bool:
         """Is the item's batch active? (May false-positive, never false-negative

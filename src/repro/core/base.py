@@ -2,14 +2,22 @@
 
 Each application (activeness, cardinality, time span, size) is a
 classic sketch whose cells carry ``s``-bit clock cells, driven by one
-:class:`~repro.core.clockarray.ClockArray`. This base class centralises
-the temporal conventions:
+:class:`~repro.core.clockarray.ClockArray`. Two base classes split the
+work:
 
-- **Count-based** windows: the ``i``-th inserted item arrives at time
-  ``i`` (1-based); ``insert`` takes no timestamp and queries default to
-  "after the latest insert".
-- **Time-based** windows: every ``insert`` must carry a timestamp, and
-  queries may carry one (defaulting to the latest time seen).
+- :class:`ClockSketchBase` holds the temporal conventions, which the
+  baselines and the sharded facade share:
+
+  - **Count-based** windows: the ``i``-th inserted item arrives at time
+    ``i`` (1-based); ``insert`` takes no timestamp and queries default
+    to "after the latest insert".
+  - **Time-based** windows: every ``insert`` must carry a timestamp,
+    and queries may carry one (defaulting to the latest time seen).
+
+- :class:`ClockSketchKind` is the base of the four kinds. A kind
+  declares its fields, cell arrays, merge, answer and write rules once;
+  the kind base builds ``insert``/``insert_many``, ``snapshot``,
+  ``merge`` and ``metrics`` from them.
 
 The cleaning pointer is advanced lazily to the operation's time before
 the operation executes, which reproduces the paper's concurrent
@@ -23,13 +31,16 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..engine import BatchEngine
 from ..errors import ConfigurationError, TimeError
+from ..kernels import numpy_backend as _kernels
 from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 
 
 class ClockSketchBase:
-    """Temporal bookkeeping shared by all Clock-sketch variants."""
+    """Temporal bookkeeping shared by the kinds, the baselines and the
+    sharded facade."""
 
     #: Sharding escape hatch: a count-based sketch normally derives item
     #: times from its own insert counter, but a shard replica sees only
@@ -39,6 +50,10 @@ class ClockSketchBase:
     #: array even for count-based windows (validated, non-decreasing);
     #: plain sketches keep rejecting one.
     _accepts_global_times = False
+
+    #: Insert times must be positive: the time-span kind's stamp 0
+    #: marks an empty cell. A sharded facade copies its kind's flag.
+    _positive_times = False
 
     def __init__(self, window: WindowSpec):
         self.window = window
@@ -60,9 +75,8 @@ class ClockSketchBase:
 
         Stream times are non-decreasing: ``t`` equal to the current time
         is explicitly allowed (ties are routine — batches of items often
-        share one timestamp); a strictly smaller ``t``, NaN, an infinity
-        or a time past the sweep schedule's range (:meth:`_check_time`)
-        raises :class:`~repro.errors.TimeError`.
+        share one timestamp); a time :meth:`_check_insert_times` refuses
+        raises :class:`~repro.errors.TimeError` before anything moves.
         """
         if self.window.is_count_based:
             if t is not None:
@@ -77,12 +91,7 @@ class ClockSketchBase:
             return self._now
         if t is None:
             raise TimeError("time-based sketches require an insert timestamp")
-        self._check_time(t, "insert")
-        if t < self._now:
-            raise TimeError(
-                f"time moved backwards: {t} < {self._now} "
-                "(equal timestamps are allowed; strictly smaller are not)"
-            )
+        self._check_insert_times(t, t)
         self._items_inserted += 1
         self._now = float(t)
         if _obs.ENABLED:
@@ -145,17 +154,31 @@ class ClockSketchBase:
         if count:
             if not np.isfinite(resolved).all():
                 raise TimeError("insert times must be finite")
-            if resolved[0] < self._now:
-                raise TimeError(
-                    f"time moved backwards: {resolved[0]} < {self._now} "
-                    "(equal timestamps are allowed; strictly smaller are not)"
-                )
+            self._check_insert_times(float(resolved[0]), float(resolved[-1]))
             if np.any(resolved[1:] < resolved[:-1]):
                 raise TimeError(
                     "insert times must be non-decreasing within a batch"
                 )
-            self._check_time(float(resolved[-1]), "insert")
         return resolved
+
+    def _check_insert_times(self, first, last) -> None:
+        """Raise :class:`~repro.errors.TimeError` unless a time-based
+        run of inserts from ``first`` to ``last`` can be applied.
+
+        The one insert-time rule: the scalar and batch paths run it, and
+        so does a monitor over all its tasks, before any state moves.
+        ``last`` must be finite and reachable (:meth:`_check_time`);
+        ``first`` may equal the current time but not precede it, and
+        must be positive where the kind needs it (``_positive_times``).
+        """
+        self._check_time(last, "insert")
+        if first < self._now:
+            raise TimeError(
+                f"time moved backwards: {first} < {self._now} "
+                "(equal timestamps are allowed; strictly smaller are not)"
+            )
+        if self._positive_times and first <= 0:
+            raise TimeError("time-span sketch requires positive stream times")
 
     def _schedule_clock(self):
         """The clock array whose sweep schedule this sketch's times drive."""
@@ -175,16 +198,41 @@ class ClockSketchBase:
                 "overflows"
             )
 
-    # ------------------------------------------------------------------
-    # One declaration per kind; snapshot, merge and metrics read it
-    # ------------------------------------------------------------------
+    def _query_time(self, t) -> float:
+        """Resolve the time of a query (defaults to the latest time).
 
-    # A kind declares its constructor fields, its cell arrays beside the
-    # clock, its merge rule once (``_union``: ``merge`` applies it to
-    # whole arrays, a sharded query to a key's gathered cells), its
-    # answer formula once (``_answer``) and its ``metrics`` task and
-    # fields. The rule defaults are the Bloom filter's; a bitmap is its
-    # k = 1 case.
+        An explicit future ``t`` fast-forwards the structure: for
+        count-based windows it also advances the item counter, so later
+        inserts continue from the queried instant (the stream idled).
+        """
+        if t is None:
+            if _obs.ENABLED:
+                _obs.record_query(type(self).__name__)
+            return self._now
+        self._check_time(t, "query")
+        if self.window.is_count_based and t != int(t):
+            raise TimeError(f"count-based query time must be an integer, got {t}")
+        if t < self._now:
+            raise TimeError(f"time moved backwards: {t} < {self._now}")
+        self._now = float(t)
+        if self.window.is_count_based:
+            self._items_inserted = max(self._items_inserted, int(t))
+        if _obs.ENABLED:
+            _obs.record_query(type(self).__name__)
+        return self._now
+
+
+class ClockSketchKind(ClockSketchBase):
+    """The base of the four kinds: one declaration per kind.
+
+    A kind declares its constructor fields, its cell arrays beside the
+    clock, its merge rule once (``_union``: ``merge`` applies it to
+    whole arrays, a sharded query to a key's gathered cells), its
+    answer formula once (``_answer``), its write rule once (``_apply``
+    and its closed form ``_fuse``) and its ``metrics`` task and fields.
+    The rule defaults are the Bloom filter's; a bitmap is its k = 1
+    case.
+    """
 
     #: Constructor fields besides ``window`` and ``sweep_mode``: what a
     #: snapshot or a checkpoint rebuilds the sketch from.
@@ -200,13 +248,75 @@ class ClockSketchBase:
     #: The ``task`` that :meth:`metrics` reports.
     _TASK: ClassVar[str] = ""
 
+    #: Do a run's writes commute, so the engine may apply a whole batch
+    #: in closed form (``_fuse``) or a deferred chunk in one ``_apply``?
+    #: Only conservative Count-Min, which reads the counters it is
+    #: about to bump, replays its items one by one.
+    _commutes = True
+
+    def __init__(self, window: WindowSpec):
+        super().__init__(window)
+        self.engine = BatchEngine(self)
+
     def _cells(self, idx) -> tuple:
         """The cell images at ``idx``: clock values, then each field."""
         return (self.clock.values[idx],
                 *(getattr(self, name)[idx] for name in self._CELL_FIELDS))
 
-    def _query_index(self, items) -> np.ndarray:
+    def _item_cells(self, item) -> np.ndarray:
+        """One item's cells, as an int64 array."""
+        return np.asarray(self.deriver.indexes(item), dtype=np.int64)
+
+    def _batch_cells(self, items) -> np.ndarray:
+        """``(N, k)`` cells of a batch, row-identical to :meth:`_item_cells`."""
         return self.deriver.bulk(items)
+
+    def _apply(self, rows, stamps) -> None:
+        """Write a run of items that no sweep step separates.
+
+        ``rows`` is one item's cells (the scalar insert and the engine's
+        loop) or an ``(m, k)`` chunk of them in arrival order (a
+        deferred chunk); ``stamps`` is the items' arrival time(s),
+        broadcastable against ``rows``. The default writes nothing
+        beside the clock: a touch.
+        """
+        self.clock.touch(rows)
+
+    def _fuse(self, rows, steps, stamps, end_steps: int,
+              count_cleaned: bool) -> int:
+        """Closed form of a whole batch's ``advance``/``_apply`` loop.
+
+        ``rows`` is the ``(N, k)`` cell matrix; ``steps`` and ``stamps``
+        are each item's sweep-step target and arrival time. Returns the
+        cells the batch left expired (0 unless ``count_cleaned``).
+        """
+        return _kernels.fuse_touch(
+            self.clock, rows.ravel(), np.repeat(steps, rows.shape[1]),
+            end_steps, count_cleaned=count_cleaned)
+
+    def insert(self, item, t=None) -> None:
+        """Record one occurrence of ``item`` (at time ``t`` if time-based).
+
+        The batch-size-1 case of :meth:`insert_many` (bit-identical
+        final state, property-tested), kept as a direct scalar path so
+        single-item callers skip the batch machinery.
+        """
+        now = self._insert_time(t)
+        self.clock.advance(now)
+        self._apply(self._item_cells(item), now)
+
+    def insert_many(self, items, times=None) -> None:
+        """Insert a batch of items through the batch engine.
+
+        ``items`` may be an integer key array (fully vectorised
+        hashing) or any sequence of hashable stream items. ``times`` is
+        required for time-based windows and must be non-decreasing.
+        The final state is bit-identical to the equivalent loop of
+        :meth:`insert` calls on the exact sweep modes; with a deferred
+        cleaner, inserts are chunk-vectorised under that mode's relaxed
+        window guarantee.
+        """
+        self.engine.ingest(self._batch_cells(items), times, items)
 
     @staticmethod
     def _union(values) -> tuple:
@@ -232,7 +342,7 @@ class ClockSketchBase:
         """Advance to the query time, then answer from the items' cells."""
         now = self._query_time(t)
         self.clock.advance(now)
-        return self._answer(now, *self._cells(self._query_index(items)))
+        return self._answer(now, *self._cells(self._batch_cells(items)))
 
     def snapshot(self):
         """Deep copy of the current state (cells, cleaner, bookkeeping).
@@ -374,26 +484,3 @@ class ClockSketchBase:
     def _metric_extras(self) -> dict:
         """The kind's own :meth:`metrics` fields."""
         return {}
-
-    def _query_time(self, t) -> float:
-        """Resolve the time of a query (defaults to the latest time).
-
-        An explicit future ``t`` fast-forwards the structure: for
-        count-based windows it also advances the item counter, so later
-        inserts continue from the queried instant (the stream idled).
-        """
-        if t is None:
-            if _obs.ENABLED:
-                _obs.record_query(type(self).__name__)
-            return self._now
-        self._check_time(t, "query")
-        if self.window.is_count_based and t != int(t):
-            raise TimeError(f"count-based query time must be an integer, got {t}")
-        if t < self._now:
-            raise TimeError(f"time moved backwards: {t} < {self._now}")
-        self._now = float(t)
-        if self.window.is_count_based:
-            self._items_inserted = max(self._items_inserted, int(t))
-        if _obs.ENABLED:
-            _obs.record_query(type(self).__name__)
-        return self._now

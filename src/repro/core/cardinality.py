@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import BatchEngine
 from ..errors import EstimatorSaturatedError
 from ..hashing import IndexDeriver
 from ..kernels import numpy_backend as _kernels
 from ..timebase import WindowSpec
 from ..units import parse_memory
-from .base import ClockSketchBase
+from .base import ClockSketchKind
 from .clockarray import ClockArray
 from .params import cells_for_memory
 
@@ -66,7 +65,7 @@ def linear_counting_estimate(zero_cells: int, total_cells: int,
     )
 
 
-class ClockBitmap(ClockSketchBase):
+class ClockBitmap(ClockSketchKind):
     """Clock-sketch for item batch cardinality (BM+clock).
 
     Examples
@@ -89,7 +88,6 @@ class ClockBitmap(ClockSketchBase):
         self.clock = ClockArray(n, s, window, sweep_mode=sweep_mode)
         self.deriver = IndexDeriver(n=n, k=1, seed=seed)
         self.seed = seed
-        self.engine = BatchEngine(self)
         if sanitize:
             from ..qa.sanitizer import sanitize_sketch
             sanitize_sketch(self)
@@ -108,26 +106,8 @@ class ClockBitmap(ClockSketchBase):
         """Number of clock cells."""
         return self.clock.n
 
-    def insert(self, item, t=None) -> None:
-        """Record an occurrence of ``item``.
-
-        Semantically the batch-size-1 case of :meth:`insert_many`
-        (bit-identical final state, property-tested).
-        """
-        now = self._insert_time(t)
-        self.clock.advance(now)
-        self.clock.touch(self.deriver.indexes(item)[:1])
-
-    def insert_many(self, items, times=None) -> None:
-        """Insert a batch of items through the batch engine.
-
-        Accepts integer key arrays or any sequence of hashable items;
-        bit-identical to a loop of :meth:`insert` calls on the exact
-        sweep modes, chunk-vectorised under a deferred cleaner (see
-        :meth:`ClockBloomFilter.insert_many`).
-        """
-        cells = self.deriver.bulk_single(items)
-        self.engine.ingest_touch(cells.reshape(-1, 1), times, items=items)
+    def _batch_cells(self, items) -> np.ndarray:
+        return self.deriver.bulk_single(items)[:, None]
 
     def query(self, item, t=None) -> bool:
         """Scalar twin of :meth:`query_many`: is the item's single cell live?

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import BatchEngine
 from ..errors import ConfigurationError
 from ..hashing import IndexDeriver, key_id, key_ids
+from ..kernels import numpy_backend as _kernels
 from ..timebase import WindowSpec
 from ..units import parse_memory
-from .base import ClockSketchBase
+from .base import ClockSketchKind
 from .clockarray import ClockArray
 
 __all__ = ["ClockCountMin"]
@@ -31,7 +31,7 @@ DEFAULT_COUNTER_BITS = 16
 DEFAULT_S_SIZE = 4
 
 
-class ClockCountMin(ClockSketchBase):
+class ClockCountMin(ClockSketchKind):
     """Clock-sketch for item batch size (CM+clock).
 
     Parameters
@@ -103,7 +103,6 @@ class ClockCountMin(ClockSketchBase):
             for row in range(self.depth)
         ]
         self.seed = seed
-        self.engine = BatchEngine(self)
         if sanitize:
             from ..qa.sanitizer import sanitize_sketch
             sanitize_sketch(self)
@@ -128,73 +127,62 @@ class ClockCountMin(ClockSketchBase):
                    counter_bits=counter_bits, seed=seed,
                    sweep_mode=sweep_mode, conservative=conservative)
 
-    def _flat_indexes(self, item) -> "list[int]":
+    def _item_cells(self, item) -> np.ndarray:
+        """The item's flat cell in each row (distinct: one per row)."""
         kid = key_id(item)
-        return [
-            row * self.width + deriver.indexes(kid)[0]
-            for row, deriver in enumerate(self._derivers)
-        ]
+        return np.array([row * self.width + deriver.indexes(kid)[0]
+                         for row, deriver in enumerate(self._derivers)],
+                        dtype=np.int64)
 
-    def _bump(self, flats) -> None:
-        """Increment the selected counters (saturating, maybe conservative)."""
-        counters = self.counters
-        counter_max = self.counter_max
-        if self.conservative:
-            floor = min(counters[flat] for flat in flats)
-            target = min(floor + 1, counter_max)
-            for flat in flats:
-                if counters[flat] < target:
-                    counters[flat] = target
-        else:
-            for flat in flats:
-                if counters[flat] < counter_max:
-                    counters[flat] += 1
-
-    def _flat_matrix(self, items) -> np.ndarray:
+    def _batch_cells(self, items) -> np.ndarray:
         """``(N, depth)`` flat cell indexes for a batch of items."""
         offsets = np.arange(self.depth, dtype=np.int64) * self.width
         ids = key_ids(items)
         columns = np.stack([d.bulk_single(ids) for d in self._derivers], axis=1)
         return columns + offsets[None, :]
 
-    def insert(self, item, t=None) -> None:
-        """Record an occurrence of ``item``, growing its batch counters.
+    @property
+    def _commutes(self) -> bool:
+        # Conservative update reads the counters it is about to bump.
+        return not self.conservative
 
-        Semantically the batch-size-1 case of :meth:`insert_many`
-        (bit-identical final state, property-tested).
+    def _apply(self, rows, stamps) -> None:
+        """Bump the counters, saturating at the ceiling, then touch.
+
+        A conservative bump (one item: it never commutes) raises only
+        the item's smallest counters. A plain run adds each cell's hit
+        count; one item's cells are distinct, a chunk's may repeat.
+        ``min(c, max - hits) + hits`` is ``min(c + hits, max)`` without
+        the sum that could wrap a 32-bit counter.
         """
-        now = self._insert_time(t)
-        self.clock.advance(now)
-        flats = self._flat_indexes(item)
-        self._bump(flats)
-        self.clock.touch(flats)
+        counters = self.counters
+        if self.conservative:
+            count = counters[rows]
+            counters[rows] = np.maximum(
+                count, min(int(count.min()) + 1, self.counter_max))
+        else:
+            cells, hits = ((rows, 1) if rows.ndim == 1
+                           else np.unique(rows, return_counts=True))
+            counters[cells] = np.minimum(
+                counters[cells], self.counter_max - hits) + hits
+        self.clock.touch(rows)
 
-    def insert_many(self, items, times=None) -> None:
-        """Insert a batch of items through the batch engine.
-
-        Accepts integer key arrays or any sequence of hashable items;
-        bit-identical to a loop of :meth:`insert` calls on the exact
-        sweep modes (conservative update, being order-dependent, always
-        replays the per-item loop). With a deferred cleaner and plain
-        updates, inserts are chunk-vectorised: within one cleaning
-        circle the counter increments commute, so whole chunks go
-        through ``np.add.at`` — the stand-in for the paper's
-        SIMD+thread mode.
-        """
-        self.engine.ingest_countmin(self._flat_matrix(items), times,
-                                    items=items)
+    def _fuse(self, rows, steps, stamps, end_steps: int,
+              count_cleaned: bool) -> int:
+        return _kernels.fuse_countmin(
+            self.clock, self.counters, self.counter_max, rows.ravel(),
+            np.repeat(steps, rows.shape[1]), end_steps,
+            count_cleaned=count_cleaned)
 
     def query(self, item, t=None) -> int:
         """Estimated size of the item's active batch (0 when inactive)."""
         now = self._query_time(t)
         self.clock.advance(now)
-        return int(min(self.counters[flat] for flat in self._flat_indexes(item)))
+        return int(self.counters[self._item_cells(item)].min())
 
     def query_many(self, items, t=None) -> np.ndarray:
         """Vectorised :meth:`query` over a batch of items."""
         return self._read_many(items, t)
-
-    _query_index = _flat_matrix
 
     @staticmethod
     def _answer(now, values, counters) -> np.ndarray:

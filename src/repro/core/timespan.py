@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import BatchEngine
-from ..errors import TimeError
 from ..hashing import IndexDeriver
+from ..kernels import numpy_backend as _kernels
 from ..timebase import WindowSpec
 from ..units import parse_memory
-from .base import ClockSketchBase
+from .base import ClockSketchKind
 from .clockarray import ClockArray
 from .params import cells_for_memory
 
@@ -78,7 +77,7 @@ class TimeSpanBatchResult:
         )
 
 
-class ClockTimeSpanSketch(ClockSketchBase):
+class ClockTimeSpanSketch(ClockSketchKind):
     """Clock-sketch for item batch time span (BF-ts+clock).
 
     Examples
@@ -94,6 +93,7 @@ class ClockTimeSpanSketch(ClockSketchBase):
     _CONFIG = ("n", "k", "s", "seed")
     _CELL_FIELDS = ("timestamps",)
     _TASK = "span"
+    _positive_times = True
 
     def __init__(self, n: int, k: int, s: int, window: WindowSpec,
                  seed: int = 0, sweep_mode: str = "vector",
@@ -107,7 +107,6 @@ class ClockTimeSpanSketch(ClockSketchBase):
         )
         self.deriver = IndexDeriver(n=n, k=k, seed=seed)
         self.seed = seed
-        self.engine = BatchEngine(self)
         if sanitize:
             from ..qa.sanitizer import sanitize_sketch
             sanitize_sketch(self)
@@ -129,35 +128,30 @@ class ClockTimeSpanSketch(ClockSketchBase):
         """Number of (clock, timestamp) cell pairs."""
         return self.clock.n
 
-    def insert(self, item, t=None) -> None:
-        """Record an occurrence of ``item``; starts a batch if cells are empty.
+    def _apply(self, rows, stamps) -> None:
+        """Touch, and stamp the cells the run finds empty.
 
-        Semantically the batch-size-1 case of :meth:`insert_many`
-        (bit-identical final state, property-tested).
+        First writer wins: one item stamps its empty cells with its
+        time; in a chunk an empty cell takes the earliest stamp that
+        hits it, a per-cell minimum.
         """
-        now = self._insert_time(t)
-        if now <= 0:
-            raise TimeError("time-span sketch requires positive stream times")
-        self.clock.advance(now)
-        idxs = self.deriver.indexes(item)
-        self.clock.touch(idxs)
-        ts = self.timestamps
-        for i in idxs:
-            if ts[i] == 0.0:
-                ts[i] = now
+        timestamps = self.timestamps
+        empty = timestamps[rows] == 0.0
+        if rows.ndim == 1:
+            timestamps[rows[empty]] = stamps
+        else:
+            fresh = rows[empty]
+            timestamps[fresh] = np.inf
+            np.minimum.at(timestamps, fresh,
+                          np.broadcast_to(stamps, rows.shape)[empty])
+        self.clock.touch(rows)
 
-    def insert_many(self, items, times=None) -> None:
-        """Insert a batch of items through the batch engine.
-
-        Accepts integer key arrays or any sequence of hashable items;
-        bit-identical to a loop of :meth:`insert` calls on the exact
-        sweep modes. With a deferred cleaner, inserts are
-        chunk-vectorised: within a cleaning circle, "write the
-        timestamp if the cell is empty" reduces to a per-cell minimum
-        over the chunk's arrival times.
-        """
-        self.engine.ingest_timespan(self.deriver.bulk(items), times,
-                                    items=items)
+    def _fuse(self, rows, steps, stamps, end_steps: int,
+              count_cleaned: bool) -> int:
+        k = rows.shape[1]
+        return _kernels.fuse_timespan(
+            self.clock, self.timestamps, rows.ravel(), np.repeat(steps, k),
+            np.repeat(stamps, k), end_steps, count_cleaned=count_cleaned)
 
     def query(self, item, t=None) -> TimeSpanResult:
         """Time span of the item's batch at time ``t`` (or the latest time)."""

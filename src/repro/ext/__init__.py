@@ -10,7 +10,7 @@
 Mergeable Clock-sketches for distributed measurement ("combining Flink
 framework can help save synchronization cost in distributed
 measurement") need no extension module: every sketch's own
-:meth:`~repro.core.base.ClockSketchBase.merge` is the §7 union, and the
+:meth:`~repro.core.base.ClockSketchKind.merge` is the §7 union, and the
 keyed partition-and-merge pipeline is
 :meth:`repro.monitor.ItemBatchMonitor.sharded`.
 """

@@ -238,7 +238,7 @@ class ItemBatchMonitor:
         """Record one occurrence of ``key`` in every enabled structure."""
         kid = key_id(key)
         if t is not None and not self.window.is_count_based:
-            self._check_reach(t)
+            self._check_times(t, t)
         for sketch in self._writers:
             sketch.insert(kid, t)
         auditor = self._auditor
@@ -265,22 +265,24 @@ class ItemBatchMonitor:
                 # Validate once, as floats, before any task moves.
                 times = self._sketches[0]._insert_times_many(len(ids), times)
                 if len(times):
-                    self._check_reach(float(times[-1]))
+                    self._check_times(float(times[0]), float(times[-1]))
             for sketch in self._writers:
                 sketch.insert_many(ids, times)
             auditor = self._auditor
             if auditor is not None and auditor.due:
                 auditor.audit()
 
-    def _check_reach(self, t) -> None:
-        """Reject ``t`` if any task's sweep schedule cannot reach it.
+    def _check_times(self, first, last) -> None:
+        """Reject inserts at ``first..last`` if any task refuses them.
 
-        Tasks differ in cells and circles, so one time can overflow one
-        task's step count and not another's; checking every task first
-        keeps an insert all-or-nothing.
+        Tasks differ in cells and circles (one time can overflow one
+        task's step count and not another's), in kind (the span task
+        needs positive times), and in stream time (a timed per-task
+        query such as ``active_batches(t)`` advances only its task).
+        Checking every task first keeps an insert all-or-nothing.
         """
         for sketch in self._sketches:
-            sketch._check_time(t, "insert")
+            sketch._check_insert_times(first, last)
 
     def observe_stream(self, stream) -> None:
         """Feed a whole :class:`~repro.streams.Stream` (bulk paths)."""

@@ -24,6 +24,7 @@ SK103
     enforceable in one place.
 SK105
     Every sketch subclass of :class:`~repro.core.base.ClockSketchBase`
+    (or of its kind base :class:`~repro.core.base.ClockSketchKind`)
     defines *matched* scalar/batch API pairs: ``insert``/``insert_many``,
     ``query``/``query_many``, ``contains``/``contains_many``. Half a
     pair means some callers silently fall off the vectorised path (or
@@ -345,6 +346,10 @@ _API_PAIRS: Tuple[Tuple[str, str], ...] = (
 
 _TEMPORAL_BASE = "ClockSketchBase"
 
+#: Bases whose subclasses SK105 checks: the temporal base, and the kind
+#: base the four kinds subclass in their own modules.
+_SK105_ROOTS = frozenset({_TEMPORAL_BASE, "ClockSketchKind"})
+
 
 def _base_names(cls: ast.ClassDef) -> Set[str]:
     names: Set[str] = set()
@@ -358,7 +363,7 @@ def _base_names(cls: ast.ClassDef) -> Set[str]:
 def _rule_sk105(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding]:
     classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     # Resolve (single-module) transitive subclasses of the temporal base.
-    sketchy: Set[str] = {_TEMPORAL_BASE}
+    sketchy: Set[str] = set(_SK105_ROOTS)
     changed = True
     while changed:
         changed = False

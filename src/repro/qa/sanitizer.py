@@ -78,9 +78,6 @@ SAMPLE = 64
 #: A serialize round-trip is verified every this many mutations.
 ROUNDTRIP_EVERY = 512
 
-_SERIALIZABLE = {"ClockBloomFilter", "ClockBitmap", "ClockCountMin",
-                 "ClockTimeSpanSketch"}
-
 
 def enabled() -> bool:
     """Is the environment-variable sanitizer switch on?"""
@@ -133,9 +130,10 @@ def check_clock(clock: Any) -> None:
 
 def check_roundtrip(sketch: Any) -> None:
     """Assert a sketch serialises and restores bit-identically."""
-    if type(sketch).__name__ not in _SERIALIZABLE:
-        return
     from .. import serialize
+    from ..core import KINDS
+    if type(sketch) not in KINDS:
+        return
     clone = serialize.loads_sketch(serialize.dumps_sketch(sketch))
     checks: List[Tuple[str, bool]] = [
         ("clock.values", bool(np.array_equal(clone.clock.values,
@@ -350,12 +348,6 @@ _AGGREGATE_READERS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def _sketch_classes() -> List[type]:
-    from ..core import (ClockBitmap, ClockBloomFilter, ClockCountMin,
-                        ClockTimeSpanSketch)
-    return [ClockBloomFilter, ClockBitmap, ClockCountMin, ClockTimeSpanSketch]
-
-
 def _clock_class() -> type:
     from ..core.clockarray import ClockArray
     return ClockArray
@@ -369,13 +361,17 @@ def _build_patches() -> List[Tuple[type, str, Callable[..., Any]]]:
         orig = clock_cls.__dict__.get(name)
         if orig is not None:
             patches.append((clock_cls, name, _wrap_clock(name, orig)))
-    for cls in _sketch_classes():
+    from ..core import KINDS
+    # The kinds share their insert/insert_many: wrap each method where
+    # it is defined, once.
+    writers = dict.fromkeys(
+        (next(c for c in cls.__mro__ if name in c.__dict__), name)
+        for cls in KINDS for name in ("insert", "insert_many"))
+    for owner, name in writers:
+        wrap = _wrap_insert if name == "insert" else _wrap_insert_many
+        patches.append((owner, name, wrap(owner.__dict__[name])))
+    for cls in KINDS:
         cls_name = cls.__name__
-        for name in ("insert", "insert_many"):
-            orig = cls.__dict__.get(name)
-            if orig is not None:
-                wrap = _wrap_insert if name == "insert" else _wrap_insert_many
-                patches.append((cls, name, wrap(orig)))
         for (owner, name), dead in _SCALAR_DEAD.items():
             if owner == cls_name and name in cls.__dict__:
                 patches.append((cls, name,
@@ -400,7 +396,7 @@ _saved: List[Tuple[type, str, Callable[..., Any]]] = []
 
 
 def install() -> None:
-    """Patch ClockArray and the four sketches process-wide (re-entrant).
+    """Patch ClockArray and the four kinds process-wide (re-entrant).
 
     Nested ``install()`` calls stack; the patches are removed when
     :func:`uninstall` has been called as many times as :func:`install`.

@@ -304,6 +304,7 @@ class ShardedSketch(ClockSketchBase):
         self.selector = shard_set.selector
         self.shards = shard_set.shards
         self.window = self.replicas[0].window
+        self._positive_times = self.replicas[0]._positive_times
         self._cache: Any = None
         self._cache_version = -1
 
@@ -435,7 +436,7 @@ class ShardedSketch(ClockSketchBase):
             shard_set.barrier(now, ctx=sp.ctx)
             replicas = self.replicas
             first = replicas[0]
-            idx = first._query_index(items)
+            idx = first._batch_cells(items)
             cells = zip(*(replica._cells(idx) for replica in replicas))
             return first._answer(now, *first._union(*map(np.stack, cells)))
 

@@ -91,6 +91,15 @@ class TestScoping:
         assert {f.rule for f in lint_source(load("sk105_bad.py"), cold)} \
             == {"SK105"}
 
+    def test_sk105_checks_subclasses_of_the_kind_base(self):
+        # The four kinds subclass ClockSketchKind in their own modules.
+        source = ("from repro.core.base import ClockSketchKind\n\n\n"
+                  "class HalfKind(ClockSketchKind):\n"
+                  "    def query(self, item, t=None):\n"
+                  "        return 0\n")
+        findings = lint_source(source, "src/repro/core/half.py")
+        assert [(f.rule, f.line) for f in findings] == [("SK105", 4)]
+
     def test_sk106_exempts_test_modules(self):
         cold = "src/repro/contrib/fixture.py"
         assert {f.rule for f in lint_source(load("sk106_bad.py"), cold)} \

@@ -9,11 +9,16 @@ healthy sketches run under the sanitizer with bit-identical results.
 import numpy as np
 import pytest
 
-from repro.core import (ClockBitmap, ClockBloomFilter, ClockCountMin,
+from repro.core import (KINDS, ClockBitmap, ClockBloomFilter, ClockCountMin,
                         ClockTimeSpanSketch)
 from repro.qa import sanitizer
 from repro.qa.sanitizer import SanitizerError
 from repro.timebase import count_window, time_window
+
+
+def _defining(cls, name):
+    """The class in ``cls``'s MRO whose namespace defines ``name``."""
+    return next(c for c in cls.__mro__ if name in vars(c))
 
 
 def make_bf(**kwargs):
@@ -162,17 +167,29 @@ def _skip_if_globally_installed():
 class TestInstallModes:
     def test_install_uninstall_restore_originals(self):
         _skip_if_globally_installed()
-        orig_insert = ClockBloomFilter.__dict__["insert"]
+        owner = _defining(ClockBloomFilter, "insert")
+        orig_insert = owner.__dict__["insert"]
         sanitizer.install()
         sanitizer.install()
         try:
-            assert ClockBloomFilter.__dict__["insert"] is not orig_insert
+            assert owner.__dict__["insert"] is not orig_insert
             sanitizer.uninstall()
             # Still installed: refcounted.
-            assert ClockBloomFilter.__dict__["insert"] is not orig_insert
+            assert owner.__dict__["insert"] is not orig_insert
         finally:
             sanitizer.uninstall()
-        assert ClockBloomFilter.__dict__["insert"] is orig_insert
+        assert owner.__dict__["insert"] is orig_insert
+
+    def test_install_wraps_every_kinds_writers(self):
+        _skip_if_globally_installed()
+        writers = [(kind, name) for kind in KINDS
+                   for name in ("insert", "insert_many")]
+        with sanitizer.sanitized():
+            for kind, name in writers:
+                assert hasattr(getattr(kind, name), "__wrapped__"), \
+                    (kind.__name__, name)
+        for kind, name in writers:
+            assert not hasattr(getattr(kind, name), "__wrapped__")
 
     def test_context_manager_catches_and_restores(self):
         orig_touch = type(make_bf().clock).__dict__["touch"]

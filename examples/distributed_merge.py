@@ -42,8 +42,8 @@ def main() -> None:
     # time, then merge.
     barrier = float(stream.times[-1])
     for sketch in filters + bitmaps:
+        sketch.stream_clock.query(barrier)
         sketch.clock.advance(barrier)
-        sketch._now = barrier
 
     merged_filter = filters[0].merge(filters[1]).merge(filters[2])
     merged_bitmap = bitmaps[0].merge(bitmaps[1]).merge(bitmaps[2])

@@ -94,7 +94,7 @@ class CounterVectorSketch(ClockSketchBase):
 
     def insert(self, item, t=None) -> None:
         """Set the item's counter to the maximum, then decay randomly."""
-        prev = self._now
+        prev = self.now
         now = self._insert_time(t)
         self._decay(now - prev)
         self.counters[self.deriver.indexes(item)[0]] = self.max_count
@@ -108,14 +108,14 @@ class CounterVectorSketch(ClockSketchBase):
         else:
             time_iter = iter(np.asarray(times, dtype=float))
         for cell in cells:
-            prev = self._now
+            prev = self.now
             now = self._insert_time(next(time_iter))
             self._decay(now - prev)
             self.counters[cell] = self.max_count
 
     def estimate(self, t=None, strict: bool = False) -> CardinalityEstimate:
         """Linear-counting estimate over non-zero counters."""
-        prev = self._now
+        prev = self.now
         now = self._query_time(t)
         self._decay(now - prev)
         zero = int(np.count_nonzero(self.counters == 0))

@@ -104,7 +104,7 @@ class TimingBloomFilter(ClockSketchBase):
 
     def insert(self, item, t=None) -> None:
         """Stamp the item's cells with the wrapped current time."""
-        prev = self._now
+        prev = self.now
         now = self._insert_time(t)
         self._scan(now, now - prev)
         idx = self.deriver.indexes(item)
@@ -120,7 +120,7 @@ class TimingBloomFilter(ClockSketchBase):
         else:
             time_iter = iter(np.asarray(times, dtype=float))
         for row in matrix:
-            prev = self._now
+            prev = self.now
             now = self._insert_time(next(time_iter))
             self._scan(now, now - prev)
             self.cells[row] = int(now) % self._modulus
@@ -134,14 +134,14 @@ class TimingBloomFilter(ClockSketchBase):
 
     def contains(self, item, t=None) -> bool:
         """Is the item's batch active? All k cells must be in-window."""
-        prev = self._now
+        prev = self.now
         now = self._query_time(t)
         self._scan(now, now - prev)
         return bool(np.all(self._active_cells(self.deriver.indexes(item), now)))
 
     def contains_many(self, keys, t=None) -> np.ndarray:
         """Vectorised :meth:`contains` over an integer key array."""
-        prev = self._now
+        prev = self.now
         now = self._query_time(t)
         self._scan(now, now - prev)
         matrix = self.deriver.bulk(np.asarray(keys))

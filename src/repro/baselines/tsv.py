@@ -66,14 +66,12 @@ class TimestampVector(ClockSketchBase):
         keys = np.asarray(keys)
         cells = self.deriver.bulk_single(keys)
         if self.window.is_count_based:
-            start = self._items_inserted
+            start = self.items_inserted
             stamp = np.arange(start + 1, start + len(keys) + 1, dtype=np.float64)
-            self._items_inserted += len(keys)
-            self._now = float(self._items_inserted)
         else:
             stamp = np.asarray(times, dtype=np.float64)
-            self._items_inserted += len(keys)
-            self._now = float(stamp[-1]) if len(stamp) else self._now
+        if len(stamp):
+            self.stream_clock.commit(len(keys), stamp[-1])
         np.maximum.at(self.cells, cells, stamp)
 
     def estimate(self, t=None, strict: bool = False) -> CardinalityEstimate:

@@ -2,11 +2,11 @@
 
 Each application (activeness, cardinality, time span, size) is a
 classic sketch whose cells carry ``s``-bit clock cells, driven by one
-:class:`~repro.core.clockarray.ClockArray`. Two base classes split the
+:class:`~repro.core.clockarray.ClockArray`. Three classes split the
 work:
 
-- :class:`ClockSketchBase` holds the temporal conventions, which the
-  baselines and the sharded facade share:
+- :class:`StreamClock` holds a stream's time and item count and the
+  temporal rules, in one place for every sketch that reads it:
 
   - **Count-based** windows: the ``i``-th inserted item arrives at time
     ``i`` (1-based); ``insert`` takes no timestamp and queries default
@@ -14,10 +14,13 @@ work:
   - **Time-based** windows: every ``insert`` must carry a timestamp,
     and queries may carry one (defaulting to the latest time seen).
 
+- :class:`ClockSketchBase` reads its time from a stream clock, which
+  the baselines and the sharded facade share with the kinds; it builds
+  ``insert``/``insert_many`` from a writer's ``_write_one``/``_write``.
 - :class:`ClockSketchKind` is the base of the four kinds. A kind
   declares its fields, cell arrays, merge, answer and write rules once;
-  the kind base builds ``insert``/``insert_many``, ``snapshot``,
-  ``merge`` and ``metrics`` from them.
+  the kind base builds its writers, ``snapshot``, ``merge`` and
+  ``metrics`` from them.
 
 The cleaning pointer is advanced lazily to the operation's time before
 the operation executes, which reproduces the paper's concurrent
@@ -38,188 +41,242 @@ from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 
 
-class ClockSketchBase:
-    """Temporal bookkeeping shared by the kinds, the baselines and the
-    sharded facade."""
+_COUNT_TAKES_NO_TIME = ("count-based sketches take no insert timestamp; "
+                        "time is the item count")
 
-    #: Sharding escape hatch: a count-based sketch normally derives item
-    #: times from its own insert counter, but a shard replica sees only
-    #: a subsequence of the stream and must be told each item's *global*
-    #: arrival position. The shard router flips this flag on its
-    #: replicas so ``_insert_times_many`` accepts an explicit ``times``
-    #: array even for count-based windows (validated, non-decreasing);
-    #: plain sketches keep rejecting one.
-    _accepts_global_times = False
 
-    #: Insert times must be positive: the time-span kind's stamp 0
-    #: marks an empty cell. A sharded facade copies its kind's flag.
-    _positive_times = False
+class StreamClock:
+    """One stream's time and item count, and the one copy of its rules.
 
-    def __init__(self, window: WindowSpec):
+    A standalone sketch owns one; a monitor's tasks share one, and so
+    do a shard set's slots, so every task answers at one time and a
+    batch lands at one position on all of them. Every time is checked
+    against each sketch the clock drives (``sketches``): it must be
+    finite and reachable by that sketch's sweep schedule
+    (:meth:`~repro.core.clockarray.ClockArray.reaches`), and positive
+    where a driven kind needs it (``_positive_times``). A time one
+    schedule refuses moves none of them.
+
+    Stream times are non-decreasing: a time equal to the current one is
+    allowed (ties are routine, batches of items often share one
+    timestamp). A batch is resolved before any writer runs and
+    committed once after all of them (:meth:`ingest`).
+    """
+
+    def __init__(self, window: WindowSpec, sketches=()):
         self.window = window
-        self._items_inserted = 0
-        self._now = 0.0
+        self.now = 0.0
+        self.items = 0
+        #: The sketches whose sweep schedules bound every time.
+        self.sketches = []
+        self.positive = False
+        #: A shard replica: count-based, yet told each item's *global*
+        #: arrival position, since it sees only a subsequence of the
+        #: stream. The routers set it so :meth:`resolve` accepts an
+        #: explicit, strictly increasing ``times`` array.
+        self.replica = False
+        for sketch in sketches:
+            self.drive(sketch)
 
-    @property
-    def items_inserted(self) -> int:
-        """Number of items inserted so far."""
-        return self._items_inserted
+    def drive(self, sketch) -> None:
+        """Bound every later time by ``sketch``'s schedule too."""
+        self.sketches.append(sketch)
+        self.positive = self.positive or sketch._positive_times
 
-    @property
-    def now(self) -> float:
-        """The current stream time (item count or timestamp)."""
-        return self._now
+    @classmethod
+    def shared(cls, sketches) -> "StreamClock":
+        """One clock, at the first sketch's position, that every sketch
+        in ``sketches`` now reads."""
+        clock = cls(sketches[0].window, sketches)
+        clock.now, clock.items = sketches[0].now, sketches[0].items_inserted
+        for sketch in sketches:
+            sketch.stream_clock = clock
+        return clock
 
-    def _insert_time(self, t) -> float:
-        """Resolve and record the time of an insert.
+    def ingest(self, writers, items, times) -> None:
+        """Resolve a batch's times once, write it through every writer
+        (``_write``), then commit it once."""
+        resolved = self.resolve(len(items), times)
+        if len(resolved):
+            for writer in writers:
+                writer._write(items, resolved)
+            self.commit(len(resolved), resolved[-1])
 
-        Stream times are non-decreasing: ``t`` equal to the current time
-        is explicitly allowed (ties are routine — batches of items often
-        share one timestamp); a time :meth:`_check_insert_times` refuses
-        raises :class:`~repro.errors.TimeError` before anything moves.
-        """
+    def ingest_one(self, writers, item, t) -> None:
+        """The one-item :meth:`ingest`, through each ``_write_one``."""
+        now = self.resolve_one(t)
+        for writer in writers:
+            writer._write_one(item, now)
+        self.commit(1, now)
+
+    def commit(self, count: int, last) -> None:
+        """Record ``count`` applied items, the last arriving at ``last``."""
+        self.items += count
+        self.now = float(last)
+
+    def resolve_one(self, t) -> float:
+        """The arrival time of one insert at ``t``; moves nothing."""
         if self.window.is_count_based:
             if t is not None:
-                raise TimeError(
-                    "count-based sketches take no insert timestamp; "
-                    "time is the item count"
-                )
-            self._items_inserted += 1
-            self._now = float(self._items_inserted)
-            if _obs.ENABLED:
-                _obs.record_insert(type(self).__name__)
-            return self._now
+                raise TimeError(_COUNT_TAKES_NO_TIME)
+            return float(self.items + 1)
         if t is None:
             raise TimeError("time-based sketches require an insert timestamp")
-        self._check_insert_times(t, t)
-        self._items_inserted += 1
-        self._now = float(t)
-        if _obs.ENABLED:
-            _obs.record_insert(type(self).__name__)
-        return self._now
+        self.check_insert(t, t)
+        return float(t)
 
-    def _insert_times_many(self, count: int, times) -> np.ndarray:
-        """Resolve a whole batch of insert times in one vectorised pass.
-
-        The array twin of :meth:`_insert_time`: applies the same
-        temporal rules to ``count`` items at once and returns the
-        per-item arrival times as ``float64``, *without* mutating the
-        sketch — callers commit the batch once it is applied, so a
-        rejected batch leaves the sketch untouched.
+    def resolve(self, count: int, times) -> np.ndarray:
+        """A batch's per-item arrival times as ``float64``; moves nothing.
 
         Count-based windows take ``times=None`` (items arrive at
         consecutive counts); time-based windows require a finite,
         non-decreasing ``times`` array whose first entry is not before
-        the current time. Ties — runs of equal timestamps — are allowed, exactly as
-        in the scalar path.
+        the current time.
         """
-        if self.window.is_count_based:
-            if times is not None and not self._accepts_global_times:
-                raise TimeError(
-                    "count-based sketches take no insert timestamp; "
-                    "time is the item count"
-                )
-            if times is not None:
-                # A shard replica receiving global arrival positions:
-                # validate exactly like the time-based path so the step
-                # schedule stays the plain sketch's integer arithmetic.
-                resolved = np.asarray(times, dtype=np.float64)
-                if resolved.ndim != 1 or resolved.shape[0] != count:
-                    raise ConfigurationError(
-                        f"times must align with the {count} items, "
-                        f"got shape {resolved.shape}"
-                    )
-                if count:
-                    if resolved[0] <= self._now:
-                        raise TimeError(
-                            f"global arrival positions must advance: "
-                            f"{resolved[0]} <= {self._now}"
-                        )
-                    if np.any(resolved[1:] <= resolved[:-1]):
-                        raise TimeError(
-                            "global arrival positions must be strictly "
-                            "increasing within a batch"
-                        )
-                return resolved
-            start = self._items_inserted
+        if self.window.is_count_based and times is None:
+            start = self.items
             return np.arange(start + 1, start + count + 1, dtype=np.float64)
         if times is None:
             raise ConfigurationError("time-based insert_many requires times")
+        if self.window.is_count_based and not self.replica:
+            raise TimeError(_COUNT_TAKES_NO_TIME)
         resolved = np.asarray(times, dtype=np.float64)
         if resolved.ndim != 1 or resolved.shape[0] != count:
             raise ConfigurationError(
                 f"times must align with the {count} items, "
                 f"got shape {resolved.shape}"
             )
-        if count:
-            if not np.isfinite(resolved).all():
-                raise TimeError("insert times must be finite")
-            self._check_insert_times(float(resolved[0]), float(resolved[-1]))
-            if np.any(resolved[1:] < resolved[:-1]):
+        if not count:
+            return resolved
+        if self.window.is_count_based:
+            # A replica's global arrival positions keep the step
+            # schedule the plain sketch's integer arithmetic.
+            if resolved[0] <= self.now:
                 raise TimeError(
-                    "insert times must be non-decreasing within a batch"
+                    f"global arrival positions must advance: "
+                    f"{resolved[0]} <= {self.now}"
                 )
+            if np.any(resolved[1:] <= resolved[:-1]):
+                raise TimeError(
+                    "global arrival positions must be strictly "
+                    "increasing within a batch"
+                )
+            return resolved
+        if not np.isfinite(resolved).all():
+            raise TimeError("insert times must be finite")
+        self.check_insert(float(resolved[0]), float(resolved[-1]))
+        if np.any(resolved[1:] < resolved[:-1]):
+            raise TimeError("insert times must be non-decreasing within a batch")
         return resolved
 
-    def _check_insert_times(self, first, last) -> None:
+    def check_insert(self, first, last) -> None:
         """Raise :class:`~repro.errors.TimeError` unless a time-based
-        run of inserts from ``first`` to ``last`` can be applied.
-
-        The one insert-time rule: the scalar and batch paths run it, and
-        so does a monitor over all its tasks, before any state moves.
-        ``last`` must be finite and reachable (:meth:`_check_time`);
-        ``first`` may equal the current time but not precede it, and
-        must be positive where the kind needs it (``_positive_times``).
-        """
-        self._check_time(last, "insert")
-        if first < self._now:
+        run of inserts from ``first`` to ``last`` can be applied:
+        ``last`` passes :meth:`check`, ``first`` may equal the current
+        time but not precede it, and is positive where a driven kind
+        needs it."""
+        self.check(last, "insert")
+        if first < self.now:
             raise TimeError(
-                f"time moved backwards: {first} < {self._now} "
+                f"time moved backwards: {first} < {self.now} "
                 "(equal timestamps are allowed; strictly smaller are not)"
             )
-        if self._positive_times and first <= 0:
+        if self.positive and first <= 0:
             raise TimeError("time-span sketch requires positive stream times")
 
-    def _schedule_clock(self):
-        """The clock array whose sweep schedule this sketch's times drive."""
-        return getattr(self, "clock", None)
-
-    def _check_time(self, t, what: str) -> None:
+    def check(self, t, what: str) -> None:
         """Raise :class:`~repro.errors.TimeError` unless ``t`` is finite
-        and the sweep schedule has a step target for it (see
-        :meth:`~repro.core.clockarray.ClockArray.reaches`). Runs before
-        any state moves."""
+        and every driven sweep schedule has a step target for it."""
         if not math.isfinite(t):
             raise TimeError(f"{what} time must be finite, got {t}")
-        clock = self._schedule_clock()
-        if clock is not None and not clock.reaches(t):
-            raise TimeError(
-                f"{what} time {t} is out of range: its sweep step count "
-                "overflows"
-            )
+        for sketch in self.sketches:
+            if not sketch.clock.reaches(t):
+                raise TimeError(
+                    f"{what} time {t} is out of range: its sweep step "
+                    "count overflows"
+                )
 
-    def _query_time(self, t) -> float:
-        """Resolve the time of a query (defaults to the latest time).
+    def query(self, t) -> float:
+        """Resolve a query's time (defaults to the current time).
 
-        An explicit future ``t`` fast-forwards the structure: for
-        count-based windows it also advances the item counter, so later
-        inserts continue from the queried instant (the stream idled).
+        An explicit later ``t`` fast-forwards the stream, for every
+        sketch the clock drives or, if any refuses it, for none: a
+        count-based stream's item count rises with it, so later inserts
+        continue from the queried instant (the stream idled). Each
+        sketch's cells catch up at its next operation.
         """
         if t is None:
-            if _obs.ENABLED:
-                _obs.record_query(type(self).__name__)
-            return self._now
-        self._check_time(t, "query")
+            return self.now
+        self.check(t, "query")
         if self.window.is_count_based and t != int(t):
             raise TimeError(f"count-based query time must be an integer, got {t}")
-        if t < self._now:
-            raise TimeError(f"time moved backwards: {t} < {self._now}")
-        self._now = float(t)
+        if t < self.now:
+            raise TimeError(f"time moved backwards: {t} < {self.now}")
+        self.now = float(t)
         if self.window.is_count_based:
-            self._items_inserted = max(self._items_inserted, int(t))
+            self.items = max(self.items, int(t))
+        return self.now
+
+
+class ClockSketchBase:
+    """Temporal bookkeeping shared by the kinds, the baselines and the
+    sharded facade: each reads its time from its :class:`StreamClock`."""
+
+    #: Insert times must be positive: the time-span kind's stamp 0
+    #: marks an empty cell.
+    _positive_times = False
+
+    def __init__(self, window: WindowSpec):
+        self.window = window
+        self.stream_clock = StreamClock(window)
+
+    @property
+    def items_inserted(self) -> int:
+        """Number of items inserted so far."""
+        return self.stream_clock.items
+
+    @property
+    def now(self) -> float:
+        """The current stream time (item count or timestamp)."""
+        return self.stream_clock.now
+
+    def insert(self, item, t=None) -> None:
+        """Record one occurrence of ``item`` (at time ``t`` if time-based).
+
+        The batch-size-1 case of :meth:`insert_many` (bit-identical
+        final state, property-tested), kept as a direct scalar path so
+        single-item callers skip the batch machinery.
+        """
+        self.stream_clock.ingest_one((self,), item, t)
+
+    def insert_many(self, items, times=None) -> None:
+        """Insert a batch of items.
+
+        ``items`` may be an integer key array (fully vectorised
+        hashing) or any sequence of hashable stream items. ``times`` is
+        required for time-based windows and must be non-decreasing.
+        The final state is bit-identical to the equivalent loop of
+        :meth:`insert` calls on the exact sweep modes; with a deferred
+        cleaner, inserts are chunk-vectorised under that mode's relaxed
+        window guarantee.
+        """
+        self.stream_clock.ingest((self,), items, times)
+
+    def _insert_time(self, t) -> float:
+        """Resolve and commit one insert's time (the baselines' path)."""
+        now = self.stream_clock.resolve_one(t)
+        self.stream_clock.commit(1, now)
+        if _obs.ENABLED:
+            _obs.record_insert(type(self).__name__)
+        return now
+
+    def _query_time(self, t) -> float:
+        """Resolve a query's time on the stream clock (see
+        :meth:`StreamClock.query`)."""
+        now = self.stream_clock.query(t)
         if _obs.ENABLED:
             _obs.record_query(type(self).__name__)
-        return self._now
+        return now
 
 
 class ClockSketchKind(ClockSketchBase):
@@ -256,6 +313,7 @@ class ClockSketchKind(ClockSketchBase):
 
     def __init__(self, window: WindowSpec):
         super().__init__(window)
+        self.stream_clock.drive(self)
         self.engine = BatchEngine(self)
 
     def _cells(self, idx) -> tuple:
@@ -294,28 +352,16 @@ class ClockSketchKind(ClockSketchBase):
             self.clock, rows.ravel(), np.repeat(steps, rows.shape[1]),
             end_steps, count_cleaned=count_cleaned)
 
-    def insert(self, item, t=None) -> None:
-        """Record one occurrence of ``item`` (at time ``t`` if time-based).
-
-        The batch-size-1 case of :meth:`insert_many` (bit-identical
-        final state, property-tested), kept as a direct scalar path so
-        single-item callers skip the batch machinery.
-        """
-        now = self._insert_time(t)
+    def _write_one(self, item, now: float) -> None:
+        """Write one item at its resolved arrival time (scalar path)."""
         self.clock.advance(now)
         self._apply(self._item_cells(item), now)
+        if _obs.ENABLED:
+            _obs.record_insert(type(self).__name__)
 
-    def insert_many(self, items, times=None) -> None:
-        """Insert a batch of items through the batch engine.
-
-        ``items`` may be an integer key array (fully vectorised
-        hashing) or any sequence of hashable stream items. ``times`` is
-        required for time-based windows and must be non-decreasing.
-        The final state is bit-identical to the equivalent loop of
-        :meth:`insert` calls on the exact sweep modes; with a deferred
-        cleaner, inserts are chunk-vectorised under that mode's relaxed
-        window guarantee.
-        """
+    def _write(self, items, times: np.ndarray) -> None:
+        """Write a batch at its resolved arrival times through the
+        batch engine."""
         self.engine.ingest(self._batch_cells(items), times, items)
 
     @staticmethod
@@ -439,8 +485,8 @@ class ClockSketchKind(ClockSketchBase):
             getattr(self, name)[:] = image
         if other.clock.now > self.clock.now:
             self.clock.sync_state(other.clock.now, self.clock.steps_done)
-        self._now = max(self._now, other._now)
-        self._items_inserted += other._items_inserted
+        self.stream_clock.commit(other.items_inserted,
+                                 max(self.now, other.now))
 
     def _copy_state_into(self, clone) -> None:
         """Copy clock cells, cell arrays and temporal bookkeeping into a
@@ -455,8 +501,8 @@ class ClockSketchKind(ClockSketchBase):
         clone.clock.sync_state(self.clock.now, self.clock.steps_done)
         for name in self._CELL_FIELDS:
             getattr(clone, name)[:] = getattr(self, name)
-        clone._now = self._now
-        clone._items_inserted = self._items_inserted
+        clone.stream_clock.now = self.now
+        clone.stream_clock.items = self.items_inserted
 
     def memory_bits(self) -> int:
         """Accounted footprint in bits (clock cells only, per §4.1)."""

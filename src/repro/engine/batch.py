@@ -2,11 +2,11 @@
 
 :class:`BatchEngine` is the one place that knows how to turn "a batch
 of items with their arrival times" into sketch state. Every sketch owns
-an engine and hands :meth:`BatchEngine.ingest` its pre-hashed cells;
-the engine resolves the batch's arrival times in bulk
-(:meth:`~repro.core.base.ClockSketchBase._insert_times_many`), picks an
-application strategy, and commits the sketch's temporal bookkeeping
-once the batch is applied. What a write does beside the clock is the
+an engine and hands :meth:`BatchEngine.ingest` its pre-hashed cells
+and the arrival times its stream clock resolved
+(:meth:`~repro.core.base.StreamClock.ingest`, which also commits the
+batch once every writer has applied it); the engine picks an
+application strategy. What a write does beside the clock is the
 kind's own rule (:class:`~repro.core.base.ClockSketchKind`): ``_apply``
 writes a run of items no sweep step separates, ``_fuse`` is its closed
 form.
@@ -56,8 +56,8 @@ class BatchEngine:
     ----------
     sketch:
         The owning :class:`~repro.core.base.ClockSketchKind` instance.
-        The engine reads its window and clock, applies its write rules,
-        and is the only writer of its temporal counters during a batch.
+        The engine reads its window and clock and applies its write
+        rules.
     """
 
     __slots__ = ("sketch", "tap")
@@ -72,19 +72,18 @@ class BatchEngine:
         #: attribute check per batch.
         self.tap = None
 
-    def ingest(self, cells: np.ndarray, times=None, items=None) -> None:
-        """Apply a batch: ``cells`` is its ``(N, k)`` cell matrix.
+    def ingest(self, cells: np.ndarray, times_arr: np.ndarray,
+               items=None) -> None:
+        """Apply a non-empty batch: ``cells`` is its ``(N, k)`` cell matrix.
 
-        Rows are in arrival order (bitmaps pass ``k = 1``); ``times``
-        follows ``insert_many``'s contract; ``items`` is the original
-        stream batch, forwarded to the audit tap when one is installed.
+        Rows are in arrival order (bitmaps pass ``k = 1``); ``times_arr``
+        holds the items' resolved, validated arrival times; ``items`` is
+        the original stream batch, forwarded to the audit tap when one
+        is installed.
         """
         sketch = self.sketch
         clock = sketch.clock
         count = len(cells)
-        times_arr = sketch._insert_times_many(count, times)
-        if not count:
-            return
         if self.tap is not None and items is not None:
             self.tap(items, times_arr)
         started = perf_counter() if _obs.ENABLED else 0.0
@@ -99,7 +98,6 @@ class BatchEngine:
                                        _obs.ENABLED)
                 clock.sync_state(float(times_arr[-1]), end_steps,
                                  cleaned=cleaned)
-                self._commit(times_arr)
                 path = "fused"
             else:
                 self._ingest_loop(cells, times_arr)
@@ -112,14 +110,8 @@ class BatchEngine:
             _obs.record_batch(type(sketch).__name__, count, path,
                               perf_counter() - started)
 
-    def _commit(self, times_arr: np.ndarray) -> None:
-        """Record a fully-applied batch in the sketch's bookkeeping."""
-        sketch = self.sketch
-        sketch._items_inserted += len(times_arr)
-        sketch._now = float(times_arr[-1])
-
     def _ingest_loop(self, cells: np.ndarray, times_arr: np.ndarray) -> None:
-        """Reference path: per-item advance + ``_apply``, then commit.
+        """Reference path: per-item advance + ``_apply``.
 
         This is the library's one deliberate scalar loop over a stream
         batch — the semantic ground truth the fused path is
@@ -131,14 +123,13 @@ class BatchEngine:
             now = float(now)
             clock.advance(now)
             apply(row, now)
-        self._commit(times_arr)
 
     def _ingest_deferred(self, cells: np.ndarray,
                          times_arr: np.ndarray) -> None:
         """Deferred-mode path: one ``_apply`` per cleaning-circle chunk.
 
         Within one cleaning circle, touch order cannot affect deferred
-        sweeps, so each chunk is committed, advanced, and applied
+        sweeps, so each chunk is advanced and applied
         wholesale — the pure-Python stand-in for the paper's
         unsynchronised SIMD cleaning thread. Semantics (including the
         relaxed window guarantee at its edge) match the sweep mode's
@@ -151,8 +142,6 @@ class BatchEngine:
         pos = 0
         while pos < total:
             end = min(pos + chunk, total)
-            sketch._items_inserted += end - pos
-            sketch._now = float(times_arr[end - 1])
-            clock.advance(sketch._now)
+            clock.advance(float(times_arr[end - 1]))
             sketch._apply(cells[pos:end], times_arr[pos:end, None])
             pos = end

@@ -30,6 +30,7 @@ from .core import (
     ClockCountMin,
     ClockTimeSpanSketch,
 )
+from .core.base import StreamClock
 from .errors import ConfigurationError
 from .hashing import key_id, key_ids
 from .obs import names as _names
@@ -171,15 +172,20 @@ class ItemBatchMonitor:
     def _adopt(self, sketches, shard_set=None) -> None:
         """Install one built structure per enabled task, in task order.
 
-        With ``shard_set`` the structures are its views: they share one
-        ingest path, so the monitor feeds only the first.
+        The tasks share one stream clock (:attr:`stream_clock`). With
+        ``shard_set`` the structures are its views: they share the
+        set's clock and one ingest path, so the monitor feeds only the
+        first.
         """
         for task, sketch in zip(self.tasks, sketches):
             setattr(self, self._TASK_ATTRS[task], sketch)
         self._sketches = list(sketches)
         self._writers = self._sketches
         self.shards = 1
-        if shard_set is not None:
+        if shard_set is None:
+            self.stream_clock = StreamClock.shared(self._sketches)
+        else:
+            self.stream_clock = shard_set.stream_clock
             self._writers = self._sketches[:1]
             self.shards = shard_set.shards
 
@@ -237,15 +243,12 @@ class ItemBatchMonitor:
     def observe(self, key, t=None) -> None:
         """Record one occurrence of ``key`` in every enabled structure."""
         kid = key_id(key)
-        if t is not None and not self.window.is_count_based:
-            self._check_times(t, t)
-        for sketch in self._writers:
-            sketch.insert(kid, t)
+        self.stream_clock.ingest_one(self._writers, kid, t)
         auditor = self._auditor
         if auditor is not None:
             # The scalar path bypasses the batch engine (and its tap),
             # so feed the sampler directly with the resolved time.
-            auditor.ingest_one(kid, self._sketches[0].now)
+            auditor.ingest_one(kid, self.stream_clock.now)
             if auditor.due:
                 auditor.audit()
 
@@ -255,34 +258,18 @@ class ItemBatchMonitor:
         Semantically identical to calling :meth:`observe` per item
         (the batch engine is bit-identical to the scalar path), but
         maps each key to its id once and applies the updates vectorized.
+        The stream clock resolves and checks the batch's times once, for
+        every task, before any task moves.
         """
         with _trace.span(_names.SPAN_MONITOR_OBSERVE) as sp:
             ids = key_ids(keys)
             if sp.recording:
                 sp.set("items", len(ids))
                 sp.set("sketches", len(self._sketches))
-            if times is not None and not self.window.is_count_based:
-                # Validate once, as floats, before any task moves.
-                times = self._sketches[0]._insert_times_many(len(ids), times)
-                if len(times):
-                    self._check_times(float(times[0]), float(times[-1]))
-            for sketch in self._writers:
-                sketch.insert_many(ids, times)
+            self.stream_clock.ingest(self._writers, ids, times)
             auditor = self._auditor
             if auditor is not None and auditor.due:
                 auditor.audit()
-
-    def _check_times(self, first, last) -> None:
-        """Reject inserts at ``first..last`` if any task refuses them.
-
-        Tasks differ in cells and circles (one time can overflow one
-        task's step count and not another's), in kind (the span task
-        needs positive times), and in stream time (a timed per-task
-        query such as ``active_batches(t)`` advances only its task).
-        Checking every task first keeps an insert all-or-nothing.
-        """
-        for sketch in self._sketches:
-            sketch._check_insert_times(first, last)
 
     def observe_stream(self, stream) -> None:
         """Feed a whole :class:`~repro.streams.Stream` (bulk paths)."""
@@ -312,9 +299,11 @@ class ItemBatchMonitor:
         return self._require("span_sketch", "span").query(key_id(key), t)
 
     def report(self, key, t=None) -> BatchReport:
-        """Combined answer from every enabled per-key task."""
+        """Combined answer from every enabled per-key task, all at ``t``
+        (default: the current stream time)."""
         kid = key_id(key)
-        active = (self.activeness.contains(kid, t)
+        self.stream_clock.query(t)
+        active = (self.activeness.contains(kid)
                   if self.activeness is not None else None)
         size = (self.size_sketch.query(kid)
                 if self.size_sketch is not None else None)

@@ -6,8 +6,7 @@ facts and dominators (:mod:`repro.qa.flow.cfg`), a cross-module call
 graph (:mod:`repro.qa.flow.callgraph`), and four rules
 (:mod:`repro.qa.flow.rules`):
 
-- **SK108** lock dominance over wrapped-sketch and shard-replica state
-  (deepens and replaces sketch-lint's SK104);
+- **SK108** lock dominance over wrapped-sketch and shard-replica state;
 - **SK109** fault-path completeness in ``shard/``, ``engine/`` and
   ``serve/``;
 - **SK110** kernel purity (no obs/env/globals/I-O,

@@ -11,8 +11,7 @@ shard replica state must follow a quiescence point (``drain`` /
 ``barrier`` / ``join``) or run in a single-owner context (``__init__``,
 a ``kind = "serial"`` router, a worker-process function). Dynamic
 ``getattr`` forwards are only clean under a proven membership test
-against a module-level frozen string allowlist. Replaces sketch-lint's
-SK104.
+against a module-level frozen string allowlist.
 
 ``SK109`` **fault-path completeness** — in ``shard/``, ``engine/``
 and ``serve/``
@@ -58,7 +57,7 @@ _MUTABLE_REPLICA_ATTRS = frozenset({
     "clock", "timestamps", "counters", "values",
     "insert", "insert_many", "snapshot", "merge", "_cells",
     "advance", "flush", "sync_state", "load_values",
-    "_now", "_items_inserted", "items_inserted", "now",
+    "stream_clock", "items_inserted", "now",
 })
 
 #: Calls that establish quiescence: after one of these returns, every

@@ -54,10 +54,8 @@ SK107
     profiler's wrapping. Deliberate exceptions carry
     ``# sketchlint: kernel-ok``.
 
-The historical SK104 (ThreadSafeSketch lock discipline) was absorbed
-into the flow analyzer's SK108 (:mod:`repro.qa.flow.rules`), which
-checks the same discipline with real control-flow dominance — plus
-shard-replica quiescence — instead of a per-statement pattern.
+Lock discipline is checked by the flow analyzer's SK108
+(:mod:`repro.qa.flow.rules`), with real control-flow dominance.
 """
 
 from __future__ import annotations

@@ -245,9 +245,9 @@ def _wrap_clock(name: str, orig: Callable[..., Any]) -> Callable[..., Any]:
 
 def _wrap_insert(orig: Callable[..., Any]) -> Callable[..., Any]:
     @functools.wraps(orig)
-    def wrapper(self: Any, item: Any, t: Any = None) -> Any:
-        result = orig(self, item, t)
-        _record_insert(self, item, float(self.now))
+    def wrapper(self: Any, item: Any, now: float) -> Any:
+        result = orig(self, item, now)
+        _record_insert(self, item, float(now))
         _after_mutation(self)
         return result
     return wrapper
@@ -262,19 +262,10 @@ def _batch_sample(count: int) -> List[int]:
 
 def _wrap_insert_many(orig: Callable[..., Any]) -> Callable[..., Any]:
     @functools.wraps(orig)
-    def wrapper(self: Any, items: Any, times: Any = None) -> Any:
-        pre_count = int(self.items_inserted)
+    def wrapper(self: Any, items: Any, times: Any) -> Any:
         result = orig(self, items, times)
-        count = len(items)
-        if count:
-            count_based = self.window.is_count_based
-            times_arr = None if times is None else np.asarray(times)
-            for i in _batch_sample(count):
-                if count_based or times_arr is None:
-                    t = float(pre_count + 1 + i)
-                else:
-                    t = float(times_arr[i])
-                _record_insert(self, items[i], t)
+        for i in _batch_sample(len(items)):
+            _record_insert(self, items[i], float(times[i]))
         _after_mutation(self)
         return result
     return wrapper
@@ -340,6 +331,9 @@ _BATCH_DEAD: Dict[Tuple[str, str], Callable[[Any], Any]] = {
         lambda r: ~np.asarray(r.active, dtype=bool),
 }
 
+#: The kinds' writers (scalar, batch) and their wrappers.
+_WRITERS = {"_write_one": _wrap_insert, "_write": _wrap_insert_many}
+
 _CLOCK_METHODS = ("advance", "sync_state", "flush", "touch", "load_values",
                   "reset")
 
@@ -362,14 +356,14 @@ def _build_patches() -> List[Tuple[type, str, Callable[..., Any]]]:
         if orig is not None:
             patches.append((clock_cls, name, _wrap_clock(name, orig)))
     from ..core import KINDS
-    # The kinds share their insert/insert_many: wrap each method where
-    # it is defined, once.
+    # The kinds share their writers, which every insert path (a
+    # sketch's own, a monitor's, a shard replica's) runs with resolved
+    # times: wrap each where it is defined, once.
     writers = dict.fromkeys(
         (next(c for c in cls.__mro__ if name in c.__dict__), name)
-        for cls in KINDS for name in ("insert", "insert_many"))
+        for cls in KINDS for name in _WRITERS)
     for owner, name in writers:
-        wrap = _wrap_insert if name == "insert" else _wrap_insert_many
-        patches.append((owner, name, wrap(owner.__dict__[name])))
+        patches.append((owner, name, _WRITERS[name](owner.__dict__[name])))
     for cls in KINDS:
         cls_name = cls.__name__
         for (owner, name), dead in _SCALAR_DEAD.items():
@@ -455,11 +449,8 @@ def sanitize_sketch(sketch: Any) -> Any:
         if name not in sketch.__dict__:
             sketch.__dict__[name] = types.MethodType(wrapper, sketch)
 
-    for name in ("insert", "insert_many"):
-        orig = getattr(cls, name, None)
-        if orig is not None:
-            wrap = _wrap_insert if name == "insert" else _wrap_insert_many
-            bind(name, wrap(orig))
+    for name, wrap in _WRITERS.items():
+        bind(name, wrap(getattr(cls, name)))
     for (owner, name), dead in _SCALAR_DEAD.items():
         if owner == cls_name and hasattr(cls, name):
             bind(name, _wrap_scalar_reader(getattr(cls, name), dead))

@@ -98,6 +98,11 @@ def _payload(sketch: Sketch) -> "dict[str, Any]":
     kind = type(sketch).__name__
     if kind not in _KINDS:
         raise ConfigurationError(f"cannot serialise {kind}")
+    if sketch.now > sketch.clock.now:
+        # A timed query through a stream clock this sketch shares moved
+        # its time on; sweep its cells there, as its next operation
+        # would, so the payload's cells and cleaner match its time.
+        sketch.clock.advance(sketch.now)
     length, wkind = _window_fields(sketch.window)
     payload: "dict[str, Any]" = {
         "kind": np.array(kind),
@@ -135,8 +140,8 @@ def _restore_sharded(payload: "Mapping[str, Any]") -> Any:
     shard_set = ShardSet([_restore_replicas(payload)],
                          seed=int(payload["selector_seed"]),
                          router=str(payload["router_kind"]))
-    shard_set.now = float(payload["now"])
-    shard_set.items_inserted = int(payload["items_inserted"])
+    shard_set.stream_clock.now = float(payload["now"])
+    shard_set.stream_clock.items = int(payload["items_inserted"])
     return shard_set.views()[0]
 
 
@@ -172,8 +177,8 @@ def _restore(payload: "Mapping[str, Any]") -> Sketch:
     sketch.clock.load_values(payload["clock_values"])
     sketch.clock._steps_done = int(payload["steps_done"])
     sketch.clock._now = float(payload["now"])
-    sketch._now = float(payload["now"])
-    sketch._items_inserted = int(payload["items_inserted"])
+    sketch.stream_clock.now = float(payload["now"])
+    sketch.stream_clock.items = int(payload["items_inserted"])
     return sketch
 
 

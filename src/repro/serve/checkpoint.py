@@ -245,6 +245,7 @@ def _assemble_monitor(
         [replicas for replicas, _, _ in parts], seed=config.seed,
         router=config.router, queue_capacity=config.queue_capacity,
         timeout=config.timeout)
-    _, shard_set.now, shard_set.items_inserted = parts[0]
+    stream = shard_set.stream_clock
+    _, stream.now, stream.items = parts[0]
     monitor._adopt(shard_set.views(), shard_set)
     return monitor

@@ -286,7 +286,8 @@ class IngestService:
                 payload = protocol.ok_response(
                     op, count=count, position=tenant.position)
             elif op == "QUERY":
-                payload = protocol.ok_response(op, **tenant.query(request.key))
+                payload = protocol.ok_response(
+                    op, **tenant.query(request.key, request.t))
             elif op == "STATS":
                 payload = protocol.ok_response(op, tenant=tenant.stats())
             else:  # CHECKPOINT

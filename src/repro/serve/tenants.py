@@ -142,8 +142,7 @@ class Tenant:
     def position(self) -> float:
         """The tenant's stream position (items for count windows,
         stream time otherwise)."""
-        # All enabled sketches advance in lockstep; read the first.
-        return float(self.monitor._sketches[0].now)
+        return float(self.monitor.stream_clock.now)
 
     @property
     def quarantined(self) -> bool:
@@ -198,11 +197,13 @@ class Tenant:
         self.commands += 1
         return len(keys)
 
-    def query(self, key: Any) -> "Dict[str, Any]":
-        """The combined per-key report, as wire-ready fields."""
+    def query(self, key: Any, t: "Optional[float]" = None
+              ) -> "Dict[str, Any]":
+        """The combined per-key report at ``t`` (default: the stream
+        position), as wire-ready fields."""
         self.ensure_healthy()
         try:
-            report = self.monitor.report(key)
+            report = self.monitor.report(key, t)
         except ShardWorkerError as exc:
             self.quarantine(exc)
             raise

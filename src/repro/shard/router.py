@@ -38,14 +38,13 @@ worker applying its sub-batches to every slot of its shard.
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager, nullcontext
 from time import perf_counter
 from typing import Any
 
 import numpy as np
 
-from ..core.base import ClockSketchBase
+from ..core.base import ClockSketchBase, StreamClock
 from ..core import KINDS
 from ..errors import ConfigurationError
 from ..hashing import ShardSelector, key_ids
@@ -90,8 +89,8 @@ def advance_replica(replica: Any, now: float, flush: bool) -> None:
         clock.advance(now)
     if flush and clock.is_deferred:
         clock.flush()
-    if now > replica._now:
-        replica._now = float(now)
+    if now > replica.stream_clock.now:
+        replica.stream_clock.now = float(now)
 
 
 class SerialShardRouter:
@@ -113,7 +112,7 @@ class SerialShardRouter:
         self.slots = int(slots)
         self.shards = len(self.replicas) // self.slots
         for replica in self.replicas:
-            replica._accepts_global_times = True
+            replica.stream_clock.replica = True
 
     def ingest(self, shard: int, items: Any, times: np.ndarray,
                ctx: Any = None) -> None:
@@ -155,7 +154,8 @@ class ShardSet:
         Forwarded to :class:`~repro.shard.workers.ProcessShardRouter`
         (ignored by the serial router); ``None`` takes its default.
 
-    The set carries the one stream clock all its slots share; read and
+    The set carries the one stream clock all its slots share
+    (``stream_clock``, bounded by every slot's sweep schedule); read and
     feed it through :meth:`views`.
     """
 
@@ -178,10 +178,11 @@ class ShardSet:
                 for by_shard in replicas]
         self.selector = ShardSelector(
             self.shards, seed=first.seed if seed is None else seed)
-        #: Each slot's clock array, read only for its immutable sweep
-        #: schedule (cells, circles, window) through ``reaches``; the
-        #: cell values are the router's to write.
-        self.schedules = [by_shard[0].clock for by_shard in replicas]
+        #: Bounded by each slot's shard-0 replica, read only for its
+        #: immutable sweep schedule (``clock.reaches``); the cell values
+        #: are the router's to write.
+        self.stream_clock = StreamClock(
+            first.window, [by_shard[0] for by_shard in replicas])
         self.router: Any
         if router == "serial":
             self.router = SerialShardRouter(flat, self.slots)
@@ -200,8 +201,6 @@ class ShardSet:
             raise ConfigurationError(
                 f"unknown router {router!r}; use 'serial' or 'process'"
             )
-        self.now = 0.0
-        self.items_inserted = 0
         #: Bumped by every ingest; merged views cache per version.
         self.version = 0
         self._synced: "tuple[int, float] | None" = None
@@ -225,9 +224,10 @@ class ShardSet:
                 "prototype must be pristine (no inserts, cleaner at "
                 "step 0); pass a factory or a freshly built sketch"
             )
-        # In-memory copies: every replica owns its arrays (the process
-        # router then binds them into its shard's block).
-        return cls([[copy.deepcopy(prototype) for _ in range(shards)]
+        # In-memory copies: every replica owns its arrays and its stream
+        # clock (the process router then binds them into its shard's
+        # block).
+        return cls([[prototype.snapshot() for _ in range(shards)]
                     for prototype in prototypes], **options)
 
     def views(self) -> "list[ShardedSketch]":
@@ -304,64 +304,41 @@ class ShardedSketch(ClockSketchBase):
         self.selector = shard_set.selector
         self.shards = shard_set.shards
         self.window = self.replicas[0].window
-        self._positive_times = self.replicas[0]._positive_times
+        self.stream_clock = shard_set.stream_clock
         self._cache: Any = None
         self._cache_version = -1
-
-    # The stream clock lives on the set: every slot shares it.
-
-    @property
-    def _now(self) -> float:
-        return self.shard_set.now
-
-    @_now.setter
-    def _now(self, value: float) -> None:
-        self.shard_set.now = value
-
-    @property
-    def _items_inserted(self) -> int:
-        return self.shard_set.items_inserted
-
-    @_items_inserted.setter
-    def _items_inserted(self, value: int) -> None:
-        self.shard_set.items_inserted = value
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
 
-    def insert(self, item: Any, t: "float | None" = None) -> None:
-        """Insert one item: a one-item :meth:`insert_many`."""
-        self.insert_many([item], None if t is None else [t])
-
-    def insert_many(self, items: Any, times: Any = None) -> None:
-        """Insert a batch: resolve times once, scatter by shard hash.
+    def _write(self, items: Any, times: np.ndarray) -> None:
+        """Scatter a batch at its resolved times by shard hash.
 
         Keys become their uint64 ids first, so routing, scatter and the
         worker hand-off move one array. Each shard's sub-batch preserves
         stream order and carries the items' *global* arrival times, so
-        every replica cleans on the plain sketch's exact schedule.
+        every replica cleans on the plain sketch's exact schedule; each
+        replica applies it to every slot of its shard.
         """
         items = key_ids(items)
-        count = len(items)
-        times_arr = self._insert_times_many(count, times)
-        if not count:
-            return
         shard_set = self.shard_set
         router = self.router
         with _trace.span(_names.SPAN_SHARD_SCATTER) as sp:
             if sp.recording:
-                sp.set("items", count)
+                sp.set("items", len(items))
                 sp.set("shards", shard_set.shards)
             shard_ids = shard_set.selector.shards_of(items)
             for shard, sub_items, sub_times in \
-                    _kernels.scatter_by_shard(items, times_arr, shard_ids):
+                    _kernels.scatter_by_shard(items, times, shard_ids):
                 router.ingest(shard, sub_items, sub_times, ctx=sp.ctx)
-        shard_set.items_inserted += count
-        shard_set.now = float(times_arr[-1])
         shard_set.version += 1
         if _obs.ENABLED:
-            _obs.record_insert(type(self).__name__, count)
+            _obs.record_insert(type(self).__name__, len(items))
+
+    def _write_one(self, item: Any, now: float) -> None:
+        """One item: a one-item :meth:`_write`."""
+        self._write([item], np.array([now], dtype=np.float64))
 
     # ------------------------------------------------------------------
     # Merged global view
@@ -389,8 +366,8 @@ class ShardedSketch(ClockSketchBase):
             view = replicas[0].snapshot()
             for other in replicas[1:]:
                 view.merge(other)
-        view._now = float(now)
-        view._items_inserted = self._items_inserted
+        view.stream_clock.now = float(now)
+        view.stream_clock.items = self.items_inserted
         self._cache = view
         self._cache_version = shard_set.version
         return view
@@ -481,10 +458,6 @@ class ShardedSketch(ClockSketchBase):
         """The merged view's clock (plain sketches expose ``.clock``)."""
         return self.merged().clock
 
-    def _schedule_clock(self) -> Any:
-        # Every replica sweeps on the plain sketch's schedule; no merge.
-        return self.shard_set.schedules[self.slot]
-
     def memory_bits(self) -> int:
         """Total accounted footprint across all shards, in bits."""
         return sum(r.memory_bits() for r in self.replicas)
@@ -508,7 +481,7 @@ class ShardedSketch(ClockSketchBase):
             "router": self.router.kind,
             "memory_bits": self.memory_bits(),
             "shard_memory_bits": self.shard_memory_bits(),
-            "items_inserted": self._items_inserted,
+            "items_inserted": self.items_inserted,
             "queue_depths": [self.router.queue_depth(p)
                              for p in range(self.shards)],
         }
@@ -547,4 +520,4 @@ class ShardedSketch(ClockSketchBase):
         kind = type(self.replicas[0]).__name__
         return (f"ShardedSketch(kind={kind}, shards={self.shards}, "
                 f"router={self.router.kind!r}, "
-                f"items={self._items_inserted})")
+                f"items={self.items_inserted})")

@@ -307,7 +307,7 @@ class ProcessShardRouter:
         """Bind a shard's block, open its two pipes, fork its worker."""
         group = self.replicas[shard * self.slots:(shard + 1) * self.slots]
         for replica in group:
-            replica._accepts_global_times = True
+            replica.stream_clock.replica = True
         block = _shared_block(group)
         self._blocks.append(block)
         command_r, command_w = os.pipe()
@@ -496,9 +496,10 @@ class ProcessShardRouter:
             clock = replica.clock
             if now > clock.now or steps > clock.steps_done:
                 clock.sync_state(max(now, clock.now), steps)
-            replica._items_inserted = items
-            if now > replica._now:
-                replica._now = now
+            stream = replica.stream_clock
+            stream.items = items
+            if now > stream.now:
+                stream.now = now
 
     def queue_depth(self, shard: int) -> int:
         """Commands dispatched to a shard and not yet acknowledged."""

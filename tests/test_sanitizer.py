@@ -9,9 +9,11 @@ healthy sketches run under the sanitizer with bit-identical results.
 import numpy as np
 import pytest
 
+from repro import ItemBatchMonitor
 from repro.core import (KINDS, ClockBitmap, ClockBloomFilter, ClockCountMin,
                         ClockTimeSpanSketch)
 from repro.qa import sanitizer
+from repro.hashing import key_id
 from repro.qa.sanitizer import SanitizerError
 from repro.timebase import count_window, time_window
 
@@ -94,6 +96,21 @@ class TestNoFalseExpiry:
         with pytest.raises(SanitizerError, match="no-false-expiry"):
             bf.contains(7)
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_erased_cells_caught_on_a_monitor(self, batch):
+        """A monitor writes its tasks at times its stream clock resolved,
+        past ``insert``/``insert_many``: those writes are checked too."""
+        with sanitizer.sanitized():
+            monitor = ItemBatchMonitor(count_window(64), memory="8KB")
+            if batch:
+                monitor.observe_many(["x", "flow"])
+            else:
+                monitor.observe("flow")
+            bf = monitor.activeness
+            bf.clock.values[np.asarray(bf.deriver.indexes(key_id("flow")))] = 0
+            with pytest.raises(SanitizerError, match="no-false-expiry"):
+                monitor.is_active("flow")
+
     def test_erased_cells_caught_by_batch_query(self):
         bf = make_bf(sanitize=True)
         bf.insert_many(np.arange(10, dtype=np.int64))
@@ -167,23 +184,23 @@ def _skip_if_globally_installed():
 class TestInstallModes:
     def test_install_uninstall_restore_originals(self):
         _skip_if_globally_installed()
-        owner = _defining(ClockBloomFilter, "insert")
-        orig_insert = owner.__dict__["insert"]
+        owner = _defining(ClockBloomFilter, "_write_one")
+        orig_insert = owner.__dict__["_write_one"]
         sanitizer.install()
         sanitizer.install()
         try:
-            assert owner.__dict__["insert"] is not orig_insert
+            assert owner.__dict__["_write_one"] is not orig_insert
             sanitizer.uninstall()
             # Still installed: refcounted.
-            assert owner.__dict__["insert"] is not orig_insert
+            assert owner.__dict__["_write_one"] is not orig_insert
         finally:
             sanitizer.uninstall()
-        assert owner.__dict__["insert"] is orig_insert
+        assert owner.__dict__["_write_one"] is orig_insert
 
     def test_install_wraps_every_kinds_writers(self):
         _skip_if_globally_installed()
         writers = [(kind, name) for kind in KINDS
-                   for name in ("insert", "insert_many")]
+                   for name in ("_write_one", "_write")]
         with sanitizer.sanitized():
             for kind, name in writers:
                 assert hasattr(getattr(kind, name), "__wrapped__"), \

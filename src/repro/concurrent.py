@@ -131,9 +131,10 @@ class ThreadSafeSketch:
         """Locked :meth:`query` (span/size sketches)."""
         return self._guarded(self.sketch.query, item, t)
 
-    def estimate(self, t: "float | None" = None) -> Any:
+    def estimate(self, t: "float | None" = None,
+                 strict: bool = False) -> Any:
         """Locked :meth:`estimate` (cardinality sketches)."""
-        return self._guarded(self.sketch.estimate, t)
+        return self._guarded(self.sketch.estimate, t, strict)
 
     def advance_clock(self, now: float) -> None:
         """Locked clock advance — the cleaner thread's entry point.

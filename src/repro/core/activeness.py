@@ -97,24 +97,11 @@ class ClockBloomFilter(ClockSketchKind):
         """Number of clock cells."""
         return self.clock.n
 
-    def contains(self, item, t=None) -> bool:
-        """Is the item's batch active? (May false-positive, never false-negative
-        within the window guarantee.)"""
-        now = self._query_time(t)
-        self.clock.advance(now)
-        return self.clock.are_nonzero(self.deriver.indexes(item))
-
-    def contains_many(self, items, t=None) -> np.ndarray:
-        """Vectorised :meth:`contains` over a batch of items."""
-        return self._read_many(items, t)
-
-    def query(self, item, t=None) -> bool:
-        """Scalar query alias: activeness of one item (see :meth:`contains`)."""
-        return self.contains(item, t)
-
-    def query_many(self, items, t=None) -> np.ndarray:
-        """Batch query alias: activeness per item (see :meth:`contains_many`)."""
-        return self.contains_many(items, t)
+    #: Is the item's batch active? May false-positive, never
+    #: false-negative within the window guarantee. The membership
+    #: names of ``query``/``query_many``.
+    contains = ClockSketchKind.query
+    contains_many = ClockSketchKind.query_many
 
     def _metric_extras(self) -> dict:
         return {"k": self.k, "s": self.s}

@@ -17,6 +17,9 @@ work:
 - :class:`ClockSketchBase` reads its time from a stream clock, which
   the baselines and the sharded facade share with the kinds; it builds
   ``insert``/``insert_many`` from a writer's ``_write_one``/``_write``.
+- :class:`ClockSketchReader` writes the one read path, ``query`` /
+  ``query_many``, for the kinds and the sharded facade: only where the
+  cells come from differs.
 - :class:`ClockSketchKind` is the base of the four kinds. A kind
   declares its fields, cell arrays, merge, answer and write rules once;
   the kind base builds its writers, ``snapshot``, ``merge`` and
@@ -279,7 +282,37 @@ class ClockSketchBase:
         return now
 
 
-class ClockSketchKind(ClockSketchBase):
+class ClockSketchReader(ClockSketchBase):
+    """The one read path (paper §4.1-4.4): take the query time, read the
+    key's cells at that time, apply the kind's answer formula.
+
+    A reader declares where its cells come from (``_read``) and whose
+    rules apply (``_kind``: cell layout, ``_answer``). A kind reads its
+    own cells; a sharded view reads the union of its replicas' cells,
+    of which a plain sketch is the one-replica case.
+    """
+
+    def query(self, item, t=None):
+        """The answer for one item at time ``t`` (default: now).
+
+        Row 0 of :meth:`query_many`'s answer, from the item's cells
+        hashed on the scalar path, as a plain Python value: ``bool``
+        (activeness, and a bitmap's live cell), ``int`` (size) or a
+        :class:`~repro.core.timespan.TimeSpanResult`.
+        """
+        now = self._query_time(t)
+        kind = self._kind
+        return kind._answer(
+            now, *self._read(kind._item_cells(item)[None], now)).item(0)
+
+    def query_many(self, items, t=None):
+        """The answers for a batch of items at time ``t``: one row each."""
+        now = self._query_time(t)
+        kind = self._kind
+        return kind._answer(now, *self._read(kind._batch_cells(items), now))
+
+
+class ClockSketchKind(ClockSketchReader):
     """The base of the four kinds: one declaration per kind.
 
     A kind declares its constructor fields, its cell arrays beside the
@@ -319,7 +352,7 @@ class ClockSketchKind(ClockSketchBase):
     def _cells(self, idx) -> tuple:
         """The cell images at ``idx``: clock values, then each field."""
         return (self.clock.values[idx],
-                *(getattr(self, name)[idx] for name in self._CELL_FIELDS))
+                *[getattr(self, name)[idx] for name in self._CELL_FIELDS])
 
     def _item_cells(self, item) -> np.ndarray:
         """One item's cells, as an int64 array."""
@@ -382,13 +415,17 @@ class ClockSketchKind(ClockSketchBase):
     @staticmethod
     def _answer(now, values):
         # Active iff every hashed clock of the item is non-zero.
-        return np.all(values > 0, axis=1)
+        return values.all(axis=1)
 
-    def _read_many(self, items, t):
-        """Advance to the query time, then answer from the items' cells."""
-        now = self._query_time(t)
+    @property
+    def _kind(self):
+        # A kind's reads apply its own rules.
+        return self
+
+    def _read(self, idx, now) -> tuple:
+        """The cells at ``idx`` cleaned up to ``now``: one replica's union."""
         self.clock.advance(now)
-        return self._answer(now, *self._cells(self._batch_cells(items)))
+        return self._cells(idx)
 
     def snapshot(self):
         """Deep copy of the current state (cells, cleaner, bookkeeping).

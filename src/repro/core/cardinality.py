@@ -68,6 +68,11 @@ def linear_counting_estimate(zero_cells: int, total_cells: int,
 class ClockBitmap(ClockSketchKind):
     """Clock-sketch for item batch cardinality (BM+clock).
 
+    ``query``/``query_many`` tell whether each item's single cell is
+    live: a crude per-item view of the zero/non-zero pattern that
+    :meth:`estimate` aggregates, where collisions alias freely (a
+    bitmap, not a filter).
+
     Examples
     --------
     >>> from repro.timebase import count_window
@@ -108,27 +113,6 @@ class ClockBitmap(ClockSketchKind):
 
     def _batch_cells(self, items) -> np.ndarray:
         return self.deriver.bulk_single(items)[:, None]
-
-    def query(self, item, t=None) -> bool:
-        """Scalar twin of :meth:`query_many`: is the item's single cell live?
-
-        Subject to the same free aliasing — this is a bitmap, not a
-        filter — but matching the batch API keeps every sketch's
-        scalar/batch surface symmetric.
-        """
-        now = self._query_time(t)
-        self.clock.advance(now)
-        return self.clock.are_nonzero(self.deriver.indexes(item)[:1])
-
-    def query_many(self, items, t=None) -> np.ndarray:
-        """Crude per-item activity view: is each item's single cell live?
-
-        One hash per item means collisions alias freely — this is a
-        bitmap, not a filter — but the zero/non-zero pattern is exactly
-        what :meth:`estimate` aggregates, exposed per item for
-        diagnostics and batch pipelines.
-        """
-        return self._read_many(items, t)
 
     def estimate(self, t=None, strict: bool = False) -> CardinalityEstimate:
         """Estimate the number of active item batches at time ``t``."""

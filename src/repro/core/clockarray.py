@@ -366,10 +366,6 @@ class ClockArray:
         view[:] = self.values
         self.values = view
 
-    def are_nonzero(self, indexes) -> bool:
-        """True if every given cell currently holds a non-zero clock."""
-        return bool(np.all(self.values[indexes] > 0))
-
     def count_zero(self) -> int:
         """Number of cells currently at zero (used by bitmap estimation)."""
         return int(np.count_nonzero(self.values == 0))

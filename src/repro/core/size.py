@@ -130,7 +130,7 @@ class ClockCountMin(ClockSketchKind):
     def _item_cells(self, item) -> np.ndarray:
         """The item's flat cell in each row (distinct: one per row)."""
         kid = key_id(item)
-        return np.array([row * self.width + deriver.indexes(kid)[0]
+        return np.array([row * self.width + deriver.first(kid)
                          for row, deriver in enumerate(self._derivers)],
                         dtype=np.int64)
 
@@ -174,20 +174,11 @@ class ClockCountMin(ClockSketchKind):
             np.repeat(steps, rows.shape[1]), end_steps,
             count_cleaned=count_cleaned)
 
-    def query(self, item, t=None) -> int:
-        """Estimated size of the item's active batch (0 when inactive)."""
-        now = self._query_time(t)
-        self.clock.advance(now)
-        return int(self.counters[self._item_cells(item)].min())
-
-    def query_many(self, items, t=None) -> np.ndarray:
-        """Vectorised :meth:`query` over a batch of items."""
-        return self._read_many(items, t)
-
     @staticmethod
     def _answer(now, values, counters) -> np.ndarray:
-        # The Count-Min minimum over the d rows.
-        return np.min(counters, axis=1).astype(np.int64)
+        # The Count-Min minimum over the d rows: the estimated size of
+        # the item's active batch (0 when inactive).
+        return counters.min(axis=1).astype(np.int64)
 
     def _union(self, values, counters) -> tuple:
         """Clocks max; counters sum.

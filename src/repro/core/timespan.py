@@ -58,8 +58,8 @@ class TimeSpanBatchResult:
 
     Arrays align with the queried items: ``active`` is boolean;
     ``span``/``begin`` are float64 and hold NaN where the batch is
-    inactive. Indexing yields the scalar :class:`TimeSpanResult` for
-    one item.
+    inactive. Indexing (or ``item(i)``, as on a numpy answer) yields
+    the scalar :class:`TimeSpanResult` for one item.
     """
 
     active: np.ndarray
@@ -75,6 +75,8 @@ class TimeSpanBatchResult:
         return TimeSpanResult(
             active=True, span=float(self.span[i]), begin=float(self.begin[i])
         )
+
+    item = __getitem__
 
 
 class ClockTimeSpanSketch(ClockSketchKind):
@@ -153,34 +155,16 @@ class ClockTimeSpanSketch(ClockSketchKind):
             self.clock, self.timestamps, rows.ravel(), np.repeat(steps, k),
             np.repeat(stamps, k), end_steps, count_cleaned=count_cleaned)
 
-    def query(self, item, t=None) -> TimeSpanResult:
-        """Time span of the item's batch at time ``t`` (or the latest time)."""
-        now = self._query_time(t)
-        self.clock.advance(now)
-        idxs = self.deriver.indexes(item)
-        if not self.clock.are_nonzero(idxs):
-            return TimeSpanResult(active=False)
-        begin = float(np.max(self.timestamps[idxs]))
-        return TimeSpanResult(active=True, span=now - begin, begin=begin)
-
-    def query_many(self, items, t=None) -> TimeSpanBatchResult:
-        """Vectorised :meth:`query` over a batch of items.
-
-        Item ``i`` gets exactly the scalar answer: active iff all its
-        ``k`` clocks are non-zero, with ``begin`` the newest of its
-        hashed timestamps and ``span = t - begin``; inactive items hold
-        NaN in both float arrays.
-        """
-        return self._read_many(items, t)
-
     @staticmethod
     def _answer(now, values, timestamps) -> TimeSpanBatchResult:
-        active = np.all(values > 0, axis=1)
-        begin = np.max(timestamps, axis=1)
-        span = now - begin
+        # Active iff all k clocks are non-zero, with ``begin`` the
+        # newest of the hashed timestamps and ``span = t - begin``;
+        # inactive items hold NaN in both float arrays.
+        active = values.all(axis=1)
+        begin = timestamps.max(axis=1)
         begin[~active] = np.nan
-        span[~active] = np.nan
-        return TimeSpanBatchResult(active=active, span=span, begin=begin)
+        return TimeSpanBatchResult(active=active, span=now - begin,
+                                   begin=begin)
 
     @staticmethod
     def _union(values, timestamps) -> tuple:

@@ -193,6 +193,10 @@ class IndexDeriver:
         n = self.n
         return [(h1 + i * h2) % n for i in range(self.k)]
 
+    def first(self, item) -> int:
+        """``indexes(item)[0]``, ``h1 mod n``: a one-hash row's cell."""
+        return (self.base_hash(item) & 0xFFFFFFFF) % self.n
+
     def base_hashes_many(self, items) -> np.ndarray:
         """64-bit base hashes for a batch: the array twin of :meth:`base_hash`."""
         return bulk_base_hashes(key_ids(items), self.seed)

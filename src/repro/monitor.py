@@ -312,10 +312,12 @@ class ItemBatchMonitor:
             result = self.span_sketch.query(kid)
             if result.active:
                 span, begin = result.span, result.begin
-            elif active is None:
-                active = False
         if active is None:
-            active = span is not None
+            # Count-Min erases a counter when its clock expires, so a
+            # non-zero size means every row's cell is live, as the span
+            # task's k clocks are.
+            active = (span is not None if self.span_sketch is not None
+                      else bool(size))
         if not active:
             size, span, begin = None, None, None
         return BatchReport(key=key, active=bool(active), size=size,

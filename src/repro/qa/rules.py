@@ -24,11 +24,15 @@ SK103
     enforceable in one place.
 SK105
     Every sketch subclass of :class:`~repro.core.base.ClockSketchBase`
-    (or of its kind base :class:`~repro.core.base.ClockSketchKind`)
-    defines *matched* scalar/batch API pairs: ``insert``/``insert_many``,
-    ``query``/``query_many``, ``contains``/``contains_many``. Half a
-    pair means some callers silently fall off the vectorised path (or
-    have no scalar reference to property-test against).
+    (or of its reader and kind bases) defines *matched* scalar/batch
+    API pairs: ``insert``/``insert_many``, ``query``/``query_many``,
+    ``contains``/``contains_many``. Half a pair means some callers
+    silently fall off the vectorised path (or have no scalar reference
+    to property-test against). The kinds and the sharded facade hold
+    by construction (both pairs are written once, on
+    :class:`~repro.core.base.ClockSketchReader`; the Bloom filter's
+    ``contains`` pair are aliases); the rule keeps checking the
+    baselines, which write their own.
 SK106
     Metric registration sites (``repro.obs.runtime.series``, the
     ``counter`` / ``gauge`` / ``histogram`` registrars and ``timed``
@@ -344,9 +348,11 @@ _API_PAIRS: Tuple[Tuple[str, str], ...] = (
 
 _TEMPORAL_BASE = "ClockSketchBase"
 
-#: Bases whose subclasses SK105 checks: the temporal base, and the kind
-#: base the four kinds subclass in their own modules.
-_SK105_ROOTS = frozenset({_TEMPORAL_BASE, "ClockSketchKind"})
+#: Bases whose subclasses SK105 checks: the temporal base, and the
+#: reader and kind bases the kinds and the sharded facade subclass in
+#: their own modules.
+_SK105_ROOTS = frozenset({_TEMPORAL_BASE, "ClockSketchReader",
+                          "ClockSketchKind"})
 
 
 def _base_names(cls: ast.ClassDef) -> Set[str]:

@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 import numpy as np
 
 from ..errors import ReproError, _notify_flight
+from ..hashing import key_ids
 
 __all__ = [
     "SanitizerError",
@@ -176,13 +177,7 @@ def _guarantee_age(sketch: Any) -> float:
     return max(0.0, window - slack)
 
 
-def _key(item: Any) -> Any:
-    if isinstance(item, np.generic):
-        return item.item()
-    return item
-
-
-def _recent(sketch: Any) -> "OrderedDict[Any, float]":
+def _recent(sketch: Any) -> "OrderedDict[int, float]":
     table = getattr(sketch, "_qa_recent", None)
     if table is None:
         table = OrderedDict()
@@ -190,34 +185,31 @@ def _recent(sketch: Any) -> "OrderedDict[Any, float]":
     return table
 
 
-def _record_insert(sketch: Any, item: Any, t: float) -> None:
-    try:
-        key = _key(item)
-        table = _recent(sketch)
-        table[key] = float(t)
-        table.move_to_end(key)
-        while len(table) > RECENT_CAP:
-            table.popitem(last=False)
-    except TypeError:
-        pass  # unhashable item; skip the spot check for it
+def _record_inserts(sketch: Any, items: Any, times: Any) -> None:
+    """Remember when each item arrived, by its key id: the id, not the
+    item, names its cells (``0`` and ``False`` have different ones)."""
+    table = _recent(sketch)
+    for kid, t in zip(key_ids(items).tolist(), times):
+        table[kid] = float(t)
+        table.move_to_end(kid)
+    while len(table) > RECENT_CAP:
+        table.popitem(last=False)
 
 
-def _check_alive(sketch: Any, item: Any, now: float) -> None:
-    try:
-        key = _key(item)
-        inserted = _recent(sketch).get(key)
-    except TypeError:
-        return
-    if inserted is None:
-        return
-    age = float(now) - inserted
+def _check_alive(sketch: Any, items: Any, now: float) -> None:
+    """Raise unless every item, read dead at ``now``, arrived outside
+    the guarantee horizon (or is not remembered)."""
+    recent = _recent(sketch)
     bound = _guarantee_age(sketch)
-    if 0.0 <= age < bound:
-        raise SanitizerError(
-            f"no-false-expiry violated: item {item!r} inserted {age:g} "
-            f"time units ago (guarantee horizon {bound:g}, window "
-            f"{sketch.window.length:g}) was reported dead"
-        )
+    for item, kid in zip(items, key_ids(items).tolist()):
+        inserted = recent.get(kid)
+        if inserted is not None and 0.0 <= now - inserted < bound:
+            raise SanitizerError(
+                f"no-false-expiry violated: item {item!r} inserted "
+                f"{now - inserted:g} time units ago (guarantee horizon "
+                f"{bound:g}, window {sketch.window.length:g}) was "
+                "reported dead"
+            )
 
 
 def _after_mutation(sketch: Any) -> None:
@@ -247,7 +239,7 @@ def _wrap_insert(orig: Callable[..., Any]) -> Callable[..., Any]:
     @functools.wraps(orig)
     def wrapper(self: Any, item: Any, now: float) -> Any:
         result = orig(self, item, now)
-        _record_insert(self, item, float(now))
+        _record_inserts(self, [item], [now])
         _after_mutation(self)
         return result
     return wrapper
@@ -264,35 +256,34 @@ def _wrap_insert_many(orig: Callable[..., Any]) -> Callable[..., Any]:
     @functools.wraps(orig)
     def wrapper(self: Any, items: Any, times: Any) -> Any:
         result = orig(self, items, times)
-        for i in _batch_sample(len(items)):
-            _record_insert(self, items[i], float(times[i]))
+        sample = _batch_sample(len(items))
+        _record_inserts(self, [items[i] for i in sample],
+                        [times[i] for i in sample])
         _after_mutation(self)
         return result
     return wrapper
 
 
-def _wrap_scalar_reader(orig: Callable[..., Any],
-                        dead: Callable[[Any], bool]) -> Callable[..., Any]:
-    @functools.wraps(orig)
-    def wrapper(self: Any, item: Any, t: Any = None) -> Any:
-        result = orig(self, item, t)
-        if dead(result):
-            _check_alive(self, item, float(self.now))
-        check_clock(self.clock)
-        return result
-    return wrapper
+def _dead(answer: Any) -> Any:
+    """Where an answer reads dead: inactive, or a zero count (a
+    Count-Min counter is erased when its clock expires)."""
+    return getattr(answer, "active", answer) == 0
 
 
-def _wrap_batch_reader(orig: Callable[..., Any],
-                       dead: Callable[[Any], Any]) -> Callable[..., Any]:
+def _wrap_reader(orig: Callable[..., Any], batch: bool) -> Callable[..., Any]:
+    from ..core import KINDS
+
     @functools.wraps(orig)
     def wrapper(self: Any, items: Any, t: Any = None) -> Any:
         result = orig(self, items, t)
-        mask = np.asarray(dead(result), dtype=bool)
-        now = float(self.now)
-        for i in np.flatnonzero(mask)[:SAMPLE]:
-            _check_alive(self, items[int(i)], now)
-        check_clock(self.clock)
+        # A sharded view shares the read path; its replicas are checked
+        # by the clock hooks its barrier runs.
+        if isinstance(self, KINDS):
+            rows = items if batch else [items]
+            _check_alive(self, [rows[int(i)] for i in
+                                np.flatnonzero(_dead(result))[:SAMPLE]],
+                         float(self.now))
+            check_clock(self.clock)
         return result
     return wrapper
 
@@ -306,40 +297,20 @@ def _wrap_aggregate_reader(orig: Callable[..., Any]) -> Callable[..., Any]:
     return wrapper
 
 
-def _not_active(result: Any) -> bool:
-    return not bool(result)
-
-
-def _zero_count(result: Any) -> bool:
-    return int(result) == 0
-
-
-_SCALAR_DEAD: Dict[Tuple[str, str], Callable[[Any], bool]] = {
-    ("ClockBloomFilter", "contains"): _not_active,
-    ("ClockBloomFilter", "query"): _not_active,
-    ("ClockBitmap", "query"): _not_active,
-    ("ClockCountMin", "query"): _zero_count,
-    ("ClockTimeSpanSketch", "query"): lambda r: not r.active,
+#: Every method of the kinds the sanitizer hooks, and its wrapper: the
+#: writers (scalar, batch), the readers and the bitmap's estimate.
+_HOOKS: Dict[str, Callable[[Callable[..., Any]], Callable[..., Any]]] = {
+    "_write_one": _wrap_insert,
+    "_write": _wrap_insert_many,
+    "query": functools.partial(_wrap_reader, batch=False),
+    "query_many": functools.partial(_wrap_reader, batch=True),
+    "contains": functools.partial(_wrap_reader, batch=False),
+    "contains_many": functools.partial(_wrap_reader, batch=True),
+    "estimate": _wrap_aggregate_reader,
 }
-
-_BATCH_DEAD: Dict[Tuple[str, str], Callable[[Any], Any]] = {
-    ("ClockBloomFilter", "contains_many"): lambda r: ~np.asarray(r, dtype=bool),
-    ("ClockBloomFilter", "query_many"): lambda r: ~np.asarray(r, dtype=bool),
-    ("ClockBitmap", "query_many"): lambda r: ~np.asarray(r, dtype=bool),
-    ("ClockCountMin", "query_many"): lambda r: np.asarray(r) == 0,
-    ("ClockTimeSpanSketch", "query_many"):
-        lambda r: ~np.asarray(r.active, dtype=bool),
-}
-
-#: The kinds' writers (scalar, batch) and their wrappers.
-_WRITERS = {"_write_one": _wrap_insert, "_write": _wrap_insert_many}
 
 _CLOCK_METHODS = ("advance", "sync_state", "flush", "touch", "load_values",
                   "reset")
-
-_AGGREGATE_READERS: Dict[str, Tuple[str, ...]] = {
-    "ClockBitmap": ("estimate",),
-}
 
 
 def _clock_class() -> type:
@@ -358,26 +329,12 @@ def _build_patches() -> List[Tuple[type, str, Callable[..., Any]]]:
     from ..core import KINDS
     # The kinds share their writers, which every insert path (a
     # sketch's own, a monitor's, a shard replica's) runs with resolved
-    # times: wrap each where it is defined, once.
-    writers = dict.fromkeys(
+    # times, and their read path: wrap each where it is defined, once.
+    owners = dict.fromkeys(
         (next(c for c in cls.__mro__ if name in c.__dict__), name)
-        for cls in KINDS for name in _WRITERS)
-    for owner, name in writers:
-        patches.append((owner, name, _WRITERS[name](owner.__dict__[name])))
-    for cls in KINDS:
-        cls_name = cls.__name__
-        for (owner, name), dead in _SCALAR_DEAD.items():
-            if owner == cls_name and name in cls.__dict__:
-                patches.append((cls, name,
-                                _wrap_scalar_reader(cls.__dict__[name], dead)))
-        for (owner, name), dead in _BATCH_DEAD.items():
-            if owner == cls_name and name in cls.__dict__:
-                patches.append((cls, name,
-                                _wrap_batch_reader(cls.__dict__[name], dead)))
-        for name in _AGGREGATE_READERS.get(cls_name, ()):
-            if name in cls.__dict__:
-                patches.append((cls, name,
-                                _wrap_aggregate_reader(cls.__dict__[name])))
+        for cls in KINDS for name in _HOOKS if hasattr(cls, name))
+    for owner, name in owners:
+        patches.append((owner, name, _HOOKS[name](owner.__dict__[name])))
     return patches
 
 
@@ -443,22 +400,9 @@ def sanitize_sketch(sketch: Any) -> Any:
             clock.__dict__[name] = types.MethodType(_wrap_clock(name, orig),
                                                     clock)
     cls = type(sketch)
-    cls_name = cls.__name__
-
-    def bind(name: str, wrapper: Callable[..., Any]) -> None:
-        if name not in sketch.__dict__:
-            sketch.__dict__[name] = types.MethodType(wrapper, sketch)
-
-    for name, wrap in _WRITERS.items():
-        bind(name, wrap(getattr(cls, name)))
-    for (owner, name), dead in _SCALAR_DEAD.items():
-        if owner == cls_name and hasattr(cls, name):
-            bind(name, _wrap_scalar_reader(getattr(cls, name), dead))
-    for (owner, name), dead in _BATCH_DEAD.items():
-        if owner == cls_name and hasattr(cls, name):
-            bind(name, _wrap_batch_reader(getattr(cls, name), dead))
-    for name in _AGGREGATE_READERS.get(cls_name, ()):
-        if hasattr(cls, name):
-            bind(name, _wrap_aggregate_reader(getattr(cls, name)))
+    for name, wrap in _HOOKS.items():
+        if hasattr(cls, name) and name not in sketch.__dict__:
+            sketch.__dict__[name] = types.MethodType(
+                wrap(getattr(cls, name)), sketch)
     sketch._qa_opt_in = True
     return sketch

@@ -10,8 +10,8 @@ by a *dedicated* shard hash (seeded independently of the index hashes,
 so routing never correlates with cell placement; see
 :mod:`repro.hashing.sharding`), computed and scattered once per batch
 for all slots. Each slot is read through a :class:`ShardedSketch`
-view. Its point and batch queries gather the queried keys' cells from
-every replica and combine just those by the kind's merge rule;
+view. It runs the kinds' one read path, with the queried keys' cells
+gathered from every replica and combined by the kind's merge rule;
 :meth:`ShardedSketch.merged` applies the same rule to whole arrays
 when a global sketch is needed (paper §7's mergeability):
 
@@ -44,7 +44,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.base import ClockSketchBase, StreamClock
+from ..core.base import ClockSketchReader, StreamClock
 from ..core import KINDS
 from ..errors import ConfigurationError
 from ..hashing import ShardSelector, key_ids
@@ -254,7 +254,7 @@ class ShardSet:
         self.router.close()
 
 
-class ShardedSketch(ClockSketchBase):
+class ShardedSketch(ClockSketchReader):
     """One slot of a :class:`ShardSet`, presented as a plain sketch.
 
     Parameters
@@ -275,12 +275,12 @@ class ShardedSketch(ClockSketchBase):
     Constructed directly, the facade is the single slot of its own
     set. The facade exposes the full sketch API — ``insert`` /
     ``insert_many`` route by shard hash and feed *every* slot of the
-    set (the slots measure one stream); ``query`` / ``query_many`` /
-    ``contains`` / ``contains_many`` combine the queried keys' cells
-    across replicas, and ``estimate`` / ``snapshot`` / ``clock`` read a
-    cached merged view of this slot (rebuilt after the next insert or
-    at a new query time). Use as a context manager to release worker
-    processes.
+    set (the slots measure one stream); ``query`` / ``query_many``
+    (and the Bloom filter's ``contains`` pair) combine the queried
+    keys' cells across replicas, and ``estimate`` / ``snapshot`` /
+    ``clock`` read a cached merged view of this slot (rebuilt after
+    the next insert or at a new query time). Use as a context manager
+    to release worker processes.
     """
 
     def __init__(self, prototype: Any, shards: int = 2, *,
@@ -303,7 +303,9 @@ class ShardedSketch(ClockSketchBase):
         self.router = shard_set.router
         self.selector = shard_set.selector
         self.shards = shard_set.shards
-        self.window = self.replicas[0].window
+        #: Shard 0's replica: the cell layout and answer formula.
+        self._kind = shard_set.router.replicas[slot]
+        self.window = self._kind.window
         self.stream_clock = shard_set.stream_clock
         self._cache: Any = None
         self._cache_version = -1
@@ -389,7 +391,7 @@ class ShardedSketch(ClockSketchBase):
     @contextmanager
     def _merge_span(self) -> Any:
         """A ``shard.merge`` span, timed into ``repro_shard_merge_seconds``."""
-        kind = type(self.replicas[0]).__name__
+        kind = type(self._kind).__name__
         started = perf_counter()
         with _trace.span(_names.SPAN_SHARD_MERGE, shards=self.shards,
                          kind=kind) as sp:
@@ -398,45 +400,20 @@ class ShardedSketch(ClockSketchBase):
             _obs.record_shard_merge(kind, self.shards,
                                     perf_counter() - started)
 
-    def _gathered(self, items: Any, t: "float | None") -> Any:
-        """:meth:`merged`'s answer for a batch, building no sketch.
+    def _read(self, idx: np.ndarray, now: float) -> "tuple[Any, ...]":
+        """:meth:`merged`'s cells at ``idx``, building no sketch.
 
-        Derives the items' cell indexes once, stacks every replica's
-        images of just those cells, and applies the kind's merge rule
-        (``_union``) and answer formula (``_answer``). A query at an
-        already synchronised time opens no span.
+        After the barrier, stacks every replica's images of just those
+        cells and applies the kind's merge rule (``_union``). A read at
+        an already synchronised time opens no span.
         """
-        now = self._query_time(t)
         shard_set = self.shard_set
         with (nullcontext(_trace.NULL_SPAN) if shard_set.synced(now)
               else self._merge_span()) as sp:
             shard_set.barrier(now, ctx=sp.ctx)
             replicas = self.replicas
-            first = replicas[0]
-            idx = first._batch_cells(items)
             cells = zip(*(replica._cells(idx) for replica in replicas))
-            return first._answer(now, *first._union(*map(np.stack, cells)))
-
-    def query(self, item: Any, t: "float | None" = None) -> Any:
-        """Query the global state for one item."""
-        answer = self._gathered([item], t)[0]
-        # numpy scalars become the plain sketch's bool / int.
-        return answer.item() if isinstance(answer, np.generic) else answer
-
-    def query_many(self, items: Any, t: "float | None" = None) -> Any:
-        """Query the global state for a batch of items."""
-        return self._gathered(items, t)
-
-    def contains(self, item: Any, t: "float | None" = None) -> bool:
-        """Membership query (Bloom-filter kind)."""
-        self.replicas[0].contains  # AttributeError, as on the other kinds
-        return self.query(item, t)
-
-    def contains_many(self, items: Any,
-                      t: "float | None" = None) -> np.ndarray:
-        """Batch membership query (Bloom-filter kind)."""
-        self.replicas[0].contains_many  # AttributeError, as on the others
-        return self._gathered(items, t)
+            return replicas[0]._union(*map(np.stack, cells))
 
     def estimate(self, t: "float | None" = None,
                  strict: bool = False) -> float:
@@ -494,12 +471,19 @@ class ShardedSketch(ClockSketchBase):
         # shared memory that worker processes may still be writing, so
         # mutable state (clock, cell arrays, engine) must go through the
         # barrier-synchronised query path, never raw delegation.
+        kind = self.__dict__.get("_kind")
+        if kind is None:
+            raise AttributeError(name)
         if name not in _FORWARDED_CONFIG:
+            # A read alias of the kind (the Bloom filter's ``contains``
+            # pair) names the facade's own read path; no other kind
+            # has one.
+            alias = getattr(getattr(type(kind), name, None), "__name__",
+                            None)
+            if alias in ("query", "query_many"):
+                return getattr(self, alias)
             raise AttributeError(name)
-        shard_set = self.__dict__.get("shard_set")
-        if shard_set is None:
-            raise AttributeError(name)
-        return getattr(shard_set.router.replicas[self.slot], name)
+        return getattr(self.shard_set.router.replicas[self.slot], name)
 
     def close(self) -> None:
         """Release the set's router resources (worker processes and
@@ -517,7 +501,7 @@ class ShardedSketch(ClockSketchBase):
         self.close()
 
     def __repr__(self) -> str:
-        kind = type(self.replicas[0]).__name__
+        kind = type(self._kind).__name__
         return (f"ShardedSketch(kind={kind}, shards={self.shards}, "
                 f"router={self.router.kind!r}, "
                 f"items={self.items_inserted})")

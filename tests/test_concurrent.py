@@ -8,7 +8,7 @@ import pytest
 
 from repro import ClockBitmap, ClockBloomFilter, time_window
 from repro.concurrent import BackgroundCleaner, ThreadSafeSketch
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EstimatorSaturatedError
 from repro.timebase import count_window
 
 
@@ -34,6 +34,16 @@ class TestThreadSafeSketch:
         shared = ThreadSafeSketch(sketch, lock=None)
         shared.insert("x", t=1.0)
         assert shared.estimate(t=2.0).value > 0
+
+    def test_estimate_forwards_strict(self):
+        sketch = ClockBitmap(n=8, s=4, window=count_window(64))
+        sketch.insert_many(np.arange(64, dtype=np.int64))
+        shared = ThreadSafeSketch(sketch)
+        assert shared.estimate(strict=False) == sketch.estimate()
+        with pytest.raises(EstimatorSaturatedError):
+            sketch.estimate(strict=True)
+        with pytest.raises(EstimatorSaturatedError):
+            shared.estimate(strict=True)
 
     def test_chunked_insert_many_matches_one_batch(self):
         # Locking per chunk must not change what a batch does.

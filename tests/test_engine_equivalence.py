@@ -26,8 +26,10 @@ from repro import (
     time_window,
 )
 from repro.concurrent import ThreadSafeSketch
+from repro.core.timespan import TimeSpanResult
 from repro.engine import batch as engine_batch
 from repro.serialize import dumps_sketch, loads_sketch
+from repro.shard import ShardedSketch
 
 SKETCHES = ["bf", "bm", "cm", "cm_cons", "ts"]
 
@@ -228,32 +230,45 @@ class TestInterleavings:
             assert_identical(batch, scalar)
 
 
+#: Stream keys over the whole key domain: ints from -2^63 to 2^64 - 1,
+#: bools, and any text, lone surrogates included.
+ANY_KEY = st.one_of(
+    st.integers(-2**63, 2**64 - 1), st.booleans(),
+    st.text(st.characters(blacklist_categories=()), max_size=8))
+
+#: The exact Python type of each kind's scalar answer.
+SCALAR_TYPES = {"bf": bool, "bm": bool, "cm": int, "ts": TimeSpanResult}
+
+
 class TestQueryMany:
-    def test_bf_query_many_matches_scalar(self):
-        bf = build("bf", count_window(32))
-        bf.insert_many(list(range(10)))
-        out = bf.query_many(list(range(20)))
-        assert out.dtype == bool
-        for i in range(20):
-            assert out[i] == bf.contains(i)
-
-    def test_cm_query_many_matches_scalar(self):
-        cm = build("cm", count_window(32))
-        cm.insert_many([1, 1, 2, 3, 3, 3])
-        out = cm.query_many([1, 2, 3, 4])
-        assert list(out) == [cm.query(k) for k in [1, 2, 3, 4]]
-
-    def test_ts_query_many_matches_scalar(self):
-        ts = build("ts", time_window(16.0))
-        ts.insert_many([1, 2, 1], [1.0, 2.0, 5.0])
-        batch = ts.query_many([1, 2, 3])
-        assert len(batch) == 3
-        for i, key in enumerate([1, 2, 3]):
-            single = ts.query(key)
-            assert batch[i].active == single.active
-            if single.active:
-                assert batch[i].span == single.span
-                assert batch[i].begin == single.begin
+    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+    @pytest.mark.parametrize("kind", ["bf", "bm", "cm", "ts"])
+    @given(keys=st.lists(ANY_KEY, min_size=1, max_size=16),
+           absent=st.lists(ANY_KEY, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_query_is_row_of_query_many(self, kind, shards, keys, absent):
+        """A scalar answer is its key's row of the batch answer, as a
+        plain Python value, on a plain and a serial-sharded sketch."""
+        sketch = build(kind, count_window(32))
+        if shards > 1:
+            sketch = ShardedSketch(sketch, shards)
+        sketch.insert_many(keys + keys[::2])
+        queried = keys + absent
+        batch = sketch.query_many(queried)
+        assert len(batch) == len(queried)
+        for i, key in enumerate(queried):
+            single = sketch.query(key)
+            assert type(single) is SCALAR_TYPES[kind]
+            if kind == "ts":
+                row = batch[i]
+                assert (single.active, single.span, single.begin) == \
+                    (row.active, row.span, row.begin)
+            else:
+                assert single == batch[i]
+            if kind == "bf":
+                assert sketch.contains(key) is single
+        if kind == "bf":
+            assert np.array_equal(sketch.contains_many(queried), batch)
 
 
 class TestUpperLayers:

@@ -145,6 +145,47 @@ class TestMeasurements:
         assert monitor.predicted_fpr() is None
 
 
+@pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+class TestSizeOnlyReport:
+    """Without the activeness and span tasks, ``report`` reads a key as
+    active exactly when its size is non-zero (Count-Min erases a counter
+    when its clock expires)."""
+
+    def test_live_key_reports_its_size(self, shards):
+        monitor = ItemBatchMonitor.sharded(count_window(64),
+                                           tasks=("size",), shards=shards)
+        monitor.observe_many(["a", "a", "a"])
+        assert monitor.batch_size("a") == 3
+        assert monitor.report("a") == BatchReport(
+            key="a", active=True, size=3, span=None, begin=None)
+
+    def test_only_expired_and_unseen_keys_are_inactive(self, shards):
+        monitor = ItemBatchMonitor.sharded(count_window(8), memory="64KB",
+                                           tasks=("size",), shards=shards)
+        monitor.observe("old")
+        monitor.observe_many([f"pad-{i}" for i in range(40)] + ["new"])
+        assert monitor.report("new") == BatchReport(
+            key="new", active=True, size=1, span=None, begin=None)
+        for key in ("old", "never"):
+            assert monitor.batch_size(key) == 0
+            assert monitor.report(key) == BatchReport(
+                key=key, active=False, size=None, span=None, begin=None)
+
+
+def test_served_size_only_query_reports_the_size():
+    from repro.serve import TenantConfig
+    from repro.serve.testing import LineClient, ServiceThread
+
+    config = TenantConfig(window_length=64, memory="16KB", tasks=("size",))
+    with ServiceThread(default_config=config) as service, \
+            LineClient.for_service(service) as client:
+        client.request({"op": "INSERT_BATCH", "tenant": "t",
+                        "keys": ["a", "a", "a"]})
+        answer = client.request({"op": "QUERY", "tenant": "t", "key": "a"})
+    assert answer["ok"]
+    assert (answer["active"], answer["size"]) == (True, 3)
+
+
 class TestAgainstGroundTruth:
     def test_stream_level_agreement(self):
         window = count_window(1024)

@@ -111,6 +111,27 @@ class TestNoFalseExpiry:
             with pytest.raises(SanitizerError, match="no-false-expiry"):
                 monitor.is_active("flow")
 
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("task", ["size", "span"])
+    def test_erased_task_cells_caught_on_a_monitor(self, task, batch):
+        """Erased Count-Min counters and erased time-span cells read dead
+        through the monitor's own per-key queries."""
+        with sanitizer.sanitized():
+            monitor = ItemBatchMonitor(count_window(64), memory="8KB")
+            if batch:
+                monitor.observe_many(["x", "flow"])
+            else:
+                monitor.observe("flow")
+            if task == "size":
+                monitor.size_sketch.counters[:] = 0
+                query = monitor.batch_size
+            else:
+                ts = monitor.span_sketch
+                ts.clock.values[ts._item_cells(key_id("flow"))] = 0
+                query = monitor.batch_span
+            with pytest.raises(SanitizerError, match="no-false-expiry"):
+                query("flow")
+
     def test_erased_cells_caught_by_batch_query(self):
         bf = make_bf(sanitize=True)
         bf.insert_many(np.arange(10, dtype=np.int64))
@@ -206,6 +227,19 @@ class TestInstallModes:
                 assert hasattr(getattr(kind, name), "__wrapped__"), \
                     (kind.__name__, name)
         for kind, name in writers:
+            assert not hasattr(getattr(kind, name), "__wrapped__")
+
+    def test_install_wraps_every_kinds_readers(self):
+        _skip_if_globally_installed()
+        readers = [(kind, name) for kind in KINDS
+                   for name in ("query", "query_many")]
+        readers += [(ClockBloomFilter, "contains"),
+                    (ClockBloomFilter, "contains_many")]
+        with sanitizer.sanitized():
+            for kind, name in readers:
+                assert hasattr(getattr(kind, name), "__wrapped__"), \
+                    (kind.__name__, name)
+        for kind, name in readers:
             assert not hasattr(getattr(kind, name), "__wrapped__")
 
     def test_context_manager_catches_and_restores(self):

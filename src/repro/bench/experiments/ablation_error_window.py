@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...core.activeness import snapshot_membership
+from ...core.activeness import ClockBloomFilter
 from ...core.params import cells_for_memory, optimal_k_membership
 from ...streams import last_occurrences
 from ...timebase import count_window
@@ -70,14 +70,13 @@ def run(quick: bool = False, seed: int = 1,
                           & (age < window_length + error_window)]
         pops = dict(populations)
         pops["recently_expired"] = recently
+        bf = ClockBloomFilter(n, k, s, window, seed)
+        bf.insert_many(keys)
         for name, query_keys in pops.items():
             if len(query_keys) == 0:
                 result.add(s=s, k=k, population=name, queries=0, fpr=None)
                 continue
-            positives = snapshot_membership(
-                keys, None, query_keys, t_query, n=n, k=k, s=s,
-                window=window, seed=seed,
-            )
+            positives = bf.query_many(query_keys, t=t_query)
             result.add(s=s, k=k, population=name, queries=len(query_keys),
                        fpr=float(np.count_nonzero(positives)) / len(query_keys))
     return result

@@ -24,24 +24,10 @@ from __future__ import annotations
 
 import itertools
 
-from ...core import (
-    ClockBitmap,
-    ClockBloomFilter,
-    ClockCountMin,
-    ClockTimeSpanSketch,
-)
 from ...serve import TenantConfig
-from ...timebase import count_window
 from ..harness import ExperimentResult, cached_trace, drive_inserts
 from ..metrics import measure_throughput
-
-#: Table 3's per-variant configurations, reused for comparability.
-CONFIGS = {
-    "bf_clock": dict(memory="8KB", window=4096, s=2),
-    "bm_clock": dict(memory="8KB", window=8192, s=8),
-    "cm_clock": dict(memory="512KB", window=16384, s=8),
-    "bf_ts_clock": dict(memory="128KB", window=4096, s=8),
-}
+from .table3_throughput import CONFIGS, build_variant
 
 #: Keys per ``observe_many`` call in the monitor rows (one wire frame).
 MONITOR_FRAME = 2000
@@ -50,24 +36,6 @@ DEFAULT_ITEMS = 1_000_000
 
 #: Items replayed through the scalar loop (per variant).
 DEFAULT_SCALAR_CAP = 50_000
-
-
-def _build(name: str, seed: int):
-    cfg = CONFIGS[name]
-    window = count_window(cfg["window"])
-    if name == "bf_clock":
-        return ClockBloomFilter.from_memory(cfg["memory"], window,
-                                            s=cfg["s"], seed=seed)
-    if name == "bm_clock":
-        return ClockBitmap.from_memory(cfg["memory"], window, s=cfg["s"],
-                                       seed=seed)
-    if name == "cm_clock":
-        return ClockCountMin.from_memory(cfg["memory"], window, s=cfg["s"],
-                                         seed=seed)
-    if name == "bf_ts_clock":
-        return ClockTimeSpanSketch.from_memory(cfg["memory"], window,
-                                               s=cfg["s"], seed=seed)
-    raise ValueError(name)
 
 
 #: Source of the ``monitor_str_fresh`` keys: never repeats in a process.
@@ -120,12 +88,12 @@ def run(quick: bool = False, seed: int = 1, n_items: int = DEFAULT_ITEMS,
         stream = cached_trace("caida", n_items=n_items,
                               window_hint=CONFIGS[name]["window"], seed=seed)
         prefix = stream.keys[: min(scalar_cap, len(stream.keys))]
-        scalar_sketch = _build(name, seed)
+        scalar_sketch = build_variant(name, seed)
         scalar_res = measure_throughput(
             lambda: drive_inserts(scalar_sketch, prefix, scalar=True),
             len(prefix),
         )
-        batch_sketch = _build(name, seed)
+        batch_sketch = build_variant(name, seed)
         batch_res = measure_throughput(
             lambda: drive_inserts(batch_sketch, stream.keys),
             len(stream.keys),

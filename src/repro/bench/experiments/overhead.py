@@ -6,7 +6,7 @@ cost, so every plane stacked on the sketches must cost at most
 workload. One harness measures all three planes (``PLANES``):
 
 - ``obs`` — the metrics switchboard off vs on, over the Table 3
-  sketches of ``batch_throughput`` (``insert_many``). The
+  sketches (``table3_throughput.build_variant``, ``insert_many``). The
   instrumentation must be nil-cost while disabled and cheap while
   enabled.
 - ``audit`` — metrics on for both sides; the plain four-task monitor
@@ -45,7 +45,7 @@ from ...obs import trace as _trace
 from ...timebase import count_window
 from ..harness import ExperimentResult, cached_trace
 from ..stats import chunked_times, interleaved_times, median, overhead_pct
-from .batch_throughput import CONFIGS, _build
+from .table3_throughput import CONFIGS, build_variant
 
 #: Documented ceiling for every plane's enabled-mode overhead.
 OVERHEAD_BUDGET_PCT = 10.0
@@ -62,7 +62,7 @@ def _obs_side(variant: str, seed: int, treated: bool) -> Any:
         _obs.enable(fresh=False)
     else:
         _obs.disable()
-    return _build(variant, seed)
+    return build_variant(variant, seed)
 
 
 def _audit_side(variant: str, seed: int, treated: bool) -> Any:

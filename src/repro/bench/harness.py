@@ -8,9 +8,9 @@ Everything the per-figure experiment modules have in common lives here:
   (dataset, size, window) instead of once per data point);
 - query-set construction for the FPR experiments;
 - algorithm drivers: one call evaluates a named algorithm on a stream
-  under a memory budget, via the vectorised snapshot paths for
-  activeness/cardinality and the incremental structures for time
-  span/size;
+  under a memory budget: the Clock-sketch kinds through their own fused
+  ``insert_many``/``query_many``, the baselines through their
+  vectorised snapshot functions;
 - vectorised ground-truth batch extraction (:func:`last_batches`).
 """
 
@@ -32,8 +32,8 @@ from ..baselines import (
 from ..baselines.swamp import TABLE_OVERHEAD
 from ..baselines.tbf import DEFAULT_COUNTER_BITS as TBF_BITS
 from ..baselines.tbf import DEFAULT_K as TBF_K
-from ..core.activeness import snapshot_membership
-from ..core.cardinality import snapshot_cardinality
+from ..core.activeness import ClockBloomFilter
+from ..core.cardinality import ClockBitmap
 from ..core.params import cells_for_memory, optimal_k_membership
 from ..datasets import get_dataset
 from ..errors import ConfigurationError
@@ -216,7 +216,8 @@ def membership_query_keys(keys: np.ndarray, times: np.ndarray, t_query: float,
 # ----------------------------------------------------------------------
 
 def _snapshot_times(times: np.ndarray, window: WindowSpec):
-    """Snapshot functions take None for count-based streams."""
+    """``insert_many`` and the snapshot functions take None for
+    count-based streams."""
     return None if window.is_count_based else times
 
 
@@ -246,10 +247,9 @@ def activeness_fpr(algorithm: str, stream: Stream, window: WindowSpec,
     if algorithm == "bf_clock":
         n = cells_for_memory(memory_bits, s)
         k_eff = k if k is not None else optimal_k_membership(n, window.length, s)
-        positives = snapshot_membership(
-            keys, snap_times, query_keys, t_query, n=n, k=k_eff, s=s,
-            window=window, seed=seed,
-        )
+        bf = ClockBloomFilter(n, k_eff, s, window, seed)
+        bf.insert_many(keys, snap_times)
+        positives = bf.query_many(query_keys, t=t_query)
     elif algorithm == "tobf":
         n = cells_for_memory(memory_bits, 64)
         positives = snapshot_timestamp_membership(
@@ -324,9 +324,9 @@ def cardinality_estimate(algorithm: str, stream: Stream, window: WindowSpec,
     if algorithm == "bm_clock":
         s_eff = s if s is not None else optimal_s_cardinality(memory_bits)
         n = cells_for_memory(memory_bits, s_eff)
-        return snapshot_cardinality(
-            keys, snap_times, t_query, n=n, s=s_eff, window=window, seed=seed
-        ).value
+        bm = ClockBitmap(n, s_eff, window, seed)
+        bm.insert_many(keys, snap_times)
+        return bm.estimate(t=t_query).value
     if algorithm == "tsv":
         n = cells_for_memory(memory_bits, 64)
         return snapshot_tsv_estimate(

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..streams import Stream
 from ..timebase import WindowSpec
-from .harness import last_batches
+from .harness import drive_inserts, effective_times, last_batches
 
 __all__ = ["replay", "timespan_error_rate", "size_are", "active_last_batches"]
 
@@ -25,13 +25,9 @@ DEFAULT_QUERY_SAMPLE = 2000
 def replay(sketch, stream: Stream, window: WindowSpec,
            limit: "int | None" = None):
     """Insert a stream prefix into a sketch; returns (keys, times) used."""
-    keys = stream.keys if limit is None else stream.keys[:limit]
-    if window.is_count_based:
-        sketch.insert_many(keys)
-        times = np.arange(1, len(keys) + 1, dtype=np.float64)
-    else:
-        times = stream.times if limit is None else stream.times[:limit]
-        sketch.insert_many(keys, times)
+    keys = stream.keys[:limit]
+    times = effective_times(stream, window)[:limit]
+    drive_inserts(sketch, keys, None if window.is_count_based else times)
     return keys, times
 
 

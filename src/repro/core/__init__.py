@@ -16,12 +16,11 @@ clock cell array with its cyclic cleaning pointer.
 """
 
 from .clockarray import ClockArray, dtype_for_bits
-from .activeness import ClockBloomFilter, snapshot_membership
+from .activeness import ClockBloomFilter
 from .cardinality import (
     CardinalityEstimate,
     ClockBitmap,
     linear_counting_estimate,
-    snapshot_cardinality,
 )
 from .timespan import ClockTimeSpanSketch, TimeSpanBatchResult, TimeSpanResult
 from .size import ClockCountMin
@@ -35,11 +34,9 @@ __all__ = [
     "ClockArray",
     "dtype_for_bits",
     "ClockBloomFilter",
-    "snapshot_membership",
     "ClockBitmap",
     "CardinalityEstimate",
     "linear_counting_estimate",
-    "snapshot_cardinality",
     "ClockTimeSpanSketch",
     "TimeSpanResult",
     "TimeSpanBatchResult",

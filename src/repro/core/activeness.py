@@ -5,29 +5,18 @@ the bit is 1 exactly when the clock is non-zero, so only the clock
 array is stored. Inserting sets the ``k`` hashed clocks to ``2^s - 1``;
 the cleaning pointer decrements them; a batch is reported active when
 all ``k`` clocks are non-zero.
-
-Two evaluation paths are provided:
-
-- :class:`ClockBloomFilter` — the faithful incremental structure.
-- :func:`snapshot_membership` — a closed-form vectorised evaluation of
-  the final clock state after a whole key stream, used by the accuracy
-  experiments (identical results, orders of magnitude faster; the
-  equivalence is enforced by property tests).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..hashing import IndexDeriver
-from ..kernels import numpy_backend as _kernels
 from ..timebase import WindowSpec
 from ..units import parse_memory
 from .base import ClockSketchKind
 from .clockarray import ClockArray
 from .params import OPTIMAL_S_MEMBERSHIP, cells_for_memory, optimal_k_membership
 
-__all__ = ["ClockBloomFilter", "snapshot_membership"]
+__all__ = ["ClockBloomFilter"]
 
 
 class ClockBloomFilter(ClockSketchKind):
@@ -112,54 +101,3 @@ class ClockBloomFilter(ClockSketchKind):
             f"window={self.window})"
         )
 
-
-def snapshot_membership(
-    keys: np.ndarray,
-    times: "np.ndarray | None",
-    query_keys: np.ndarray,
-    t_query: float,
-    n: int,
-    k: int,
-    s: int,
-    window: WindowSpec,
-    seed: int = 0,
-) -> np.ndarray:
-    """Closed-form BF+clock membership after a whole stream.
-
-    Inserts ``keys`` (count-based: ``times`` None, item ``i`` arrives at
-    ``i + 1``; time-based: ``times`` aligned with ``keys``) and returns
-    a boolean array: for each query key, whether the filter would report
-    it active at ``t_query``. Exactly matches the incremental
-    :class:`ClockBloomFilter` on the same inputs.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    deriver = IndexDeriver(n=n, k=k, seed=seed)
-    probe = ClockArray(n, s, window)  # used only for its step arithmetic
-    max_value = probe.max_value
-
-    if times is None:
-        insert_times = np.arange(1, len(keys) + 1, dtype=np.int64)
-        set_steps_per_item = (
-            insert_times * np.int64(n) * np.int64(probe.circles_per_window)
-        ) // np.int64(int(window.length))
-    else:
-        times = np.asarray(times, dtype=float)
-        set_steps_per_item = np.floor(
-            times * n * probe.circles_per_window / window.length
-        ).astype(np.int64)
-    query_steps = probe.total_steps_at(t_query)
-
-    index_matrix = deriver.bulk(keys)  # (N, k)
-    last_set = np.full(n, -1, dtype=np.int64)
-    flat_cells = index_matrix.ravel()
-    flat_steps = np.repeat(set_steps_per_item, k)
-    np.maximum.at(last_set, flat_cells, flat_steps)
-
-    values = np.zeros(n, dtype=np.int64)
-    touched = np.flatnonzero(last_set >= 0)
-    values[touched] = _kernels.snapshot_values(
-        last_set[touched], touched, n, max_value, query_steps
-    )
-
-    query_matrix = deriver.bulk(np.asarray(query_keys, dtype=np.int64))
-    return np.all(values[query_matrix] > 0, axis=1)

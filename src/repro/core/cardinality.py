@@ -16,15 +16,13 @@ import numpy as np
 
 from ..errors import EstimatorSaturatedError
 from ..hashing import IndexDeriver
-from ..kernels import numpy_backend as _kernels
 from ..timebase import WindowSpec
 from ..units import parse_memory
 from .base import ClockSketchKind
 from .clockarray import ClockArray
 from .params import cells_for_memory
 
-__all__ = ["ClockBitmap", "CardinalityEstimate", "linear_counting_estimate",
-           "snapshot_cardinality"]
+__all__ = ["ClockBitmap", "CardinalityEstimate", "linear_counting_estimate"]
 
 #: Default clock width for cardinality; §5.2/§6.3 find s = 8 optimal at
 #: the paper's reference configuration (M = 128 KB, W = 16384).
@@ -128,44 +126,3 @@ class ClockBitmap(ClockSketchKind):
     def __repr__(self) -> str:
         return f"ClockBitmap(n={self.n}, s={self.s}, window={self.window})"
 
-
-def snapshot_cardinality(
-    keys: np.ndarray,
-    times: "np.ndarray | None",
-    t_query: float,
-    n: int,
-    s: int,
-    window: WindowSpec,
-    seed: int = 0,
-    strict: bool = False,
-) -> CardinalityEstimate:
-    """Closed-form BM+clock estimate after a whole key stream.
-
-    Equivalent to inserting ``keys`` into a :class:`ClockBitmap` and
-    calling :meth:`ClockBitmap.estimate` at ``t_query``.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    deriver = IndexDeriver(n=n, k=1, seed=seed)
-    probe = ClockArray(n, s, window)
-
-    if times is None:
-        insert_times = np.arange(1, len(keys) + 1, dtype=np.int64)
-        set_steps = (
-            insert_times * np.int64(n) * np.int64(probe.circles_per_window)
-        ) // np.int64(int(window.length))
-    else:
-        set_steps = np.floor(
-            np.asarray(times, dtype=float) * n * probe.circles_per_window
-            / window.length
-        ).astype(np.int64)
-    query_steps = probe.total_steps_at(t_query)
-
-    cells = deriver.bulk_single(keys)
-    last_set = np.full(n, -1, dtype=np.int64)
-    np.maximum.at(last_set, cells, set_steps)
-
-    touched = np.flatnonzero(last_set >= 0)
-    live = _kernels.snapshot_values(last_set[touched], touched, n,
-                                    probe.max_value, query_steps)
-    nonzero = int(np.count_nonzero(live > 0))
-    return linear_counting_estimate(n - nonzero, n, strict)

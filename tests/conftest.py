@@ -117,6 +117,27 @@ def fake_clock():
     return FakeClock
 
 
+def _scalar_insert_loop(kind, keys, times=None, **config):
+    """A ``kind`` fed ``keys`` by one ``insert`` per item on the scalar
+    sweep: the reference the whole-stream ``insert_many`` path is held to."""
+    sketch = kind(sweep_mode="scalar", **config)
+    if times is None:
+        for key in keys:
+            sketch.insert(int(key))
+    else:
+        for key, t in zip(keys, times):
+            sketch.insert(int(key), float(t))
+    return sketch
+
+
+@pytest.fixture(scope="session")
+def scalar_reference():
+    """``scalar_reference(kind, keys, times=None, **config)``: the
+    per-item ``insert`` loop on the scalar sweep (session-scoped, so
+    hypothesis tests may take it)."""
+    return _scalar_insert_loop
+
+
 @pytest.fixture
 def small_count_window():
     """A small count-based window for unit tests."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.activeness import ClockBloomFilter, snapshot_membership
+from repro.core.activeness import ClockBloomFilter
 from repro.errors import ConfigurationError, TimeError
 from repro.timebase import count_window, time_window
 
@@ -154,6 +154,11 @@ class TestBulkPaths:
 
 
 class TestSnapshotEquivalence:
+    """The experiments' path (one whole-stream ``insert_many``, then
+    ``query_many`` at the query time) against the per-item ``insert``
+    loop on the scalar sweep: the sweep schedule at varied ``n``, ``k``,
+    ``s`` and window, checked against an independent path."""
+
     @given(
         n=st.integers(16, 512),
         k=st.integers(1, 5),
@@ -163,35 +168,33 @@ class TestSnapshotEquivalence:
         seed=st.integers(0, 100),
     )
     @settings(max_examples=80, deadline=None)
-    def test_snapshot_matches_incremental_count_based(self, n, k, s, window,
-                                                      n_keys, seed):
+    def test_snapshot_matches_incremental_count_based(
+            self, scalar_reference, n, k, s, window, n_keys, seed):
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, 60, size=n_keys)
-        w = count_window(window)
-        bf = ClockBloomFilter(n=n, k=k, s=s, window=w, seed=seed)
+        config = dict(n=n, k=k, s=s, window=count_window(window), seed=seed)
+        bf = ClockBloomFilter(**config)
         bf.insert_many(keys)
+        ref = scalar_reference(ClockBloomFilter, keys, **config)
         queries = np.arange(100)
-        incremental = bf.contains_many(queries)
-        snap = snapshot_membership(keys, None, queries, t_query=len(keys),
-                                   n=n, k=k, s=s, window=w, seed=seed)
-        assert np.array_equal(incremental, snap)
+        answers = bf.query_many(queries, t=len(keys))
+        assert np.array_equal(answers, [ref.query(int(q)) for q in queries])
+        assert np.array_equal(bf.clock.values, ref.clock.values)
 
-    def test_snapshot_matches_incremental_time_based(self, rng):
+    def test_snapshot_matches_incremental_time_based(self, rng,
+                                                     scalar_reference):
         keys = rng.integers(0, 60, size=300)
         times = np.cumsum(rng.exponential(1.0, size=300)) + 1.0
-        w = time_window(40.0)
-        bf = ClockBloomFilter(n=256, k=3, s=3, window=w, seed=2)
+        config = dict(n=256, k=3, s=3, window=time_window(40.0), seed=2)
+        bf = ClockBloomFilter(**config)
         bf.insert_many(keys, times)
+        ref = scalar_reference(ClockBloomFilter, keys, times, **config)
         queries = np.arange(100)
-        t_query = float(times[-1])
-        incremental = bf.contains_many(queries)
-        snap = snapshot_membership(keys, times, queries, t_query,
-                                   n=256, k=3, s=3, window=w, seed=2)
-        assert np.array_equal(incremental, snap)
+        answers = bf.query_many(queries, t=float(times[-1]))
+        assert np.array_equal(answers, [ref.query(int(q)) for q in queries])
+        assert np.array_equal(bf.clock.values, ref.clock.values)
 
     def test_snapshot_empty_stream(self):
-        w = count_window(8)
-        snap = snapshot_membership(np.array([], dtype=np.int64), None,
-                                   np.arange(10), t_query=0,
-                                   n=64, k=2, s=2, window=w)
-        assert not snap.any()
+        bf = ClockBloomFilter(n=64, k=2, s=2, window=count_window(8))
+        bf.insert_many(np.array([], dtype=np.int64))
+        assert not bf.query_many(np.arange(10), t=0).any()

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cardinality import (
-    ClockBitmap,
-    linear_counting_estimate,
-    snapshot_cardinality,
-)
+from repro.core.cardinality import ClockBitmap, linear_counting_estimate
 from repro.errors import EstimatorSaturatedError
 from repro.timebase import count_window, time_window
 
@@ -87,6 +83,10 @@ class TestClockBitmap:
 
 
 class TestSnapshotEquivalence:
+    """The experiments' path (one whole-stream ``insert_many``, then
+    ``estimate`` at the query time) against the per-item ``insert`` loop
+    on the scalar sweep."""
+
     @given(
         n=st.integers(16, 512),
         s=st.integers(2, 8),
@@ -95,24 +95,24 @@ class TestSnapshotEquivalence:
         seed=st.integers(0, 100),
     )
     @settings(max_examples=80, deadline=None)
-    def test_snapshot_matches_incremental(self, n, s, window, n_keys, seed):
+    def test_snapshot_matches_incremental(self, scalar_reference, n, s, window,
+                                         n_keys, seed):
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, 60, size=n_keys)
-        w = count_window(window)
-        bm = ClockBitmap(n=n, s=s, window=w, seed=seed)
+        config = dict(n=n, s=s, window=count_window(window), seed=seed)
+        bm = ClockBitmap(**config)
         bm.insert_many(keys)
-        incremental = bm.estimate()
-        snap = snapshot_cardinality(keys, None, t_query=len(keys),
-                                    n=n, s=s, window=w, seed=seed)
-        assert snap.value == incremental.value
-        assert snap.zero_cells == incremental.zero_cells
+        batch = bm.estimate(t=len(keys))
+        reference = scalar_reference(ClockBitmap, keys, **config).estimate()
+        assert batch.value == reference.value
+        assert batch.zero_cells == reference.zero_cells
 
-    def test_snapshot_time_based(self, rng):
+    def test_snapshot_time_based(self, rng, scalar_reference):
         keys = rng.integers(0, 60, size=200)
         times = np.cumsum(rng.exponential(1.0, size=200)) + 1.0
-        w = time_window(40.0)
-        bm = ClockBitmap(n=256, s=4, window=w, seed=3)
+        config = dict(n=256, s=4, window=time_window(40.0), seed=3)
+        bm = ClockBitmap(**config)
         bm.insert_many(keys, times)
-        snap = snapshot_cardinality(keys, times, t_query=float(times[-1]),
-                                    n=256, s=4, window=w, seed=3)
-        assert snap.value == bm.estimate().value
+        reference = scalar_reference(ClockBitmap, keys, times, **config)
+        assert (bm.estimate(t=float(times[-1])).value
+                == reference.estimate().value)

@@ -4,9 +4,12 @@ Each experiment must run, produce rows, and exhibit the paper's
 qualitative shape at reduced scale.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS
+from repro.bench.experiments.ablation_hashing import _IndependentHashes
+from repro.timebase import count_window
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +109,21 @@ class TestShapes:
             if single is None:
                 continue
             assert multi == pytest.approx(single, abs=0.05)
+
+
+class TestIndependentHashes:
+    """Ablation A2's independent-hash filter declares its cells once:
+    the scalar and batch paths of the kind agree on them."""
+
+    def test_scalar_query_is_query_many_row(self, scalar_reference):
+        rng = np.random.default_rng(4)
+        keys = rng.integers(0, 80, size=400)
+        config = dict(n=512, k=4, s=2, window=count_window(64), seed=3)
+        bf = _IndependentHashes(**config)
+        bf.insert_many(keys)
+        ref = scalar_reference(_IndependentHashes, keys, **config)
+        assert np.array_equal(bf.clock.values, ref.clock.values)
+        queries = [*range(120), "flow-a", "flow-b"]
+        answers = bf.query_many(queries)
+        assert answers.any() and not answers.all()
+        assert list(answers) == [bf.query(q) for q in queries]

@@ -10,7 +10,7 @@ which our pure-Python port reproduces — the port is bit-faithful.
 import numpy as np
 import pytest
 
-from repro.core.activeness import snapshot_membership
+from repro.core.activeness import ClockBloomFilter
 from repro.datasets import caida_like
 from repro.hashing import bob_hash64, scalar_base_hash
 from repro.hashing.bobhash import hashlittle
@@ -39,9 +39,8 @@ class TestWorkloadGoldens:
     def test_snapshot_membership_fixed_workload(self):
         rng = np.random.default_rng(3)
         keys = rng.integers(0, 400, size=4000)
-        queries = np.arange(1000)
-        answers = snapshot_membership(
-            keys, None, queries, t_query=4000,
-            n=1024, k=3, s=2, window=count_window(512), seed=11,
-        )
+        bf = ClockBloomFilter(n=1024, k=3, s=2, window=count_window(512),
+                              seed=11)
+        bf.insert_many(keys)
+        answers = bf.query_many(np.arange(1000), t=4000)
         assert int(answers.sum()) == 464

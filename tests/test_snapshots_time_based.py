@@ -1,8 +1,10 @@
-"""Property tests: snapshot evaluators on time-based windows.
+"""Property tests: whole-stream evaluation on time-based windows.
 
 The count-based equivalences are covered per-structure; these pin the
 float-schedule (time-based) paths, which the fig5e/6d/7d/8d experiments
-rely on.
+rely on: BF+clock and BM+clock fed through ``insert_many`` against the
+per-item ``insert`` loop on the scalar sweep, and the baselines'
+snapshot evaluators against their incremental structures.
 """
 
 import numpy as np
@@ -15,8 +17,8 @@ from repro.baselines import (
     snapshot_timestamp_membership,
     snapshot_tsv_estimate,
 )
-from repro.core.activeness import ClockBloomFilter, snapshot_membership
-from repro.core.cardinality import ClockBitmap, snapshot_cardinality
+from repro.core.activeness import ClockBloomFilter
+from repro.core.cardinality import ClockBitmap
 from repro.timebase import time_window
 
 
@@ -31,28 +33,27 @@ class TestTimeBasedSnapshots:
     @given(seed=st.integers(0, 60), n=st.integers(1, 250),
            window=st.floats(2.0, 80.0), s=st.integers(2, 6))
     @settings(max_examples=60, deadline=None)
-    def test_membership(self, seed, n, window, s):
+    def test_membership(self, scalar_reference, seed, n, window, s):
         keys, times = _timed_workload(seed, n)
-        w = time_window(window)
-        bf = ClockBloomFilter(n=128, k=2, s=s, window=w, seed=seed)
+        config = dict(n=128, k=2, s=s, window=time_window(window), seed=seed)
+        bf = ClockBloomFilter(**config)
         bf.insert_many(keys, times)
+        ref = scalar_reference(ClockBloomFilter, keys, times, **config)
         queries = np.arange(80)
-        snap = snapshot_membership(keys, times, queries,
-                                   t_query=float(times[-1]),
-                                   n=128, k=2, s=s, window=w, seed=seed)
-        assert np.array_equal(snap, bf.contains_many(queries))
+        assert np.array_equal(bf.query_many(queries, t=float(times[-1])),
+                              [ref.query(int(q)) for q in queries])
 
     @given(seed=st.integers(0, 60), n=st.integers(1, 250),
            window=st.floats(2.0, 80.0))
     @settings(max_examples=60, deadline=None)
-    def test_cardinality(self, seed, n, window):
+    def test_cardinality(self, scalar_reference, seed, n, window):
         keys, times = _timed_workload(seed, n)
-        w = time_window(window)
-        bm = ClockBitmap(n=128, s=4, window=w, seed=seed)
+        config = dict(n=128, s=4, window=time_window(window), seed=seed)
+        bm = ClockBitmap(**config)
         bm.insert_many(keys, times)
-        snap = snapshot_cardinality(keys, times, t_query=float(times[-1]),
-                                    n=128, s=4, window=w, seed=seed)
-        assert snap.value == bm.estimate().value
+        ref = scalar_reference(ClockBitmap, keys, times, **config)
+        assert (bm.estimate(t=float(times[-1])).value
+                == ref.estimate().value)
 
     @given(seed=st.integers(0, 60), n=st.integers(1, 250),
            window=st.floats(2.0, 80.0))

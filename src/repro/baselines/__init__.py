@@ -38,8 +38,6 @@ from .snapshots import (
     snapshot_ideal_membership,
     snapshot_swamp_distinct,
     snapshot_swamp_ismember,
-    snapshot_timestamp_membership,
-    snapshot_tsv_estimate,
 )
 
 __all__ = [
@@ -53,8 +51,6 @@ __all__ = [
     "IdealSlidingBloom",
     "NaiveTimeSpanSketch",
     "NaiveSizeSketch",
-    "snapshot_timestamp_membership",
-    "snapshot_tsv_estimate",
     "snapshot_swamp_ismember",
     "snapshot_swamp_distinct",
     "snapshot_ideal_membership",

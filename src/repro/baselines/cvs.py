@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.base import ClockSketchBase
 from ..core.cardinality import CardinalityEstimate, linear_counting_estimate
 from ..core.params import cells_for_memory
+from ..errors import ConfigurationError
 from ..hashing import IndexDeriver
 from ..timebase import WindowSpec
 from ..units import parse_memory
+from .base import Baseline
 
 __all__ = ["CounterVectorSketch"]
 
@@ -28,7 +29,7 @@ DEFAULT_MAX_COUNT = 10
 DEFAULT_COUNTER_BITS = 4
 
 
-class CounterVectorSketch(ClockSketchBase):
+class CounterVectorSketch(Baseline):
     """CVS: max-set counters with random decay.
 
     Examples
@@ -46,7 +47,7 @@ class CounterVectorSketch(ClockSketchBase):
                  counter_bits: int = DEFAULT_COUNTER_BITS, seed: int = 0):
         super().__init__(window)
         if max_count >= (1 << counter_bits):
-            raise ValueError(
+            raise ConfigurationError(
                 f"max_count {max_count} does not fit in {counter_bits} bits"
             )
         self.max_count = int(max_count)
@@ -60,6 +61,7 @@ class CounterVectorSketch(ClockSketchBase):
         # time unit, applied with a fractional accumulator.
         self._decs_per_unit = self.max_count * n / window.length
         self._dec_budget = 0.0
+        self._decayed_to = 0.0
 
     @classmethod
     def from_memory(cls, memory, window: WindowSpec,
@@ -77,7 +79,10 @@ class CounterVectorSketch(ClockSketchBase):
         """Number of counters."""
         return len(self.counters)
 
-    def _decay(self, elapsed: float) -> None:
+    def _catch_up(self, now: float) -> None:
+        """Apply the random decrements due since the last catch-up."""
+        elapsed = now - self._decayed_to
+        self._decayed_to = now
         if elapsed <= 0:
             return
         self._dec_budget += elapsed * self._decs_per_unit
@@ -92,32 +97,14 @@ class CounterVectorSketch(ClockSketchBase):
         vals = self.counters[unique].astype(np.int64)
         self.counters[unique] = np.maximum(vals - hits, 0).astype(self.counters.dtype)
 
-    def insert(self, item, t=None) -> None:
-        """Set the item's counter to the maximum, then decay randomly."""
-        prev = self.now
-        now = self._insert_time(t)
-        self._decay(now - prev)
-        self.counters[self.deriver.indexes(item)[0]] = self.max_count
-
-    def insert_many(self, keys, times=None) -> None:
-        """Insert an array of integer keys (bulk-hashed)."""
-        keys = np.asarray(keys)
-        cells = self.deriver.bulk_single(keys)
-        if self.window.is_count_based:
-            time_iter = (None for _ in range(len(keys)))
-        else:
-            time_iter = iter(np.asarray(times, dtype=float))
-        for cell in cells:
-            prev = self.now
-            now = self._insert_time(next(time_iter))
-            self._decay(now - prev)
-            self.counters[cell] = self.max_count
+    def _write_cells(self, cells, now: float) -> None:
+        """Set the item's counter to the maximum."""
+        self.counters[cells] = self.max_count
 
     def estimate(self, t=None, strict: bool = False) -> CardinalityEstimate:
         """Linear-counting estimate over non-zero counters."""
-        prev = self.now
         now = self._query_time(t)
-        self._decay(now - prev)
+        self._catch_up(now)
         zero = int(np.count_nonzero(self.counters == 0))
         return linear_counting_estimate(zero, self.n, strict)
 

@@ -18,16 +18,16 @@ from collections import deque
 
 import numpy as np
 
-from ..core.base import ClockSketchBase
 from ..core.params import optimal_k_membership
 from ..hashing import IndexDeriver
 from ..timebase import WindowSpec
 from ..units import parse_memory
+from .base import KeyedBaseline
 
 __all__ = ["IdealSlidingBloom"]
 
 
-class IdealSlidingBloom(ClockSketchBase):
+class IdealSlidingBloom(KeyedBaseline):
     """A Bloom filter over exactly the in-window items (oracle expiry).
 
     Examples
@@ -38,6 +38,8 @@ class IdealSlidingBloom(ClockSketchBase):
     >>> f.contains("a")  # expired: only the last 2 items are present
     False
     """
+
+    _READS = ("counters",)
 
     def __init__(self, n: int, k: int, window: WindowSpec, seed: int = 0):
         super().__init__(window)
@@ -64,47 +66,28 @@ class IdealSlidingBloom(ClockSketchBase):
         """Number of (bit) cells."""
         return len(self.counters)
 
-    def _expire(self, now: float) -> None:
+    def _catch_up(self, now: float) -> None:
+        """Remove the items the window no longer holds at ``now``."""
         events = self._window_events
         length = self.window.length
         while events and not (now - events[0][0] < length):
             _t, row = events.popleft()
             self.counters[row] -= 1
 
-    def insert(self, item, t=None) -> None:
-        """Add the item; anything older than the window is removed."""
-        now = self._insert_time(t)
-        self._expire(now)
-        row = np.asarray(self.deriver.indexes(item))
-        self.counters[row] += 1
-        self._window_events.append((now, row))
+    def _write_cells(self, cells, now: float) -> None:
+        """Add the item: count its cells and remember when it arrived."""
+        self.counters[cells] += 1
+        self._window_events.append((now, cells))
 
-    def insert_many(self, keys, times=None) -> None:
-        """Insert an array of integer keys (bulk-hashed)."""
-        keys = np.asarray(keys)
-        matrix = self.deriver.bulk(keys)
-        if self.window.is_count_based:
-            time_iter = (None for _ in range(len(keys)))
-        else:
-            time_iter = iter(np.asarray(times, dtype=float))
-        for row in matrix:
-            now = self._insert_time(next(time_iter))
-            self._expire(now)
-            self.counters[row] += 1
-            self._window_events.append((now, row))
+    @staticmethod
+    def _answer(now, counters):
+        # Membership against exactly the in-window items.
+        return (counters > 0).all(axis=1)
 
-    def contains(self, item, t=None) -> bool:
-        """Membership against exactly the in-window items."""
-        now = self._query_time(t)
-        self._expire(now)
-        return bool(np.all(self.counters[self.deriver.indexes(item)] > 0))
-
-    def contains_many(self, keys, t=None) -> np.ndarray:
-        """Vectorised :meth:`contains` over an integer key array."""
-        now = self._query_time(t)
-        self._expire(now)
-        matrix = self.deriver.bulk(np.asarray(keys))
-        return np.all(self.counters[matrix] > 0, axis=1)
+    #: Is the item's batch active? The membership names of
+    #: ``query``/``query_many``.
+    contains = KeyedBaseline.query
+    contains_many = KeyedBaseline.query_many
 
     def memory_bits(self) -> int:
         """Accounted footprint: the plain n-bit Bloom filter."""

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.base import ClockSketchBase
+from ..core.size import ClockCountMin
 from ..errors import ConfigurationError
 from ..hashing import IndexDeriver
 from ..timebase import WindowSpec
 from ..units import parse_memory
+from .base import KeyedBaseline
 
 __all__ = ["NaiveSizeSketch"]
 
@@ -27,7 +28,7 @@ TIMESTAMP_BITS = 64
 DEFAULT_COUNTER_BITS = 16
 
 
-class NaiveSizeSketch(ClockSketchBase):
+class NaiveSizeSketch(KeyedBaseline):
     """The §6.5 naive batch-size baseline (timestamps instead of clocks).
 
     Examples
@@ -39,6 +40,8 @@ class NaiveSizeSketch(ClockSketchBase):
     >>> cm.query("key")
     5
     """
+
+    _READS = ("counters", "last_visit")
 
     def __init__(self, width: int, depth: int, window: WindowSpec,
                  counter_bits: int = DEFAULT_COUNTER_BITS, seed: int = 0):
@@ -72,75 +75,26 @@ class NaiveSizeSketch(ClockSketchBase):
         return cls(width=width, depth=depth, window=window,
                    counter_bits=counter_bits, seed=seed)
 
-    def _flat_indexes(self, item) -> "list[int]":
-        return [
-            row * self.width + deriver.indexes(item)[0]
-            for row, deriver in enumerate(self._derivers)
-        ]
+    # The same rows and hashes as CM+clock: one flat cell per row.
+    _item_cells = ClockCountMin._item_cells
+    _batch_cells = ClockCountMin._batch_cells
 
-    def insert(self, item, t=None) -> None:
+    def _write_cells(self, cells, now: float) -> None:
         """Increment the item's counters, restarting stale ones at 1."""
-        now = self._insert_time(t)
-        length = self.window.length
-        for flat in self._flat_indexes(item):
-            if now - self.last_visit[flat] >= length:
-                self.counters[flat] = 1
-            elif self.counters[flat] < self.counter_max:
-                self.counters[flat] += 1
-            self.last_visit[flat] = now
-
-    def insert_many(self, keys, times=None) -> None:
-        """Insert an array of integer keys (bulk-hashed)."""
-        keys = np.asarray(keys)
-        offsets = np.arange(self.depth, dtype=np.int64) * self.width
-        columns = np.stack(
-            [d.bulk_single(keys) for d in self._derivers], axis=1
-        )
-        flat_matrix = columns + offsets[None, :]
-        if self.window.is_count_based:
-            time_iter = (None for _ in range(len(keys)))
-        else:
-            if times is None:
-                raise ConfigurationError("time-based insert_many requires times")
-            time_iter = iter(np.asarray(times, dtype=float))
         length = self.window.length
         counters = self.counters
         last = self.last_visit
-        counter_max = self.counter_max
-        for row in flat_matrix:
-            now = self._insert_time(next(time_iter))
-            for flat in row:
-                if now - last[flat] >= length:
-                    counters[flat] = 1
-                elif counters[flat] < counter_max:
-                    counters[flat] += 1
-                last[flat] = now
+        for flat in cells:
+            if now - last[flat] >= length:
+                counters[flat] = 1
+            elif counters[flat] < self.counter_max:
+                counters[flat] += 1
+            last[flat] = now
 
-    def query(self, item, t=None) -> int:
-        """Estimated size of the item's active batch (0 when inactive)."""
-        now = self._query_time(t)
-        length = self.window.length
-        best = None
-        for flat in self._flat_indexes(item):
-            value = (
-                int(self.counters[flat])
-                if now - self.last_visit[flat] < length
-                else 0
-            )
-            best = value if best is None else min(best, value)
-        return int(best)
-
-    def query_many(self, keys, t=None) -> np.ndarray:
-        """Vectorised :meth:`query` over an integer key array."""
-        now = self._query_time(t)
-        offsets = np.arange(self.depth, dtype=np.int64) * self.width
-        columns = np.stack(
-            [d.bulk_single(np.asarray(keys)) for d in self._derivers], axis=1
-        )
-        flat_matrix = columns + offsets[None, :]
-        live = now - self.last_visit[flat_matrix] < self.window.length
-        values = np.where(live, self.counters[flat_matrix], 0)
-        return np.min(values, axis=1).astype(np.int64)
+    def _answer(self, now, counters, last_visit):
+        # The minimum over the d counters, a stale counter reading 0.
+        live = now - last_visit < self.window.length
+        return np.where(live, counters, 0).min(axis=1).astype(np.int64)
 
     def memory_bits(self) -> int:
         """Accounted footprint: ``d*w`` cells of ``b + 64`` bits."""

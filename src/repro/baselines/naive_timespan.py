@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.base import ClockSketchBase
 from ..core.params import cells_for_memory
-from ..core.timespan import TimeSpanBatchResult, TimeSpanResult
-from ..errors import ConfigurationError
+from ..core.timespan import TimeSpanBatchResult
 from ..hashing import IndexDeriver
 from ..timebase import WindowSpec
 from ..units import parse_memory
+from .base import KeyedBaseline
 
 __all__ = ["NaiveTimeSpanSketch"]
 
@@ -31,7 +30,7 @@ __all__ = ["NaiveTimeSpanSketch"]
 CELL_BITS = 128
 
 
-class NaiveTimeSpanSketch(ClockSketchBase):
+class NaiveTimeSpanSketch(KeyedBaseline):
     """The §6.4 naive time-span baseline (timestamps instead of clocks).
 
     Examples
@@ -43,6 +42,8 @@ class NaiveTimeSpanSketch(ClockSketchBase):
     >>> ts.query("job").span
     9.0
     """
+
+    _READS = ("last_visit", "batch_start")
 
     def __init__(self, n: int, k: int, window: WindowSpec, seed: int = 0):
         super().__init__(window)
@@ -65,64 +66,23 @@ class NaiveTimeSpanSketch(ClockSketchBase):
         """Number of (t_l, t_sr) cell pairs."""
         return len(self.last_visit)
 
-    def insert(self, item, t=None) -> None:
+    def _write_cells(self, cells, now: float) -> None:
         """Refresh the item's cells; restart stale ones."""
-        now = self._insert_time(t)
-        idx = np.asarray(self.deriver.indexes(item))
-        stale = now - self.last_visit[idx] >= self.window.length
-        self.batch_start[idx[stale]] = now
-        self.last_visit[idx] = now
+        stale = now - self.last_visit[cells] >= self.window.length
+        self.batch_start[cells[stale]] = now
+        self.last_visit[cells] = now
 
-    def insert_many(self, keys, times=None) -> None:
-        """Insert an array of integer keys (bulk-hashed)."""
-        keys = np.asarray(keys)
-        matrix = self.deriver.bulk(keys)
-        if self.window.is_count_based:
-            time_iter = (None for _ in range(len(keys)))
-        else:
-            if times is None:
-                raise ConfigurationError("time-based insert_many requires times")
-            time_iter = iter(np.asarray(times, dtype=float))
-        length = self.window.length
-        for row in matrix:
-            now = self._insert_time(next(time_iter))
-            stale = now - self.last_visit[row] >= length
-            self.batch_start[row[stale]] = now
-            self.last_visit[row] = now
-
-    def query(self, item, t=None) -> TimeSpanResult:
-        """Time span of the item's batch (exact or overestimated)."""
-        now = self._query_time(t)
-        idx = np.asarray(self.deriver.indexes(item))
-        visits = self.last_visit[idx]
-        t_f = float(np.min(visits))
-        if not now - t_f < self.window.length:
-            return TimeSpanResult(active=False)
-        achieving = idx[visits == t_f]
-        begin = float(np.max(self.batch_start[achieving]))
-        return TimeSpanResult(active=True, span=now - begin, begin=begin)
-
-    def query_many(self, items, t=None) -> TimeSpanBatchResult:
-        """Vectorised :meth:`query` over a batch of items.
-
-        Item ``i`` gets exactly the scalar answer: ``t_f`` is the
-        earliest last-visit among its ``k`` cells, the batch is active
-        iff ``t_cur - t_f < T``, and ``begin`` is the latest recorded
-        start among the cells achieving ``t_f``; inactive items hold
-        NaN in both float arrays.
-        """
-        now = self._query_time(t)
-        matrix = self.deriver.bulk(items)
-        visits = self.last_visit[matrix]
-        t_f = np.min(visits, axis=1)
+    def _answer(self, now, visits, starts) -> TimeSpanBatchResult:
+        # ``t_f`` is the earliest last-visit among the k cells, the
+        # batch is active iff ``t_cur - t_f < T``, and ``begin`` is the
+        # latest recorded start among the cells achieving ``t_f``;
+        # inactive items hold NaN in both float arrays.
+        t_f = visits.min(axis=1)
         active = now - t_f < self.window.length
-        starts = np.where(visits == t_f[:, None], self.batch_start[matrix],
-                          -np.inf)
-        begin = np.max(starts, axis=1)
-        span = now - begin
+        begin = np.where(visits == t_f[:, None], starts, -np.inf).max(axis=1)
         begin[~active] = np.nan
-        span[~active] = np.nan
-        return TimeSpanBatchResult(active=active, span=span, begin=begin)
+        return TimeSpanBatchResult(active=active, span=now - begin,
+                                   begin=begin)
 
     def memory_bits(self) -> int:
         """Accounted footprint: ``n`` cells of 128 bits."""

@@ -6,9 +6,6 @@ structures item-by-item in Python is needlessly slow for algorithms
 whose final state has a closed form; this module computes those final
 states directly with numpy:
 
-- timestamp filters (TOBF, TBF): a cell's content is the last time it
-  was written — ``np.maximum.at`` over the index matrix;
-- TSV: same, with linear counting over stale cells;
 - SWAMP: a fingerprint is in the queue iff it occurred among the last
   ``w`` items;
 - the Ideal filter: a plain Bloom filter over exactly the active keys;
@@ -16,6 +13,11 @@ states directly with numpy:
   random decrements since the cell's last set; the decrements hitting a
   given cell are Binomial(total, 1/n), sampled per cell (statistically
   identical to replay because decrement targets are i.i.d. uniform).
+
+TOBF and TSV need no copy here: their own ``insert_many`` writes a
+batch in one order-free ``np.maximum.at``. The experiments measure TBF
+as a TOBF with TBF's cell count and hashes (its cleaning scan only
+removes cells the window test already rejects).
 
 Property/statistical tests in ``tests/`` pin each snapshot to its
 incremental twin.
@@ -31,8 +33,6 @@ from ..timebase import WindowSpec
 from .swamp import distinct_mle
 
 __all__ = [
-    "snapshot_timestamp_membership",
-    "snapshot_tsv_estimate",
     "snapshot_swamp_ismember",
     "snapshot_swamp_distinct",
     "snapshot_ideal_membership",
@@ -44,56 +44,6 @@ def _resolve_times(keys, times) -> np.ndarray:
     if times is None:
         return np.arange(1, len(keys) + 1, dtype=np.float64)
     return np.asarray(times, dtype=np.float64)
-
-
-def _last_write_per_cell(index_matrix: np.ndarray, stamps: np.ndarray,
-                         n: int, k: int) -> np.ndarray:
-    last = np.full(n, -np.inf, dtype=np.float64)
-    np.maximum.at(last, index_matrix.ravel(), np.repeat(stamps, k))
-    return last
-
-
-def snapshot_timestamp_membership(
-    keys: np.ndarray,
-    times: "np.ndarray | None",
-    query_keys: np.ndarray,
-    t_query: float,
-    n: int,
-    k: int,
-    window: WindowSpec,
-    seed: int = 0,
-) -> np.ndarray:
-    """Final-state membership of a timestamp filter (TOBF or TBF).
-
-    Active iff all ``k`` hashed cells were written within the window
-    before ``t_query`` — exactly the answer the incremental structures
-    give (TBF's cleaning scan only removes cells this predicate already
-    rejects).
-    """
-    keys = np.asarray(keys)
-    deriver = IndexDeriver(n=n, k=k, seed=seed)
-    stamps = _resolve_times(keys, times)
-    last = _last_write_per_cell(deriver.bulk(keys), stamps, n, k)
-    query_matrix = deriver.bulk(np.asarray(query_keys))
-    return np.all(t_query - last[query_matrix] < window.length, axis=1)
-
-
-def snapshot_tsv_estimate(
-    keys: np.ndarray,
-    times: "np.ndarray | None",
-    t_query: float,
-    n: int,
-    window: WindowSpec,
-    seed: int = 0,
-) -> CardinalityEstimate:
-    """Final-state TSV cardinality estimate."""
-    keys = np.asarray(keys)
-    deriver = IndexDeriver(n=n, k=1, seed=seed)
-    stamps = _resolve_times(keys, times)
-    last = np.full(n, -np.inf, dtype=np.float64)
-    np.maximum.at(last, deriver.bulk_single(keys), stamps)
-    stale = int(np.count_nonzero(t_query - last >= window.length))
-    return linear_counting_estimate(stale, n)
 
 
 def _window_fingerprints(keys: np.ndarray, window_items: int,

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.base import ClockSketchBase
 from ..core.params import cells_for_memory
 from ..errors import ConfigurationError
 from ..hashing import IndexDeriver
 from ..timebase import WindowSpec
 from ..units import parse_memory
+from .base import KeyedBaseline
 
 __all__ = ["TimingBloomFilter"]
 
@@ -31,7 +31,7 @@ DEFAULT_COUNTER_BITS = 18
 DEFAULT_K = 8
 
 
-class TimingBloomFilter(ClockSketchBase):
+class TimingBloomFilter(KeyedBaseline):
     """TBF: wraparound time counters plus a cleaning scan.
 
     Examples
@@ -42,6 +42,8 @@ class TimingBloomFilter(ClockSketchBase):
     >>> f.contains("x")
     True
     """
+
+    _READS = ("cells",)
 
     def __init__(self, n: int, k: int, window: WindowSpec,
                  counter_bits: int = DEFAULT_COUNTER_BITS, seed: int = 0):
@@ -68,6 +70,7 @@ class TimingBloomFilter(ClockSketchBase):
         self.seed = seed
         self._scan_pos = 0
         self._scan_budget = 0.0
+        self._scanned_to = 0.0
 
     @classmethod
     def from_memory(cls, memory, window: WindowSpec, k: int = DEFAULT_K,
@@ -83,12 +86,15 @@ class TimingBloomFilter(ClockSketchBase):
         """Number of counter cells."""
         return len(self.cells)
 
-    def _scan(self, now: float, elapsed: float) -> None:
-        """Advance the cleaning scan proportionally to elapsed time.
+    def _catch_up(self, now: float) -> None:
+        """Advance the cleaning scan proportionally to the time elapsed
+        since the last catch-up.
 
         The scan covers the whole array once per window, invalidating
         cells whose (true) age exceeds the window.
         """
+        elapsed = now - self._scanned_to
+        self._scanned_to = now
         if elapsed <= 0:
             return
         self._scan_budget += elapsed * self.n / self.window.length
@@ -102,50 +108,21 @@ class TimingBloomFilter(ClockSketchBase):
         self.cells[idx[expired]] = self._empty
         self._scan_pos = (self._scan_pos + steps) % self.n
 
-    def insert(self, item, t=None) -> None:
+    def _write_cells(self, cells, now: float) -> None:
         """Stamp the item's cells with the wrapped current time."""
-        prev = self.now
-        now = self._insert_time(t)
-        self._scan(now, now - prev)
-        idx = self.deriver.indexes(item)
-        self.cells[idx] = int(now) % self._modulus
-        self._true_time[idx] = now
+        self.cells[cells] = int(now) % self._modulus
+        self._true_time[cells] = now
 
-    def insert_many(self, keys, times=None) -> None:
-        """Insert an array of integer keys (bulk-hashed, loop-inserted)."""
-        keys = np.asarray(keys)
-        matrix = self.deriver.bulk(keys)
-        if self.window.is_count_based:
-            time_iter = (None for _ in range(len(keys)))
-        else:
-            time_iter = iter(np.asarray(times, dtype=float))
-        for row in matrix:
-            prev = self.now
-            now = self._insert_time(next(time_iter))
-            self._scan(now, now - prev)
-            self.cells[row] = int(now) % self._modulus
-            self._true_time[row] = now
-
-    def _active_cells(self, idx, now: float) -> np.ndarray:
-        """Activeness of cells by wrapped-time comparison."""
-        values = self.cells[idx]
+    def _answer(self, now, values):
+        # Active iff all k cells hold a wrapped time inside the window.
         age = (int(now) - values) % self._modulus
-        return (values != self._empty) & (age < self.window.length)
+        return ((values != self._empty)
+                & (age < self.window.length)).all(axis=1)
 
-    def contains(self, item, t=None) -> bool:
-        """Is the item's batch active? All k cells must be in-window."""
-        prev = self.now
-        now = self._query_time(t)
-        self._scan(now, now - prev)
-        return bool(np.all(self._active_cells(self.deriver.indexes(item), now)))
-
-    def contains_many(self, keys, t=None) -> np.ndarray:
-        """Vectorised :meth:`contains` over an integer key array."""
-        prev = self.now
-        now = self._query_time(t)
-        self._scan(now, now - prev)
-        matrix = self.deriver.bulk(np.asarray(keys))
-        return np.all(self._active_cells(matrix, now), axis=1)
+    #: Is the item's batch active? The membership names of
+    #: ``query``/``query_many``.
+    contains = KeyedBaseline.query
+    contains_many = KeyedBaseline.query_many
 
     def memory_bits(self) -> int:
         """Accounted footprint: ``n`` cells of ``counter_bits`` bits."""

@@ -8,9 +8,9 @@ Everything the per-figure experiment modules have in common lives here:
   (dataset, size, window) instead of once per data point);
 - query-set construction for the FPR experiments;
 - algorithm drivers: one call evaluates a named algorithm on a stream
-  under a memory budget: the Clock-sketch kinds through their own fused
-  ``insert_many``/``query_many``, the baselines through their
-  vectorised snapshot functions;
+  under a memory budget: the Clock-sketch kinds, TOBF, TBF and TSV
+  through their own ``insert_many`` and answers, the other baselines
+  through their vectorised snapshot functions;
 - vectorised ground-truth batch extraction (:func:`last_batches`).
 """
 
@@ -22,12 +22,12 @@ import numpy as np
 
 from ..analysis import optimal_s_cardinality
 from ..baselines import (
+    TimeOutBloomFilter,
+    TimestampVector,
     snapshot_cvs_estimate,
     snapshot_ideal_membership,
     snapshot_swamp_distinct,
     snapshot_swamp_ismember,
-    snapshot_timestamp_membership,
-    snapshot_tsv_estimate,
 )
 from ..baselines.swamp import TABLE_OVERHEAD
 from ..baselines.tbf import DEFAULT_COUNTER_BITS as TBF_BITS
@@ -250,18 +250,16 @@ def activeness_fpr(algorithm: str, stream: Stream, window: WindowSpec,
         bf = ClockBloomFilter(n, k_eff, s, window, seed)
         bf.insert_many(keys, snap_times)
         positives = bf.query_many(query_keys, t=t_query)
-    elif algorithm == "tobf":
-        n = cells_for_memory(memory_bits, 64)
-        positives = snapshot_timestamp_membership(
-            keys, snap_times, query_keys, t_query, n=n, k=(k or 4),
-            window=window, seed=seed,
-        )
-    elif algorithm == "tbf":
-        n = cells_for_memory(memory_bits, TBF_BITS)
-        positives = snapshot_timestamp_membership(
-            keys, snap_times, query_keys, t_query, n=n, k=(k or TBF_K),
-            window=window, seed=seed,
-        )
+    elif algorithm in ("tobf", "tbf"):
+        # TBF answers as a TOBF with its cell count and hashes: its
+        # cleaning scan only removes cells the window test rejects.
+        if algorithm == "tobf":
+            n, k_eff = cells_for_memory(memory_bits, 64), k or 4
+        else:
+            n, k_eff = cells_for_memory(memory_bits, TBF_BITS), k or TBF_K
+        tobf = TimeOutBloomFilter(n, k_eff, window, seed)
+        tobf.insert_many(keys, snap_times)
+        positives = tobf.contains_many(query_keys, t=t_query)
     elif algorithm == "swamp":
         w = int(window.length)
         f = int(memory_bits / (w * TABLE_OVERHEAD))
@@ -328,10 +326,9 @@ def cardinality_estimate(algorithm: str, stream: Stream, window: WindowSpec,
         bm.insert_many(keys, snap_times)
         return bm.estimate(t=t_query).value
     if algorithm == "tsv":
-        n = cells_for_memory(memory_bits, 64)
-        return snapshot_tsv_estimate(
-            keys, snap_times, t_query, n=n, window=window, seed=seed
-        ).value
+        tsv = TimestampVector(cells_for_memory(memory_bits, 64), window, seed)
+        tsv.insert_many(keys, snap_times)
+        return tsv.estimate(t=t_query).value
     if algorithm == "cvs":
         n = cells_for_memory(memory_bits, 4)
         return snapshot_cvs_estimate(

@@ -11,7 +11,9 @@ operations arrive:
   cleaner and application threads can share it (pass ``lock=None`` to
   run unsynchronised, the paper's Table 3 configuration).
 - :class:`BackgroundCleaner` — a daemon thread that periodically
-  advances the sketch's clock to the current time. The time source is
+  advances the sketch's clock to the current time: the stream clock
+  first, as a timed query would, then the cells, so every later
+  operation sees the tick as the current time. The time source is
   injectable, so tests (and simulations) can drive it deterministically.
 
 >>> import time
@@ -139,12 +141,16 @@ class ThreadSafeSketch:
     def advance_clock(self, now: float) -> None:
         """Locked clock advance — the cleaner thread's entry point.
 
-        Out-of-order ticks (the application advanced time past the
-        cleaner's last view) are ignored rather than raised, matching a
-        real free-running cleaner.
+        Moves the sketch's stream clock to ``now`` first, as a timed
+        query does, then cleans its cells up to it: default-time reads
+        answer at the tick, and an insert behind the tick is refused
+        before any state moves. Out-of-order ticks (the application
+        advanced time past the cleaner's last view) are ignored rather
+        than raised, matching a real free-running cleaner.
         """
         def _advance() -> None:
-            if now > self.sketch.clock.now:
+            if now > self.sketch.now:
+                self.sketch.stream_clock.query(now)
                 self.sketch.clock.advance(now)
         self._guarded(_advance)
 

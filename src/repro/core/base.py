@@ -18,8 +18,8 @@ work:
   the baselines and the sharded facade share with the kinds; it builds
   ``insert``/``insert_many`` from a writer's ``_write_one``/``_write``.
 - :class:`ClockSketchReader` writes the one read path, ``query`` /
-  ``query_many``, for the kinds and the sharded facade: only where the
-  cells come from differs.
+  ``query_many``, for the kinds, the per-key baselines and the sharded
+  facade: only where the cells come from differs.
 - :class:`ClockSketchKind` is the base of the four kinds. A kind
   declares its fields, cell arrays, merge, answer and write rules once;
   the kind base builds its writers, ``snapshot``, ``merge`` and
@@ -265,14 +265,6 @@ class ClockSketchBase:
         """
         self.stream_clock.ingest((self,), items, times)
 
-    def _insert_time(self, t) -> float:
-        """Resolve and commit one insert's time (the baselines' path)."""
-        now = self.stream_clock.resolve_one(t)
-        self.stream_clock.commit(1, now)
-        if _obs.ENABLED:
-            _obs.record_insert(type(self).__name__)
-        return now
-
     def _query_time(self, t) -> float:
         """Resolve a query's time on the stream clock (see
         :meth:`StreamClock.query`)."""
@@ -287,9 +279,9 @@ class ClockSketchReader(ClockSketchBase):
     key's cells at that time, apply the kind's answer formula.
 
     A reader declares where its cells come from (``_read``) and whose
-    rules apply (``_kind``: cell layout, ``_answer``). A kind reads its
-    own cells; a sharded view reads the union of its replicas' cells,
-    of which a plain sketch is the one-replica case.
+    rules apply (``_kind``: cell layout, ``_answer``). A kind or a
+    baseline reads its own cells; a sharded view reads the union of its
+    replicas' cells, of which a plain sketch is the one-replica case.
     """
 
     def query(self, item, t=None):

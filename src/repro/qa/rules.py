@@ -28,11 +28,12 @@ SK105
     API pairs: ``insert``/``insert_many``, ``query``/``query_many``,
     ``contains``/``contains_many``. Half a pair means some callers
     silently fall off the vectorised path (or have no scalar reference
-    to property-test against). The kinds and the sharded facade hold
-    by construction (both pairs are written once, on
-    :class:`~repro.core.base.ClockSketchReader`; the Bloom filter's
-    ``contains`` pair are aliases); the rule keeps checking the
-    baselines, which write their own.
+    to property-test against). The kinds, the baselines and the
+    sharded facade hold by construction (``insert``/``insert_many`` are
+    written once, on :class:`~repro.core.base.ClockSketchBase`,
+    ``query``/``query_many`` once, on
+    :class:`~repro.core.base.ClockSketchReader`, and every ``contains``
+    pair is an alias); the rule guards a subclass that writes its own.
 SK106
     Metric registration sites (``repro.obs.runtime.series``, the
     ``counter`` / ``gauge`` / ``histogram`` registrars and ``timed``

@@ -7,7 +7,6 @@ from repro.baselines import (
     CounterVectorSketch,
     TimestampVector,
     snapshot_cvs_estimate,
-    snapshot_tsv_estimate,
 )
 from repro.timebase import count_window, time_window
 
@@ -56,9 +55,10 @@ class TestTimestampVector:
         w = count_window(32)
         tsv = TimestampVector(n=256, window=w, seed=3)
         tsv.insert_many(keys)
-        snap = snapshot_tsv_estimate(keys, None, t_query=len(keys),
-                                     n=256, window=w, seed=3)
-        assert snap.value == tsv.estimate().value
+        loop = TimestampVector(n=256, window=w, seed=3)
+        for key in keys:
+            loop.insert(int(key))
+        assert tsv.estimate(t=len(keys)).value == loop.estimate().value
 
     def test_time_based(self):
         tsv = TimestampVector(n=512, window=time_window(10.0), seed=0)

@@ -10,7 +10,6 @@ from repro.baselines import (
     TimeOutBloomFilter,
     TimingBloomFilter,
     snapshot_ideal_membership,
-    snapshot_timestamp_membership,
 )
 from repro.errors import ConfigurationError
 from repro.timebase import count_window
@@ -55,16 +54,17 @@ class TestTimeOutBloomFilter:
         assert np.array_equal(a.cells, b.cells)
 
     def test_snapshot_matches_incremental(self, rng):
+        # The order-free batch write answers as the per-item loop.
         keys = rng.integers(0, 40, size=300)
         w = count_window(32)
         f = TimeOutBloomFilter(n=256, k=3, window=w, seed=4)
         f.insert_many(keys)
+        loop = TimeOutBloomFilter(n=256, k=3, window=w, seed=4)
+        for key in keys:
+            loop.insert(int(key))
         queries = np.arange(80)
-        snap = snapshot_timestamp_membership(
-            keys, None, queries, t_query=len(keys), n=256, k=3, window=w,
-            seed=4,
-        )
-        assert list(snap) == [f.contains(int(q)) for q in queries]
+        assert list(f.contains_many(queries, t=len(keys))) == \
+            [loop.contains(int(q)) for q in queries]
 
 
 class TestTimingBloomFilter:
@@ -101,16 +101,18 @@ class TestTimingBloomFilter:
         assert f.contains(777)
 
     def test_snapshot_matches_incremental(self, rng):
+        # TBF answers as a TOBF of the same cells and hashes (what its
+        # experiment row computes): the scan only removes cells the
+        # window test already rejects.
         keys = rng.integers(0, 40, size=300)
         w = count_window(32)
         f = TimingBloomFilter(n=256, k=3, window=w, seed=4)
         f.insert_many(keys)
+        tobf = TimeOutBloomFilter(n=256, k=3, window=w, seed=4)
+        tobf.insert_many(keys)
         queries = np.arange(80)
-        snap = snapshot_timestamp_membership(
-            keys, None, queries, t_query=len(keys), n=256, k=3, window=w,
-            seed=4,
-        )
-        assert list(snap) == [f.contains(int(q)) for q in queries]
+        assert list(tobf.contains_many(queries, t=len(keys))) == \
+            [f.contains(int(q)) for q in queries]
 
 
 class TestIdealSlidingBloom:

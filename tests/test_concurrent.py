@@ -8,7 +8,7 @@ import pytest
 
 from repro import ClockBitmap, ClockBloomFilter, time_window
 from repro.concurrent import BackgroundCleaner, ThreadSafeSketch
-from repro.errors import ConfigurationError, EstimatorSaturatedError
+from repro.errors import ConfigurationError, EstimatorSaturatedError, TimeError
 from repro.timebase import count_window
 
 
@@ -66,6 +66,34 @@ class TestThreadSafeSketch:
         shared.insert("x", t=5.0)
         shared.advance_clock(3.0)  # stale: must not raise
         assert sketch.clock.now == 5.0
+
+    def test_reads_answer_at_the_cleaners_tick(self):
+        # The tick moves the stream clock, not only the cells, so a
+        # default-time read answers at the tick instead of raising.
+        sketch = ClockBloomFilter(n=128, k=2, s=2, window=time_window(100.0))
+        shared = ThreadSafeSketch(sketch)
+        shared.insert("x", t=10.0)
+        shared.advance_clock(20.0)
+        assert sketch.now == sketch.clock.now == 20.0
+        assert shared.contains("x") is True
+        assert shared.query_many(["x", "never"]).tolist() == [True, False]
+        shared.insert("y", t=20.0)
+        assert sketch.items_inserted == 2
+
+    def test_insert_behind_the_tick_moves_nothing(self):
+        # A batch behind the tick is refused before the engine writes a
+        # cell (it used to write cells, then fail to commit them).
+        sketch = ClockBloomFilter(n=512, k=3, s=2, window=time_window(100.0))
+        shared = ThreadSafeSketch(sketch)
+        shared.advance_clock(50.0)
+        before = sketch.clock.values.tobytes()
+        keys = np.arange(40, dtype=np.int64)
+        with pytest.raises(TimeError, match="backwards"):
+            shared.insert_many(keys, np.linspace(10.0, 20.0, 40))
+        assert sketch.clock.values.tobytes() == before
+        assert (sketch.items_inserted, sketch.now) == (0, 50.0)
+        shared.insert_many(keys, np.linspace(50.0, 60.0, 40))
+        assert sketch.items_inserted == 40
 
     def test_concurrent_inserts_with_lock(self, fake_clock):
         sketch = ClockBitmap(n=4096, s=8, window=time_window(1e6))

@@ -9,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.baselines.cvs
+import repro.baselines.ideal
+import repro.baselines.naive_size
+import repro.baselines.naive_timespan
 import repro.baselines.swamp
+import repro.baselines.tbf
 import repro.baselines.tinytable
+import repro.baselines.tobf
+import repro.baselines.tsv
 import repro.cache.policies
+import repro.concurrent
 import repro.core.activeness
 import repro.core.base
 import repro.core.cardinality
@@ -20,6 +28,7 @@ import repro.core.timespan
 import repro.ext.adaptive
 import repro.ext.similar
 import repro.hashing.family
+import repro.monitor
 import repro.streams.groundtruth
 import repro.units
 from repro import (
@@ -44,6 +53,15 @@ DOCTEST_MODULES = [
     repro.core.timespan,
     repro.core.size,
     repro.streams.groundtruth,
+    repro.monitor,
+    repro.concurrent,
+    repro.baselines.tobf,
+    repro.baselines.tbf,
+    repro.baselines.tsv,
+    repro.baselines.cvs,
+    repro.baselines.ideal,
+    repro.baselines.naive_timespan,
+    repro.baselines.naive_size,
     repro.baselines.swamp,
     repro.baselines.tinytable,
     repro.cache.policies,

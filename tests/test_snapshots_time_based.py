@@ -2,21 +2,15 @@
 
 The count-based equivalences are covered per-structure; these pin the
 float-schedule (time-based) paths, which the fig5e/6d/7d/8d experiments
-rely on: BF+clock and BM+clock fed through ``insert_many`` against the
-per-item ``insert`` loop on the scalar sweep, and the baselines'
-snapshot evaluators against their incremental structures.
+rely on: BF+clock, BM+clock, TOBF and TSV fed through ``insert_many``
+against the per-item ``insert`` loop (the kinds on the scalar sweep).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import (
-    TimeOutBloomFilter,
-    TimestampVector,
-    snapshot_timestamp_membership,
-    snapshot_tsv_estimate,
-)
+from repro.baselines import TimeOutBloomFilter, TimestampVector
 from repro.core.activeness import ClockBloomFilter
 from repro.core.cardinality import ClockBitmap
 from repro.timebase import time_window
@@ -63,12 +57,12 @@ class TestTimeBasedSnapshots:
         w = time_window(window)
         f = TimeOutBloomFilter(n=128, k=2, window=w, seed=seed)
         f.insert_many(keys, times)
+        loop = TimeOutBloomFilter(n=128, k=2, window=w, seed=seed)
+        for key, t in zip(keys, times):
+            loop.insert(int(key), t=float(t))
         queries = np.arange(80)
-        snap = snapshot_timestamp_membership(
-            keys, times, queries, t_query=float(times[-1]),
-            n=128, k=2, window=w, seed=seed,
-        )
-        assert list(snap) == [f.contains(int(q)) for q in queries]
+        assert list(f.contains_many(queries, t=float(times[-1]))) == \
+            [loop.contains(int(q)) for q in queries]
 
     @given(seed=st.integers(0, 60), n=st.integers(1, 250),
            window=st.floats(2.0, 80.0))
@@ -78,6 +72,8 @@ class TestTimeBasedSnapshots:
         w = time_window(window)
         tsv = TimestampVector(n=128, window=w, seed=seed)
         tsv.insert_many(keys, times)
-        snap = snapshot_tsv_estimate(keys, times, t_query=float(times[-1]),
-                                     n=128, window=w, seed=seed)
-        assert snap.value == tsv.estimate().value
+        loop = TimestampVector(n=128, window=w, seed=seed)
+        for key, t in zip(keys, times):
+            loop.insert(int(key), t=float(t))
+        assert (tsv.estimate(t=float(times[-1])).value
+                == loop.estimate().value)

@@ -27,7 +27,7 @@ QUICK = os.environ.get("BATCH_BENCH_QUICK", "") not in ("", "0")
 
 def test_batch_throughput(benchmark, record_result):
     result = run_once(benchmark, batch_throughput.run, quick=QUICK, seed=1)
-    record_result("batch", result)
+    record_result("batch", result, quick=QUICK)
 
     if QUICK:
         return

@@ -12,7 +12,7 @@ from conftest import run_once
 
 def test_fig05_optimal_clock_size(benchmark, record_result):
     result = run_once(benchmark, fig05_optimal_clock_activeness.run, seed=1)
-    record_result("fig05", result)
+    record_result("fig5", result)
 
     # Shape assertion: for each (panel, memory), s=2 is at or near the
     # minimum FPR (within noise of resolvable rates).

@@ -12,7 +12,7 @@ from conftest import run_once
 
 def test_fig06_activeness_accuracy(benchmark, record_result):
     result = run_once(benchmark, fig06_accuracy_activeness.run, seed=1)
-    record_result("fig06", result)
+    record_result("fig6", result)
 
     by_key = {}
     for row in result.rows:

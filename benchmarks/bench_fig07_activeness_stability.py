@@ -11,7 +11,7 @@ from conftest import run_once
 
 def test_fig07_activeness_stability(benchmark, record_result):
     result = run_once(benchmark, fig07_stability_activeness.run, seed=1)
-    record_result("fig07", result)
+    record_result("fig7", result)
 
     # The paper's panels are log-scale: "comparable FPR" means the
     # series stays within a small constant factor across query times

@@ -10,7 +10,7 @@ from conftest import run_once
 
 def test_fig08_activeness_window(benchmark, record_result):
     result = run_once(benchmark, fig08_window_activeness.run, seed=1)
-    record_result("fig08", result)
+    record_result("fig8", result)
 
     for row_set in _series_by(result.rows, "panel", "window").values():
         ordered = sorted(row_set, key=lambda r: r["memory_kb"])

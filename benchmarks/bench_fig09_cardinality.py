@@ -12,7 +12,7 @@ from conftest import run_once
 
 def test_fig09_cardinality(benchmark, record_result):
     result = run_once(benchmark, fig09_cardinality.run, seed=1)
-    record_result("fig09", result)
+    record_result("fig9", result)
 
     panel_b = [r for r in result.rows if r["panel"] == "b"]
     smallest = min(r["memory_kb"] for r in panel_b)

@@ -4,9 +4,10 @@ Not a paper figure: one test per plane of
 :mod:`repro.bench.experiments.overhead` enforces its documented budget
 (enabled-mode overhead at most ``OVERHEAD_BUDGET_PCT`` = 10% on the
 1M-item chunked ingest workload; see docs/observability.md). Each plane
-records under ``<plane>_overhead``, and the obs and audit planes also
-archive the run's full JSON metrics snapshot as
-``BENCH_<plane>_metrics.json``; CI uploads both as workflow artifacts.
+records under its experiment id (``obs``, ``audit``, ``trace``), and the
+obs and audit planes also archive the run's full JSON metrics snapshot
+as ``BENCH_<plane>_metrics.json``; CI uploads both as workflow
+artifacts.
 
 Set ``OVERHEAD_BENCH_QUICK=1`` to run the reduced stream (CI's overhead
 job does; the budget assertion is the same).
@@ -31,6 +32,8 @@ from conftest import RESULTS_DIR, run_once
 
 MAX_ATTEMPTS = 3
 
+QUICK = os.environ.get("OVERHEAD_BENCH_QUICK", "") not in ("", "0")
+
 
 def _worst(result):
     return max(row["overhead_pct"] for row in result.rows)
@@ -38,16 +41,15 @@ def _worst(result):
 
 @pytest.mark.parametrize("plane", sorted(overhead.PLANES))
 def test_overhead(benchmark, record_result, plane):
-    quick = bool(os.environ.get("OVERHEAD_BENCH_QUICK"))
     result = run_once(benchmark, overhead.run, plane=plane, seed=1,
-                      quick=quick)
+                      quick=QUICK)
     for _ in range(MAX_ATTEMPTS - 1):
         if _worst(result) <= result.extras["budget_pct"]:
             break
-        retry = overhead.run(plane, seed=1, quick=quick)
+        retry = overhead.run(plane, seed=1, quick=QUICK)
         if _worst(retry) < _worst(result):
             result = retry
-    record_result(f"{plane}_overhead", result)
+    record_result(plane, result, quick=QUICK)
 
     # The table/ledger surfaces are record_result's job; only the bulky
     # registry snapshot needs a dedicated artifact.

@@ -28,7 +28,7 @@ QUICK = os.environ.get("SERVE_BENCH_QUICK", "") not in ("", "0")
 
 def test_serve_throughput(benchmark, record_result):
     result = run_once(benchmark, serve_throughput.run, quick=QUICK, seed=1)
-    record_result("serve_throughput", result)
+    record_result("serve", result, quick=QUICK)
 
     by_key = {(row["mode"], row["router"], row["clients"]): row
               for row in result.rows}

@@ -24,7 +24,7 @@ QUICK = os.environ.get("SHARD_BENCH_QUICK", "") not in ("", "0")
 
 def test_shard_scaling(benchmark, record_result):
     result = run_once(benchmark, shard_scaling.run, quick=QUICK, seed=1)
-    record_result("shard_scaling", result)
+    record_result("shard", result, quick=QUICK)
 
     for row in result.rows:
         assert row["ips"] > 0

@@ -47,11 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeat over N workload seeds and report mean +/- std",
     )
     parser.add_argument(
-        "--json-dir", metavar="DIR", default=None,
-        help="also write each experiment's rows as <DIR>/BENCH_<name>.json "
-             "(perf-trajectory tracking)",
-    )
-    parser.add_argument(
         "--scalar", action="store_true",
         help="drive throughput experiments through the per-item insert "
              "loop instead of the batch engine (hot-path regression runs)",
@@ -110,23 +105,6 @@ def main(argv=None) -> int:
         for name, result in results.items():
             result.to_csv(os.path.join(args.csv_dir, f"{name}.csv"))
         print(f"CSV series written to {args.csv_dir}/")
-    if args.json_dir:
-        import json
-        import os
-
-        os.makedirs(args.json_dir, exist_ok=True)
-        for name, result in results.items():
-            payload = {
-                "title": result.title,
-                "columns": list(result.columns),
-                "rows": [{k: row[k] for k in result.columns}
-                         for row in result.rows],
-            }
-            path = os.path.join(args.json_dir, f"BENCH_{name}.json")
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, default=float)
-                fh.write("\n")
-        print(f"JSON series written to {args.json_dir}/")
     return 0
 
 

@@ -3,13 +3,17 @@
 The subsystem that turns one-off benchmark prints into a trajectory:
 
 - :mod:`~repro.obs.perf.record` — the versioned :class:`PerfRecord`
-  schema (headline scalars, host facts, git revision);
+  schema (the result's table, headline scalars, host facts, git
+  revision), the one shape a benchmark result is stored in;
 - :mod:`~repro.obs.perf.ledger` — the append-only JSONL
   :class:`PerfLedger` tolerating corrupted trailing lines;
-- :mod:`~repro.obs.perf.compare` — committed :class:`Baseline` files
-  plus the noise-aware comparator (:func:`compare`) classifying runs
-  as improved/flat/regressed with MAD noise bands and explanatory
-  metric deltas;
+- :func:`archive` — the one writer: builds a run's record once, writes
+  the root ``BENCH_<bench>.json``, appends the ledger line and
+  publishes ``repro_perf_*``;
+- :mod:`~repro.obs.perf.compare` — committed baseline files (the last
+  N records of a benchmark) plus the noise-aware comparator
+  (:func:`compare`) classifying runs as improved/flat/regressed with
+  MAD noise bands and explanatory metric deltas;
 - :mod:`~repro.obs.perf.telemetry` — registry-snapshot reduction for
   the "why" behind a regression, and perf's own ``repro_perf_*``
   series;
@@ -24,18 +28,19 @@ the obs tree.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import json
+from pathlib import Path
+from typing import Any, Dict, Optional, Union
 
+from .. import runtime as _obs
 from .compare import (
     DEFAULT_BASELINES_DIR,
-    Baseline,
-    BaselineMetric,
     CompareReport,
     MetricComparison,
-    baseline_from_records,
     compare,
     explain_delta,
     load_baselines,
+    pooled_samples,
     save_baseline,
 )
 from .ledger import LedgerLoad, PerfLedger, default_ledger_path
@@ -69,12 +74,11 @@ __all__ = [
     "PerfLedger",
     "LedgerLoad",
     "default_ledger_path",
-    "Baseline",
-    "BaselineMetric",
+    "archive",
     "CompareReport",
     "MetricComparison",
     "DEFAULT_BASELINES_DIR",
-    "baseline_from_records",
+    "pooled_samples",
     "load_baselines",
     "save_baseline",
     "compare",
@@ -87,6 +91,32 @@ __all__ = [
     "last_report",
     "perf_payload",
 ]
+
+def archive(bench: str, result: Any, *, quick: bool,
+            root: "Union[str, Path]", ledger: PerfLedger,
+            timestamp: "Optional[float]" = None) -> PerfRecord:
+    """Store one benchmark run: the only writer of its record.
+
+    Builds the :class:`PerfRecord` once (the explanatory metrics delta
+    from the result's registry ``snapshot``, if it archived one), then
+    writes ``<root>/BENCH_<bench>.json``, appends the same record to
+    ``ledger`` and, while instrumentation is enabled, publishes its
+    ``repro_perf_*`` series.
+    ``quick`` is the mode the run actually used.
+    """
+    record = PerfRecord.from_result(
+        bench, result, timestamp=timestamp, quick=quick,
+        metrics_delta=aggregate_snapshot(
+            getattr(result, "extras", {}).get("snapshot")),
+    )
+    path = Path(root) / f"BENCH_{bench}.json"
+    path.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True)
+                    + "\n", encoding="utf-8")
+    ledger.append(record)
+    if _obs.ENABLED:
+        publish_record(bench, {h.name: h.value for h in record.headlines})
+    return record
+
 
 #: The most recent CompareReport produced in this process, for /perf.json.
 _LAST_REPORT: "Optional[CompareReport]" = None

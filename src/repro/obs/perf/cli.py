@@ -9,13 +9,15 @@ The operator surface over the performance ledger::
     python -m repro.obs perf report --output perf_report.json
 
 ``record`` runs a registered experiment (the same runners as
-``python -m repro.bench``) and appends one :class:`PerfRecord` to the
-ledger; ``baseline`` folds the last N matching records into a
-committed baseline file; ``compare`` classifies the latest records
-against every committed baseline and is the CI regression gate (exit
-code 1 on an actionable regression, 0 otherwise); ``trend`` prints a
-metric's trajectory straight from the ledger; ``report`` writes the
-consolidated JSON artifact and never gates.
+``repro-bench``) and archives it through :func:`repro.obs.perf.archive`:
+one :class:`PerfRecord`, written as ``BENCH_<bench>.json`` in the
+working directory and appended to the ledger; ``baseline`` writes the
+last N matching records as a committed baseline file; ``compare``
+classifies the latest records against every committed baseline and is
+the CI regression gate (exit code 1 on an actionable regression, 0
+otherwise); ``trend`` prints a metric's trajectory straight from the
+ledger; ``report`` writes the consolidated JSON artifact and never
+gates.
 """
 
 from __future__ import annotations
@@ -23,20 +25,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from .. import runtime as _obs
-from . import perf_payload
+from . import archive, perf_payload
 from .compare import (
     DEFAULT_BASELINES_DIR,
-    baseline_from_records,
     compare,
     load_baselines,
+    pooled_samples,
     save_baseline,
 )
 from .ledger import PerfLedger
 from .record import PerfRecord
-from .telemetry import aggregate_snapshot, publish_record
 
 __all__ = ["add_perf_subparser", "run_perf"]
 
@@ -62,9 +62,10 @@ def add_perf_subparser(sub: "argparse._SubParsersAction[Any]") -> None:
     action = perf.add_subparsers(dest="perf_command", required=True)
 
     record = action.add_parser(
-        "record", help="run one experiment and append its record")
+        "record", help="run one experiment, write BENCH_<bench>.json "
+                       "and append its record")
     record.add_argument("--bench", required=True,
-                        help="experiment id (see python -m repro.bench)")
+                        help="experiment id (see repro-bench --help)")
     record.add_argument("--quick", action="store_true",
                         help="run the experiment in quick mode and mark "
                              "the record as quick")
@@ -96,12 +97,12 @@ def add_perf_subparser(sub: "argparse._SubParsersAction[Any]") -> None:
     report.add_argument("--limit", type=int, default=20)
 
     baseline = action.add_parser(
-        "baseline", help="fold recent ledger records into a baseline file")
+        "baseline", help="write recent ledger records as a baseline file")
     baseline.add_argument("--bench", required=True)
     baseline.add_argument("--quick", action="store_true",
                           help="build from quick-mode records")
     baseline.add_argument("--last", type=int, default=5,
-                          help="fold the last N matching records "
+                          help="keep the last N matching records "
                                "(default 5)")
     baseline.add_argument("--baselines", default=str(DEFAULT_BASELINES_DIR),
                           help="directory to write into")
@@ -115,16 +116,8 @@ def _cmd_record(args: argparse.Namespace, ledger: PerfLedger) -> int:
               f"{', '.join(sorted(runners))}", file=sys.stderr)
         return 2
     result = runner(quick=args.quick, seed=args.seed)
-    metrics_delta = aggregate_snapshot(
-        getattr(result, "extras", {}).get("snapshot"))
-    record = PerfRecord.from_result(
-        args.bench, result, timestamp=args.timestamp,
-        quick=args.quick, metrics_delta=metrics_delta,
-    )
-    ledger.append(record)
-    if _obs.ENABLED:
-        publish_record(record.bench,
-                       {h.name: h.value for h in record.headlines})
+    record = archive(args.bench, result, quick=args.quick, root=".",
+                     ledger=ledger, timestamp=args.timestamp)
     mode = "quick" if record.quick else "full"
     print(f"recorded {record.bench} ({mode}, "
           f"rev {record.git_rev or '?'}) -> {ledger.path}")
@@ -136,13 +129,13 @@ def _cmd_record(args: argparse.Namespace, ledger: PerfLedger) -> int:
 
 
 def _resolve_latest(ledger: PerfLedger,
-                    baselines: "Dict[str, Any]",
+                    baselines: "Dict[str, List[PerfRecord]]",
                     ) -> "Dict[str, Optional[PerfRecord]]":
     load = ledger.load()
     if load.skipped:
         print(f"warning: skipped {load.skipped} corrupt ledger line(s) "
               f"in {ledger.path}", file=sys.stderr)
-    return {bench: load.latest(bench, quick=baseline.quick)
+    return {bench: load.latest(bench, quick=baseline[-1].quick)
             for bench, baseline in baselines.items()}
 
 
@@ -212,14 +205,13 @@ def _cmd_baseline(args: argparse.Namespace, ledger: PerfLedger) -> int:
               file=sys.stderr)
         return 1
     chosen = matching[-args.last:] if args.last > 0 else matching
-    baseline = baseline_from_records(chosen)
-    path = save_baseline(baseline, args.baselines)
-    print(f"wrote baseline for {baseline.bench} from {len(chosen)} "
+    path = save_baseline(chosen, args.baselines)
+    print(f"wrote baseline for {args.bench} from {len(chosen)} "
           f"record(s) -> {path}")
-    for name, metric in sorted(baseline.metrics.items()):
-        print(f"  {name}: {len(metric.samples)} sample(s), "
-              f"median {sorted(metric.samples)[len(metric.samples) // 2]:g} "
-              f"[{metric.unit}]")
+    for name, (spec, samples) in sorted(pooled_samples(chosen).items()):
+        print(f"  {name}: {len(samples)} sample(s), "
+              f"median {sorted(samples)[len(samples) // 2]:g} "
+              f"[{spec.unit}]")
     return 0
 
 

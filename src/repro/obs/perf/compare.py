@@ -1,9 +1,11 @@
 """Noise-aware current-vs-baseline comparison over the perf ledger.
 
 Baselines are committed JSON files under ``benchmarks/baselines/``, one
-per benchmark, each carrying *samples* (several recorded values per
-headline metric) rather than a single blessed number — the comparator
-(:func:`compare`) fits a MAD noise band on those samples via
+per benchmark, each holding the last N
+:class:`~repro.obs.perf.record.PerfRecord`\\ s of that benchmark rather
+than a single blessed number. The comparator (:func:`compare`) pools
+each headline's values across them as *samples*, takes host, mode and
+explanatory telemetry from the newest, fits a MAD noise band via
 :func:`repro.bench.stats.classify` and classifies the current run as
 ``improved`` / ``flat`` / ``regressed``, or honestly ``insufficient``
 when the baseline is too thin to estimate its own noise.
@@ -29,25 +31,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ...bench import stats
 from .. import runtime as _obs
-from .record import (
-    SCHEMA_VERSION,
-    PerfRecord,
-    PerfSchemaError,
-    host_fingerprint,
-)
+from .record import Headline, PerfRecord, PerfSchemaError, host_fingerprint
 
 __all__ = [
-    "Baseline",
-    "BaselineMetric",
     "MetricComparison",
     "CompareReport",
     "DEFAULT_BASELINES_DIR",
-    "baseline_from_records",
+    "pooled_samples",
     "load_baselines",
+    "save_baseline",
     "compare",
     "explain_delta",
 ]
@@ -65,162 +61,81 @@ _MAX_EXPLANATION_LINES = 6
 _NOTABLE_RATIO = 1.5
 
 
-@dataclass(frozen=True)
-class BaselineMetric:
-    """One headline metric's committed baseline sample set."""
-
-    samples: "Tuple[float, ...]"
-    unit: str
-    higher_is_better: bool
-    portable: bool
-
-    def to_dict(self) -> "Dict[str, Any]":
-        return {
-            "samples": [float(s) for s in self.samples],
-            "unit": self.unit,
-            "higher_is_better": self.higher_is_better,
-            "portable": self.portable,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "BaselineMetric":
-        try:
-            return cls(
-                samples=tuple(float(s) for s in payload["samples"]),
-                unit=str(payload["unit"]),
-                higher_is_better=bool(payload["higher_is_better"]),
-                portable=bool(payload["portable"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PerfSchemaError(f"malformed baseline metric: {exc}") \
-                from exc
-
-
-@dataclass(frozen=True)
-class Baseline:
-    """One benchmark's committed baseline."""
-
-    bench: str
-    metrics: "Dict[str, BaselineMetric]"
-    host: "Dict[str, Any]" = field(default_factory=dict)
-    quick: bool = False
-    metrics_delta: "Dict[str, float]" = field(default_factory=dict)
-    schema: int = SCHEMA_VERSION
-
-    def to_dict(self) -> "Dict[str, Any]":
-        return {
-            "schema": self.schema,
-            "bench": self.bench,
-            "quick": self.quick,
-            "host": dict(self.host),
-            "metrics": {name: m.to_dict()
-                        for name, m in sorted(self.metrics.items())},
-            "metrics_delta": {k: float(v)
-                              for k, v in self.metrics_delta.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "Baseline":
-        schema = payload.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise PerfSchemaError(
-                f"unsupported baseline schema {schema!r} "
-                f"(this library reads version {SCHEMA_VERSION})"
-            )
-        try:
-            return cls(
-                bench=str(payload["bench"]),
-                metrics={
-                    str(name): BaselineMetric.from_dict(m)
-                    for name, m in dict(payload["metrics"]).items()
-                },
-                host=dict(payload.get("host") or {}),
-                quick=bool(payload.get("quick", False)),
-                metrics_delta={
-                    str(k): float(v)
-                    for k, v in (payload.get("metrics_delta") or {}).items()
-                },
-            )
-        except PerfSchemaError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PerfSchemaError(f"malformed baseline: {exc}") from exc
-
-
-def baseline_from_records(records: "List[PerfRecord]") -> Baseline:
-    """Fold several ledger records into one baseline.
-
-    Every record must describe the same benchmark in the same mode;
-    each headline metric pools its value across the records as the
-    baseline sample set. Host and explanatory telemetry come
-    from the newest record.
-    """
+def _check_baseline(records: "Sequence[PerfRecord]", source: str) -> None:
+    """A baseline is one or more records of one benchmark in one mode."""
     if not records:
-        raise PerfSchemaError("cannot build a baseline from zero records")
+        raise PerfSchemaError(f"{source}: a baseline needs at least one "
+                              "record")
     benches = {r.bench for r in records}
     if len(benches) != 1:
         raise PerfSchemaError(
-            f"baseline records span several benchmarks: {sorted(benches)}"
+            f"{source}: baseline records span several benchmarks: "
+            f"{sorted(benches)}"
         )
-    modes = {r.quick for r in records}
-    if len(modes) != 1:
+    if len({r.quick for r in records}) != 1:
         raise PerfSchemaError(
-            "baseline records mix quick and full modes; rebuild from "
-            "records of one mode"
+            f"{source}: baseline records mix quick and full modes; "
+            "rebuild from records of one mode"
         )
-    newest = records[-1]
-    metrics: "Dict[str, BaselineMetric]" = {}
+
+
+def pooled_samples(records: "Sequence[PerfRecord]",
+                   ) -> "Dict[str, Tuple[Headline, Tuple[float, ...]]]":
+    """Each headline's values across a baseline's records, oldest first.
+
+    The headline paired with each sample set is the newest one of that
+    name: its unit, direction and portability gate the comparison.
+    """
+    pooled: "Dict[str, Tuple[Headline, Tuple[float, ...]]]" = {}
     for record in records:
         for headline in record.headlines:
-            existing = metrics.get(headline.name)
-            samples = (existing.samples if existing else ()) \
-                + (headline.value,)
-            metrics[headline.name] = BaselineMetric(
-                samples=samples, unit=headline.unit,
-                higher_is_better=headline.higher_is_better,
-                portable=headline.portable,
-            )
-    return Baseline(
-        bench=newest.bench, metrics=metrics, host=dict(newest.host),
-        quick=newest.quick,
-        metrics_delta=dict(newest.metrics_delta),
-    )
+            _spec, samples = pooled.get(headline.name, (headline, ()))
+            pooled[headline.name] = (headline, samples + (headline.value,))
+    return pooled
 
 
 def load_baselines(directory: "Union[str, Path]" = DEFAULT_BASELINES_DIR,
-                   ) -> "Dict[str, Baseline]":
+                   ) -> "Dict[str, List[PerfRecord]]":
     """Every ``<bench>.json`` baseline in a directory, keyed by bench.
 
-    A missing directory loads as empty; a malformed file raises — a
-    committed baseline that cannot be read is a repository bug, not
-    noise to skip.
+    A baseline file is a JSON list of records, oldest first. A missing
+    directory loads as empty; a malformed file raises — a committed
+    baseline that cannot be read is a repository bug, not noise to
+    skip.
     """
     directory = Path(directory)
-    out: "Dict[str, Baseline]" = {}
+    out: "Dict[str, List[PerfRecord]]" = {}
     if not directory.is_dir():
         return out
     for path in sorted(directory.glob("*.json")):
         with open(path, encoding="utf-8") as handle:
             try:
-                baseline = Baseline.from_dict(json.load(handle))
+                payload = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise PerfSchemaError(
                     f"unreadable baseline {path}: {exc}") from exc
-        out[baseline.bench] = baseline
+        if not isinstance(payload, list):
+            raise PerfSchemaError(f"{path}: a baseline is a list of records")
+        records = [PerfRecord.from_dict(entry) for entry in payload]
+        _check_baseline(records, str(path))
+        out[records[0].bench] = records
     return out
 
 
-def save_baseline(baseline: Baseline,
+def save_baseline(records: "Sequence[PerfRecord]",
                   directory: "Union[str, Path]" = DEFAULT_BASELINES_DIR,
                   ) -> Path:
-    """Write ``<bench>.json`` under ``directory``; returns the path."""
+    """Write the records as ``<bench>.json`` under ``directory``.
+
+    A JSON list with one record per line, as the ledger holds them, so
+    a refreshed baseline diffs record by record.
+    """
+    _check_baseline(records, "baseline")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{baseline.bench}.json"
-    path.write_text(
-        json.dumps(baseline.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    path = directory / f"{records[0].bench}.json"
+    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
     return path
 
 
@@ -364,54 +279,55 @@ def explain_delta(baseline_delta: "Mapping[str, float]",
     return lines
 
 
-def _compare_one(record: PerfRecord, baseline: Baseline,
-                 metric: str, spec: BaselineMetric,
+def _compare_one(record: PerfRecord, newest: PerfRecord, metric: str,
+                 spec: Headline, samples: "Tuple[float, ...]",
                  floor_pct: float, sigmas: float,
                  min_samples: int) -> MetricComparison:
     headline = record.headline(metric)
     if headline is None:
         return MetricComparison(
-            bench=baseline.bench, metric=metric, unit=spec.unit,
+            bench=newest.bench, metric=metric, unit=spec.unit,
             status=SKIPPED, current=None, verdict=None,
             detail="metric absent from the current record",
         )
     if not spec.portable:
         mine = host_fingerprint(record.host)
-        theirs = host_fingerprint(baseline.host)
+        theirs = host_fingerprint(newest.host)
         if mine != theirs:
             return MetricComparison(
-                bench=baseline.bench, metric=metric, unit=spec.unit,
+                bench=newest.bench, metric=metric, unit=spec.unit,
                 status=SKIPPED, current=headline.value, verdict=None,
                 detail=f"host fingerprint mismatch ({mine} vs baseline "
                        f"{theirs}); absolute throughput is not portable",
             )
     verdict = stats.classify(
-        headline.value, list(spec.samples),
+        headline.value, list(samples),
         higher_is_better=spec.higher_is_better,
         min_samples=min_samples, floor_pct=floor_pct, sigmas=sigmas,
         absolute=(spec.unit == "percent"),
     )
     explanation: "Tuple[str, ...]" = ()
     if verdict.status == stats.REGRESSED:
-        explanation = tuple(explain_delta(baseline.metrics_delta,
+        explanation = tuple(explain_delta(newest.metrics_delta,
                                           record.metrics_delta))
     return MetricComparison(
-        bench=baseline.bench, metric=metric, unit=spec.unit,
+        bench=newest.bench, metric=metric, unit=spec.unit,
         status=verdict.status, current=headline.value, verdict=verdict,
         detail=verdict.detail, explanation=explanation,
     )
 
 
 def compare(records: "Mapping[str, Optional[PerfRecord]]",
-            baselines: "Mapping[str, Baseline]",
+            baselines: "Mapping[str, Sequence[PerfRecord]]",
             floor_pct: float = stats.DEFAULT_BAND_FLOOR_PCT,
             sigmas: float = stats.DEFAULT_SIGMAS,
             min_samples: int = stats.DEFAULT_MIN_SAMPLES) -> CompareReport:
     """Compare the latest records against every committed baseline.
 
+    ``baselines`` maps bench id to its baseline records, oldest first.
     ``records`` maps bench id to the latest *mode-matching* ledger
     record (or None when the ledger has none) — resolve it with
-    :meth:`LedgerLoad.latest(bench, quick=baseline.quick)
+    :meth:`LedgerLoad.latest(bench, quick=baseline[-1].quick)
     <repro.obs.perf.ledger.LedgerLoad.latest>`. Baselines with no
     record produce ``skipped`` rows; the report only gates (exit 1) on
     actionable ``regressed`` verdicts.
@@ -421,19 +337,21 @@ def compare(records: "Mapping[str, Optional[PerfRecord]]",
 
     report = CompareReport()
     for bench in sorted(baselines):
-        baseline = baselines[bench]
+        newest = baselines[bench][-1]
         record = records.get(bench)
         if record is None:
-            mode = "quick" if baseline.quick else "full"
+            mode = "quick" if newest.quick else "full"
             report.comparisons.append(MetricComparison(
                 bench=bench, metric="*", unit="-", status=SKIPPED,
                 current=None, verdict=None,
                 detail=f"no {mode}-mode ledger record for this benchmark",
             ))
             continue
-        for metric in sorted(baseline.metrics):
+        pooled = pooled_samples(baselines[bench])
+        for metric in sorted(pooled):
+            spec, samples = pooled[metric]
             report.comparisons.append(_compare_one(
-                record, baseline, metric, baseline.metrics[metric],
+                record, newest, metric, spec, samples,
                 floor_pct, sigmas, min_samples,
             ))
     if _obs.ENABLED:

@@ -1,13 +1,19 @@
 """The canonical performance run record: schema, extraction, host facts.
 
-A :class:`PerfRecord` is one benchmark execution reduced to the facts a
-trajectory needs: which benchmark, its headline scalar(s), the host
-they ran on, when, and at which git revision. Records are versioned (:data:`SCHEMA_VERSION`), round-trip
-losslessly through ``to_dict``/``from_dict``, and append to the JSONL
-ledger (:mod:`repro.obs.perf.ledger`).
+A :class:`PerfRecord` is one benchmark execution: which benchmark, its
+table (title, columns, rows and JSON-safe extras), the headline
+scalar(s) drawn from that table, the host it ran on, when, and at
+which git revision. It is the only shape a benchmark result is stored
+in: a root ``BENCH_<bench>.json``, a ledger line
+(:mod:`repro.obs.perf.ledger`) and each entry of a baseline file
+(:mod:`repro.obs.perf.compare`) are all ``to_dict()``. Records are
+versioned (:data:`SCHEMA_VERSION`) and round-trip losslessly through
+``to_dict``/``from_dict``; the table is optional when loading, so
+records written before it was carried still load.
 
 Headline extraction is convention-driven: :func:`extract_headlines`
-scans an :class:`~repro.bench.harness.ExperimentResult`'s columns for
+scans a result's rows (an
+:class:`~repro.bench.harness.ExperimentResult` or a record) for
 the known performance vocabulary (``overhead_pct``, ``speedup``, the
 ``*_ips`` throughput family, ``fpr``/``are``/``re`` accuracy rates) and
 aggregates each over the rows with the metric's *worst-case* or robust
@@ -21,10 +27,11 @@ baseline recorded on a matching host fingerprint.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ...errors import ConfigurationError
@@ -112,10 +119,11 @@ def _aggregate(values: "list[float]", how: str) -> float:
 
 
 def extract_headlines(result: Any) -> "Tuple[Headline, ...]":
-    """Pull every known headline scalar out of an ExperimentResult.
+    """Pull every known headline scalar out of a result's rows.
 
-    Duck-typed on ``result.rows`` (a list of dicts) so this module
-    never imports the bench harness at module scope. Columns absent
+    Duck-typed on ``result.rows`` (dicts), so an ExperimentResult and
+    a stored :class:`PerfRecord` both work and this module never
+    imports the bench harness at module scope. Columns absent
     from the vocabulary are ignored; an empty tuple means the result
     carries no comparable performance scalar (fine — the record still
     documents the run).
@@ -181,9 +189,19 @@ def current_git_rev() -> "Optional[str]":
     return proc.stdout.strip() or None
 
 
+def _json_default(value: Any) -> Any:
+    """JSON fallback for table cells: numpy scalars as Python ones."""
+    return value.item()
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as the JSON-native data it reads back as."""
+    return json.loads(json.dumps(value, default=_json_default))
+
+
 @dataclass(frozen=True)
 class PerfRecord:
-    """One benchmark run as a ledger entry."""
+    """One benchmark run: its table, headlines, host and revision."""
 
     bench: str
     headlines: "Tuple[Headline, ...]"
@@ -192,6 +210,10 @@ class PerfRecord:
     git_rev: "Optional[str]" = None
     quick: bool = False
     metrics_delta: "Dict[str, float]" = field(default_factory=dict)
+    title: str = ""
+    columns: "Tuple[str, ...]" = ()
+    rows: "Tuple[Dict[str, Any], ...]" = ()
+    extras: "Dict[str, Any]" = field(default_factory=dict)
     schema: int = SCHEMA_VERSION
 
     def headline(self, name: str) -> "Optional[Headline]":
@@ -212,6 +234,10 @@ class PerfRecord:
             "quick": self.quick,
             "metrics_delta": {k: float(v)
                               for k, v in self.metrics_delta.items()},
+            "title": self.title,
+            "columns": list(self.columns),
+            "rows": [dict(row) for row in self.rows],
+            "extras": dict(self.extras),
         }
 
     @classmethod
@@ -238,6 +264,10 @@ class PerfRecord:
                     str(k): float(v)
                     for k, v in (payload.get("metrics_delta") or {}).items()
                 },
+                title=str(payload.get("title", "")),
+                columns=tuple(str(c) for c in payload.get("columns", ())),
+                rows=tuple(dict(row) for row in payload.get("rows", ())),
+                extras=dict(payload.get("extras") or {}),
             )
         except PerfSchemaError:
             raise
@@ -253,16 +283,29 @@ class PerfRecord:
                     ) -> "PerfRecord":
         """Build a record from a live ExperimentResult.
 
-        ``timestamp`` is injectable for determinism; it defaults to the
-        wall clock. ``git_rev=None`` asks the environment
-        (:func:`current_git_rev`).
+        The rows keep the result's columns, as JSON-native values; the
+        extras drop the bulky registry ``snapshot`` (its reduction is
+        ``metrics_delta``). ``timestamp`` is injectable for
+        determinism; it defaults to the wall clock. ``git_rev=None``
+        asks the environment (:func:`current_git_rev`).
         """
-        return cls(
+        columns = tuple(result.columns)
+        extras = {k: v for k, v in getattr(result, "extras", {}).items()
+                  if k != "snapshot"}
+        record = cls(
             bench=bench,
-            headlines=extract_headlines(result),
+            headlines=(),
             host=host_facts(),
             timestamp=time.time() if timestamp is None else float(timestamp),
             git_rev=current_git_rev() if git_rev is None else git_rev,
             quick=quick,
             metrics_delta=dict(metrics_delta or {}),
+            title=str(result.title),
+            columns=columns,
+            rows=tuple(_plain([{k: row.get(k) for k in columns}
+                               for row in result.rows])),
+            extras=_plain(extras),
         )
+        # Headlines come from the stored rows, so a stored record's
+        # table reproduces them.
+        return replace(record, headlines=extract_headlines(record))

@@ -11,7 +11,6 @@ usage/parse errors). Suppressions are source comments::
     # sketchlint: scalar-ok            (SK101)
     # sketchlint: dtype-ok             (SK102)
     # sketchlint: raw-clock-ok         (SK103)
-    # sketchlint: pair-ok              (SK105)
     # sketchlint: metric-name-ok       (SK106)
     # sketchlint: kernel-ok            (SK107)
     # sketchlint: lock-ok              (SK108, flow)

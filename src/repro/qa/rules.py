@@ -22,18 +22,6 @@ SK103
     array's ``values`` buffer. All cell mutation goes through the
     :class:`~repro.core.clockarray.ClockArray` API so invariants stay
     enforceable in one place.
-SK105
-    Every sketch subclass of :class:`~repro.core.base.ClockSketchBase`
-    (or of its reader and kind bases) defines *matched* scalar/batch
-    API pairs: ``insert``/``insert_many``, ``query``/``query_many``,
-    ``contains``/``contains_many``. Half a pair means some callers
-    silently fall off the vectorised path (or have no scalar reference
-    to property-test against). The kinds, the baselines and the
-    sharded facade hold by construction (``insert``/``insert_many`` are
-    written once, on :class:`~repro.core.base.ClockSketchBase`,
-    ``query``/``query_many`` once, on
-    :class:`~repro.core.base.ClockSketchReader`, and every ``contains``
-    pair is an alias); the rule guards a subclass that writes its own.
 SK106
     Metric registration sites (``repro.obs.runtime.series``, the
     ``counter`` / ``gauge`` / ``histogram`` registrars and ``timed``
@@ -73,7 +61,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 __all__ = ["Finding", "ModuleScope", "RULE_IDS", "SUPPRESSION_TOKENS",
            "run_rules", "scope_for_path"]
 
-RULE_IDS = ("SK101", "SK102", "SK103", "SK105", "SK106", "SK107")
+RULE_IDS = ("SK101", "SK102", "SK103", "SK106", "SK107")
 
 #: Suppression comment tokens (``# sketchlint: <token>``) per rule.
 #: Shared with the flow analyzer (SK108-SK111).
@@ -81,7 +69,6 @@ SUPPRESSION_TOKENS: Dict[str, str] = {
     "scalar-ok": "SK101",
     "dtype-ok": "SK102",
     "raw-clock-ok": "SK103",
-    "pair-ok": "SK105",
     "metric-name-ok": "SK106",
     "kernel-ok": "SK107",
     "lock-ok": "SK108",
@@ -338,68 +325,6 @@ def _rule_sk103(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding
 
 
 # ----------------------------------------------------------------------
-# SK105 — matched scalar/batch API pairs on temporal-base subclasses
-# ----------------------------------------------------------------------
-
-_API_PAIRS: Tuple[Tuple[str, str], ...] = (
-    ("insert", "insert_many"),
-    ("query", "query_many"),
-    ("contains", "contains_many"),
-)
-
-_TEMPORAL_BASE = "ClockSketchBase"
-
-#: Bases whose subclasses SK105 checks: the temporal base, and the
-#: reader and kind bases the kinds and the sharded facade subclass in
-#: their own modules.
-_SK105_ROOTS = frozenset({_TEMPORAL_BASE, "ClockSketchReader",
-                          "ClockSketchKind"})
-
-
-def _base_names(cls: ast.ClassDef) -> Set[str]:
-    names: Set[str] = set()
-    for base in cls.bases:
-        chain = _attr_chain(base)
-        if chain:
-            names.add(chain[-1])
-    return names
-
-
-def _rule_sk105(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding]:
-    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
-    # Resolve (single-module) transitive subclasses of the temporal base.
-    sketchy: Set[str] = set(_SK105_ROOTS)
-    changed = True
-    while changed:
-        changed = False
-        for cls in classes:
-            if cls.name not in sketchy and _base_names(cls) & sketchy:
-                sketchy.add(cls.name)
-                changed = True
-
-    findings: List[Finding] = []
-    for cls in classes:
-        if cls.name not in sketchy or cls.name == _TEMPORAL_BASE:
-            continue
-        defined = {
-            stmt.name for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for scalar, batch in _API_PAIRS:
-            has_scalar, has_batch = scalar in defined, batch in defined
-            if has_scalar == has_batch:
-                continue
-            present, missing = (scalar, batch) if has_scalar else (batch, scalar)
-            findings.append(Finding(
-                "SK105", path, cls.lineno,
-                f"sketch class {cls.name} defines `{present}` without its "
-                f"twin `{missing}`; scalar and batch APIs must come in "
-                "matched pairs",
-            ))
-    return findings
-
-
-# ----------------------------------------------------------------------
 # SK106 — metric names must be registered constants, not inline strings
 # ----------------------------------------------------------------------
 
@@ -522,8 +447,7 @@ def _rule_sk107(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding
 
 
 _RULES: Tuple[Callable[[ast.Module, str, ModuleScope], List[Finding]], ...] = (
-    _rule_sk101, _rule_sk102, _rule_sk103, _rule_sk105,
-    _rule_sk106, _rule_sk107,
+    _rule_sk101, _rule_sk102, _rule_sk103, _rule_sk106, _rule_sk107,
 )
 
 

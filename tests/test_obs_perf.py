@@ -2,8 +2,10 @@
 
 import json
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import ExperimentResult
@@ -11,18 +13,18 @@ from repro.obs import names
 from repro.obs import runtime as _obs
 from repro.obs.__main__ import main as obs_main
 from repro.obs.perf import (
-    Baseline,
     Headline,
     PerfLedger,
     PerfRecord,
     PerfSchemaError,
-    baseline_from_records,
+    archive,
     compare,
     explain_delta,
     extract_headlines,
     host_facts,
     host_fingerprint,
     load_baselines,
+    pooled_samples,
     save_baseline,
 )
 from repro.obs.perf.telemetry import (
@@ -94,6 +96,55 @@ def test_from_result_stamps_host_and_timestamp():
     assert host_fingerprint(record.host) == host_fingerprint(host_facts())
 
 
+def _table_result():
+    result = ExperimentResult(title="t", columns=["variant", "speedup", "n"])
+    result.add(variant="a", speedup=np.float64(6.5), n=np.int64(3),
+               unlisted=1)
+    result.add(variant="b", speedup=5.5, n=4, unlisted=2)
+    result.extras.update(budget_pct=10.0, snapshot={"counters": [
+        {"name": names.ENGINE_BATCHES_TOTAL, "labels": {}, "value": 7.0}]})
+    return result
+
+
+def test_from_result_carries_the_table_and_round_trips():
+    record = PerfRecord.from_result("batch", _table_result(), timestamp=1.0,
+                                    git_rev="abc1234")
+    assert record.title == "t"
+    assert record.columns == ("variant", "speedup", "n")
+    assert record.rows == ({"variant": "a", "speedup": 6.5, "n": 3},
+                           {"variant": "b", "speedup": 5.5, "n": 4})
+    assert type(record.rows[0]["n"]) is int
+    assert record.extras == {"budget_pct": 10.0}  # no bulky snapshot
+    assert extract_headlines(record) == record.headlines
+    assert record.headline("speedup").value == 5.5
+    payload = json.loads(json.dumps(record.to_dict()))
+    assert PerfRecord.from_dict(payload) == record
+
+
+def test_records_written_without_a_table_still_load():
+    payload = make_record().to_dict()
+    for key in ("title", "columns", "rows", "extras"):
+        del payload[key]
+    assert PerfRecord.from_dict(payload) == make_record()
+
+
+def test_archive_writes_one_record_to_root_and_ledger(tmp_path):
+    ledger = PerfLedger(tmp_path / "ledger.jsonl")
+    registry = _obs.enable(fresh=True)
+    try:
+        record = archive("batch", _table_result(), quick=True,
+                         root=tmp_path, ledger=ledger, timestamp=5.0)
+        assert registry.get(names.PERF_RECORDS_TOTAL,
+                            {"bench": "batch"}).value == 1
+    finally:
+        _obs.disable()
+    assert record.quick and record.timestamp == 5.0
+    assert record.metrics_delta == {names.ENGINE_BATCHES_TOTAL: 7.0}
+    root = json.loads((tmp_path / "BENCH_batch.json").read_text())
+    assert root == record.to_dict()
+    assert ledger.load().records == [record]
+
+
 # ----------------------------------------------------------------------
 # Ledger
 # ----------------------------------------------------------------------
@@ -147,11 +198,12 @@ def test_missing_ledger_loads_empty(tmp_path):
 def test_baseline_from_records_pools_samples(tmp_path):
     records = [make_record(value=v, timestamp=float(i))
                for i, v in enumerate([100.0, 102.0, 98.0])]
-    baseline = baseline_from_records(records)
-    assert baseline.metrics["batch_ips"].samples == (100.0, 102.0, 98.0)
-    path = save_baseline(baseline, tmp_path)
+    _spec, samples = pooled_samples(records)["batch_ips"]
+    assert samples == (100.0, 102.0, 98.0)
+    path = save_baseline(records, tmp_path)
     loaded = load_baselines(tmp_path)
-    assert loaded["synthetic"].metrics["batch_ips"].samples == \
+    assert loaded["synthetic"] == records
+    assert pooled_samples(loaded["synthetic"])["batch_ips"][1] == \
         (100.0, 102.0, 98.0)
     assert path.name == "synthetic.json"
 
@@ -162,30 +214,30 @@ def test_payloads_carrying_the_old_kernel_key_still_load():
     record = make_record(value=5.0).to_dict()
     record["kernel"] = {"backend": "numpy", "compiled": False}
     assert PerfRecord.from_dict(record).headline("batch_ips").value == 5.0
-    baseline = baseline_from_records([make_record()]).to_dict()
-    baseline["kernel"] = {"backend": "numpy"}
-    assert Baseline.from_dict(baseline).bench == "synthetic"
     committed = load_baselines(
         Path(__file__).resolve().parents[1] / "benchmarks" / "baselines")
     assert committed
-    assert all(b.bench == name for name, b in committed.items())
+    assert all(b[-1].bench == name for name, b in committed.items())
 
 
-def test_baseline_from_records_rejects_mixed_inputs():
+def test_baseline_from_records_rejects_mixed_inputs(tmp_path):
     with pytest.raises(PerfSchemaError):
-        baseline_from_records([])
+        save_baseline([], tmp_path)
     with pytest.raises(PerfSchemaError, match="benchmark"):
-        baseline_from_records([make_record(bench="a"),
-                               make_record(bench="b")])
+        save_baseline([make_record(bench="a"),
+                       make_record(bench="b")], tmp_path)
     with pytest.raises(PerfSchemaError, match="mix"):
-        baseline_from_records([make_record(quick=True),
-                               make_record(quick=False)])
+        save_baseline([make_record(quick=True),
+                       make_record(quick=False)], tmp_path)
+    (tmp_path / "mixed.json").write_text(json.dumps(
+        [make_record(quick=True).to_dict(), make_record().to_dict()]))
+    with pytest.raises(PerfSchemaError, match="mix"):
+        load_baselines(tmp_path)
 
 
 def test_compare_flat_and_regressed_trajectories():
-    records = [make_record(value=v, timestamp=float(i))
-               for i, v in enumerate([100.0, 101.0, 99.0, 100.5])]
-    baseline = baseline_from_records(records)
+    baseline = [make_record(value=v, timestamp=float(i))
+                for i, v in enumerate([100.0, 101.0, 99.0, 100.5])]
     flat = compare({"synthetic": make_record(value=98.0)},
                    {"synthetic": baseline})
     assert flat.exit_code() == 0
@@ -196,11 +248,10 @@ def test_compare_flat_and_regressed_trajectories():
             value=75.0,
             delta={"repro_lock_wait_seconds_total": 0.037,
                    "repro_clock_cells_cleaned_total": 5000.0})},
-        {"synthetic": Baseline(
-            bench=baseline.bench, metrics=baseline.metrics,
-            host=baseline.host, quick=baseline.quick,
+        {"synthetic": baseline[:-1] + [replace(
+            baseline[-1],
             metrics_delta={"repro_lock_wait_seconds_total": 0.012,
-                           "repro_clock_cells_cleaned_total": 5100.0})})
+                           "repro_clock_cells_cleaned_total": 5100.0})]})
     assert regressed.exit_code() == 1
     (row,) = regressed.comparisons
     assert row.status == "regressed"
@@ -213,10 +264,10 @@ def test_compare_flat_and_regressed_trajectories():
 
 
 def test_compare_skips_nonportable_metric_across_hosts():
-    baseline = baseline_from_records(
-        [make_record(value=v, host={"machine": "riscv128", "cpu_count": 96,
-                                    "python": "3.99.0"})
-         for v in (100.0, 101.0, 99.0)])
+    baseline = [make_record(value=v, host={"machine": "riscv128",
+                                           "cpu_count": 96,
+                                           "python": "3.99.0"})
+                for v in (100.0, 101.0, 99.0)]
     report = compare({"synthetic": make_record(value=10.0)},
                      {"synthetic": baseline})
     (row,) = report.comparisons
@@ -226,10 +277,9 @@ def test_compare_skips_nonportable_metric_across_hosts():
 
 def test_compare_portable_metric_crosses_hosts():
     other_host = {"machine": "riscv128", "cpu_count": 96, "python": "3.99.0"}
-    baseline = baseline_from_records(
-        [make_record(value=v, metric="overhead_pct", unit="percent",
-                     higher=False, portable=True, host=other_host)
-         for v in (5.0, 5.5, 4.5)])
+    baseline = [make_record(value=v, metric="overhead_pct", unit="percent",
+                            higher=False, portable=True, host=other_host)
+                for v in (5.0, 5.5, 4.5)]
     report = compare(
         {"synthetic": make_record(value=25.0, metric="overhead_pct",
                                   unit="percent", higher=False,
@@ -240,15 +290,15 @@ def test_compare_portable_metric_crosses_hosts():
 
 
 def test_compare_honest_states():
-    thin = baseline_from_records([make_record(value=100.0)])
+    thin = [make_record(value=100.0)]
     report = compare({"synthetic": make_record(value=10.0)},
                      {"synthetic": thin})
     assert [c.status for c in report.comparisons] == ["insufficient"]
     assert report.exit_code() == 0  # refusal is not a regression
 
     missing = compare({"synthetic": None},
-                      {"synthetic": baseline_from_records(
-                          [make_record(value=v) for v in (1.0, 2.0, 3.0)])})
+                      {"synthetic": [make_record(value=v)
+                                     for v in (1.0, 2.0, 3.0)]})
     assert [c.status for c in missing.comparisons] == ["skipped"]
     assert "no full-mode ledger record" in missing.comparisons[0].detail
 
@@ -341,7 +391,7 @@ def test_cli_compare_exit_codes_and_explanation(tmp_path, capsys):
     ledger_path = tmp_path / "ledger.jsonl"
     baselines = tmp_path / "baselines"
     ledger = _seed_ledger(ledger_path, [100.0, 101.0, 99.0, 100.5])
-    save_baseline(baseline_from_records(ledger.load().records), baselines)
+    save_baseline(ledger.load().records, baselines)
 
     # Flat trajectory: the latest record sits inside the noise band.
     ledger.append(make_record(value=98.0, timestamp=9.0))
@@ -356,11 +406,11 @@ def test_cli_compare_exit_codes_and_explanation(tmp_path, capsys):
         value=75.0, timestamp=10.0,
         delta={"repro_lock_wait_seconds_total": 0.04}))
     baselines2 = tmp_path / "baselines2"
-    base = baseline_from_records(ledger.load().records[:4])
+    base = ledger.load().records[:4]
     save_baseline(
-        Baseline(bench=base.bench, metrics=base.metrics, host=base.host,
-                 quick=base.quick,
-                 metrics_delta={"repro_lock_wait_seconds_total": 0.012}),
+        base[:-1] + [replace(
+            base[-1],
+            metrics_delta={"repro_lock_wait_seconds_total": 0.012})],
         baselines2)
     rc = obs_main(["perf", "--ledger", str(ledger_path), "compare",
                    "--baselines", str(baselines2)])
@@ -376,6 +426,27 @@ def test_cli_record_rejects_unknown_bench(tmp_path, capsys):
     assert "unknown bench" in capsys.readouterr().err
 
 
+def test_cli_record_archives_through_the_one_writer(tmp_path, capsys,
+                                                    monkeypatch):
+    from repro.obs.perf import cli
+
+    def runner(quick, seed):
+        assert quick and seed == 1
+        return _table_result()
+
+    monkeypatch.setattr(cli, "_runners", lambda: {"batch": runner})
+    monkeypatch.chdir(tmp_path)
+    ledger_path = tmp_path / "ledger.jsonl"
+    rc = obs_main(["perf", "--ledger", str(ledger_path), "record",
+                   "--bench", "batch", "--quick", "--timestamp", "3"])
+    assert rc == 0
+    assert "speedup = 5.5" in capsys.readouterr().out
+    (record,) = PerfLedger(ledger_path).load().records
+    assert record.quick and record.timestamp == 3.0
+    root = json.loads((tmp_path / "BENCH_batch.json").read_text())
+    assert PerfRecord.from_dict(root) == record
+
+
 def test_cli_baseline_and_trend(tmp_path, capsys):
     ledger_path = tmp_path / "ledger.jsonl"
     _seed_ledger(ledger_path, [100.0, 102.0, 98.0], quick=True)
@@ -384,8 +455,8 @@ def test_cli_baseline_and_trend(tmp_path, capsys):
                    "--baselines", str(tmp_path / "b")])
     assert rc == 0
     loaded = load_baselines(tmp_path / "b")
-    assert loaded["synthetic"].quick
-    assert len(loaded["synthetic"].metrics["batch_ips"].samples) == 3
+    assert loaded["synthetic"][-1].quick
+    assert len(pooled_samples(loaded["synthetic"])["batch_ips"][1]) == 3
 
     rc = obs_main(["perf", "--ledger", str(ledger_path), "trend",
                    "--bench", "synthetic", "--metric", "batch_ips"])

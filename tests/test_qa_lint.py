@@ -24,7 +24,6 @@ CASES = {
     "SK101": ("sk101_bad.py", 4, "sk101_good.py"),
     "SK102": ("sk102_bad.py", 4, "sk102_good.py"),
     "SK103": ("sk103_bad.py", 5, "sk103_good.py"),
-    "SK105": ("sk105_bad.py", 2, "sk105_good.py"),
     "SK106": ("sk106_bad.py", 5, "sk106_good.py"),
     "SK107": ("sk107_bad.py", 4, "sk107_good.py"),
 }
@@ -83,22 +82,6 @@ class TestScoping:
         path = "src/repro/core/clockarray.py"
         findings = lint_source(load("sk103_bad.py"), path)
         assert "SK103" not in {f.rule for f in findings}
-
-    def test_sk105_applies_everywhere(self):
-        # SK104 (lock discipline) moved to the flow analyzer as SK108 —
-        # see tests/test_qa_flow.py for its dominance-based successor.
-        cold = "src/repro/contrib/fixture.py"
-        assert {f.rule for f in lint_source(load("sk105_bad.py"), cold)} \
-            == {"SK105"}
-
-    def test_sk105_checks_subclasses_of_the_kind_base(self):
-        # The four kinds subclass ClockSketchKind in their own modules.
-        source = ("from repro.core.base import ClockSketchKind\n\n\n"
-                  "class HalfKind(ClockSketchKind):\n"
-                  "    def query(self, item, t=None):\n"
-                  "        return 0\n")
-        findings = lint_source(source, "src/repro/core/half.py")
-        assert [(f.rule, f.line) for f in findings] == [("SK105", 4)]
 
     def test_sk106_exempts_test_modules(self):
         cold = "src/repro/contrib/fixture.py"

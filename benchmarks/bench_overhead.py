@@ -12,13 +12,9 @@ artifacts.
 Set ``OVERHEAD_BENCH_QUICK=1`` to run the reduced stream (CI's overhead
 job does; the budget assertion is the same).
 
-The budget check retries up to ``MAX_ATTEMPTS`` measurements before
-failing: the per-chunk-median estimator discards transient spikes, but
-whole-process effects (allocator layout, cache aliasing, a busy
-neighbour for the full run) can inflate one measurement end to end.
-Noise only ever *adds* apparent overhead, so the minimum over attempts
-converges toward the true cost — a genuine budget regression fails all
-attempts.
+``overhead.run`` itself measures an over-budget plane again, up to
+``overhead.MAX_ATTEMPTS`` times, and returns its best attempt, so this
+test and ``python -m repro.obs perf record`` record the same estimator.
 """
 
 import json
@@ -30,25 +26,13 @@ from repro.bench.experiments import overhead
 
 from conftest import RESULTS_DIR, run_once
 
-MAX_ATTEMPTS = 3
-
 QUICK = os.environ.get("OVERHEAD_BENCH_QUICK", "") not in ("", "0")
-
-
-def _worst(result):
-    return max(row["overhead_pct"] for row in result.rows)
 
 
 @pytest.mark.parametrize("plane", sorted(overhead.PLANES))
 def test_overhead(benchmark, record_result, plane):
     result = run_once(benchmark, overhead.run, plane=plane, seed=1,
                       quick=QUICK)
-    for _ in range(MAX_ATTEMPTS - 1):
-        if _worst(result) <= result.extras["budget_pct"]:
-            break
-        retry = overhead.run(plane, seed=1, quick=QUICK)
-        if _worst(retry) < _worst(result):
-            result = retry
     record_result(plane, result, quick=QUICK)
 
     # The table/ledger surfaces are record_result's job; only the bulky

@@ -118,10 +118,12 @@ def median_ratio(base: Sequence[float], other: Sequence[float]) -> float:
 def overhead_pct(base: Sequence[float], other: Sequence[float]) -> float:
     """Overhead of ``other`` vs ``base``: median pairwise ratio, in %.
 
-    Clamped at zero — the estimator answers "how much does the treated
-    side cost", and sub-noise negative ratios are not a speedup claim.
+    Signed: a negative value means the treated side measured faster.
+    That is noise, not a speedup claim, and recording it shows each
+    record's noise floor; percent metrics compare in absolute points,
+    so a value around zero still fits a noise band.
     """
-    return max(0.0, (median_ratio(base, other) - 1.0) * 100.0)
+    return (median_ratio(base, other) - 1.0) * 100.0
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,8 @@ A low-overhead observability layer for the clock-sketch stack:
   (``python -m repro.obs``).
 
 Every metric is declared once, with its kind, help text and labels, in
-:mod:`repro.obs.names` (names enforced by sketch-lint rule SK106). The
+:mod:`repro.obs.names`; ``tests/test_obs_catalogue.py`` fails on a
+registered family the catalogue does not declare. The
 full catalogue, exposition formats, and the <10% enabled-overhead
 budget are documented in ``docs/observability.md``.
 

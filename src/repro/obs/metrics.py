@@ -17,8 +17,9 @@ state. Null twins (:data:`NULL_REGISTRY`) accept the same calls as
 no-ops — the module-level disabled default, mirroring the sanitizer's
 opt-in pattern.
 
-Metric *names* are registered constants from :mod:`repro.obs.names`
-(sketch-lint rule SK106 bans inline literals at registration sites).
+Metric *names* are registered constants from :mod:`repro.obs.names`,
+registered through :func:`repro.obs.runtime.series`, which refuses a
+name the catalogue does not declare.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Metric names are part of the library's operational contract — dashboards
 and alerts reference them by string, so a typo in one instrumentation
 site silently forks a series. Each name is therefore a constant here,
-and sketch-lint rule SK106 bans inline name literals at registration
-sites (``registry.counter("...")``).
+and ``tests/test_obs_catalogue.py`` drives every registration site and
+fails on a family this catalogue does not declare.
 
 Each constant is declared together with its kind, help text, label
 names and, for histograms, whether it times seconds. :data:`CATALOGUE`
@@ -305,8 +305,8 @@ PERF_HEADLINE = _declare(
 # ----------------------------------------------------------- span vocabulary
 # Span names are part of the same operational contract as metric names:
 # trace viewers and the flight-dump tooling match on them, so they live
-# here once and instrumentation imports the constant (mirroring SK106's
-# discipline for metric names).
+# here once and instrumentation imports the constant, as it does for
+# metric names.
 #: Root span over one ``ItemBatchMonitor.observe_many`` batch.
 SPAN_MONITOR_OBSERVE = "monitor.observe_many"
 #: One batch applied by the engine (attrs: sketch, path, items).

@@ -2,7 +2,7 @@
 
 Three subcommands::
 
-    python -m repro.qa lint src tests        # AST rules SK101-SK107
+    python -m repro.qa lint src tests        # AST rules SK101-SK103
     python -m repro.qa flow src tests        # flow rules SK108-SK111
     python -m repro.qa sanitize              # dynamic invariant smoke run
 
@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 _USAGE = (
     "usage: python -m repro.qa {lint,flow,sanitize} [options] [paths...]\n"
-    "  lint      AST rules SK101-SK107 (see `lint --help`)\n"
+    "  lint      AST rules SK101-SK103 (see `lint --help`)\n"
     "  flow      inter-procedural flow rules SK108-SK111 "
     "(see `flow --help`)\n"
     "  sanitize  dynamic invariant smoke run over all sketch families\n"

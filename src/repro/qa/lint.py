@@ -11,8 +11,6 @@ usage/parse errors). Suppressions are source comments::
     # sketchlint: scalar-ok            (SK101)
     # sketchlint: dtype-ok             (SK102)
     # sketchlint: raw-clock-ok         (SK103)
-    # sketchlint: metric-name-ok       (SK106)
-    # sketchlint: kernel-ok            (SK107)
     # sketchlint: lock-ok              (SK108, flow)
     # sketchlint: fault-ok             (SK109, flow)
     # sketchlint: impure-ok            (SK110, flow)
@@ -181,7 +179,7 @@ def find_stale_suppressions(paths: Sequence["Path | str"],
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.qa lint",
-        description="Clock-sketch repo linter (rules SK101-SK107; "
+        description="Clock-sketch repo linter (rules SK101-SK103; "
                     "the flow rules SK108-SK111 live in "
                     "`python -m repro.qa flow`).",
     )

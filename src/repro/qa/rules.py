@@ -22,33 +22,12 @@ SK103
     array's ``values`` buffer. All cell mutation goes through the
     :class:`~repro.core.clockarray.ClockArray` API so invariants stay
     enforceable in one place.
-SK106
-    Metric registration sites (``repro.obs.runtime.series``, the
-    ``counter`` / ``gauge`` / ``histogram`` registrars and ``timed``
-    instrumentation) must name their series through the registered
-    constants in :mod:`repro.obs.names`, never inline string literals.
-    ``series`` counts only when called bare or on a name an import in
-    the same module binds to :mod:`repro.obs.runtime`, so an unrelated
-    ``result.series(...)`` stays clean. An inline name drifts from the
-    catalogue silently — dashboards point at a series nobody emits any
-    more.
-    Test modules (any path with a ``tests`` segment) are exempt, as
-    are intentional literals marked ``# sketchlint: metric-name-ok``.
-SK107
-    Hot-path numpy kernel math lives only under ``repro/kernels/``.
-    Defining one of the primitive kernels (``sweep_hits``,
-    ``snapshot_values``, ``decay_all``, ``decrement_range``,
-    ``fuse_*``) — or calling one as a bare function instead of through
-    the ``numpy_backend`` module attribute
-    (``_kernels.fuse_touch(...)``) — inside
-    ``core/``/``engine/``/``shard/``/``hashing/`` forks the kernels: a
-    copy silently drifts from the one implementation, and a bare-name
-    binding escapes both the parity suite's loop-reference swap and a
-    profiler's wrapping. Deliberate exceptions carry
-    ``# sketchlint: kernel-ok``.
 
 Lock discipline is checked by the flow analyzer's SK108
-(:mod:`repro.qa.flow.rules`), with real control-flow dominance.
+(:mod:`repro.qa.flow.rules`), with real control-flow dominance. The
+kernel seam and the metric catalogue need no AST rule: tier-1 tests
+check them on the imported and running package (``docs/qa.md`` names
+the test that catches each rule's violation).
 """
 
 from __future__ import annotations
@@ -61,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 __all__ = ["Finding", "ModuleScope", "RULE_IDS", "SUPPRESSION_TOKENS",
            "run_rules", "scope_for_path"]
 
-RULE_IDS = ("SK101", "SK102", "SK103", "SK106", "SK107")
+RULE_IDS = ("SK101", "SK102", "SK103")
 
 #: Suppression comment tokens (``# sketchlint: <token>``) per rule.
 #: Shared with the flow analyzer (SK108-SK111).
@@ -69,8 +48,6 @@ SUPPRESSION_TOKENS: Dict[str, str] = {
     "scalar-ok": "SK101",
     "dtype-ok": "SK102",
     "raw-clock-ok": "SK103",
-    "metric-name-ok": "SK106",
-    "kernel-ok": "SK107",
     "lock-ok": "SK108",
     "fault-ok": "SK109",
     "impure-ok": "SK110",
@@ -99,9 +76,6 @@ class ModuleScope:
     dtype_scope: bool   # SK102: core/, engine/, kernels/
     clock_scope: bool   # SK103: core/, engine/, shard/, serialize.py
                         #        — minus clockarray.py and kernels/
-    metric_scope: bool  # SK106: everywhere except tests/
-    kernel_scope: bool  # SK107: core/, engine/, shard/, hashing/
-                        #        — minus kernels/ itself
 
 
 def scope_for_path(path: str) -> ModuleScope:
@@ -114,7 +88,6 @@ def scope_for_path(path: str) -> ModuleScope:
     parts = PurePosixPath(str(path).replace("\\", "/")).parts
     segments = set(parts)
     basename = parts[-1] if parts else ""
-    in_kernels = "kernels" in segments
     hot = bool(segments & {"core", "engine", "hashing", "kernels"})
     dtype_scope = bool(segments & {"core", "engine", "kernels"})
     # The kernel layer is, like clockarray.py, a legitimate home of
@@ -122,13 +95,9 @@ def scope_for_path(path: str) -> ModuleScope:
     clock_scope = (bool(segments & {"core", "engine"})
                    or "shard" in segments
                    or basename == "serialize.py") \
-        and basename != "clockarray.py" and not in_kernels
-    metric_scope = "tests" not in segments
-    kernel_scope = bool(segments & {"core", "engine", "shard", "hashing"}) \
-        and not in_kernels
+        and basename != "clockarray.py" and "kernels" not in segments
     return ModuleScope(hot_path=hot, dtype_scope=dtype_scope,
-                       clock_scope=clock_scope, metric_scope=metric_scope,
-                       kernel_scope=kernel_scope)
+                       clock_scope=clock_scope)
 
 
 # ----------------------------------------------------------------------
@@ -324,130 +293,8 @@ def _rule_sk103(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding
     return findings
 
 
-# ----------------------------------------------------------------------
-# SK106 — metric names must be registered constants, not inline strings
-# ----------------------------------------------------------------------
-
-#: Registrar call names whose first argument names a metric series.
-_METRIC_REGISTRARS: Set[str] = {"counter", "gauge", "histogram", "timed"}
-
-#: The module whose ``series`` is the live registration path.
-_OBS_RUNTIME = "repro.obs.runtime"
-
-
-def _import_base(node: ast.ImportFrom, path: str) -> "Optional[str]":
-    """Absolute module a ``from ... import`` reads from, or None."""
-    if not node.level:
-        return node.module
-    parts = PurePosixPath(str(path).replace("\\", "/")).parts
-    if "repro" not in parts:
-        return None
-    package = list(parts[parts.index("repro"):-1])
-    if node.level - 1 > len(package):
-        return None
-    base = package[:len(package) - (node.level - 1)]
-    return ".".join(base + ([node.module] if node.module else []))
-
-
-def _runtime_receivers(tree: ast.Module, path: str) -> Set[str]:
-    """Dotted names that an import binds to :mod:`repro.obs.runtime`."""
-    receivers = {_OBS_RUNTIME}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            receivers.update(alias.asname for alias in node.names
-                             if alias.name == _OBS_RUNTIME and alias.asname)
-        elif isinstance(node, ast.ImportFrom):
-            base = _import_base(node, path)
-            receivers.update(alias.asname or alias.name
-                             for alias in node.names
-                             if f"{base}.{alias.name}" == _OBS_RUNTIME)
-    return receivers
-
-
-def _metric_name_arg(node: ast.Call) -> "Optional[ast.expr]":
-    for kw in node.keywords:
-        if kw.arg == "name":
-            return kw.value
-    if node.args:
-        return node.args[0]
-    return None
-
-
-def _rule_sk106(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding]:
-    if not scope.metric_scope:
-        return []
-    findings: List[Finding] = []
-    receivers = _runtime_receivers(tree, path)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            registrar = func.attr
-            if registrar == "series" and \
-                    ".".join(_attr_chain(func.value)) not in receivers:
-                continue
-        elif isinstance(func, ast.Name):
-            registrar = func.id
-        else:
-            continue
-        if registrar != "series" and registrar not in _METRIC_REGISTRARS:
-            continue
-        arg = _metric_name_arg(node)
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            findings.append(Finding(
-                "SK106", path, node.lineno,
-                f"inline metric-name literal in `{registrar}(...)`; metric "
-                "names are registered constants — import them from "
-                "repro.obs.names (mark an intentional literal with "
-                "`# sketchlint: metric-name-ok`)",
-            ))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# SK107 — kernel math may live only under repro/kernels/
-# ----------------------------------------------------------------------
-
-#: The primitive-kernel names owned by :mod:`repro.kernels.numpy_backend`.
-#: Defining or bare-calling one of these in a hot-path module bypasses
-#: the module attribute the parity suite and profilers swap.
-_KERNEL_PRIMITIVES: Set[str] = {
-    "sweep_hits", "snapshot_values", "decay_all", "decrement_range",
-    "fuse_touch", "fuse_timespan", "fuse_countmin",
-}
-
-
-def _rule_sk107(tree: ast.Module, path: str, scope: ModuleScope) -> List[Finding]:
-    if not scope.kernel_scope:
-        return []
-    findings: List[Finding] = []
-    for node in ast.walk(tree):
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in _KERNEL_PRIMITIVES):
-            findings.append(Finding(
-                "SK107", path, node.lineno,
-                f"kernel primitive `{node.name}` defined outside "
-                "repro/kernels/; hot-path kernel math lives in "
-                "repro.kernels.numpy_backend so there is one "
-                "implementation (mark a deliberate exception with "
-                "`# sketchlint: kernel-ok`)",
-            ))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in _KERNEL_PRIMITIVES):
-            findings.append(Finding(
-                "SK107", path, node.func.lineno,
-                f"bare call to kernel primitive `{node.func.id}`; call "
-                "through the `numpy_backend` module attribute (`_kernels."
-                + node.func.id + "(...)`) so the loop-reference swap and "
-                "profilers see it (mark a deliberate exception with "
-                "`# sketchlint: kernel-ok`)",
-            ))
-    return findings
-
-
 _RULES: Tuple[Callable[[ast.Module, str, ModuleScope], List[Finding]], ...] = (
-    _rule_sk101, _rule_sk102, _rule_sk103, _rule_sk106, _rule_sk107,
+    _rule_sk101, _rule_sk102, _rule_sk103,
 )
 
 

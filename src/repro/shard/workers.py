@@ -133,10 +133,10 @@ def _read_control(buf: Any, slot: int) -> "tuple[int, int, float]":
 def _command_ctx(op: str, command: "tuple[Any, ...]") -> Any:
     """The propagated span context riding on a command, if any.
 
-    Only ingest/advance carry one (as their last element); older-style
-    short tuples and the test-only fault hooks yield None.
+    Only ingest/advance carry one (as their last element); the
+    test-only fault hooks yield None.
     """
-    if op in ("ingest", "advance") and len(command) > 4:
+    if op in ("ingest", "advance"):
         return command[4]
     return None
 

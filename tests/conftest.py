@@ -36,26 +36,29 @@ def _repro_sanitizer():
 
 
 @contextmanager
-def _loop_kernels():
-    """Run a block with :mod:`repro.kernels.loops` swapped in.
+def _counted_kernels(reference):
+    """Count every call to a :mod:`repro.kernels.numpy_backend` primitive.
 
-    Each loop reference function replaces its namesake on
-    ``repro.kernels.numpy_backend``, which every call site reaches as a
-    module attribute. Yields a :class:`~collections.Counter` of calls
-    per swapped kernel, so a test can prove the reference really ran.
+    Each primitive in the module's ``__all__`` is replaced on the module,
+    which every call site reaches as a module attribute, by a counting
+    wrapper. With ``reference`` the wrapper calls the namesake in
+    :mod:`repro.kernels.loops` where there is one, else the numpy kernel.
+    Yields a :class:`~collections.Counter` of calls per primitive, so a
+    test can prove which kernels really ran.
     """
     calls = Counter()
 
     def counted(name):
-        reference = getattr(loops, name)
+        kernel = getattr(loops if reference and name in loops.__all__
+                         else numpy_backend, name)
 
         def call(*args, **kwargs):
             calls[name] += 1
-            return reference(*args, **kwargs)
+            return kernel(*args, **kwargs)
         return call
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in loops.__all__:
+        for name in numpy_backend.__all__:
             patch.setattr(numpy_backend, name, counted(name))
         yield calls
 
@@ -63,7 +66,13 @@ def _loop_kernels():
 @pytest.fixture
 def loop_kernels():
     """``with loop_kernels() as calls:`` runs on the loop reference."""
-    return _loop_kernels
+    return lambda: _counted_kernels(reference=True)
+
+
+@pytest.fixture
+def numpy_kernels():
+    """``with numpy_kernels() as calls:`` counts the numpy kernels' calls."""
+    return lambda: _counted_kernels(reference=False)
 
 
 def _os_children():

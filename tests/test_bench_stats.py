@@ -43,8 +43,9 @@ def test_overhead_pct_median_discards_spikes():
     assert stats.overhead_pct(base, other) == pytest.approx(5.0)
 
 
-def test_overhead_pct_clamps_negative_to_zero():
-    assert stats.overhead_pct([1.0, 1.0], [0.9, 0.8]) == 0.0
+def test_overhead_pct_keeps_its_sign():
+    # A treated side that measured faster records its noise floor.
+    assert stats.overhead_pct([1.0, 1.0], [0.9, 0.8]) == pytest.approx(-15.0)
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,18 @@ kernels as plain per-cell loops. Each case drives one deterministic
 stream twice, once as is and once with the loop functions swapped in on
 the ``numpy_backend`` module (the ``loop_kernels`` fixture), and
 requires **bit-identical** cell values, side arrays, cleaner position,
-expiry-callback logs and query answers. Every case also asserts that
-the swapped-in reference ran, so no case can compare the numpy kernels
-with themselves.
+expiry-callback logs and query answers. Every case also asserts which
+primitives ran on each side: the kind's own fused finisher in the exact
+sweep modes and the clock's sweep kernels wherever the clock sweeps
+vectorised, so no case can compare the numpy kernels with themselves or
+pass on a path that skipped the kernel it is meant to check.
+
+The swap sees a call only if its call site reaches the kernel as an
+attribute of ``numpy_backend``. ``TestOneImplementation`` imports every
+``repro`` module and fails on one outside ``repro.kernels`` that defines
+a function named after a primitive (a fork of the one implementation)
+or holds a primitive in its globals (a ``from ... import`` binding,
+which the swap and the e2e profiler cannot see).
 
 The suite covers all four sketch kinds in every sweep mode that calls
 the kernels, at cell widths spanning both cell dtypes. The
@@ -20,11 +29,15 @@ Also covered, with and without the swap: serialize round-trips, BF
 merge identity and the time-span never-underestimate contract.
 """
 
+import importlib
+import pkgutil
 from contextlib import nullcontext
+from types import CodeType
 
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     ClockBitmap,
     ClockBloomFilter,
@@ -32,6 +45,7 @@ from repro import (
     ClockTimeSpanSketch,
     count_window,
 )
+from repro.kernels import numpy_backend
 from repro.serialize import dumps_sketch, loads_sketch
 
 #: The numpy kernels as shipped, then the loop reference swapped in.
@@ -43,6 +57,10 @@ SWEEP_MODES = ("vector", "scalar", "deferred")
 S_VALUES = (2, 4, 8, 16)
 
 KINDS = ("bf", "bm", "cm", "ts")
+
+#: Each kind's closed-form batch finisher.
+FUSE = {"bf": "fuse_touch", "bm": "fuse_touch", "cm": "fuse_countmin",
+        "ts": "fuse_timespan"}
 
 WINDOW = 256
 
@@ -108,6 +126,25 @@ def drive(kind: str, s: int, sweep_mode: str):
     return sketch, expiries, answers
 
 
+def primitives(kind: str, s: int, sweep_mode: str, reference: bool):
+    """The kernels one ``drive`` must run, by name."""
+    ran = set()
+    if sweep_mode != "deferred":
+        # Exact modes finish large batches in closed form; the numpy
+        # finisher counts sweep hits, the loop reference walks them.
+        ran.add(FUSE[kind])
+        if not reference:
+            ran |= {"sweep_hits", "snapshot_values"}
+    if sweep_mode != "scalar":
+        # The clock sweeps through the vector kernels; a sweep spanning
+        # a full circle of cells (s=16, or a deferred catch-up) decays
+        # every cell at once.
+        ran.add("decrement_range")
+        if sweep_mode == "deferred" or s == 16:
+            ran.add("decay_all")
+    return ran
+
+
 def state_of(sketch):
     st = {
         "dtype": str(sketch.clock.values.dtype),
@@ -136,12 +173,15 @@ class TestBackendParity:
     @pytest.mark.parametrize("sweep_mode", SWEEP_MODES)
     @pytest.mark.parametrize("s", S_VALUES)
     def test_bit_identical_state_and_side_effects(self, kind, sweep_mode, s,
+                                                  numpy_kernels,
                                                   loop_kernels):
-        ref_sketch, ref_expiries, ref_answers = drive(kind, s, sweep_mode)
+        with numpy_kernels() as numpy_calls:
+            ref_sketch, ref_expiries, ref_answers = drive(kind, s, sweep_mode)
         with loop_kernels() as calls:
             sketch, expiries, answers = drive(kind, s, sweep_mode)
         case = (kind, sweep_mode, s)
-        assert sum(calls.values()) > 0, case  # the reference really ran
+        assert set(numpy_calls) == primitives(kind, s, sweep_mode, False), case
+        assert set(calls) == primitives(kind, s, sweep_mode, True), case
         assert state_of(sketch) == state_of(ref_sketch), case
         assert expiries == ref_expiries, case
         assert answers == ref_answers, case
@@ -194,3 +234,32 @@ class TestSerializeAgnosticism:
         restored = loads_sketch(payload)
         assert state_of(restored) == saved
         restored.insert_many(rng.integers(0, 80, size=50))
+
+
+
+def _defined_functions(code):
+    """Names of every function, method and class whose body ``code`` holds."""
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            yield const.co_name
+            yield from _defined_functions(const)
+
+
+class TestOneImplementation:
+    def test_no_module_outside_kernels_forks_or_binds_a_primitive(self):
+        kernels = [getattr(numpy_backend, name)
+                   for name in numpy_backend.__all__]
+        found = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.startswith("repro.kernels") \
+                    or info.name.rsplit(".", 1)[-1] == "__main__":
+                continue
+            module = importlib.import_module(info.name)
+            found += [f"{info.name}: binds {name}"
+                      for name, value in vars(module).items()
+                      if any(value is kernel for kernel in kernels)]
+            code = module.__spec__.loader.get_code(info.name)
+            found += [f"{info.name}: defines {name}"
+                      for name in _defined_functions(code)
+                      if name in numpy_backend.__all__]
+        assert found == []

@@ -289,6 +289,30 @@ def test_compare_portable_metric_crosses_hosts():
     assert row.status == "regressed"  # +20 points beyond the 10-pt floor
 
 
+def test_compare_overhead_baseline_straddling_zero():
+    # Signed overheads: a quiet plane's runs scatter around 0, some
+    # negative. Percent metrics compare in absolute points, so the
+    # band stays defined and a noise-sized move (even below zero) is
+    # flat while a real cost is still caught.
+    baseline = [make_record(value=v, metric="overhead_pct", unit="percent",
+                            higher=False, portable=True)
+                for v in (-1.5, 0.8, -0.4, 2.1, 0.3)]
+
+    def status(current):
+        report = compare(
+            {"synthetic": make_record(value=current, metric="overhead_pct",
+                                      unit="percent", higher=False,
+                                      portable=True)},
+            {"synthetic": baseline})
+        (row,) = report.comparisons
+        assert row.verdict.baseline_median == 0.3
+        return row.status
+
+    assert status(-6.0) == "flat"
+    assert status(4.0) == "flat"
+    assert status(14.0) == "regressed"
+
+
 def test_compare_honest_states():
     thin = [make_record(value=100.0)]
     report = compare({"synthetic": make_record(value=10.0)},

@@ -24,8 +24,6 @@ CASES = {
     "SK101": ("sk101_bad.py", 4, "sk101_good.py"),
     "SK102": ("sk102_bad.py", 4, "sk102_good.py"),
     "SK103": ("sk103_bad.py", 5, "sk103_good.py"),
-    "SK106": ("sk106_bad.py", 5, "sk106_good.py"),
-    "SK107": ("sk107_bad.py", 4, "sk107_good.py"),
 }
 
 
@@ -62,6 +60,11 @@ class TestScoping:
         assert not scope_for_path("src/repro/hashing/family.py").dtype_scope
         assert scope_for_path("src/repro/serialize.py").clock_scope
         assert not scope_for_path("src/repro/metrics/report.py").hot_path
+        # The kernel layer is hot and dtype-checked, and, like
+        # clockarray.py, a legitimate home of cell mutation.
+        kernels = scope_for_path("src/repro/kernels/numpy_backend.py")
+        assert kernels.hot_path and kernels.dtype_scope
+        assert not kernels.clock_scope
 
     def test_shard_modules_are_clock_scoped(self):
         # The shard router merges clock state, so SK103 (no raw cell
@@ -83,12 +86,6 @@ class TestScoping:
         findings = lint_source(load("sk103_bad.py"), path)
         assert "SK103" not in {f.rule for f in findings}
 
-    def test_sk106_exempts_test_modules(self):
-        cold = "src/repro/contrib/fixture.py"
-        assert {f.rule for f in lint_source(load("sk106_bad.py"), cold)} \
-            == {"SK106"}
-        assert lint_source(load("sk106_bad.py"), "tests/test_obs.py") == []
-
     def test_sk103_flags_raw_merges_in_shard_modules(self):
         shard_path = "src/repro/shard/fixture.py"
         findings = lint_source(load("sk103_shard_bad.py"), shard_path)
@@ -100,23 +97,6 @@ class TestScoping:
     def test_sk103_shard_good_fixture_is_silent(self):
         shard_path = "src/repro/shard/fixture.py"
         assert lint_source(load("sk103_shard_good.py"), shard_path) == []
-
-    def test_kernels_package_is_exempt_from_sk107(self):
-        # The kernel layer is where the primitives are *supposed* to
-        # live — defining them there must not self-flag, and the layer
-        # also takes over clockarray.py's cell-mutation licence.
-        kernel_path = "src/repro/kernels/numpy_backend.py"
-        scope = scope_for_path(kernel_path)
-        assert not scope.kernel_scope
-        assert not scope.clock_scope
-        assert scope.hot_path and scope.dtype_scope
-        assert lint_source(load("sk107_bad.py"), kernel_path) == []
-
-    def test_sk107_covers_shard_and_hashing(self):
-        for path in ("src/repro/shard/fixture.py",
-                     "src/repro/hashing/fixture.py"):
-            findings = lint_source(load("sk107_bad.py"), path)
-            assert {f.rule for f in findings} == {"SK107"}, path
 
 
 class TestSuppressions:

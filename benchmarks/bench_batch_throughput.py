@@ -10,7 +10,12 @@ The ``monitor_str_hot`` and ``monitor_str_fresh`` rows drive the
 four-task serving monitor with repeating and never-seen string keys;
 fresh-key ingest must keep at least half the hot-key rate
 (``batch_ips`` ratio, host-independent), so key hashing has no cliff
-on an all-distinct flood.
+on an all-distinct flood. The ``monitor_str_small`` row replays the
+hot keys in 32-key frames: its rate must stay at least 1/20 of the
+2,000-key rate, so a small frame's fixed cost (the fused finishers'
+sweep, above all) does not grow with the sketch's cell count. The 5x
+floor does not apply to it: a 32-key frame saves a per-key loop only
+part of its per-call cost.
 
 Set BATCH_BENCH_QUICK=1 for a reduced stream (CI smoke); the speedup
 and fresh/hot floors are not asserted on the reduced stream.
@@ -32,6 +37,8 @@ def test_batch_throughput(benchmark, record_result):
     if QUICK:
         return
     for row in result.rows:
-        assert row["speedup"] >= 5.0
+        if row["variant"] != "monitor_str_small":
+            assert row["speedup"] >= 5.0
     ips = result.series("variant", "batch_ips")
     assert ips["monitor_str_fresh"] / ips["monitor_str_hot"] >= 0.5, ips
+    assert ips["monitor_str_small"] / ips["monitor_str_hot"] >= 0.05, ips

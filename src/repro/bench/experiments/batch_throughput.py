@@ -12,12 +12,17 @@ The scalar loop is measured on a bounded prefix of the stream (pure
 Python at ~10^5 items/sec would otherwise dominate the run) — items/sec
 is rate-based, so the ratio is unaffected.
 
-Two more rows drive a serving tenant's four-task monitor with string
-keys in 2,000-key frames (``observe_many`` vs per-key ``observe``):
-``monitor_str_hot`` replays the caida stream as decimal strings, where
-keys repeat; ``monitor_str_fresh`` sends keys never used before in the
-process, so no per-key work can be reused. Their ``batch_ips`` ratio
-shows whether key hashing has a cliff on all-distinct floods.
+Three more rows drive a serving tenant's four-task monitor with string
+keys (``observe_many`` vs per-key ``observe``). Two use 2,000-key
+frames: ``monitor_str_hot`` replays the caida stream as decimal
+strings, where keys repeat; ``monitor_str_fresh`` sends keys never used
+before in the process, so no per-key work can be reused. Their
+``batch_ips`` ratio shows whether key hashing has a cliff on
+all-distinct floods. ``monitor_str_small`` replays the hot keys'
+scalar-loop prefix in 32-key frames, where the fixed cost of each
+frame (fan-out, cell derivation, the finishers' sweep) dominates; its
+``batch_ips`` ratio to ``monitor_str_hot`` shows what a small frame
+costs per key.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from .table3_throughput import CONFIGS, build_variant
 
 #: Keys per ``observe_many`` call in the monitor rows (one wire frame).
 MONITOR_FRAME = 2000
+
+#: Keys per frame in the ``monitor_str_small`` row.
+SMALL_FRAME = 32
 
 DEFAULT_ITEMS = 1_000_000
 
@@ -48,7 +56,8 @@ def _fresh_keys(count: int) -> "list[str]":
 
 
 def _monitor_row(result: ExperimentResult, variant: str, keys: list,
-                 prefix: list, seed: int) -> None:
+                 prefix: list, seed: int,
+                 frame: int = MONITOR_FRAME) -> None:
     config = TenantConfig(window_length=4096, memory="64KB", seed=seed)
     scalar = config.build_monitor()
 
@@ -59,8 +68,8 @@ def _monitor_row(result: ExperimentResult, variant: str, keys: list,
     batch = config.build_monitor()
 
     def framed() -> None:
-        for start in range(0, len(keys), MONITOR_FRAME):
-            batch.observe_many(keys[start:start + MONITOR_FRAME])
+        for start in range(0, len(keys), frame):
+            batch.observe_many(keys[start:start + frame])
 
     scalar_ips = measure_throughput(per_key, len(prefix)).mops * 1e6
     batch_ips = measure_throughput(framed, len(keys)).mops * 1e6
@@ -108,4 +117,6 @@ def run(quick: bool = False, seed: int = 1, n_items: int = DEFAULT_ITEMS,
     _monitor_row(result, "monitor_str_hot", hot, hot[:scalar_cap], seed)
     _monitor_row(result, "monitor_str_fresh", _fresh_keys(len(hot)),
                  _fresh_keys(min(scalar_cap, len(hot))), seed)
+    _monitor_row(result, "monitor_str_small", hot[:scalar_cap],
+                 hot[:scalar_cap], seed, frame=SMALL_FRAME)
     return result

@@ -229,10 +229,11 @@ class ClockArray:
     def sync_state(self, now, steps_done: int, cleaned: int = 0) -> None:
         """Adopt an externally computed cleaner position.
 
-        The batch engine applies whole sweeps in closed form
-        (the ``fuse_*`` kernels) and then declares the end state here
-        instead of replaying the steps through :meth:`advance`.
-        ``cleaned`` reports how many cells the closed-form application
+        The batch engine's fused kernels (``fuse_*``) sweep a whole
+        batch's steps over the cells at once, interleaved with its
+        touches in closed form, and the engine then declares the end
+        state here instead of replaying the steps through
+        :meth:`advance`. ``cleaned`` reports how many cells the batch
         expired, keeping the sweep telemetry consistent with the
         incremental path.
         """
@@ -272,27 +273,13 @@ class ClockArray:
                 self.on_expire(expired)
 
     def _sweep_vector(self, delta: int) -> None:
-        """Perform ``delta`` sweep steps through the vector kernels."""
-        start = self._steps_done % self.n
-        full_rounds, remainder = divmod(delta, self.n)
-        if full_rounds:
-            # Every cell is decremented ``full_rounds`` times; clamping
-            # the round count at max_value keeps the subtrahend inside
-            # the cell dtype.
-            rounds = min(full_rounds, self.max_value)
-            self._emit_expired(_kernels.decay_all(self.values, rounds))
-        if remainder:
-            end = start + remainder
-            if end <= self.n:
-                self._decrement_range(start, end)
-            else:
-                self._decrement_range(start, self.n)
-                self._decrement_range(0, end - self.n)
+        """Perform ``delta`` sweep steps through the vector kernels.
 
-    def _decrement_range(self, a: int, b: int) -> None:
-        """Decrement (clamped at zero) cells ``a..b-1`` once."""
-        expired = _kernels.decrement_range(self.values, a, b)
-        if expired.size:
+        One ``on_expire`` call per pass that expired cells, in pass
+        order (the full rounds, then each slice of the partial circle).
+        """
+        for expired in _kernels.sweep(self.values, self._steps_done, delta,
+                                      self.max_value):
             self._emit_expired(expired)
 
     def _sweep_scalar(self, delta: int) -> None:
@@ -324,12 +311,11 @@ class ClockArray:
     def load_values(self, image) -> None:
         """Adopt a complete cell image, validating shape and range.
 
-        The write-API twin of reading ``values``: the fused batch
-        engine computes whole post-sweep images in closed form, a merge
-        computes the union image, and deserialisation restores saved
-        ones — all land here instead of
-        writing the buffer directly, so an out-of-range or mis-shaped
-        image is rejected before it can corrupt the array.
+        The write-API twin of reading ``values``: a merge computes the
+        union image, a clone copies one, and deserialisation restores
+        saved ones — all land here instead of writing the buffer
+        directly, so an out-of-range or mis-shaped image is rejected
+        before it can corrupt the array.
         """
         # Keep the caller's dtype so the range check sees the image as
         # handed in, before any cast could wrap it.

@@ -224,13 +224,9 @@ class ShadowAuditor:
         mask = self.sampler.mask(items)
         picked = np.flatnonzero(mask)
         if picked.size:
-            observe = self.tracker.observe
-            if isinstance(items, np.ndarray):
-                for i in picked:
-                    observe(int(items[i]), float(times[i]))
-            else:
-                for i in picked:
-                    observe(items[i], float(times[i]))
+            keys = (items[picked].tolist() if isinstance(items, np.ndarray)
+                    else [items[i] for i in picked.tolist()])
+            self.tracker.observe_many(keys, times[picked].tolist())
             self.sampled_items += int(picked.size)
         if _obs.ENABLED:
             _obs.record_audit_ingest(int(picked.size),

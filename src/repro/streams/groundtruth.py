@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TimeError
+from ..errors import ConfigurationError, TimeError
 from ..timebase import WindowSpec
 
 
@@ -64,42 +64,59 @@ class BatchTracker:
         """Latest stream time observed."""
         return self._now
 
-    def _observe_time(self, t) -> float:
-        if self.window.is_count_based:
-            if t is not None:
-                raise TimeError("count-based tracker takes no timestamps")
-            self._items += 1
-            self._now = float(self._items)
-        else:
-            if t is None:
-                raise TimeError("time-based tracker requires timestamps")
-            if t < self._now:
-                raise TimeError(f"time moved backwards: {t} < {self._now}")
-            self._items += 1
-            self._now = float(t)
-        return self._now
-
     def observe(self, key, t=None) -> None:
         """Record an occurrence of ``key``."""
-        now = self._observe_time(t)
-        state = self._states.get(key)
-        if state is None or not self.window.contains(state.last, now):
-            batches = 1 if state is None else state.batches_seen + 1
-            self._states[key] = BatchState(
-                start=now, last=now, size=1, batches_seen=batches
-            )
+        self.observe_many([key], None if t is None else [t])
+
+    def observe_many(self, keys, times=None) -> None:
+        """Record occurrences of ``keys`` in order, all or none.
+
+        ``times`` aligns with ``keys`` (``None`` for a count-based
+        window). The whole batch is checked before any key is applied,
+        so a batch whose times move backwards raises
+        :class:`~repro.errors.TimeError` and changes nothing. Plain
+        Python lists (from ``ndarray.tolist()``) are the fast input.
+        """
+        if self.window.is_count_based:
+            if times is not None:
+                raise TimeError("count-based tracker takes no timestamps")
+            times = [float(i) for i in
+                     range(self._items + 1, self._items + len(keys) + 1)]
         else:
-            state.last = now
-            state.size += 1
+            if times is None:
+                raise TimeError("time-based tracker requires timestamps")
+            if len(times) != len(keys):
+                raise ConfigurationError(
+                    f"{len(times)} times for {len(keys)} keys")
+            previous = self._now
+            for t in times:
+                if t < previous:
+                    raise TimeError(
+                        f"time moved backwards: {t} < {previous}")
+                previous = t
+        states = self._states
+        length = self.window.length
+        now = self._now
+        for key, t in zip(keys, times):
+            now = float(t)
+            state = states.get(key)
+            if state is None:
+                states[key] = BatchState(start=now, last=now, size=1,
+                                         batches_seen=1)
+            elif now - state.last < length:
+                state.last = now
+                state.size += 1
+            else:
+                states[key] = BatchState(start=now, last=now, size=1,
+                                         batches_seen=state.batches_seen + 1)
+        self._items += len(keys)
+        self._now = now
 
     def observe_stream(self, stream) -> None:
         """Feed a whole :class:`~repro.streams.model.Stream`."""
-        if self.window.is_count_based:
-            for key in stream.keys:
-                self.observe(int(key))
-        else:
-            for key, t in zip(stream.keys, stream.times):
-                self.observe(int(key), float(t))
+        times = None if self.window.is_count_based or stream.times is None \
+            else stream.times.tolist()
+        self.observe_many(stream.keys.tolist(), times)
 
     # ------------------------------------------------------------------
     # Queries (all take an optional explicit "now")

@@ -310,3 +310,27 @@ class TestUpperLayers:
         plain.insert_many(keys, times)
         wrapped.insert_many(keys, times, chunk_size=13)
         assert_identical(plain, wrapped.sketch)
+
+
+class TestFinisherFootprint:
+    def test_a_small_frame_allocates_for_its_cells_not_the_sketch(self):
+        # The fused finishers touch the cells a frame swept or hashed,
+        # not every cell: one 32-key frame on a 64KB serving tenant
+        # (46K clock cells across its four tasks) peaks well under the
+        # ~1MB a whole-array rewrite of each clock allocates.
+        import tracemalloc
+
+        from repro.serve import TenantConfig
+
+        monitor = TenantConfig(window_length=4096, memory="64KB",
+                               seed=1).build_monitor()
+        keys = [str(i) for i in range(2048)]
+        for start in range(0, 2016, 32):
+            monitor.observe_many(keys[start:start + 32])
+        tracemalloc.start()
+        try:
+            monitor.observe_many(keys[2016:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 1024, peak

@@ -122,6 +122,66 @@ class TestPartitionKeys:
         assert set(stale) == set(gt.inactive_seen_keys(now))
 
 
+def _tracker_state(gt):
+    return {key: vars(state) for key, state in gt._states.items()}
+
+
+def _reference_state(keys, times, length):
+    """The batch rule, one occurrence at a time: extend iff ``t - last < T``."""
+    states = {}
+    for key, t in zip(keys, times):
+        state = states.get(key)
+        if state is not None and t - state["last"] < length:
+            state.update(last=t, size=state["size"] + 1)
+        else:
+            seen = 1 if state is None else state["batches_seen"] + 1
+            states[key] = dict(start=t, last=t, size=1, batches_seen=seen)
+    return states
+
+
+class TestObserveMany:
+    """``observe_many`` is the per-key batch rule, all or nothing."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_key_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        # Few keys, so they repeat; gaps of 0 to 2T, so batches both
+        # extend and restart, and equal times occur.
+        keys = rng.integers(0, 12, size=400).tolist()
+        gaps = rng.choice([0.0, 0.5, T - 1e-9, T, 2 * T], size=400,
+                          p=[0.2, 0.5, 0.1, 0.1, 0.1])
+        times = (1.0 + np.cumsum(gaps)).tolist()
+        loop, batch = BatchTracker(time_window(T)), BatchTracker(time_window(T))
+        for key, t in zip(keys, times):
+            loop.observe(key, t)
+        for lo in range(0, 400, 37):  # uneven batches
+            batch.observe_many(keys[lo:lo + 37], times[lo:lo + 37])
+        reference = _reference_state(keys, times, T)
+        assert _tracker_state(batch) == _tracker_state(loop) == reference
+        assert (batch.now, batch._items) == (loop.now, loop._items) \
+            == (times[-1], 400)
+
+    def test_count_window_matches_the_per_key_loop(self):
+        keys = np.random.default_rng(9).integers(0, 5, size=60).tolist()
+        loop, batch = BatchTracker(count_window(4)), BatchTracker(count_window(4))
+        for key in keys:
+            loop.observe(key)
+        batch.observe_many(keys[:25])
+        batch.observe_many(keys[25:])
+        reference = _reference_state(keys, [float(i) for i in range(1, 61)], 4)
+        assert _tracker_state(batch) == _tracker_state(loop) == reference
+        assert (batch.now, batch._items) == (loop.now, loop._items) == (60, 60)
+
+    def test_backwards_time_changes_nothing(self):
+        gt = BatchTracker(time_window(T))
+        gt.observe_many(["a", "b"], [1.0, 2.0])
+        before = (_tracker_state(gt), gt.now, gt._items)
+        for times in ([3.0, 1.5, 4.0], [1.0, 5.0, 6.0]):
+            with pytest.raises(TimeError, match="backwards"):
+                gt.observe_many(["a", "c", "b"], times)
+            assert (_tracker_state(gt), gt.now, gt._items) == before
+
+
 class TestSplitActiveInactive:
     def test_exact_boundary_is_inactive(self):
         keys = np.array([1, 2, 3], dtype=np.int64)

@@ -44,6 +44,7 @@ from repro import (
     ClockCountMin,
     ClockTimeSpanSketch,
     count_window,
+    time_window,
 )
 from repro.kernels import numpy_backend
 from repro.serialize import dumps_sketch, loads_sketch
@@ -64,13 +65,13 @@ FUSE = {"bf": "fuse_touch", "bm": "fuse_touch", "cm": "fuse_countmin",
 
 WINDOW = 256
 
-#: Batch sizes straddling the fused cutover (engine.batch.MIN_FUSED = 16),
+#: Batch sizes straddling the fused cutover (engine.batch.MIN_FUSED = 12),
 #: plus scalar singles, so fused, loop, and deferred paths all run.
 BATCH_PLAN = (1, 7, 64, 3, 300, 16)
 
 
-def build(kind: str, s: int, sweep_mode: str):
-    window = count_window(WINDOW)
+def build(kind: str, s: int, sweep_mode: str, window=None):
+    window = window or count_window(WINDOW)
     if kind == "bf":
         return ClockBloomFilter(n=512, k=3, s=s, window=window, seed=5,
                                 sweep_mode=sweep_mode)
@@ -112,18 +113,21 @@ def drive(kind: str, s: int, sweep_mode: str):
                 sketch.insert(int(key))
         else:
             sketch.insert_many(keys)
-    query_keys = rng.integers(0, 400, size=64)
+    return sketch, expiries, answers_of(kind, sketch,
+                                        rng.integers(0, 400, size=64))
+
+
+def answers_of(kind: str, sketch, query_keys):
+    """The sketch's answers for ``query_keys``, as plain lists."""
     if kind == "bm":
-        answers = (sketch.query_many(query_keys).tolist(),
-                   float(sketch.estimate()))
-    elif kind == "ts":
+        return (sketch.query_many(query_keys).tolist(),
+                float(sketch.estimate()))
+    if kind == "ts":
         res = sketch.query_many(query_keys)
-        answers = (np.nan_to_num(res.span, nan=-1.0).tolist(),)
-    elif kind == "cm":
-        answers = (np.asarray(sketch.query_many(query_keys)).tolist(),)
-    else:
-        answers = (sketch.query_many(query_keys).tolist(),)
-    return sketch, expiries, answers
+        return (np.nan_to_num(res.span, nan=-1.0).tolist(),)
+    if kind == "cm":
+        return (np.asarray(sketch.query_many(query_keys)).tolist(),)
+    return (sketch.query_many(query_keys).tolist(),)
 
 
 def primitives(kind: str, s: int, sweep_mode: str, reference: bool):
@@ -131,15 +135,18 @@ def primitives(kind: str, s: int, sweep_mode: str, reference: bool):
     ran = set()
     if sweep_mode != "deferred":
         # Exact modes finish large batches in closed form; the numpy
-        # finisher counts sweep hits, the loop reference walks them.
+        # finisher counts sweep hits and decays the clock through the
+        # sweep kernels (the plan's 300-item batch spans more than a
+        # full circle at every width), the loop reference walks them.
         ran.add(FUSE[kind])
         if not reference:
-            ran |= {"sweep_hits", "snapshot_values"}
+            ran |= {"sweep_hits", "snapshot_values", "sweep", "decay_all",
+                    "decrement_range"}
     if sweep_mode != "scalar":
         # The clock sweeps through the vector kernels; a sweep spanning
         # a full circle of cells (s=16, or a deferred catch-up) decays
         # every cell at once.
-        ran.add("decrement_range")
+        ran |= {"sweep", "decrement_range"}
         if sweep_mode == "deferred" or s == 16:
             ran.add("decay_all")
     return ran
@@ -217,6 +224,103 @@ class TestBackendParity:
                 last = np.flatnonzero(keys == key)[-1] + 1.0
                 span = ts.query(int(key)).span
                 assert span >= last - first
+
+
+#: The cell widths of the window-split cases: ``max_value`` 15.
+SPLIT_S = 4
+
+#: Sweep steps ``d`` of each window-split case's last batch, from the
+#: clock's cells ``n`` and cell maximum; the batch before it leaves the
+#: cleaning pointer 20 cells before the end of the circle.
+SPLIT_STEPS = {
+    "wraps": lambda n, top: n // 4,               # d < n, past cell n - 1
+    "rounds": lambda n, top: 5 * n // 2,          # n <= d < top * n
+    "saturates": lambda n, top: (top + 1) * n + 7,  # d >= top * n
+}
+
+#: The re-touched key of the ``retouch`` case (outside the other keys).
+RETOUCHED = 1000
+
+
+def split_times(sketch, steps):
+    """Arrival times at which ``sketch``'s clock reaches ``steps``."""
+    clock = sketch.clock
+    rate = clock.n * clock.circles_per_window / WINDOW
+    return (np.asarray(steps, dtype=np.int64) + 0.5) / rate
+
+
+def drive_split(kind: str, case: str):
+    """One time-window stream whose last fused batch is ``case``.
+
+    Returns the sketch, its expiry log, its answers and the last
+    batch's sweep steps and their split ``(start cell, d)``.
+    """
+    sketch = build(kind, SPLIT_S, "vector", time_window(WINDOW))
+    expiries = log_expiries(sketch)
+    clock = sketch.clock
+    n, top = clock.n, clock.max_value
+    rng = np.random.default_rng(99)
+    # Nearly every cell live, so a sweep slice off by one cell shows.
+    first = np.linspace(1, 2 * n - 20, 1024).round()
+    sketch.insert_many(rng.integers(0, 4000, size=1024),
+                       times=split_times(sketch, first))
+    start = clock.steps_done
+    if case == "retouch":
+        # The key, then others early on; nothing for long enough that
+        # every cell expires; then the key twice more, so its second
+        # touch finds its cells empty again.
+        gap = (top + 1) * n
+        keys = np.r_[RETOUCHED, rng.integers(0, 300, size=20),
+                     RETOUCHED, RETOUCHED]
+        steps = np.r_[start + 1, np.linspace(start + 2, start + 40, 20),
+                      start + gap, start + gap + 5].round()
+    else:
+        keys = rng.integers(0, 300, size=32)
+        steps = np.linspace(start, start + SPLIT_STEPS[case](n, top),
+                            32).round()
+    sketch.insert_many(keys, times=split_times(sketch, steps))
+    query_keys = np.r_[np.arange(300), RETOUCHED]
+    return (sketch, expiries, answers_of(kind, sketch, query_keys),
+            (start % n, clock.steps_done - start))
+
+
+class TestWindowSplit:
+    """The fused finishers' sweep, split at the window's edges.
+
+    Each case's last batch is fused; its sweep decays the whole clock
+    by the full rounds and the partial circle by one or two slices.
+    """
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("case", [*SPLIT_STEPS, "retouch"])
+    def test_bit_identical_across_the_split(self, kind, case, numpy_kernels,
+                                            loop_kernels):
+        with numpy_kernels() as numpy_calls:
+            ref, ref_expiries, ref_answers, (start, d) = drive_split(kind,
+                                                                     case)
+        with loop_kernels() as calls:
+            sketch, expiries, answers, _ = drive_split(kind, case)
+        n, top = ref.clock.n, ref.clock.max_value
+        assert {"wraps": start + d > n and d < n,
+                "rounds": n <= d < top * n,
+                "saturates": d >= top * n,
+                "retouch": d >= top * n}[case], (start, d)
+        assert numpy_calls[FUSE[kind]] == calls[FUSE[kind]] == 2
+        assert state_of(sketch) == state_of(ref)
+        assert expiries == ref_expiries
+        assert answers == ref_answers
+
+    @pytest.mark.parametrize("backend", IMPLEMENTATIONS)
+    def test_a_retouch_after_expiry_restarts_the_batch(self, backend,
+                                                       loop_kernels):
+        with kernels_for(backend, loop_kernels):
+            ts = drive_split("ts", "retouch")[0]
+            cm = drive_split("cm", "retouch")[0]
+        # The time-span stamp resets to the second touch; the Count-Min
+        # counters restart there, so the first touch is not counted.
+        second_touch = split_times(ts, [ts.clock.steps_done - 5])[0]
+        assert ts.query(RETOUCHED).begin == second_touch
+        assert cm.query(RETOUCHED) == 2
 
 
 class TestSerializeAgnosticism:

@@ -34,23 +34,15 @@ class _PlainCountMin:
         self.width = width
         self.depth = depth
         self.counters = np.zeros(width * depth, dtype=np.int64)
-        self._derivers = [
-            IndexDeriver(n=width, k=1, seed=seed + 7919 * row)
-            for row in range(depth)
-        ]
-
-    def _flats(self, item):
-        return [
-            row * self.width + d.indexes(item)[0]
-            for row, d in enumerate(self._derivers)
-        ]
+        self.deriver = IndexDeriver(
+            n=width, k=1, seed=tuple(seed + 7919 * row for row in range(depth)))
 
     def add(self, item) -> None:
-        for flat in self._flats(item):
-            self.counters[flat] += 1
+        # One cell per row: the cells are distinct.
+        self.counters[self.deriver.indexes(item)] += 1
 
     def query(self, item) -> int:
-        return int(min(self.counters[flat] for flat in self._flats(item)))
+        return int(self.counters[self.deriver.indexes(item)].min())
 
 
 @dataclass(frozen=True)

@@ -43,14 +43,6 @@ TIMESTAMP_BITS = 64
 class Baseline(ClockSketchBase):
     """A baseline's writers, built from its ``_write_cells`` rule."""
 
-    def _item_cells(self, item) -> np.ndarray:
-        """One item's cells, as an int64 array."""
-        return np.asarray(self.deriver.indexes(item), dtype=np.int64)
-
-    def _batch_cells(self, items) -> np.ndarray:
-        """``(N, k)`` cells of a batch, row-identical to :meth:`_item_cells`."""
-        return self.deriver.bulk(items)
-
     def _catch_up(self, now: float) -> None:
         """Expire what ``now`` expires; by default expiry is read from
         the cells' stamps at query time, so there is nothing to run."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.size import ClockCountMin
 from ..errors import ConfigurationError
 from ..hashing import IndexDeriver
 from ..timebase import WindowSpec
@@ -55,10 +54,10 @@ class NaiveSizeSketch(KeyedBaseline):
         size = self.width * self.depth
         self.counters = np.zeros(size, dtype=np.uint32)
         self.last_visit = np.full(size, -np.inf, dtype=np.float64)
-        self._derivers = [
-            IndexDeriver(n=self.width, k=1, seed=seed + 1000003 * row)
-            for row in range(self.depth)
-        ]
+        # The same rows and hashes as CM+clock: one flat cell per row.
+        self.deriver = IndexDeriver(
+            n=self.width, k=1,
+            seed=tuple(seed + 1000003 * row for row in range(self.depth)))
         self.seed = seed
 
     @classmethod
@@ -74,10 +73,6 @@ class NaiveSizeSketch(KeyedBaseline):
             )
         return cls(width=width, depth=depth, window=window,
                    counter_bits=counter_bits, seed=seed)
-
-    # The same rows and hashes as CM+clock: one flat cell per row.
-    _item_cells = ClockCountMin._item_cells
-    _batch_cells = ClockCountMin._batch_cells
 
     def _write_cells(self, cells, now: float) -> None:
         """Increment the item's counters, restarting stale ones at 1."""

@@ -46,11 +46,10 @@ def _resolve_times(keys, times) -> np.ndarray:
     return np.asarray(times, dtype=np.float64)
 
 
-def _window_fingerprints(keys: np.ndarray, window_items: int,
+def _window_fingerprints(keys, window_items: int,
                          fingerprint_bits: int, seed: int) -> np.ndarray:
     fp = Fingerprinter(fingerprint_bits, seed=seed)
-    tail = np.asarray(keys)[-window_items:]
-    return fp.bulk(tail)
+    return fp.bulk(keys[-window_items:])
 
 
 def snapshot_swamp_ismember(
@@ -65,7 +64,7 @@ def snapshot_swamp_ismember(
         _window_fingerprints(keys, window_items, fingerprint_bits, seed)
     )
     fp = Fingerprinter(fingerprint_bits, seed=seed)
-    query_fps = fp.bulk(np.asarray(query_keys))
+    query_fps = fp.bulk(query_keys)
     return np.isin(query_fps, in_window)
 
 
@@ -92,10 +91,8 @@ def snapshot_ideal_membership(
     """Membership in a plain Bloom filter over exactly the active keys."""
     deriver = IndexDeriver(n=n, k=k, seed=seed)
     bits = np.zeros(n, dtype=bool)
-    active_keys = np.asarray(active_keys)
-    if active_keys.size:
-        bits[deriver.bulk(active_keys).ravel()] = True
-    query_matrix = deriver.bulk(np.asarray(query_keys))
+    bits[deriver.bulk(active_keys).ravel()] = True
+    query_matrix = deriver.bulk(query_keys)
     return np.all(bits[query_matrix], axis=1)
 
 
@@ -109,11 +106,10 @@ def snapshot_cvs_estimate(
     seed: int = 0,
 ) -> CardinalityEstimate:
     """Final-state CVS estimate with per-cell binomial decrement sampling."""
-    keys = np.asarray(keys)
     deriver = IndexDeriver(n=n, k=1, seed=seed)
     stamps = _resolve_times(keys, times)
     last = np.full(n, -np.inf, dtype=np.float64)
-    np.maximum.at(last, deriver.bulk_single(keys), stamps)
+    np.maximum.at(last, deriver.bulk(keys)[:, 0], stamps)
 
     rng = np.random.default_rng(seed ^ 0xC5)
     decs_per_unit = max_count * n / window.length

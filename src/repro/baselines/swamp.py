@@ -113,8 +113,9 @@ class Swamp:
         self._head = (self._head + 1) % self.window_items
 
     def insert_many(self, keys) -> None:
-        """Insert an array of integer keys (bulk-fingerprinted)."""
-        for fp in self._fingerprinter.bulk(np.asarray(keys)):
+        """Insert a batch of keys (bulk-fingerprinted), as a loop of
+        :meth:`insert` would."""
+        for fp in self._fingerprinter.bulk(keys):
             if self._occupied[self._head]:
                 self._table.remove(int(self._queue[self._head]))
             self._queue[self._head] = fp
@@ -127,8 +128,8 @@ class Swamp:
         return self._table.contains(self._fingerprinter.fingerprint(item))
 
     def ismember_many(self, keys) -> np.ndarray:
-        """Vectorised ISMEMBER over an integer key array."""
-        fps = self._fingerprinter.bulk(np.asarray(keys))
+        """Vectorised ISMEMBER over a batch of keys."""
+        fps = self._fingerprinter.bulk(keys)
         table = self._table
         return np.fromiter(
             (table.contains(int(fp)) for fp in fps), dtype=bool, count=len(fps)

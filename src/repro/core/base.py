@@ -16,7 +16,10 @@ work:
 
 - :class:`ClockSketchBase` reads its time from a stream clock, which
   the baselines and the sharded facade share with the kinds; it builds
-  ``insert``/``insert_many`` from a writer's ``_write_one``/``_write``.
+  ``insert``/``insert_many`` from a writer's ``_write_one``/``_write``,
+  and a key's cells (``_item_cells``/``_batch_cells``) from the one
+  :class:`~repro.hashing.indexing.IndexDeriver` of a sketch that has a
+  ``deriver``.
 - :class:`ClockSketchReader` writes the one read path, ``query`` /
   ``query_many``, for the kinds, the per-key baselines and the sharded
   facade: only where the cells come from differs.
@@ -265,6 +268,16 @@ class ClockSketchBase:
         """
         self.stream_clock.ingest((self,), items, times)
 
+    def _item_cells(self, item) -> np.ndarray:
+        """One item's cells from the sketch's ``deriver``, as an int64
+        array."""
+        return np.asarray(self.deriver.indexes(item), dtype=np.int64)
+
+    def _batch_cells(self, items) -> np.ndarray:
+        """``(N, cells per item)`` cells of a batch, row-identical to
+        :meth:`_item_cells`."""
+        return self.deriver.bulk(items)
+
     def _query_time(self, t) -> float:
         """Resolve a query's time on the stream clock (see
         :meth:`StreamClock.query`)."""
@@ -345,14 +358,6 @@ class ClockSketchKind(ClockSketchReader):
         """The cell images at ``idx``: clock values, then each field."""
         return (self.clock.values[idx],
                 *[getattr(self, name)[idx] for name in self._CELL_FIELDS])
-
-    def _item_cells(self, item) -> np.ndarray:
-        """One item's cells, as an int64 array."""
-        return np.asarray(self.deriver.indexes(item), dtype=np.int64)
-
-    def _batch_cells(self, items) -> np.ndarray:
-        """``(N, k)`` cells of a batch, row-identical to :meth:`_item_cells`."""
-        return self.deriver.bulk(items)
 
     def _apply(self, rows, stamps) -> None:
         """Write a run of items that no sweep step separates.

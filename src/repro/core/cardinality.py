@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import EstimatorSaturatedError
 from ..hashing import IndexDeriver
 from ..timebase import WindowSpec
@@ -108,9 +106,6 @@ class ClockBitmap(ClockSketchKind):
     def n(self) -> int:
         """Number of clock cells."""
         return self.clock.n
-
-    def _batch_cells(self, items) -> np.ndarray:
-        return self.deriver.bulk_single(items)[:, None]
 
     def estimate(self, t=None, strict: bool = False) -> CardinalityEstimate:
         """Estimate the number of active item batches at time ``t``."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..hashing import IndexDeriver, key_id, key_ids
+from ..hashing import IndexDeriver
 from ..kernels import numpy_backend as _kernels
 from ..timebase import WindowSpec
 from ..units import parse_memory
@@ -97,11 +97,11 @@ class ClockCountMin(ClockSketchKind):
             self.width * self.depth, s, window,
             on_expire=self._clear_cells, sweep_mode=sweep_mode,
         )
-        # One independent hash family per row, as in a classic CM sketch.
-        self._derivers = [
-            IndexDeriver(n=self.width, k=1, seed=seed + 1000003 * row)
-            for row in range(self.depth)
-        ]
+        # One independently seeded row per hash, as in a classic CM
+        # sketch: the deriver places row r's cell in [r*w, (r+1)*w).
+        self.deriver = IndexDeriver(
+            n=self.width, k=1,
+            seed=tuple(seed + 1000003 * row for row in range(self.depth)))
         self.seed = seed
         if sanitize:
             from ..qa.sanitizer import sanitize_sketch
@@ -126,20 +126,6 @@ class ClockCountMin(ClockSketchKind):
         return cls(width=width, depth=depth, s=s, window=window,
                    counter_bits=counter_bits, seed=seed,
                    sweep_mode=sweep_mode, conservative=conservative)
-
-    def _item_cells(self, item) -> np.ndarray:
-        """The item's flat cell in each row (distinct: one per row)."""
-        kid = key_id(item)
-        return np.array([row * self.width + deriver.first(kid)
-                         for row, deriver in enumerate(self._derivers)],
-                        dtype=np.int64)
-
-    def _batch_cells(self, items) -> np.ndarray:
-        """``(N, depth)`` flat cell indexes for a batch of items."""
-        offsets = np.arange(self.depth, dtype=np.int64) * self.width
-        ids = key_ids(items)
-        columns = np.stack([d.bulk_single(ids) for d in self._derivers], axis=1)
-        return columns + offsets[None, :]
 
     @property
     def _commutes(self) -> bool:

@@ -12,10 +12,11 @@ subpackage provides:
   keep no memo, so hashing holds no memory between batches.
 - :mod:`repro.hashing.indexing` — one 64-bit *key id* per key (an
   integer is its own id; any other key is hashed once, through one
-  Bob Hash family, vectorised over the batch), then per sketch a seeded
-  splitmix64 mix of the id into a base hash and Kirsch–Mitzenmacher
-  double hashing of that into the ``k`` cell indexes, all vectorised
-  over uint64 id arrays.
+  Bob Hash family, vectorised over the batch), then per sketch one
+  :class:`~repro.hashing.indexing.IndexDeriver`: a seeded splitmix64
+  mix of the id into one base hash per row seed (all rows of a batch in
+  one pass) and Kirsch–Mitzenmacher double hashing of each into that
+  row's ``k`` cell indexes, all vectorised over uint64 id arrays.
 - :mod:`repro.hashing.fingerprint` — fixed-width fingerprints used by
   the SWAMP baseline.
 - :mod:`repro.hashing.sharding` — the seeded key-to-shard selector of
@@ -38,7 +39,6 @@ from .indexing import (
     bulk_base_hashes,
     scalar_base_hash,
     derive_index_matrix,
-    derive_index_single,
 )
 
 if TYPE_CHECKING:
@@ -60,7 +60,6 @@ __all__ = [
     "bulk_base_hashes",
     "scalar_base_hash",
     "derive_index_matrix",
-    "derive_index_single",
     "Fingerprinter",
     "ShardSelector",
     "shard_seed_for",

@@ -1,10 +1,11 @@
-"""Fixed-width fingerprints, used by the SWAMP baseline.
+"""Fixed-width fingerprints, used by the SWAMP baseline and the audit
+sampler.
 
 SWAMP stores an ``f``-bit fingerprint of each of the last ``w`` items in
 a cyclic queue; its accuracy is governed by collisions in the ``2^f``
 fingerprint space. The fingerprinter here derives fingerprints from the
-same base hashes as the rest of the library, with scalar and bulk
-paths that agree on integer keys.
+same seeded base hash of each key id as the rest of the library, with
+scalar and bulk paths that agree on every key.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .indexing import IndexDeriver
+from .indexing import bulk_base_hashes, key_id, key_ids, scalar_base_hash
 
 
 class Fingerprinter:
@@ -32,9 +33,6 @@ class Fingerprinter:
         self.bits = int(bits)
         self.seed = int(seed)
         self._mask = (1 << self.bits) - 1
-        # Reuse IndexDeriver's base hash so every key type works and the
-        # scalar and bulk paths agree.
-        self._deriver = IndexDeriver(n=2, k=1, seed=seed)
 
     @property
     def space(self) -> int:
@@ -43,11 +41,11 @@ class Fingerprinter:
 
     def fingerprint(self, item) -> int:
         """Return the fingerprint of one item."""
-        return self._deriver.base_hash(item) & self._mask
+        return scalar_base_hash(key_id(item), self.seed) & self._mask
 
     def bulk(self, keys) -> np.ndarray:
         """Return fingerprints for a batch of keys (vectorised)."""
-        return self._deriver.base_hashes_many(keys) & np.uint64(self._mask)
+        return bulk_base_hashes(key_ids(keys), self.seed) & np.uint64(self._mask)
 
     def __repr__(self) -> str:
         return f"Fingerprinter(bits={self.bits}, seed={self.seed})"

@@ -1,4 +1,4 @@
-"""Key ids, and deriving the ``k`` cell indexes of a sketch from them.
+"""Key ids, and deriving a sketch's cell indexes from them.
 
 Every stream key first becomes one 64-bit *key id* (:func:`key_id`,
 :func:`key_ids`): an integer key is its own id (mod 2^64); any other
@@ -8,14 +8,20 @@ runs lookup3 over a whole batch as uint32 array operations. A key is
 thus run through lookup3 once per batch, however many sketches and rows
 consume it, and no key is kept once its batch is hashed.
 
-Each sketch then mixes the id with its own seed (splitmix64, see
-:func:`bulk_base_hashes`) into a 64-bit base hash. Instead of
-evaluating ``k`` independent hashes we use Kirsch–Mitzenmacher double
-hashing: split the base hash into ``h1`` and ``h2`` and take
+Each sketch then derives all its cells from the id through one
+:class:`IndexDeriver`. The deriver mixes the id with each of its row
+seeds (splitmix64, see :func:`bulk_base_hashes`) into one 64-bit base
+hash per row: a single row for the Bloom filter, bitmap and time-span
+sketches, one independently seeded row per Count-Min row, all rows of a
+batch in one broadcast splitmix64 pass. Instead of evaluating ``k``
+independent hashes per row we use Kirsch–Mitzenmacher double hashing:
+split the base hash into ``h1`` and ``h2`` and take
 ``(h1 + i * h2) mod n`` for ``i = 0..k-1``, forcing ``h2`` odd so the
 probe sequence covers the whole table for power-of-two ``n`` and never
-degenerates. Ids are uint64 arrays, so everything after the key-id step
-is vectorised numpy.
+degenerates. Row ``r`` of ``n`` cells starts at cell ``r * n``: the
+row-major flat layout of a multi-row sketch is decided here alone. Ids
+are uint64 arrays, so everything after the key-id step is vectorised
+numpy.
 """
 
 from __future__ import annotations
@@ -54,11 +60,17 @@ def bulk_base_hashes(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     """
     keys64 = np.asarray(keys).astype(np.uint64, copy=False)
     with np.errstate(over="ignore"):
-        seeded = keys64 + np.uint64((seed + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF)
+        seeded = keys64 + np.uint64(_seed_mix(seed))
     return splitmix64(seeded)
 
 
 _M64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _seed_mix(seed: int) -> int:
+    """What a seed adds to a key id before splitmix64."""
+    return (seed + 1) * 0x9E3779B97F4A7C15 & _M64
+
 
 #: Element-wise ``int()`` over an object array (numpy scalars included).
 _AS_INT = np.frompyfunc(int, 1, 1)
@@ -67,30 +79,28 @@ _AS_INT = np.frompyfunc(int, 1, 1)
 def derive_index_matrix(base: np.ndarray, n: int, k: int) -> np.ndarray:
     """Kirsch–Mitzenmacher double hashing in array form.
 
-    Turns an array of 64-bit base hashes into a ``(len(base), k)``
-    matrix of cell indexes in ``[0, n)`` — the vectorised twin of
-    :meth:`IndexDeriver.indexes`: ``h1`` is the low 32 bits, ``h2`` the
-    high 32 bits forced odd, row ``i`` is ``(h1 + j * h2) mod n`` for
-    ``j = 0..k-1``.
+    Turns base hashes into cell indexes — the vectorised twin of
+    :meth:`IndexDeriver.indexes`. ``base`` holds one row of 64-bit base
+    hashes per seed, ``(rows, N)`` (a 1-D array is one row). For each
+    base ``h1`` is the low 32 bits and ``h2`` the high 32 bits forced
+    odd; row ``r``'s ``k`` probes are ``r * n + (h1 + j * h2) mod n``
+    for ``j = 0..k-1``, so the result is ``(N, rows * k)`` with row
+    ``r`` in cells ``[r * n, (r + 1) * n)``.
     """
-    base = np.asarray(base, dtype=np.uint64)
-    h1 = (base & np.uint64(0xFFFFFFFF)).astype(np.uint64)
-    h2 = ((base >> np.uint64(32)) | np.uint64(1)).astype(np.uint64)
-    steps = np.arange(k, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        matrix = (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(n)
-    return matrix.astype(np.int64)
-
-
-def derive_index_single(base: np.ndarray, n: int) -> np.ndarray:
-    """First double-hashing probe per base hash (``h1 mod n``).
-
-    Array form of ``indexes(item)[0]``, used by one-hash structures
-    (bitmaps, per-row Count-Min derivers).
-    """
-    base = np.asarray(base, dtype=np.uint64)
-    h1 = base & np.uint64(0xFFFFFFFF)
-    return (h1 % np.uint64(n)).astype(np.int64)
+    base = np.atleast_2d(np.asarray(base, dtype=np.uint64)).T
+    count, rows = base.shape
+    h1 = (base & np.uint64(0xFFFFFFFF))[:, :, None]
+    if k == 1:
+        # The first probe alone: skip the h2 stride.
+        probes = h1 % np.uint64(n)
+    else:
+        h2 = ((base >> np.uint64(32)) | np.uint64(1))[:, :, None]
+        with np.errstate(over="ignore"):
+            probes = (h1 + np.arange(k, dtype=np.uint64) * h2) % np.uint64(n)
+    cells = probes.astype(np.int64)
+    if rows > 1:
+        cells += (np.arange(rows, dtype=np.int64) * n)[:, None]
+    return cells.reshape(count, rows * k)
 
 
 def scalar_base_hash(key: int, seed: int = 0) -> int:
@@ -100,7 +110,7 @@ def scalar_base_hash(key: int, seed: int = 0) -> int:
     incremental and snapshot code paths of a sketch place every integer
     key in the same cells.
     """
-    x = (key + (seed + 1) * 0x9E3779B97F4A7C15) & _M64
+    x = (key + _seed_mix(seed)) & _M64
     x = (x + 0x9E3779B97F4A7C15) & _M64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -160,61 +170,57 @@ def key_ids(items) -> np.ndarray:
 
 
 class IndexDeriver:
-    """Turns items into ``k`` cell indexes in ``[0, n)``.
+    """Turns items into cell indexes: ``k`` per seed, each seed a row.
 
     Parameters
     ----------
     n:
-        Number of cells in the target array.
+        Number of cells in one row.
     k:
-        Number of hash functions (indexes per item).
+        Number of hash functions (indexes per item and row).
     seed:
-        Seed mixed into each key id to make this deriver's base hash.
+        One seed, or a tuple of row seeds. Each is mixed into the key id
+        to make that row's base hash; row ``r`` places its ``k`` probes
+        in cells ``[r * n, (r + 1) * n)`` of one flat, row-major array.
+        Count-Min's independent rows are one seed each.
     """
 
-    def __init__(self, n: int, k: int, seed: int = 0):
+    def __init__(self, n: int, k: int, seed=0):
         if n <= 0:
             raise ConfigurationError(f"cell count must be positive, got {n}")
         if k <= 0:
             raise ConfigurationError(f"hash count must be positive, got {k}")
         self.n = int(n)
         self.k = int(k)
-        self.seed = int(seed)
-
-    def base_hash(self, item) -> int:
-        """Return the 64-bit base hash of ``item``: its seeded key id."""
-        return scalar_base_hash(key_id(item), self.seed)
+        self.seeds = tuple(map(int, seed if isinstance(seed, tuple) else (seed,)))
+        self._mix = np.array([_seed_mix(s) for s in self.seeds],
+                             dtype=np.uint64)[:, None]
 
     def indexes(self, item) -> "list[int]":
-        """Return the ``k`` cell indexes of ``item`` (scalar path)."""
-        base = self.base_hash(item)
-        h1 = base & 0xFFFFFFFF
-        h2 = ((base >> 32) | 1) & 0xFFFFFFFF
+        """Return the item's cell indexes, row by row (scalar path)."""
+        kid = key_id(item)
         n = self.n
-        return [(h1 + i * h2) % n for i in range(self.k)]
-
-    def first(self, item) -> int:
-        """``indexes(item)[0]``, ``h1 mod n``: a one-hash row's cell."""
-        return (self.base_hash(item) & 0xFFFFFFFF) % self.n
+        cells = []
+        for row, seed in enumerate(self.seeds):
+            base = scalar_base_hash(kid, seed)
+            h1 = base & 0xFFFFFFFF
+            h2 = (base >> 32) | 1
+            cells += [row * n + (h1 + i * h2) % n for i in range(self.k)]
+        return cells
 
     def base_hashes_many(self, items) -> np.ndarray:
-        """64-bit base hashes for a batch: the array twin of :meth:`base_hash`."""
-        return bulk_base_hashes(key_ids(items), self.seed)
+        """``(rows, N)`` base hashes for a batch, one row per seed: row
+        ``r`` equals ``bulk_base_hashes(key_ids(items), seeds[r])``, all
+        rows in one splitmix64 pass."""
+        with np.errstate(over="ignore"):
+            return splitmix64(key_ids(items)[None, :] + self._mix)
 
     def bulk(self, items) -> np.ndarray:
-        """``(len(items), k)`` index matrix for a batch of stream items.
+        """``(len(items), rows * k)`` index matrix for a batch of items.
 
         Row-identical to calling :meth:`indexes` per item.
         """
         return derive_index_matrix(self.base_hashes_many(items), self.n, self.k)
 
-    def bulk_single(self, items) -> np.ndarray:
-        """One index per item (``k`` ignored); used by bitmaps.
-
-        Matches ``indexes(item)[0]`` exactly: the first double-hashing
-        probe is ``h1 mod n`` with ``h1`` the low 32 bits of the base.
-        """
-        return derive_index_single(self.base_hashes_many(items), self.n)
-
     def __repr__(self) -> str:
-        return f"IndexDeriver(n={self.n}, k={self.k}, seed={self.seed})"
+        return f"IndexDeriver(n={self.n}, k={self.k}, seeds={self.seeds})"

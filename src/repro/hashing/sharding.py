@@ -71,7 +71,7 @@ class ShardSelector:
 
         Element-identical to calling :meth:`shard_of` per item.
         """
-        return self._deriver.bulk_single(items)
+        return self._deriver.bulk(items)[:, 0]
 
     def __repr__(self) -> str:
         return f"ShardSelector(shards={self.shards}, seed={self.seed})"

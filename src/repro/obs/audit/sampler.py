@@ -12,8 +12,9 @@ properties make this the right sampling scheme for accuracy auditing:
   scalar and vectorized ingest paths, across processes, and across
   replays, so audits are reproducible.
 
-Hashing rides the key ids of :mod:`repro.hashing` (each key's id mixed
-with the sampler's seed), via a private single-cell :class:`IndexDeriver`.
+Hashing rides the key ids of :mod:`repro.hashing`: ``h`` is a 64-bit
+:class:`~repro.hashing.fingerprint.Fingerprinter` (each key's id mixed
+with the sampler's seed).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ConfigurationError
-from ...hashing import IndexDeriver
+from ...hashing import Fingerprinter
 
 __all__ = ["ShadowSampler"]
 
@@ -40,7 +41,7 @@ class ShadowSampler:
         sampled subset is uncorrelated with cell placement.
     """
 
-    __slots__ = ("rate", "seed", "_threshold", "_deriver")
+    __slots__ = ("rate", "seed", "_threshold", "_hash")
 
     def __init__(self, rate: float, seed: int = 0):
         if not 0.0 < rate <= 1.0:
@@ -52,11 +53,11 @@ class ShadowSampler:
         threshold = int(round(self.rate * _TWO64))
         #: None means "sample everything" (rate rounds up to 2^64).
         self._threshold = None if threshold >= _TWO64 else threshold
-        self._deriver = IndexDeriver(n=1, k=1, seed=self.seed)
+        self._hash = Fingerprinter(64, seed=self.seed)
 
     def mask(self, items) -> np.ndarray:
         """Boolean sample mask aligned with ``items`` (vectorized)."""
-        hashes = self._deriver.base_hashes_many(items)
+        hashes = self._hash.bulk(items)
         if self._threshold is None:
             return np.ones(hashes.shape, dtype=bool)
         return hashes < np.uint64(self._threshold)
@@ -65,7 +66,7 @@ class ShadowSampler:
         """Is this key in the sampled subset? (Scalar twin of :meth:`mask`.)"""
         if self._threshold is None:
             return True
-        return self._deriver.base_hash(item) < self._threshold
+        return self._hash.fingerprint(item) < self._threshold
 
     def __repr__(self) -> str:
         return f"ShadowSampler(rate={self.rate}, seed={self.seed})"

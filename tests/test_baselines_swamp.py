@@ -104,6 +104,24 @@ class TestSwampWindow:
         assert list(a.ismember_many(queries)) == \
             [b.ismember(int(q)) for q in queries]
 
+    @pytest.mark.parametrize("keys", [["a", 1, 2**64 - 1, ("t", 2), True],
+                                      [2**63, 5, 2**64 - 1, -1]],
+                             ids=["mixed", "beyond-int64"])
+    def test_batch_paths_equal_the_scalar_loop(self, keys):
+        a = Swamp(window_items=8, fingerprint_bits=64, seed=3)
+        b = Swamp(window_items=8, fingerprint_bits=64, seed=3)
+        a.insert_many(keys)
+        for key in keys:
+            b.insert(key)
+        queries = keys + ["absent", 7]
+        scalar = [b.ismember(q) for q in queries]
+        assert scalar[:len(keys)] == [True] * len(keys)
+        assert list(a.ismember_many(queries)) == scalar
+        assert [a.ismember(q) for q in queries] == scalar
+        assert list(snapshot_swamp_ismember(
+            keys, queries, window_items=8, fingerprint_bits=64,
+            seed=3)) == scalar
+
 
 class TestDistinctMle:
     def test_zero(self):

@@ -27,11 +27,7 @@ class TestAllExperimentsRun:
             "ablation1", "ablation2", "ablation3", "ablation4", "ablation5",
         }
 
-    @pytest.mark.parametrize("name", sorted(
-        ["fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-         "fig12", "fig13", "fig13x", "table3", "batch", "shard", "serve",
-         "ablation1", "ablation2", "ablation3", "ablation4", "ablation5"]
-    ))
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_produces_rows_and_renders(self, results, name):
         result = results[name]
         assert result.rows

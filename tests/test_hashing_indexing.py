@@ -1,11 +1,15 @@
 """Tests for index derivation — including scalar/bulk agreement, which
-the snapshot evaluation paths depend on."""
+the snapshot evaluation paths depend on — and that it is written once."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import ConfigurationError
 from repro.hashing.indexing import (
     IndexDeriver,
@@ -73,10 +77,28 @@ class TestIndexDeriver:
     @given(st.integers(min_value=0, max_value=2**62),
            st.integers(min_value=2, max_value=10_000))
     @settings(max_examples=150, deadline=None)
-    def test_bulk_single_matches_first_index(self, key, n):
+    def test_first_bulk_column_matches_first_index(self, key, n):
         deriver = IndexDeriver(n=n, k=4, seed=9)
-        assert int(deriver.bulk_single(np.array([key]))[0]) == \
+        assert int(deriver.bulk(np.array([key]))[0, 0]) == \
             deriver.indexes(key)[0]
+
+    @given(st.lists(st.integers(0, 2**64 - 1) | st.text(), min_size=0,
+                    max_size=12),
+           st.lists(st.integers(0, 10**9), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=10_000),
+           st.integers(min_value=1, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_row_seeded_deriver_stacks_one_seed_rows(self, keys, seeds, n, k):
+        # Row r is the one-seed deriver for seeds[r], shifted by r * n;
+        # the scalar path is the matching bulk row.
+        deriver = IndexDeriver(n=n, k=k, seed=tuple(seeds))
+        matrix = deriver.bulk(keys)
+        assert matrix.shape == (len(keys), len(seeds) * k)
+        assert [list(row) for row in matrix] == \
+            [deriver.indexes(key) for key in keys]
+        for r, seed in enumerate(seeds):
+            one = IndexDeriver(n=n, k=k, seed=seed).bulk(keys)
+            assert np.array_equal(matrix[:, r * k:(r + 1) * k], one + r * n)
 
     def test_bulk_shape(self):
         deriver = IndexDeriver(n=64, k=3, seed=0)
@@ -136,3 +158,47 @@ class TestFullIntegerDomain:
         matrix = deriver.bulk(keys)
         assert [list(row) for row in matrix] == \
             [deriver.indexes(key) for key in keys]
+
+
+#: The base-hash and probe primitives behind ``IndexDeriver``.
+_PRIMITIVES = {"splitmix64", "bulk_base_hashes", "scalar_base_hash",
+               "derive_index_matrix"}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+#: A2's independent-hash column is that ablation's subject.
+_EXEMPT = {"repro/bench/experiments/ablation_hashing.py"}
+
+
+def _named(node) -> "str | None":
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+class TestOneDerivation:
+    """Every sketch places its keys through one ``IndexDeriver``: no module
+    outside ``repro.hashing`` reaches for a base-hash or probe primitive,
+    or builds derivers in a loop (one per row) instead of passing the
+    rows' seeds to one."""
+
+    def test_no_module_outside_hashing_derives_cells_itself(self):
+        root = Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            name = path.relative_to(root.parent).as_posix()
+            if name.startswith("repro/hashing/") or name in _EXEMPT:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{name}:{getattr(node, 'lineno', '?')}: uses "
+                      f"{_named(node)}" for node in ast.walk(tree)
+                      if _named(node) in _PRIMITIVES]
+            found += [f"{name}:{inner.lineno}: builds IndexDerivers in a loop"
+                      for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
+                      for inner in ast.walk(loop)
+                      if isinstance(inner, ast.Call)
+                      and _named(inner.func) == "IndexDeriver"]
+        assert found == []

@@ -276,10 +276,6 @@ class TestMultiShardAnalyticBands:
         assert sharded_rate <= plain_rate
 
 
-def _derivers(sketch):
-    return getattr(sketch, "_derivers", None) or [sketch.deriver]
-
-
 def _state(sketch):
     """Everything a replica is: configuration, hash seeds, cleaner
     position, bookkeeping and its mutable arrays (by value)."""
@@ -290,7 +286,7 @@ def _state(sketch):
     return {
         "kind": type(sketch).__name__,
         "config": config,
-        "hash_seeds": [d.seed for d in _derivers(sketch)],
+        "hash_seeds": sketch.deriver.seeds,
         "clock": (clock.n, clock.s, clock.max_value, clock.sweep_mode,
                   clock.steps_done, clock.now, clock.values.dtype.str,
                   clock.values.tolist()),
@@ -326,10 +322,8 @@ class TestReplicaClones:
                 assert hook is None or hook.__self__ is replica
             probe = np.asarray(range(64), dtype=np.uint64)
             for replica in replicas[0::2]:
-                for mine, theirs in zip(_derivers(replica),
-                                        _derivers(prototype)):
-                    assert np.array_equal(mine.bulk(probe),
-                                          theirs.bulk(probe))
+                assert np.array_equal(replica.deriver.bulk(probe),
+                                      prototype.deriver.bulk(probe))
             arrays = [a for sketch in (prototype, *replicas)
                       for a in _arrays(sketch)]
             for i, first in enumerate(arrays):
